@@ -3,6 +3,7 @@
 #   make verify     — the tier-1 gate: release build + full test suite
 #   make ci         — everything CI runs: fmt, build, test, clippy, mt-tests
 #   make bench      — criterion micro-benchmarks (shimmed harness)
+#   make bench-build — build the perfbench benchmark (its own workspace)
 #   make speedup    — parallel-driver mutex-vs-sharded merge comparison
 #   make test-mt    — release tests with 4 test threads (scheduler jobs)
 #   make test-scalar — full release suite with the SIMD backend forced off
@@ -19,7 +20,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify ci fmt clippy test build bench speedup test-mt test-scalar sched-bench kernel-bench width-bench wal-bench reuse-bench sql-demo test-durability serve-smoke load-bench rank-bench
+.PHONY: verify ci fmt clippy test build bench bench-build speedup test-mt test-scalar sched-bench kernel-bench width-bench wal-bench reuse-bench sql-demo test-durability serve-smoke load-bench rank-bench
 
 verify: build test
 
@@ -158,10 +159,13 @@ rank-bench: build
 	  | tee target/rank-bench/socket-smoke.txt; \
 	grep -E "up=0\.42" target/rank-bench/socket-smoke.txt | grep -qE "\| (in|out|definitive|resolved|budget) \|"
 
-ci: fmt build test clippy test-mt test-durability rank-bench
+ci: fmt build bench-build test clippy test-mt test-durability rank-bench
 
 bench:
 	$(CARGO) bench -p mlss-bench
+
+bench-build:
+	$(CARGO) build --release --offline --manifest-path perfbench/Cargo.toml
 
 speedup:
 	$(CARGO) run --release -p mlss-bench --bin parallel_speedup

@@ -25,22 +25,31 @@ struct Series {
 }
 
 impl Series {
-    fn trace<M, V>(
+    /// Run `estimator` for `budget` steps in chunks of about
+    /// `budget / POINTS`, recording the running estimate after each.
+    #[allow(clippy::too_many_arguments)]
+    fn trace<M, V, E>(
         &mut self,
         panel: &str,
+        sampler: &str,
         problem: Problem<'_, M, V>,
-        plan: Option<PartitionPlan>,
+        estimator: &E,
         budget: u64,
         use_ci: bool,
         seed: u64,
     ) where
         M: SimulationModel,
         V: ValueFunction<M::State>,
+        E: Estimator<M, V>,
     {
         let every = (budget / POINTS as u64).max(1);
         let mut next = every;
-        let sampler_name = if plan.is_some() { "MLSS" } else { "SRS" };
-        let mut capture = |est: &Estimate| {
+        let mut rng = rng_from_seed(seed);
+        let mut shard = estimator.shard();
+        while shard.steps() < budget {
+            let chunk = next.min(budget).saturating_sub(shard.steps()).max(1);
+            estimator.run_chunk(problem, &mut shard, chunk, &mut rng);
+            let est = estimator.check_estimate(&mut shard, &mut rng);
             if est.steps >= next && est.hits > 0 {
                 next += every;
                 let quality = if use_ci {
@@ -50,31 +59,39 @@ impl Series {
                 };
                 self.rows.push((
                     panel.to_string(),
-                    sampler_name.to_string(),
+                    sampler.to_string(),
                     est.steps,
                     est.tau,
                     quality,
                 ));
             }
-        };
-        match plan {
-            None => {
-                SrsSampler::new(RunControl::budget(budget)).run_observed(
-                    problem,
-                    &mut rng_from_seed(seed),
-                    &mut capture,
-                );
-            }
-            Some(plan) => {
-                let cfg =
-                    GMlssConfig::new(plan, RunControl::budget(budget)).with_ratio(DEFAULT_RATIO);
-                GMlssSampler::new(cfg).run_observed(
-                    problem,
-                    &mut rng_from_seed(seed),
-                    &mut capture,
-                );
-            }
         }
+    }
+
+    /// Trace SRS and then g-MLSS over `plan` on one panel.
+    fn panel<M, V>(
+        &mut self,
+        panel: &str,
+        problem: Problem<'_, M, V>,
+        plan: PartitionPlan,
+        budget: u64,
+        use_ci: bool,
+        seeds: (u64, u64),
+    ) where
+        M: SimulationModel,
+        V: ValueFunction<M::State>,
+    {
+        self.trace(
+            panel,
+            "SRS",
+            problem,
+            &SrsEstimator,
+            budget,
+            use_ci,
+            seeds.0,
+        );
+        let cfg = GMlssConfig::new(plan, RunControl::budget(budget)).with_ratio(DEFAULT_RATIO);
+        self.trace(panel, "MLSS", problem, &cfg, budget, use_ci, seeds.1);
     }
 }
 
@@ -94,9 +111,8 @@ fn main() {
         let vf = RatioValue::new(queue2_score, spec.beta);
         let problem = Problem::new(&model, &vf, spec.horizon);
         let budget = 4_000_000 * scale;
-        series.trace("queue_small_ci", problem, None, budget, true, 11);
         let plan = balanced_for(problem, default_levels(spec.class), 13);
-        series.trace("queue_small_ci", problem, Some(plan), budget, true, 12);
+        series.panel("queue_small_ci", problem, plan, budget, true, (11, 12));
     }
 
     // Panel 2: CPP model, Tiny query, RE measure.
@@ -107,9 +123,8 @@ fn main() {
         let vf = RatioValue::new(surplus_score, spec.beta);
         let problem = Problem::new(&model, &vf, spec.horizon);
         let budget = 8_000_000 * scale;
-        series.trace("cpp_tiny_re", problem, None, budget, false, 21);
         let plan = balanced_for(problem, default_levels(spec.class), 23);
-        series.trace("cpp_tiny_re", problem, Some(plan), budget, false, 22);
+        series.panel("cpp_tiny_re", problem, plan, budget, false, (21, 22));
     }
 
     // Panel 3: RNN model, Tiny query, RE measure.
@@ -119,9 +134,8 @@ fn main() {
         let vf = RatioValue::new(rnn_price_score, spec.beta);
         let problem = Problem::new(&model, &vf, spec.horizon);
         let budget = 600_000 * scale;
-        series.trace("rnn_tiny_re", problem, None, budget, false, 31);
         let plan = balanced_for(problem, default_levels(spec.class), 33);
-        series.trace("rnn_tiny_re", problem, Some(plan), budget, false, 32);
+        series.panel("rnn_tiny_re", problem, plan, budget, false, (31, 32));
     }
 
     let mut r = Report::new(

@@ -1,5 +1,5 @@
 //! Table 7: the whole pipeline inside the DBMS — model parameters live in
-//! tables, the samplers run as stored procedures, timings land in the
+//! tables, the samplers run as `ESTIMATE` statements, timings land in the
 //! `results` table. Compares SRS vs MLSS running times per query class.
 //!
 //! Usage: `cargo run --release -p mlss-bench --bin table7_dbms [--full]`
@@ -7,13 +7,12 @@
 use mlss_bench::settings::{cpp_specs, queue_specs};
 use mlss_bench::{Profile, Report};
 use mlss_core::quality::QualityTarget;
-use mlss_core::rng::rng_from_seed;
-use mlss_db::{seed_default_models, Database, ProcRegistry, Value};
+use mlss_db::{Session, SessionConfig, Value};
 
 fn main() {
     let profile = Profile::from_args();
     // Table 7 uses time-to-quality; express both CI and RE classes as an
-    // equivalent RE for the stored procedure interface.
+    // equivalent RE target.
     let re_for = |class: mlss_bench::QueryClass| -> f64 {
         use mlss_bench::QueryClass::*;
         match (profile, class) {
@@ -25,10 +24,13 @@ fn main() {
         }
     };
 
-    let db = Database::new();
-    seed_default_models(&db).expect("seed models");
-    let registry = ProcRegistry::with_builtins();
-    let mut rng = rng_from_seed(77_000);
+    // No shard store: every statement simulates from scratch.
+    let session = Session::new(SessionConfig {
+        seed: 77_000,
+        shard_store_capacity: 0,
+        ..SessionConfig::default()
+    })
+    .expect("open session");
 
     let mut r = Report::new(
         "table7_dbms",
@@ -40,16 +42,13 @@ fn main() {
             let mut secs = [0.0f64; 2];
             for (i, method) in ["srs", "mlss"].iter().enumerate() {
                 let t0 = std::time::Instant::now();
-                let args: Vec<Value> = vec![
-                    model.into(),
-                    (*method).into(),
-                    spec.beta.into(),
-                    Value::Int(spec.horizon as i64),
-                    re_for(spec.class).into(),
-                ];
-                registry
-                    .call(&db, "mlss_estimate", &args, &mut rng)
-                    .expect("estimate");
+                let sql = format!(
+                    "ESTIMATE DURABILITY OF {model}(beta={}) WITHIN {} USING {method} TARGET RE {}",
+                    spec.beta,
+                    spec.horizon,
+                    re_for(spec.class)
+                );
+                session.execute(&sql).expect("estimate");
                 secs[i] = t0.elapsed().as_secs_f64();
             }
             r.row(vec![
@@ -65,7 +64,8 @@ fn main() {
 
     // Show that results landed in the `results` table and paths can be
     // materialized — the end-to-end story of §6.4.
-    let rows = db
+    let rows = session
+        .db()
         .with_table("results", |t| t.len())
         .expect("results table");
     let args: Vec<Value> = vec![
@@ -74,8 +74,8 @@ fn main() {
         Value::Int(5),
         "paths_demo".into(),
     ];
-    let n = registry
-        .call(&db, "materialize_paths", &args, &mut rng)
+    let n = session
+        .call("materialize_paths", &args)
         .expect("materialize");
     println!("results table rows: {rows}; materialized path rows: {n}");
 

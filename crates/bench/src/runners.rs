@@ -7,7 +7,7 @@
 
 use mlss_core::estimate::Estimate;
 use mlss_core::estimator::{run_sequential, Estimator, EstimatorRun};
-use mlss_core::gmlss::{GMlssConfig, GMlssResult, GmlssShard};
+use mlss_core::gmlss::{GMlssConfig, GMlssResult};
 use mlss_core::levels::PartitionPlan;
 use mlss_core::model::SimulationModel;
 use mlss_core::partition::balanced_plan;
@@ -131,24 +131,6 @@ where
     plan
 }
 
-/// Reassemble the sampler-level result shape from a trait-level run.
-fn gmlss_result(run: EstimatorRun<GmlssShard>) -> (RunRow, GMlssResult) {
-    let row = RunRow::from(&run);
-    let result = GMlssResult {
-        estimate: run.estimate,
-        pi_hats: run.shard.pi_hats(),
-        landings: run.shard.landings_per_level(),
-        crossings: run.shard.crossings_per_level(),
-        skips: run.shard.skips_per_level(),
-        skip_events: run.shard.skip_events,
-        root_hit_variance: run.shard.root_hit_sample_variance(),
-        ledger: Some(run.shard.ledger),
-        sim_elapsed: run.sim_elapsed,
-        bootstrap_elapsed: run.estimate_elapsed,
-    };
-    (row, result)
-}
-
 /// Run g-MLSS until the quality target holds.
 pub fn mlss_to_target<M, V>(
     problem: Problem<'_, M, V>,
@@ -167,7 +149,8 @@ where
         max_steps: MAX_STEPS,
     };
     let cfg = GMlssConfig::new(plan, control).with_ratio(ratio);
-    gmlss_result(run_to_target(problem, &cfg, target, 256, seed))
+    let run = run_to_target(problem, &cfg, target, 256, seed);
+    (RunRow::from(&run), GMlssResult::from(run))
 }
 
 /// Run g-MLSS for a fixed budget.
@@ -183,7 +166,8 @@ where
     V: ValueFunction<M::State>,
 {
     let cfg = GMlssConfig::new(plan, RunControl::budget(budget)).with_ratio(ratio);
-    gmlss_result(run_budget(problem, &cfg, budget, seed))
+    let run = run_budget(problem, &cfg, budget, seed);
+    (RunRow::from(&run), GMlssResult::from(run))
 }
 
 /// Mean ± sample std of a slice (for the "averaged over N runs" tables).

@@ -6,9 +6,10 @@
 //! interchangeability a compile-time fact. An [`Estimator`] advances a
 //! mergeable [`Ledger`] shard in budgeted chunks of `g` invocations and
 //! can turn any shard into an [`Estimate`] at any time. Everything above
-//! this trait — the sequential driver [`run_sequential`], the parallel
-//! driver [`crate::parallel::run_parallel`], the `mlss-bench` experiment
-//! runners, and `mlss-db`'s `mlss_estimate` stored procedure — is generic
+//! this trait — the sequential driver [`run_sequential`] (which the
+//! `*Sampler::run` conveniences call), the parallel driver
+//! [`crate::parallel::run_parallel`], the scheduler, the `mlss-bench`
+//! experiment runners, and `mlss-db`'s `ESTIMATE` statements — is generic
 //! over it, so a new sampling strategy plugs into every layer by
 //! implementing one trait.
 //!

@@ -31,14 +31,17 @@
 //!
 //! ### Execution spine
 //!
-//! The per-root simulation lives in one function used by three drivers:
-//! the sequential [`GMlssSampler`], the chunked [`Estimator`]
-//! implementation on [`GMlssConfig`] (which also powers
-//! [`crate::parallel::run_parallel`]), and the bench harness via either.
+//! The per-root simulation is one frontier kernel behind the chunked
+//! [`Estimator`] implementation on [`GMlssConfig`]; every driver runs it
+//! through that trait — [`GMlssSampler`] is [`run_sequential`] plus the
+//! [`GMlssResult`] reshape, and [`crate::parallel::run_parallel`] and
+//! the scheduler use the same chunks.
 
 use crate::bootstrap::{bootstrap_variance, RootLedger};
 use crate::estimate::Estimate;
-use crate::estimator::{ChunkOutcome, Diagnostics, Estimator, Ledger};
+use crate::estimator::{
+    run_sequential, ChunkOutcome, Diagnostics, Estimator, EstimatorRun, Ledger,
+};
 use crate::frontier::{run_frontier, FrontierMode, RootKernel, SegmentStatus};
 use crate::levels::PartitionPlan;
 use crate::model::{SimulationModel, Time};
@@ -145,6 +148,26 @@ pub struct GMlssResult {
     pub sim_elapsed: std::time::Duration,
     /// Wall-clock time spent in bootstrap variance evaluations.
     pub bootstrap_elapsed: std::time::Duration,
+}
+
+impl From<EstimatorRun<GmlssShard>> for GMlssResult {
+    /// The sampler-level result shape of a trait-level run (the ledger is
+    /// kept whenever the shard tracked one).
+    fn from(run: EstimatorRun<GmlssShard>) -> Self {
+        let shard = run.shard;
+        Self {
+            estimate: run.estimate,
+            pi_hats: shard.pi_hats(),
+            landings: shard.landings_per_level(),
+            crossings: shard.crossings_per_level(),
+            skips: shard.skips_per_level(),
+            skip_events: shard.skip_events,
+            root_hit_variance: shard.root_hit_sample_variance(),
+            ledger: shard.track_ledger.then_some(shard.ledger),
+            sim_elapsed: run.sim_elapsed,
+            bootstrap_elapsed: run.estimate_elapsed,
+        }
+    }
 }
 
 /// Accumulated g-MLSS counters — the sampler's [`Ledger`] shard.
@@ -408,144 +431,10 @@ struct SplitEvent {
     crossed: u32,
 }
 
-/// Simulate one g-MLSS root path (with its full splitting tree) into the
-/// shard. `stack` and `events` are reusable scratch buffers.
-fn simulate_root<M, V>(
-    problem: &Problem<'_, M, V>,
-    plan: &PartitionPlan,
-    shard: &mut GmlssShard,
-    stack: &mut Vec<Segment<M::State>>,
-    events: &mut Vec<SplitEvent>,
-    rng: &mut SimRng,
-) where
-    M: SimulationModel,
-    V: ValueFunction<M::State>,
-{
-    let m = shard.m;
-    let r = shard.ratio;
-    let track_ledger = shard.track_ledger;
-    events.clear();
-    stack.clear();
-    let mut root_hits: u32 = 0;
-
-    let init = problem.model.initial_state();
-    // Clamp to m-1: the durability query counts t ≥ 1, so a start at the
-    // target is *not* an instant hit — the root watches for (re-)crossing
-    // β_m from its birth level.
-    let init_level = plan.level_of(problem.value(&init)).min(m - 1);
-    if init_level == 0 {
-        stack.push(Segment {
-            state: init,
-            t: 0,
-            crossed_max: 0,
-            parent: None,
-        });
-    } else {
-        // The root starts above L_0 (its value already crosses β_1..β_k at
-        // t = 0). Treat t = 0 like any crossing event: the levels jumped
-        // over get skip credit, and the root lands (and splits) in its
-        // starting level. The telescoped estimator then yields π̂_i = 1
-        // for the pre-crossed levels — exactly the conditional-probability
-        // semantics of Eq. 8. The per-root-hit variance shortcut is
-        // invalid in this regime (hit multiplicity is no longer r^{m-1}),
-        // so the pre-crossings count as skip events, pushing Auto mode
-        // onto the bootstrap.
-        if init_level > 1 {
-            shard.skip_events += 1;
-        }
-        for i in 1..init_level.min(m) {
-            if track_ledger {
-                shard.ledger.bump_skip(i);
-            }
-            shard.skips[i] += 1;
-        }
-        if track_ledger {
-            shard.ledger.bump_landing(init_level);
-        }
-        shard.landings[init_level] += 1;
-        let ei = events.len();
-        events.push(SplitEvent {
-            level: init_level,
-            crossed: 0,
-        });
-        for _ in 0..r {
-            stack.push(Segment {
-                state: init.clone(),
-                t: 0,
-                crossed_max: init_level,
-                parent: Some(ei),
-            });
-        }
-    }
-
-    while let Some(seg) = stack.pop() {
-        let mut state = seg.state;
-        for t in (seg.t + 1)..=problem.horizon {
-            state = problem.model.step(&state, t, rng);
-            shard.steps += 1;
-            let lvl = plan.level_of(problem.value(&state));
-            if lvl <= seg.crossed_max {
-                continue;
-            }
-            // Crossing event.
-            if let Some(pi) = seg.parent {
-                events[pi].crossed += 1;
-            }
-            if lvl - seg.crossed_max > 1 {
-                shard.skip_events += 1;
-            }
-            // Levels crossed over without landing: n_skip_i for
-            // i in (crossed_max, lvl).
-            for i in (seg.crossed_max + 1)..lvl {
-                if track_ledger {
-                    shard.ledger.bump_skip(i);
-                }
-                shard.skips[i] += 1;
-            }
-            if lvl == m {
-                shard.hits += 1;
-                root_hits += 1;
-            } else {
-                if track_ledger {
-                    shard.ledger.bump_landing(lvl);
-                }
-                shard.landings[lvl] += 1;
-                let ei = events.len();
-                events.push(SplitEvent {
-                    level: lvl,
-                    crossed: 0,
-                });
-                for _ in 0..r {
-                    stack.push(Segment {
-                        state: state.clone(),
-                        t,
-                        crossed_max: lvl,
-                        parent: Some(ei),
-                    });
-                }
-            }
-            break;
-        }
-    }
-
-    for ev in events.iter() {
-        if track_ledger {
-            shard.ledger.add_crossings(ev.level, ev.crossed);
-        }
-        shard.crossings[ev.level] += ev.crossed as u64;
-    }
-    if track_ledger {
-        shard.ledger.commit_root(root_hits);
-    }
-    shard.moments.push(root_hits);
-    shard.n_roots += 1;
-}
-
 /// Frontier kernel for g-MLSS: one lane carries one root's whole
-/// splitting tree (same LIFO segment order as [`simulate_root`], so
-/// per-root RNG consumption is identical); per-root counter deltas and
-/// the ledger record are buffered in scratch and folded into the shard in
-/// root order at commit time.
+/// splitting tree on a LIFO stack of pending segments; per-root counter
+/// deltas and the ledger record are buffered in scratch and folded into
+/// the shard in root order at commit time.
 pub(crate) struct GMlssKernel<'a> {
     plan: &'a PartitionPlan,
     ratio: u32,
@@ -631,14 +520,24 @@ where
         }
 
         let init = problem.model.initial_state();
+        // Clamp to m-1: the durability query counts t ≥ 1, so a start at the
+        // target is *not* an instant hit — the root watches for (re-)crossing
+        // β_m from its birth level.
         let init_level = self.plan.level_of(problem.value(&init)).min(m - 1);
         if init_level == 0 {
             scratch.crossed_max = 0;
             scratch.parent = None;
             return (init, 0);
         }
-        // Root born above L_0: t = 0 is a crossing event (see
-        // `simulate_root` for the estimator-semantics rationale).
+        // The root starts above L_0 (its value already crosses β_1..β_k at
+        // t = 0). Treat t = 0 like any crossing event: the levels jumped
+        // over get skip credit, and the root lands (and splits) in its
+        // starting level. The telescoped estimator then yields π̂_i = 1
+        // for the pre-crossed levels — exactly the conditional-probability
+        // semantics of Eq. 8. The per-root-hit variance shortcut is
+        // invalid in this regime (hit multiplicity is no longer r^{m-1}),
+        // so the pre-crossings count as skip events, pushing Auto mode
+        // onto the bootstrap.
         if init_level > 1 {
             scratch.skip_events += 1;
         }
@@ -904,130 +803,22 @@ impl GMlssSampler {
         Self { config }
     }
 
-    /// Run to completion.
+    /// Run to completion on [`run_sequential`].
     pub fn run<M, V>(&self, problem: Problem<'_, M, V>, rng: &mut SimRng) -> GMlssResult
     where
         M: SimulationModel,
         V: ValueFunction<M::State>,
     {
-        self.run_observed(problem, rng, |_| {})
-    }
-
-    /// Run, invoking `observe` with the running estimate after each root.
-    pub fn run_observed<M, V>(
-        &self,
-        problem: Problem<'_, M, V>,
-        rng: &mut SimRng,
-        mut observe: impl FnMut(&Estimate),
-    ) -> GMlssResult
-    where
-        M: SimulationModel,
-        V: ValueFunction<M::State>,
-    {
-        let sim_start = std::time::Instant::now();
-        let plan = &self.config.plan;
-        let m = plan.num_levels();
-        let r = self.config.ratio;
-
-        let mut shard = GmlssShard::new(m, r, self.config.track_ledger());
-        let mut since_check: u64 = 0;
-        let mut checks: u64 = 0;
-        let mut last_variance = f64::INFINITY;
-        let mut bootstrap_elapsed = std::time::Duration::ZERO;
-        let mut stack: Vec<Segment<M::State>> = Vec::new();
-        let mut events: Vec<SplitEvent> = Vec::new();
-
-        loop {
-            // ---- assemble running estimate -----------------------------
-            let tau = shard.tau();
-            let need_boot = match self.config.variance {
-                VarianceMode::PerRootHits => false,
-                VarianceMode::Bootstrap => true,
-                VarianceMode::Auto => shard.skip_events > 0,
-            };
-            // In budget mode the running variance is irrelevant (a final
-            // bootstrap is performed on exit), so only Target mode pays for
-            // in-flight bootstraps — and only at its quality-check cadence.
-            let at_check = since_check >= checked_cadence(&self.config.control);
-            if need_boot {
-                // Bootstrap conservatively: only at quality checks and only
-                // every `bootstrap_every`-th one.
-                if at_check {
-                    checks += 1;
-                    if checks.is_multiple_of(self.config.bootstrap_every as u64)
-                        && shard.n_roots >= 2
-                    {
-                        let t0 = std::time::Instant::now();
-                        last_variance = bootstrap_variance(
-                            &shard.ledger,
-                            self.config.bootstrap_resamples,
-                            r,
-                            rng,
-                        );
-                        bootstrap_elapsed += t0.elapsed();
-                    }
-                }
-            } else {
-                last_variance = shard.per_root_hit_variance();
-            }
-            let est = Estimate {
-                tau,
-                variance: last_variance,
-                n_roots: shard.n_roots,
-                steps: shard.steps,
-                hits: shard.hits,
-            };
-            if shard.n_roots > 0 {
-                observe(&est);
-            }
-            if !self.config.control.should_continue(&est, &mut since_check) {
-                let sim_elapsed = sim_start.elapsed() - bootstrap_elapsed;
-                // Final variance: always bootstrap when skips occurred, so
-                // the reported quality is sound even between cadences.
-                let variance = if shard.skip_events > 0
-                    && self.config.variance != VarianceMode::PerRootHits
-                    && shard.n_roots >= 2
-                {
-                    let t0 = std::time::Instant::now();
-                    let v =
-                        bootstrap_variance(&shard.ledger, self.config.bootstrap_resamples, r, rng);
-                    bootstrap_elapsed += t0.elapsed();
-                    v
-                } else {
-                    last_variance
-                };
-                return GMlssResult {
-                    estimate: Estimate {
-                        tau,
-                        variance,
-                        n_roots: shard.n_roots,
-                        steps: shard.steps,
-                        hits: shard.hits,
-                    },
-                    pi_hats: shard.pi_hats(),
-                    landings: shard.landings_per_level(),
-                    crossings: shard.crossings_per_level(),
-                    skips: shard.skips_per_level(),
-                    skip_events: shard.skip_events,
-                    root_hit_variance: shard.root_hit_sample_variance(),
-                    ledger: self.config.keep_ledger.then_some(shard.ledger),
-                    sim_elapsed,
-                    bootstrap_elapsed,
-                };
-            }
-
-            // ---- simulate one root path and all its offspring ----------
-            simulate_root(&problem, plan, &mut shard, &mut stack, &mut events, rng);
-            since_check += 1;
+        let mut result = GMlssResult::from(run_sequential(
+            &self.config,
+            problem,
+            self.config.control,
+            rng,
+        ));
+        if !self.config.keep_ledger {
+            result.ledger = None;
         }
-    }
-}
-
-/// Cadence of the control's quality checks (u64::MAX for budget mode).
-fn checked_cadence(control: &RunControl) -> u64 {
-    match control {
-        RunControl::Budget(_) => u64::MAX,
-        RunControl::Target { check_every, .. } => *check_every,
+        result
     }
 }
 
@@ -1096,6 +887,129 @@ mod tests {
     use crate::query::RatioValue;
     use crate::rng::rng_from_seed;
     use rand::RngExt;
+
+    /// Simulate one g-MLSS root path (with its full splitting tree) into the
+    /// shard — the scalar reference program `GMlssKernel` is pinned against.
+    /// `stack` and `events` are reusable scratch buffers.
+    fn simulate_root<M, V>(
+        problem: &Problem<'_, M, V>,
+        plan: &PartitionPlan,
+        shard: &mut GmlssShard,
+        stack: &mut Vec<Segment<M::State>>,
+        events: &mut Vec<SplitEvent>,
+        rng: &mut SimRng,
+    ) where
+        M: SimulationModel,
+        V: ValueFunction<M::State>,
+    {
+        let m = shard.m;
+        let r = shard.ratio;
+        let track_ledger = shard.track_ledger;
+        events.clear();
+        stack.clear();
+        let mut root_hits: u32 = 0;
+
+        let init = problem.model.initial_state();
+        // Birth-level semantics as in `GMlssKernel::begin_root`.
+        let init_level = plan.level_of(problem.value(&init)).min(m - 1);
+        if init_level == 0 {
+            stack.push(Segment {
+                state: init,
+                t: 0,
+                crossed_max: 0,
+                parent: None,
+            });
+        } else {
+            if init_level > 1 {
+                shard.skip_events += 1;
+            }
+            for i in 1..init_level.min(m) {
+                if track_ledger {
+                    shard.ledger.bump_skip(i);
+                }
+                shard.skips[i] += 1;
+            }
+            if track_ledger {
+                shard.ledger.bump_landing(init_level);
+            }
+            shard.landings[init_level] += 1;
+            let ei = events.len();
+            events.push(SplitEvent {
+                level: init_level,
+                crossed: 0,
+            });
+            for _ in 0..r {
+                stack.push(Segment {
+                    state: init.clone(),
+                    t: 0,
+                    crossed_max: init_level,
+                    parent: Some(ei),
+                });
+            }
+        }
+
+        while let Some(seg) = stack.pop() {
+            let mut state = seg.state;
+            for t in (seg.t + 1)..=problem.horizon {
+                state = problem.model.step(&state, t, rng);
+                shard.steps += 1;
+                let lvl = plan.level_of(problem.value(&state));
+                if lvl <= seg.crossed_max {
+                    continue;
+                }
+                // Crossing event.
+                if let Some(pi) = seg.parent {
+                    events[pi].crossed += 1;
+                }
+                if lvl - seg.crossed_max > 1 {
+                    shard.skip_events += 1;
+                }
+                // Levels crossed over without landing: n_skip_i for
+                // i in (crossed_max, lvl).
+                for i in (seg.crossed_max + 1)..lvl {
+                    if track_ledger {
+                        shard.ledger.bump_skip(i);
+                    }
+                    shard.skips[i] += 1;
+                }
+                if lvl == m {
+                    shard.hits += 1;
+                    root_hits += 1;
+                } else {
+                    if track_ledger {
+                        shard.ledger.bump_landing(lvl);
+                    }
+                    shard.landings[lvl] += 1;
+                    let ei = events.len();
+                    events.push(SplitEvent {
+                        level: lvl,
+                        crossed: 0,
+                    });
+                    for _ in 0..r {
+                        stack.push(Segment {
+                            state: state.clone(),
+                            t,
+                            crossed_max: lvl,
+                            parent: Some(ei),
+                        });
+                    }
+                }
+                break;
+            }
+        }
+
+        for ev in events.iter() {
+            if track_ledger {
+                shard.ledger.add_crossings(ev.level, ev.crossed);
+            }
+            shard.crossings[ev.level] += ev.crossed as u64;
+        }
+        if track_ledger {
+            shard.ledger.commit_root(root_hits);
+        }
+        shard.moments.push(root_hits);
+        shard.n_roots += 1;
+    }
 
     /// Walk with occasional large jumps — guaranteed level skipping.
     struct JumpyWalk {
@@ -1255,17 +1169,29 @@ mod tests {
         let v = vf();
         let problem = Problem::new(&model, &v, 40);
         let plan = PartitionPlan::new(vec![0.25, 0.5, 0.75]).unwrap();
-        let cfg = GMlssConfig::new(plan, RunControl::budget(100_000));
-        let res = GMlssSampler::new(cfg).run(problem, &mut rng_from_seed(6));
-        assert_eq!(res.skip_events, 0);
-        assert!(res.skips.iter().all(|&s| s == 0));
+        // Every variance policy reports a finite variance in budget mode,
+        // bootstrap included: no skip means no quality check ever ran,
+        // and the closing estimate still evaluates the bootstrap.
+        for mode in [VarianceMode::Auto, VarianceMode::Bootstrap] {
+            let cfg =
+                GMlssConfig::new(plan.clone(), RunControl::budget(100_000)).with_variance(mode);
+            let res = GMlssSampler::new(cfg).run(problem, &mut rng_from_seed(6));
+            assert_eq!(res.skip_events, 0);
+            assert!(res.skips.iter().all(|&s| s == 0));
+            assert!(
+                res.estimate.variance.is_finite() && res.estimate.variance > 0.0,
+                "{mode:?}: variance {}",
+                res.estimate.variance
+            );
+        }
     }
 
     #[test]
     fn sampler_and_estimator_trait_agree_exactly() {
-        // The sequential sampler and the chunked trait path must produce
-        // the identical estimate from the identical RNG stream: they share
-        // the same per-root simulation function.
+        // The scalar `simulate_root` and the frontier's `GMlssKernel` are
+        // two implementations of the same root program: pin them
+        // bit-exactly from the identical RNG stream. The sampler runs the
+        // kernel through `run_sequential`.
         let model = JumpyWalk {
             step: 0.05,
             jump_p: 0.02,
@@ -1274,17 +1200,28 @@ mod tests {
         let v = vf();
         let problem = Problem::new(&model, &v, 40);
         let plan = PartitionPlan::new(vec![0.3, 0.6]).unwrap();
-        let cfg = GMlssConfig::new(plan, RunControl::budget(100_000));
+        let cfg = GMlssConfig::new(plan.clone(), RunControl::budget(100_000));
 
         let sampler_res = GMlssSampler::new(cfg.clone()).run(problem, &mut rng_from_seed(17));
 
         let mut rng = rng_from_seed(17);
         let mut shard = crate::estimator::shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut shard, 100_000, &mut rng);
+        let (mut stack, mut events) = (Vec::new(), Vec::new());
+        while shard.steps < 100_000 {
+            simulate_root(
+                &problem,
+                &plan,
+                &mut shard,
+                &mut stack,
+                &mut events,
+                &mut rng,
+            );
+        }
         assert_eq!(shard.steps, sampler_res.estimate.steps);
         assert_eq!(shard.hits, sampler_res.estimate.hits);
         assert_eq!(shard.n_roots, sampler_res.estimate.n_roots);
         assert_eq!(shard.tau(), sampler_res.estimate.tau);
         assert_eq!(shard.skip_events, sampler_res.skip_events);
+        assert_eq!(shard.skips_per_level(), sampler_res.skips);
     }
 }

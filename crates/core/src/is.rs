@@ -128,18 +128,6 @@ impl<M: TiltableModel> TiltableModel for StepCounter<M> {
     }
 }
 
-/// Result of an importance-sampling run.
-#[derive(Debug, Clone)]
-pub struct IsResult {
-    /// The weighted estimate.
-    pub estimate: Estimate,
-    /// The tilt parameter used.
-    pub theta: f64,
-    /// Effective sample size `(Σw)²/Σw²` over *hitting* paths — a health
-    /// indicator; tiny ESS means the tilt is mismatched.
-    pub effective_sample_size: f64,
-}
-
 /// Accumulated IS statistics — the sampler's [`Ledger`].
 ///
 /// Weight sums are held in [`ExactSum`] accumulators, so shard merges are
@@ -252,34 +240,6 @@ impl Ledger for IsShard {
     fn steps(&self) -> u64 {
         self.steps
     }
-}
-
-/// Simulate one tilted path into the shard.
-fn simulate_path<M, V>(
-    problem: &Problem<'_, M, V>,
-    theta: f64,
-    shard: &mut IsShard,
-    rng: &mut SimRng,
-) where
-    M: TiltableModel,
-    V: ValueFunction<M::State>,
-{
-    let mut state = problem.model.initial_state();
-    let mut log_w = 0.0;
-    for t in 1..=problem.horizon {
-        let (next, dlw) = problem.model.step_tilted(&state, t, theta, rng);
-        shard.steps += 1;
-        log_w += dlw;
-        state = next;
-        if problem.satisfied(&state) {
-            let w = log_w.exp();
-            shard.hits += 1;
-            shard.w.add(w);
-            shard.w2.add(w * w);
-            break;
-        }
-    }
-    shard.n += 1;
 }
 
 /// Frontier kernel for IS: one tilted segment per root; stepping goes
@@ -450,35 +410,6 @@ where
     }
 }
 
-/// The IS sampler: `n` independent tilted paths; estimator
-/// `τ̂ = (1/n) Σ w_i · l(SP_i)` (§2.2).
-pub fn importance_sample<M, V>(
-    problem: Problem<'_, M, V>,
-    theta: f64,
-    n_paths: u64,
-    rng: &mut SimRng,
-) -> IsResult
-where
-    M: TiltableModel,
-    V: ValueFunction<M::State>,
-{
-    assert!(n_paths >= 2);
-    let mut shard = IsShard::default();
-    for _ in 0..n_paths {
-        simulate_path(&problem, theta, &mut shard, rng);
-    }
-    let ess = shard.effective_sample_size();
-    let mut estimate = shard.estimate();
-    // Historical contract: variance is reported even for n < 2 callers
-    // (the assert above guarantees n ≥ 2, keep the formula explicit).
-    estimate.variance = shard.contribution_variance() / n_paths as f64;
-    IsResult {
-        estimate,
-        theta,
-        effective_sample_size: ess,
-    }
-}
-
 /// Cross-entropy-style tilt selection (§2.2's CE reference, simplified):
 /// evaluate a grid of tilts with small pilots and pick the one minimizing
 /// the empirical second moment of the weighted estimator — equivalently,
@@ -530,12 +461,41 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::run_sequential;
     use crate::quality::RunControl;
     use crate::query::RatioValue;
     use crate::rng::rng_from_seed;
     use crate::srs::SrsSampler;
-    use rand::RngExt;
     use rand_distr::{Distribution, Normal};
+
+    /// Simulate one tilted path into the shard — the scalar reference
+    /// program `IsKernel` is pinned against.
+    fn simulate_path<M, V>(
+        problem: &Problem<'_, M, V>,
+        theta: f64,
+        shard: &mut IsShard,
+        rng: &mut SimRng,
+    ) where
+        M: TiltableModel,
+        V: ValueFunction<M::State>,
+    {
+        let mut state = problem.model.initial_state();
+        let mut log_w = 0.0;
+        for t in 1..=problem.horizon {
+            let (next, dlw) = problem.model.step_tilted(&state, t, theta, rng);
+            shard.steps += 1;
+            log_w += dlw;
+            state = next;
+            if problem.satisfied(&state) {
+                let w = log_w.exp();
+                shard.hits += 1;
+                shard.w.add(w);
+                shard.w2.add(w * w);
+                break;
+            }
+        }
+        shard.n += 1;
+    }
 
     /// Gaussian random walk `x_{t+1} = x_t + N(μ, σ)`; tilting shifts the
     /// increment mean by θ with the standard exponential-tilt weight.
@@ -582,6 +542,25 @@ mod tests {
         (RatioValue::new(score as fn(&f64) -> f64, 25.0), 100)
     }
 
+    /// Run IS at tilt `theta` for `budget` `g` invocations.
+    fn importance_run<M, V>(
+        problem: Problem<'_, M, V>,
+        theta: f64,
+        budget: u64,
+        seed: u64,
+    ) -> crate::estimator::EstimatorRun<IsShard>
+    where
+        M: TiltableModel,
+        V: ValueFunction<M::State>,
+    {
+        run_sequential(
+            &IsEstimator::new(theta),
+            problem,
+            RunControl::budget(budget),
+            &mut rng_from_seed(seed),
+        )
+    }
+
     #[test]
     fn zero_tilt_is_plain_monte_carlo() {
         let model = GaussWalk {
@@ -590,12 +569,10 @@ mod tests {
         };
         let (vf, horizon) = rare_problem(&model);
         let problem = Problem::new(&model, &vf, horizon);
-        let res = importance_sample(problem, 0.0, 20_000, &mut rng_from_seed(1));
+        let run = importance_run(problem, 0.0, 2_000_000, 1);
         // All weights are exactly 1 ⇒ estimate equals the hit fraction.
-        assert!(
-            (res.estimate.tau - res.estimate.hits as f64 / res.estimate.n_roots as f64).abs()
-                < 1e-12
-        );
+        let est = run.estimate;
+        assert!((est.tau - est.hits as f64 / est.n_roots as f64).abs() < 1e-12);
     }
 
     #[test]
@@ -611,18 +588,18 @@ mod tests {
         let srs =
             SrsSampler::new(RunControl::budget(3_000_000)).run(problem, &mut rng_from_seed(2));
 
-        let is = importance_sample(problem, 0.25, 20_000, &mut rng_from_seed(3));
-        let diff = (srs.estimate.tau - is.estimate.tau).abs();
-        let tol = 4.0 * (srs.estimate.variance + is.estimate.variance).sqrt();
+        let is = importance_run(problem, 0.25, 2_000_000, 3).estimate;
+        let diff = (srs.estimate.tau - is.tau).abs();
+        let tol = 4.0 * (srs.estimate.variance + is.variance).sqrt();
         assert!(
             diff <= tol.max(1e-3),
             "SRS {} vs IS {} (tol {tol})",
             srs.estimate.tau,
-            is.estimate.tau
+            is.tau
         );
         // And IS achieves much lower variance per path on this rare event.
         let srs_var_per_path = srs.estimate.variance * srs.estimate.n_roots as f64;
-        let is_var_per_path = is.estimate.variance * is.estimate.n_roots as f64;
+        let is_var_per_path = is.variance * is.n_roots as f64;
         assert!(
             is_var_per_path < srs_var_per_path,
             "IS per-path variance {is_var_per_path} should beat SRS {srs_var_per_path}"
@@ -651,28 +628,29 @@ mod tests {
 
     #[test]
     fn sampler_and_estimator_trait_agree_exactly() {
-        // `importance_sample`'s scalar `simulate_path` loop and the
-        // frontier's `IsKernel` are two implementations of the same root
-        // program: with a budget equal to the sampler run's exact step
-        // count, the chunk commits exactly the same paths — pin the two
-        // bit-exactly so they cannot drift.
+        // The scalar `simulate_path` loop and the frontier's `IsKernel`
+        // are two implementations of the same root program: pin the two
+        // bit-exactly so they cannot drift. The estimator runs the kernel
+        // through `run_sequential`.
         let model = GaussWalk {
             mu: 0.0,
             sigma: 1.0,
         };
         let (vf, horizon) = rare_problem(&model);
         let problem = Problem::new(&model, &vf, horizon);
-        let res = importance_sample(problem, 0.25, 2_000, &mut rng_from_seed(23));
+        let run = importance_run(problem, 0.25, 150_000, 23);
 
         let mut rng = rng_from_seed(23);
         let mut shard = IsShard::default();
-        IsEstimator::new(0.25).run_chunk(problem, &mut shard, res.estimate.steps, &mut rng);
-        assert_eq!(shard.steps, res.estimate.steps);
-        assert_eq!(shard.n, res.estimate.n_roots);
-        assert_eq!(shard.hits, res.estimate.hits);
+        while shard.steps < 150_000 {
+            simulate_path(&problem, 0.25, &mut shard, &mut rng);
+        }
+        assert_eq!(shard.steps, run.shard.steps);
+        assert_eq!(shard.n, run.shard.n);
+        assert_eq!(shard.hits, run.shard.hits);
         assert_eq!(
             shard.estimate().tau.to_bits(),
-            res.estimate.tau.to_bits(),
+            run.estimate.tau.to_bits(),
             "identical exact weight sums must give identical τ̂"
         );
     }
@@ -685,9 +663,9 @@ mod tests {
         };
         let (vf, horizon) = rare_problem(&model);
         let problem = Problem::new(&model, &vf, horizon);
-        let res = importance_sample(problem, 0.3, 5_000, &mut rng_from_seed(5));
-        assert!(res.effective_sample_size > 0.0);
-        assert!(res.effective_sample_size <= res.estimate.hits as f64 + 1e-9);
-        let _ = rng_from_seed(0).random::<f64>();
+        let run = importance_run(problem, 0.3, 500_000, 5);
+        let ess = run.shard.effective_sample_size();
+        assert!(ess > 0.0);
+        assert!(ess <= run.estimate.hits as f64 + 1e-9);
     }
 }

@@ -70,12 +70,15 @@
 //!
 //! All four samplers (SRS, s-MLSS, g-MLSS, IS) implement
 //! [`estimator::Estimator`]: they advance a mergeable shard in budgeted
-//! chunks and can report an [`estimate::Estimate`] at any time. The
-//! sequential driver [`estimator::run_sequential`], the parallel driver
-//! [`parallel::run_parallel`], the `mlss-bench` experiment runners, and
-//! `mlss-db`'s `mlss_estimate` stored procedure are all generic over the
-//! trait, so a new sampling strategy written against it plugs into every
-//! layer — SQL query → planner → parallel driver → sampler — unchanged.
+//! chunks and can report an [`estimate::Estimate`] at any time. One
+//! driver runs a sampler to its stopping rule: the sequential driver
+//! [`estimator::run_sequential`], which `SrsSampler::run`,
+//! `SMlssSampler::run` and `GMlssSampler::run` call and reshape. The
+//! parallel driver [`parallel::run_parallel`], the scheduler, the
+//! `mlss-bench` experiment runners, and `mlss-db`'s `ESTIMATE` statements
+//! are all generic over the trait, so a new sampling strategy written
+//! against it plugs into every layer — SQL query → planner → parallel
+//! driver → sampler — unchanged.
 //!
 //! Underneath the trait, all four built-in estimators execute on one
 //! batched *frontier* engine: chunks advance a cohort of root paths per
@@ -125,9 +128,7 @@ pub mod prelude {
         ChunkOutcome, Diagnostics, Estimator, EstimatorRun, Ledger,
     };
     pub use crate::gmlss::{GMlssConfig, GMlssResult, GMlssSampler, GmlssShard, VarianceMode};
-    pub use crate::is::{
-        importance_sample, select_tilt, IsEstimator, IsResult, IsShard, TiltableModel,
-    };
+    pub use crate::is::{select_tilt, IsEstimator, IsShard, TiltableModel};
     pub use crate::levels::PartitionPlan;
     pub use crate::model::{
         simulate_path, SamplePath, ScalarAdapter, SimulationModel, StepCounter, Time,

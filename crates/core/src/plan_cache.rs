@@ -5,8 +5,8 @@
 //! ([`crate::partition::balanced_plan`]) or a greedy search
 //! ([`crate::partition::greedy`]). A serving engine answering many
 //! queries over the same model repeats that work verbatim — the paper's
-//! DBMS integration (§6.4) calls `mlss_estimate` per query, and before
-//! this cache each call re-ran the pilot from scratch.
+//! DBMS integration (§6.4) runs one estimate per query, and before this
+//! cache each one re-ran the pilot from scratch.
 //!
 //! [`PlanCache`] memoizes derived plans keyed by **(model fingerprint,
 //! method, level count)**. The fingerprint must capture everything the

@@ -15,7 +15,7 @@
 //! Use [`crate::gmlss`] for the general, always-unbiased sampler.
 
 use crate::estimate::Estimate;
-use crate::estimator::{ChunkOutcome, Diagnostics, Estimator, Ledger};
+use crate::estimator::{run_sequential, ChunkOutcome, Diagnostics, Estimator, Ledger};
 use crate::frontier::{run_frontier, FrontierMode, RootKernel, SegmentStatus};
 use crate::levels::PartitionPlan;
 use crate::model::{SimulationModel, Time};
@@ -34,9 +34,6 @@ pub struct SMlssConfig {
     pub ratio: u32,
     /// Stopping criterion.
     pub control: RunControl,
-    /// Retain per-root hit counts in the result (needed for post-hoc
-    /// analysis; the running variance works without it).
-    pub keep_root_hits: bool,
 }
 
 impl SMlssConfig {
@@ -46,7 +43,6 @@ impl SMlssConfig {
             plan,
             ratio: 3,
             control,
-            keep_root_hits: false,
         }
     }
 
@@ -65,8 +61,6 @@ pub struct SMlssResult {
     pub estimate: Estimate,
     /// First-entrance counters `N_1 .. N_m` (`N_0` is `estimate.n_roots`).
     pub level_entries: Vec<u64>,
-    /// Per-root target-hit counts (present when `keep_root_hits`).
-    pub root_hits: Option<Vec<u32>>,
     /// Wall-clock simulation time.
     pub elapsed: std::time::Duration,
 }
@@ -200,85 +194,9 @@ impl Ledger for SMlssShard {
     }
 }
 
-/// Simulate one s-MLSS root path (with its full splitting tree) into the
-/// shard. Returns this root's target-hit count.
-pub(crate) fn simulate_root<M, V>(
-    problem: &Problem<'_, M, V>,
-    plan: &PartitionPlan,
-    r: u32,
-    shard: &mut SMlssShard,
-    stack: &mut Vec<Segment<M::State>>,
-    rng: &mut SimRng,
-) -> u32
-where
-    M: SimulationModel,
-    V: ValueFunction<M::State>,
-{
-    let m = plan.num_levels();
-    let init = problem.model.initial_state();
-    let init_level = plan.level_of(problem.value(&init)).min(m - 1);
-    let mut this_root_hits: u32 = 0;
-
-    stack.clear();
-    // A root born above L_0 is treated as having entered L_1..L_k at
-    // t = 0, cascading the splits those entrances imply (multiplicity
-    // r^k); the estimator's r^{m-1} hit multiplier stays exact. (The
-    // paper assumes starts in L_0; this is the faithful generalization.)
-    let mut mult: u64 = 1;
-    for i in 1..=init_level {
-        shard.level_entries[i - 1] += mult;
-        mult *= r as u64;
-        assert!(
-            mult <= 1_000_000,
-            "initial value crosses too many levels for s-MLSS cascading"
-        );
-    }
-    for _ in 0..mult {
-        stack.push(Segment {
-            state: init.clone(),
-            t: 0,
-            level: init_level,
-        });
-    }
-
-    while let Some(seg) = stack.pop() {
-        let mut state = seg.state;
-        let watch = seg.level + 1; // the level we wait to land in
-        for t in (seg.t + 1)..=problem.horizon {
-            state = problem.model.step(&state, t, rng);
-            shard.steps += 1;
-            let f = problem.value(&state);
-            if plan.level_of(f) == watch {
-                if watch == m {
-                    // Target level reached.
-                    shard.hits += 1;
-                    this_root_hits += 1;
-                } else {
-                    shard.level_entries[watch - 1] += 1;
-                    for _ in 0..r {
-                        stack.push(Segment {
-                            state: state.clone(),
-                            t,
-                            level: watch,
-                        });
-                    }
-                }
-                break;
-            }
-        }
-    }
-
-    shard.n_roots += 1;
-    if this_root_hits > 0 {
-        shard.level_entries[m - 1] += this_root_hits as u64;
-    }
-    shard.moments.push(this_root_hits);
-    this_root_hits
-}
-
 /// Frontier kernel for s-MLSS: a root is a full splitting tree, processed
-/// segment-by-segment within one lane (the lane's LIFO stack mirrors
-/// [`simulate_root`]'s, so per-root RNG consumption is identical).
+/// segment-by-segment within one lane on a LIFO stack of pending
+/// segments.
 pub(crate) struct SMlssKernel<'a> {
     plan: &'a PartitionPlan,
     ratio: u32,
@@ -333,7 +251,10 @@ where
 
         let init = problem.model.initial_state();
         let init_level = self.plan.level_of(problem.value(&init)).min(m - 1);
-        // Cascade for roots born above L_0 (see `simulate_root`).
+        // A root born above L_0 is treated as having entered L_1..L_k at
+        // t = 0, cascading the splits those entrances imply (multiplicity
+        // r^k); the estimator's r^{m-1} hit multiplier stays exact. (The
+        // paper assumes starts in L_0; this is the faithful generalization.)
         let mut mult: u64 = 1;
         for i in 1..=init_level {
             scratch.entries[i - 1] += mult;
@@ -500,58 +421,17 @@ impl SMlssSampler {
         Self { config }
     }
 
-    /// Run to completion.
+    /// Run to completion on [`run_sequential`].
     pub fn run<M, V>(&self, problem: Problem<'_, M, V>, rng: &mut SimRng) -> SMlssResult
     where
         M: SimulationModel,
         V: ValueFunction<M::State>,
     {
-        self.run_observed(problem, rng, |_| {})
-    }
-
-    /// Run, invoking `observe` with the running estimate after every root
-    /// path.
-    pub fn run_observed<M, V>(
-        &self,
-        problem: Problem<'_, M, V>,
-        rng: &mut SimRng,
-        mut observe: impl FnMut(&Estimate),
-    ) -> SMlssResult
-    where
-        M: SimulationModel,
-        V: ValueFunction<M::State>,
-    {
-        let start = std::time::Instant::now();
-        let plan = &self.config.plan;
-        let m = plan.num_levels();
-        let r = self.config.ratio;
-
-        let mut shard = SMlssShard::new(m, r);
-        let mut root_hits: Vec<u32> = Vec::new();
-        let mut since_check: u64 = 0;
-        let mut stack: Vec<Segment<M::State>> = Vec::new();
-
-        loop {
-            let est = shard.estimate();
-            if shard.n_roots > 0 {
-                observe(&est);
-            }
-            if !self.config.control.should_continue(&est, &mut since_check) {
-                break;
-            }
-
-            let this_root_hits = simulate_root(&problem, plan, r, &mut shard, &mut stack, rng);
-            since_check += 1;
-            if self.config.keep_root_hits {
-                root_hits.push(this_root_hits);
-            }
-        }
-
+        let run = run_sequential(&self.config, problem, self.config.control, rng);
         SMlssResult {
-            estimate: shard.estimate(),
-            level_entries: shard.level_entries,
-            root_hits: self.config.keep_root_hits.then_some(root_hits),
-            elapsed: start.elapsed(),
+            estimate: run.estimate,
+            level_entries: run.shard.level_entries,
+            elapsed: run.sim_elapsed + run.estimate_elapsed,
         }
     }
 }
@@ -563,6 +443,77 @@ mod tests {
     use crate::query::RatioValue;
     use crate::rng::rng_from_seed;
     use rand::RngExt;
+
+    /// Simulate one s-MLSS root path (with its full splitting tree) into the
+    /// shard — the scalar reference program `SMlssKernel` is pinned against.
+    fn simulate_root<M, V>(
+        problem: &Problem<'_, M, V>,
+        plan: &PartitionPlan,
+        r: u32,
+        shard: &mut SMlssShard,
+        stack: &mut Vec<Segment<M::State>>,
+        rng: &mut SimRng,
+    ) where
+        M: SimulationModel,
+        V: ValueFunction<M::State>,
+    {
+        let m = plan.num_levels();
+        let init = problem.model.initial_state();
+        let init_level = plan.level_of(problem.value(&init)).min(m - 1);
+        let mut this_root_hits: u32 = 0;
+
+        stack.clear();
+        // Cascade for roots born above L_0 (see `SMlssKernel::begin_root`).
+        let mut mult: u64 = 1;
+        for i in 1..=init_level {
+            shard.level_entries[i - 1] += mult;
+            mult *= r as u64;
+            assert!(
+                mult <= 1_000_000,
+                "initial value crosses too many levels for s-MLSS cascading"
+            );
+        }
+        for _ in 0..mult {
+            stack.push(Segment {
+                state: init.clone(),
+                t: 0,
+                level: init_level,
+            });
+        }
+
+        while let Some(seg) = stack.pop() {
+            let mut state = seg.state;
+            let watch = seg.level + 1; // the level we wait to land in
+            for t in (seg.t + 1)..=problem.horizon {
+                state = problem.model.step(&state, t, rng);
+                shard.steps += 1;
+                let f = problem.value(&state);
+                if plan.level_of(f) == watch {
+                    if watch == m {
+                        // Target level reached.
+                        shard.hits += 1;
+                        this_root_hits += 1;
+                    } else {
+                        shard.level_entries[watch - 1] += 1;
+                        for _ in 0..r {
+                            stack.push(Segment {
+                                state: state.clone(),
+                                t,
+                                level: watch,
+                            });
+                        }
+                    }
+                    break;
+                }
+            }
+        }
+
+        shard.n_roots += 1;
+        if this_root_hits > 0 {
+            shard.level_entries[m - 1] += this_root_hits as u64;
+        }
+        shard.moments.push(this_root_hits);
+    }
 
     /// Additive random walk on [0, 1]: steps of ±1/k, never skips levels
     /// that are at least 1/k apart.
@@ -671,20 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_root_hits_sums_to_total() {
-        let model = FineWalk { k: 6, up: 0.55 };
-        let (vf, horizon) = walk_problem(&model, 60);
-        let problem = Problem::new(&model, &vf, horizon);
-        let plan = PartitionPlan::new(vec![0.5]).unwrap();
-        let mut cfg = SMlssConfig::new(plan, RunControl::budget(30_000));
-        cfg.keep_root_hits = true;
-        let res = SMlssSampler::new(cfg).run(problem, &mut rng_from_seed(4));
-        let rh = res.root_hits.unwrap();
-        assert_eq!(rh.len() as u64, res.estimate.n_roots);
-        assert_eq!(rh.iter().map(|&h| h as u64).sum::<u64>(), res.estimate.hits);
-    }
-
-    #[test]
     fn quality_target_mode_reaches_re() {
         let model = FineWalk { k: 6, up: 0.5 };
         let (vf, horizon) = walk_problem(&model, 50);
@@ -714,19 +651,23 @@ mod tests {
 
     #[test]
     fn sampler_and_estimator_trait_agree_exactly() {
-        // The sampler's scalar `simulate_root` (splitting stack included)
-        // and the frontier's `SMlssKernel` are two implementations of the
-        // same root program: pin them bit-exactly so they cannot drift.
+        // The scalar `simulate_root` (splitting stack included) and the
+        // frontier's `SMlssKernel` are two implementations of the same
+        // root program: pin them bit-exactly so they cannot drift. The
+        // sampler runs the kernel through `run_sequential`.
         let model = FineWalk { k: 8, up: 0.52 };
         let (vf, horizon) = walk_problem(&model, 60);
         let problem = Problem::new(&model, &vf, horizon);
         let plan = PartitionPlan::new(vec![0.3, 0.6]).unwrap();
-        let cfg = SMlssConfig::new(plan, RunControl::budget(40_000));
-        let res = SMlssSampler::new(cfg.clone()).run(problem, &mut rng_from_seed(19));
+        let cfg = SMlssConfig::new(plan.clone(), RunControl::budget(40_000));
+        let res = SMlssSampler::new(cfg).run(problem, &mut rng_from_seed(19));
 
         let mut rng = rng_from_seed(19);
-        let mut shard = crate::estimator::shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut shard, 40_000, &mut rng);
+        let mut shard = SMlssShard::new(plan.num_levels(), 3);
+        let mut stack = Vec::new();
+        while shard.steps < 40_000 {
+            simulate_root(&problem, &plan, 3, &mut shard, &mut stack, &mut rng);
+        }
         assert_eq!(shard.steps, res.estimate.steps);
         assert_eq!(shard.n_roots, res.estimate.n_roots);
         assert_eq!(shard.hits, res.estimate.hits);

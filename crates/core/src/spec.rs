@@ -1,10 +1,9 @@
 //! The typed **query spec IR** behind the declarative `ESTIMATE` dialect.
 //!
-//! Every way of asking a durability question — the SQL statement
-//! `ESTIMATE DURABILITY OF cpp(beta=500) WITHIN 1000 …`, the legacy
-//! positional stored procedures (`mlss_estimate`, `mlss_submit`), and the
-//! native `Session::submit` API — compiles down to one [`QuerySpec`]
-//! value and flows through one dispatch path. The IR captures:
+//! A durability question — the SQL statement
+//! `ESTIMATE DURABILITY OF cpp(beta=500) WITHIN 1000 …`, sync or `ASYNC`
+//! — compiles down to one [`QuerySpec`] value and flows through one
+//! dispatch path. The IR captures:
 //!
 //! * the **model reference**: a registered model name plus named
 //!   parameter overrides (validated against the model's

@@ -7,30 +7,12 @@
 //! test suite checks.
 
 use crate::estimate::Estimate;
-use crate::estimator::{ChunkOutcome, Estimator, Ledger};
+use crate::estimator::{run_sequential, ChunkOutcome, Estimator, Ledger};
 use crate::frontier::{run_frontier, FrontierMode, RootKernel, SegmentStatus};
 use crate::model::{SimulationModel, Time};
 use crate::quality::RunControl;
 use crate::query::{Problem, ValueFunction};
 use crate::rng::SimRng;
-
-/// Simulate one SRS root path; returns `(hit, steps_spent)`.
-pub(crate) fn simulate_root<M, V>(problem: &Problem<'_, M, V>, rng: &mut SimRng) -> (bool, u64)
-where
-    M: SimulationModel,
-    V: ValueFunction<M::State>,
-{
-    let mut state = problem.model.initial_state();
-    let mut steps = 0;
-    for t in 1..=problem.horizon {
-        state = problem.model.step(&state, t, rng);
-        steps += 1;
-        if problem.satisfied(&state) {
-            return (true, steps);
-        }
-    }
-    (false, steps)
-}
 
 /// Accumulated SRS counts — the sampler's [`Ledger`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -77,8 +59,7 @@ impl crate::persist::Persist for SrsShard {
 }
 
 /// Frontier kernel for SRS: one segment per root, retired on the first
-/// query-satisfying state or at the horizon — the batched form of
-/// [`simulate_root`].
+/// query-satisfying state or at the horizon.
 pub(crate) struct SrsKernel;
 
 /// Per-root scratch: did this root hit?
@@ -220,50 +201,16 @@ impl SrsSampler {
         Self { control }
     }
 
-    /// Run to completion.
+    /// Run to completion on [`run_sequential`].
     pub fn run<M, V>(&self, problem: Problem<'_, M, V>, rng: &mut SimRng) -> SrsResult
     where
         M: SimulationModel,
         V: ValueFunction<M::State>,
     {
-        self.run_observed(problem, rng, |_| {})
-    }
-
-    /// Run, invoking `observe` with the running estimate after every root
-    /// path (used to trace convergence for Figure 8).
-    pub fn run_observed<M, V>(
-        &self,
-        problem: Problem<'_, M, V>,
-        rng: &mut SimRng,
-        mut observe: impl FnMut(&Estimate),
-    ) -> SrsResult
-    where
-        M: SimulationModel,
-        V: ValueFunction<M::State>,
-    {
-        let start = std::time::Instant::now();
-        let mut shard = SrsShard::default();
-        let mut since_check: u64 = 0;
-
-        loop {
-            let est = estimate_from_counts(shard.n, shard.hits, shard.steps);
-            if shard.n > 0 {
-                observe(&est);
-            }
-            if !self.control.should_continue(&est, &mut since_check) {
-                break;
-            }
-
-            let (hit, steps) = simulate_root(&problem, rng);
-            shard.n += 1;
-            shard.steps += steps;
-            shard.hits += hit as u64;
-            since_check += 1;
-        }
-
+        let run = run_sequential(&SrsEstimator, problem, self.control, rng);
         SrsResult {
-            estimate: estimate_from_counts(shard.n, shard.hits, shard.steps),
-            elapsed: start.elapsed(),
+            estimate: run.estimate,
+            elapsed: run.sim_elapsed + run.estimate_elapsed,
         }
     }
 }
@@ -293,6 +240,25 @@ mod tests {
     use crate::query::RatioValue;
     use crate::rng::rng_from_seed;
     use rand::RngExt;
+
+    /// Simulate one SRS root path; returns `(hit, steps_spent)` — the
+    /// scalar reference program `SrsKernel` is pinned against.
+    fn simulate_root<M, V>(problem: &Problem<'_, M, V>, rng: &mut SimRng) -> (bool, u64)
+    where
+        M: SimulationModel,
+        V: ValueFunction<M::State>,
+    {
+        let mut state = problem.model.initial_state();
+        let mut steps = 0;
+        for t in 1..=problem.horizon {
+            state = problem.model.step(&state, t, rng);
+            steps += 1;
+            if problem.satisfied(&state) {
+                return (true, steps);
+            }
+        }
+        (false, steps)
+    }
 
     /// Bernoulli "process": jumps straight to the target with probability
     /// `p` on the first step, else stays at 0 forever.
@@ -381,22 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_monotone_steps() {
-        let model = Jump { p: 0.2 };
-        let vf = RatioValue::new(|s: &f64| *s, 1.0);
-        let problem = Problem::new(&model, &vf, 4);
-        let sampler = SrsSampler::new(RunControl::budget(500));
-        let mut last = 0;
-        let mut calls = 0;
-        sampler.run_observed(problem, &mut rng_from_seed(2), |e| {
-            assert!(e.steps >= last);
-            last = e.steps;
-            calls += 1;
-        });
-        assert!(calls > 0);
-    }
-
-    #[test]
     fn zero_root_estimate_is_safe() {
         let e = estimate_from_counts(0, 0, 0);
         assert_eq!(e.tau, 0.0);
@@ -405,9 +355,10 @@ mod tests {
 
     #[test]
     fn sampler_and_estimator_trait_agree_exactly() {
-        // The sampler's scalar `simulate_root` loop and the frontier's
-        // `SrsKernel` are two implementations of the same root program:
-        // pin them bit-exactly so they cannot drift apart.
+        // The scalar `simulate_root` loop and the frontier's `SrsKernel`
+        // are two implementations of the same root program: pin them
+        // bit-exactly so they cannot drift apart. The sampler runs the
+        // kernel through `run_sequential`.
         let model = Jump { p: 0.2 };
         let vf = RatioValue::new(|s: &f64| *s, 1.0);
         let problem = Problem::new(&model, &vf, 6);
@@ -416,7 +367,12 @@ mod tests {
 
         let mut rng = rng_from_seed(13);
         let mut shard = SrsShard::default();
-        SrsEstimator.run_chunk(problem, &mut shard, 20_000, &mut rng);
+        while shard.steps < 20_000 {
+            let (hit, steps) = simulate_root(&problem, &mut rng);
+            shard.n += 1;
+            shard.steps += steps;
+            shard.hits += hit as u64;
+        }
         assert_eq!(shard.steps, res.estimate.steps);
         assert_eq!(shard.n, res.estimate.n_roots);
         assert_eq!(shard.hits, res.estimate.hits);

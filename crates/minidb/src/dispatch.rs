@@ -1,16 +1,13 @@
-//! The **one compile-and-dispatch path** every estimation entry point
-//! flows through.
+//! The **one compile-and-dispatch path** every estimate flows through.
 //!
-//! `ESTIMATE DURABILITY …` statements, the positional stored-procedure
-//! shims (`mlss_estimate`, `mlss_submit`), and the native
-//! [`crate::session::Session`] API all compile their inputs into a
-//! [`QuerySpec`] and call [`execute_spec`]: the spec is validated against
-//! the model's schema, the model is built from its effective parameters,
-//! and the query runs on the driver its options select — the sequential
-//! or parallel driver for `Sync`, the shared scheduler for `Async` (with
+//! `ESTIMATE DURABILITY …` statements run through
+//! [`crate::session::Session::execute`] compile into a [`QuerySpec`] and
+//! call [`execute_spec`]: the spec is validated against the model's
+//! schema, the model is built from its effective parameters, and the
+//! query runs on the driver its options select — the sequential or
+//! parallel driver for `Sync`, the shared scheduler for `Async` (with
 //! plan derivation deferred to the query's first slice on a cold cache).
-//! Synchronous executions append the standard `results` row here, so
-//! every front end records identically.
+//! Synchronous executions append the standard `results` row here.
 //!
 //! [`explain_spec`] resolves the same spec without running it — the
 //! engine behind `EXPLAIN ESTIMATE` — and [`show_models`] renders the
@@ -37,8 +34,6 @@ use std::time::Instant;
 pub enum SpecOutcome {
     /// A synchronous run: the estimate, already recorded in `results`.
     Estimated {
-        /// Point estimate `τ̂`.
-        tau: f64,
         /// The full outcome (variance, steps, roots, plan provenance).
         est: ProcEstimate,
         /// Wall-clock milliseconds the run took.
@@ -109,11 +104,7 @@ pub fn execute_spec(
             let est = runner.estimate(spec, &ctx, rng)?;
             let millis = started.elapsed().as_millis() as i64;
             record_estimate_row(db, spec, &est, millis, wal)?;
-            Ok(SpecOutcome::Estimated {
-                tau: est.tau,
-                est,
-                millis,
-            })
+            Ok(SpecOutcome::Estimated { est, millis })
         }
         ExecMode::Async => {
             let scheduler = scheduler.ok_or_else(|| {
@@ -167,9 +158,7 @@ pub(crate) fn record_estimate_row(
             tenant: tenant_column(spec).to_string(),
         })?;
     }
-    if !db.has_table("results") {
-        db.create_table("results", results_schema())?;
-    }
+    db.ensure_table("results", results_schema());
     db.insert(
         "results",
         vec![
@@ -498,9 +487,7 @@ pub(crate) fn record_rank_rows(
         };
         record_estimate_row(db, &rank.arms[idx], &est, millis, wal)?;
     }
-    if !db.has_table("rankings") {
-        db.create_table("rankings", rankings_schema())?;
-    }
+    db.ensure_table("rankings", rankings_schema());
     let tenant = rank.options.tenant.as_deref().unwrap_or("-");
     for (pos, s) in outcome.standings.iter().enumerate() {
         db.insert(

@@ -43,8 +43,6 @@ pub enum DbError {
     Spec(mlss_core::spec::SpecError),
     /// Persistence failure.
     Io(std::io::Error),
-    /// Corrupt persisted data.
-    Corrupt(String),
 }
 
 impl std::fmt::Display for DbError {
@@ -70,7 +68,6 @@ impl std::fmt::Display for DbError {
             } => write!(f, "procedure '{proc}': argument {index} must be {expected}"),
             DbError::Spec(e) => write!(f, "{e}"),
             DbError::Io(e) => write!(f, "io error: {e}"),
-            DbError::Corrupt(m) => write!(f, "corrupt data: {m}"),
         }
     }
 }
@@ -116,6 +113,19 @@ impl Database {
         }
         tables.insert(name, Table::new(schema));
         Ok(())
+    }
+
+    /// Create a table unless one of that name already exists. The check
+    /// and the create happen under one write lock, so concurrent callers
+    /// never race each other into [`DbError::TableExists`]. Returns
+    /// whether this call created the table.
+    pub fn ensure_table(&self, name: &str, schema: Schema) -> bool {
+        let mut tables = self.tables.write();
+        if tables.contains_key(name) {
+            return false;
+        }
+        tables.insert(name.to_string(), Table::new(schema));
+        true
     }
 
     /// Create a table, replacing any existing one with the same name.
@@ -186,16 +196,6 @@ impl Database {
             .ok_or_else(|| DbError::NoSuchTable(name.into()))?;
         Ok(f(t))
     }
-
-    /// Snapshot a full table (clone) — used by persistence.
-    pub(crate) fn snapshot(&self, name: &str) -> Result<Table, DbError> {
-        self.with_table(name, |t| t.clone())
-    }
-
-    /// Install a table wholesale (used by recovery).
-    pub(crate) fn install(&self, name: String, table: Table) {
-        self.tables.write().insert(name, table);
-    }
 }
 
 #[cfg(test)]
@@ -234,6 +234,26 @@ mod tests {
             db.create_table("kv", schema),
             Err(DbError::TableExists(_))
         ));
+    }
+
+    #[test]
+    fn concurrent_ensure_table_creates_exactly_once() {
+        let db = Database::new();
+        let barrier = std::sync::Barrier::new(8);
+        let created: Vec<bool> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let schema = Schema::new(vec![ColumnDef::new("x", Int)]).unwrap();
+                        db.ensure_table("shared", schema)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(created.iter().filter(|&&c| c).count(), 1);
+        assert_eq!(db.table_names(), vec!["shared".to_string()]);
     }
 
     #[test]

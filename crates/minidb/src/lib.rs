@@ -11,19 +11,19 @@
 //! * [`table`] — row-store tables: scan, filter, project, order,
 //!   aggregate, delete;
 //! * [`engine`] — the thread-safe catalog;
-//! * [`storage`] — crash-safe JSON persistence with corruption recovery;
-//! * [`durability`] — WAL-backed session durability: journaled results,
-//!   plan-cache entries, shard deposits, and crash-recoverable ASYNC
-//!   queries ([`Session::open`] replays the log);
-//! * [`proc`] — stored procedures (`mlss_estimate`, `materialize_paths`)
-//!   as thin shims over the spec dispatch path, plus the model registry
-//!   with per-model parameter schemas;
-//! * [`dispatch`] — the one compile-and-dispatch path every estimation
-//!   entry point flows through ([`dispatch::execute_spec`],
+//! * [`durability`] — WAL-backed session durability, the one persistence
+//!   format: journaled SQL mutations, results, plan-cache entries, shard
+//!   deposits, and crash-recoverable ASYNC queries ([`Session::open`]
+//!   replays the log);
+//! * [`proc`] — the model registry with per-model parameter schemas and
+//!   the `materialize_paths` stored procedure;
+//! * [`dispatch`] — the one compile-and-dispatch path every estimate
+//!   flows through ([`dispatch::execute_spec`],
 //!   [`dispatch::explain_spec`], [`dispatch::show_models`]);
-//! * [`session`] — concurrent serving sessions: `mlss_submit`,
-//!   `mlss_poll`, `mlss_cancel` over a shared scheduler and plan cache,
-//!   and [`Session::execute`] running the declarative ESTIMATE dialect;
+//! * [`session`] — concurrent serving sessions and the one front door
+//!   for estimation: [`Session::execute`] runs the declarative ESTIMATE
+//!   dialect (sync or `ASYNC`), and `poll`/`wait`/`cancel` manage
+//!   submitted queries over a shared scheduler and plan cache;
 //! * [`sql`] — a SQL front end (SELECT/INSERT/CREATE/DELETE/DROP) plus
 //!   the ESTIMATE dialect parser ([`sql::estimate`]).
 
@@ -37,7 +37,6 @@ pub mod proc;
 pub mod schema;
 pub mod session;
 pub mod sql;
-pub mod storage;
 pub mod table;
 pub mod value;
 
@@ -52,6 +51,5 @@ pub use proc::{seed_default_models, Method, ModelRegistry, ProcRegistry, StoredP
 pub use schema::{ColumnDef, Schema};
 pub use session::{DiagnosticsSource, Session, SessionConfig};
 pub use sql::{execute, is_dialect, parse_dialect, DialectStatement, ExecResult};
-pub use storage::{load, save, LoadReport};
 pub use table::{Aggregate, Table, TableError};
 pub use value::{DataType, Value};

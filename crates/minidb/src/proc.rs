@@ -1,31 +1,24 @@
 //! Stored procedures — the paper's "MLSS inside a DBMS" (§6.4).
 //!
-//! Predictive-model parameters live in an ordinary table (`models`), the
-//! samplers run as registered procedures, results land in a `results`
-//! table, and sample paths can be materialized into tables for
-//! visualization or downstream analysis — the end-to-end pipeline the
-//! paper demonstrates on PostgreSQL, here on the embedded engine.
+//! Predictive-model parameters live in an ordinary table (`models`),
+//! estimates land in a `results` table, and sample paths can be
+//! materialized into tables for visualization or downstream analysis —
+//! the end-to-end pipeline the paper demonstrates on PostgreSQL, here on
+//! the embedded engine.
 //!
-//! Since the ESTIMATE-dialect redesign the positional procedures are
-//! **thin shims**: each one compiles its arguments into the typed
-//! [`QuerySpec`] IR and dispatches through the same
-//! [`crate::dispatch::execute_spec`] path as the declarative
-//! `ESTIMATE DURABILITY …` statement and the native session API, so every
-//! entry point rides one execution spine: spec → model registry → plan
-//! cache → sequential / parallel driver or scheduler → sampler.
+//! Estimation itself has one front door: the `ESTIMATE DURABILITY …`
+//! statement run through [`crate::session::Session::execute`], which
+//! compiles to the typed [`QuerySpec`] IR and dispatches through
+//! [`crate::dispatch::execute_spec`]. This module holds what that path
+//! builds on — the model registry with its per-model parameter schemas,
+//! the type-erased [`ModelRunner`] bridge to the estimator spine, and the
+//! table schemas — plus the one remaining stored procedure:
 //!
-//! Built-ins:
-//! * `mlss_estimate(model, method, beta, horizon, target_re [, threads])`
-//!   — answer a durability query to a relative-error target with
-//!   `method ∈ {"srs", "smlss", "mlss", "gmlss", "auto"}` over any
-//!   registered model; `threads > 1` routes through the parallel driver.
-//!   Appends a row to `results` and returns the estimate.
 //! * `materialize_paths(model, horizon, n_paths, dest [, batch_width])`
 //!   — simulate and store sample paths as `(path_id, t, value)` rows on
 //!   the batched frontier kernel (one RNG stream per path, so the rows
 //!   are bit-identical at every width).
 
-use crate::durability::SessionWal;
 use crate::engine::{Database, DbError};
 use crate::schema::{ColumnDef, Schema};
 use crate::table::Aggregate;
@@ -58,8 +51,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The SQL-facing method enum — re-exported from the spec IR so the
-/// positional shims, the dialect parser, and the dispatch layer agree on
-/// one type.
+/// dialect parser and the dispatch layer agree on one type.
 pub use mlss_core::spec::Method;
 
 /// A stored procedure.
@@ -82,50 +74,13 @@ pub struct ProcRegistry {
     procs: BTreeMap<String, Box<dyn StoredProcedure>>,
 }
 
-impl Default for ProcRegistry {
-    fn default() -> Self {
-        Self::with_builtins()
-    }
-}
-
 impl ProcRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self {
+    /// Registry preloaded with the built-in procedure
+    /// (`materialize_paths`), resolving model names through `models`.
+    pub fn with_builtins(models: Arc<ModelRegistry>) -> Self {
+        let mut r = Self {
             procs: BTreeMap::new(),
-        }
-    }
-
-    /// Registry preloaded with the built-in procedures (private plan
-    /// cache).
-    pub fn with_builtins() -> Self {
-        Self::with_builtins_cached(Arc::new(PlanCache::new()))
-    }
-
-    /// Registry preloaded with the built-in procedures, sharing `plans`
-    /// with the caller (the session layer surfaces its counters).
-    pub fn with_builtins_cached(plans: Arc<PlanCache>) -> Self {
-        Self::with_builtins_shared(plans, Arc::new(ModelRegistry::with_builtins()), None, None)
-    }
-
-    /// Registry preloaded with the built-in procedures, sharing the plan
-    /// cache, the model registry, and (optionally) the cross-query shard
-    /// store and the session journal with the caller — the session layer
-    /// passes its own objects so every front end validates against one
-    /// catalog, reuses one store, and journals through one log.
-    pub fn with_builtins_shared(
-        plans: Arc<PlanCache>,
-        models: Arc<ModelRegistry>,
-        store: Option<Arc<ShardStore>>,
-        wal: Option<Arc<SessionWal>>,
-    ) -> Self {
-        let mut r = Self::new();
-        r.register(Box::new(MlssEstimate {
-            models: Arc::clone(&models),
-            plans,
-            store,
-            wal,
-        }));
+        };
         r.register(Box::new(MaterializePaths { models }));
         r
     }
@@ -147,8 +102,8 @@ impl ProcRegistry {
     /// [`DbError::UnknownProc`], a wrong argument count is
     /// [`DbError::ProcArity`], a wrong argument type (reported by the
     /// procedure's argument readers) is [`DbError::ProcArgType`], and a
-    /// semantically malformed query spec is [`DbError::Spec`] with the
-    /// full [`SpecError`] taxonomy.
+    /// malformed model reference is [`DbError::Spec`] with the full
+    /// [`SpecError`] taxonomy.
     pub fn call(
         &self,
         db: &Database,
@@ -228,12 +183,13 @@ pub fn rankings_schema() -> Schema {
     .expect("static schema")
 }
 
-/// Seed the `models` table with every registered model's schema defaults
-/// (the paper's queue and CPP rows keep their historical values — they
-/// *are* the schema defaults).
+/// Create the `models` table and seed it with every registered model's
+/// schema defaults (the paper's queue and CPP rows keep their historical
+/// values — they *are* the schema defaults). A no-op when the table
+/// already exists, so concurrent openers seed it exactly once.
 pub fn seed_default_models(db: &Database) -> Result<(), DbError> {
-    if !db.has_table("models") {
-        db.create_table("models", models_schema())?;
+    if !db.ensure_table("models", models_schema()) {
+        return Ok(());
     }
     let registry = ModelRegistry::with_builtins();
     let rows: Vec<Vec<Value>> = registry
@@ -252,9 +208,6 @@ pub fn seed_default_models(db: &Database) -> Result<(), DbError> {
 /// Parameter rows for one model read back from the `models` table (empty
 /// when the table — or the model — is absent; schema defaults fill in).
 fn load_params(db: &Database, model: &str) -> BTreeMap<String, f64> {
-    if !db.has_table("models") {
-        return BTreeMap::new();
-    }
     db.with_table("models", |t| {
         t.scan()
             .filter(|r| r[0].as_str() == Some(model))
@@ -280,7 +233,7 @@ fn opt(params: &BTreeMap<String, f64>, key: &str, default: f64) -> f64 {
     params.get(key).copied().unwrap_or(default)
 }
 
-pub(crate) fn arg_text<'a>(proc_: &str, args: &'a [Value], i: usize) -> Result<&'a str, DbError> {
+fn arg_text<'a>(proc_: &str, args: &'a [Value], i: usize) -> Result<&'a str, DbError> {
     args.get(i)
         .and_then(|v| v.as_str())
         .ok_or_else(|| DbError::ProcArgType {
@@ -290,17 +243,7 @@ pub(crate) fn arg_text<'a>(proc_: &str, args: &'a [Value], i: usize) -> Result<&
         })
 }
 
-pub(crate) fn arg_f64(proc_: &str, args: &[Value], i: usize) -> Result<f64, DbError> {
-    args.get(i)
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| DbError::ProcArgType {
-            proc: proc_.to_string(),
-            index: i,
-            expected: "numeric",
-        })
-}
-
-pub(crate) fn arg_i64(proc_: &str, args: &[Value], i: usize) -> Result<i64, DbError> {
+fn arg_i64(proc_: &str, args: &[Value], i: usize) -> Result<i64, DbError> {
     args.get(i)
         .and_then(|v| v.as_i64())
         .ok_or_else(|| DbError::ProcArgType {
@@ -1431,68 +1374,6 @@ impl ModelRegistry {
     }
 }
 
-/// `mlss_estimate(model, method, beta, horizon, target_re [, threads])` —
-/// the positional shim over the spec dispatch path.
-struct MlssEstimate {
-    models: Arc<ModelRegistry>,
-    plans: Arc<PlanCache>,
-    store: Option<Arc<ShardStore>>,
-    wal: Option<Arc<SessionWal>>,
-}
-
-impl StoredProcedure for MlssEstimate {
-    fn name(&self) -> &str {
-        "mlss_estimate"
-    }
-
-    fn arity(&self) -> (usize, usize) {
-        (5, 6)
-    }
-
-    fn execute(&self, db: &Database, args: &[Value], rng: &mut SimRng) -> Result<Value, DbError> {
-        let proc_ = self.name();
-        let mut spec = QuerySpec::new(
-            arg_text(proc_, args, 0)?,
-            arg_f64(proc_, args, 2)?,
-            arg_i64(proc_, args, 3)?.max(0) as u64,
-            arg_f64(proc_, args, 4)?,
-        );
-        spec.method = Method::parse(arg_text(proc_, args, 1)?).map_err(DbError::from)?;
-        if arg_i64(proc_, args, 3)? < 1 {
-            return Err(DbError::Proc("horizon must be ≥ 1".into()));
-        }
-        if let Some(v) = args.get(5) {
-            let t = v.as_i64().ok_or(DbError::ProcArgType {
-                proc: proc_.to_string(),
-                index: 5,
-                expected: "an integer (threads)",
-            })?;
-            if t < 1 {
-                return Err(DbError::Proc("threads must be ≥ 1".into()));
-            }
-            spec.options.threads = t as usize;
-        }
-        if !(spec.target_re.is_finite() && spec.target_re > 0.0) {
-            return Err(DbError::Proc("target_re must be positive".into()));
-        }
-        match crate::dispatch::execute_spec(
-            db,
-            &self.models,
-            &self.plans,
-            self.store.as_ref(),
-            None,
-            self.wal.as_deref(),
-            &spec,
-            rng,
-        )? {
-            crate::dispatch::SpecOutcome::Estimated { tau, .. } => Ok(Value::Float(tau)),
-            crate::dispatch::SpecOutcome::Submitted { .. } => {
-                unreachable!("sync spec cannot submit")
-            }
-        }
-    }
-}
-
 /// `materialize_paths(model, horizon, n_paths, dest [, batch_width])`.
 struct MaterializePaths {
     models: Arc<ModelRegistry>,
@@ -1573,6 +1454,7 @@ pub fn results_count(db: &Database) -> Result<i64, DbError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Session, SessionConfig};
     use mlss_core::rng::rng_from_seed;
 
     fn db() -> Database {
@@ -1581,22 +1463,13 @@ mod tests {
         db
     }
 
-    fn estimate_args(model: &str, method: &str, beta: f64, horizon: i64, re: f64) -> Vec<Value> {
-        vec![
-            model.into(),
-            method.into(),
-            beta.into(),
-            Value::Int(horizon),
-            re.into(),
-        ]
+    fn registry() -> ProcRegistry {
+        ProcRegistry::with_builtins(Arc::new(ModelRegistry::with_builtins()))
     }
 
     #[test]
     fn registry_lists_builtins() {
-        let r = ProcRegistry::with_builtins();
-        let names = r.names();
-        assert!(names.contains(&"mlss_estimate"));
-        assert!(names.contains(&"materialize_paths"));
+        assert_eq!(registry().names(), vec!["materialize_paths"]);
     }
 
     #[test]
@@ -1629,125 +1502,46 @@ mod tests {
     }
 
     #[test]
-    fn estimate_srs_and_mlss_agree() {
-        let db = db();
-        let r = ProcRegistry::with_builtins();
-        let mut rng = rng_from_seed(5);
-        // Loose 25% RE keeps the test fast; queue β=8, s=100.
-        let tau_srs = r
-            .call(
-                &db,
-                "mlss_estimate",
-                &estimate_args("queue", "srs", 8.0, 100, 0.25),
-                &mut rng,
-            )
-            .unwrap()
-            .as_f64()
-            .unwrap();
-        let tau_mlss = r
-            .call(
-                &db,
-                "mlss_estimate",
-                &estimate_args("queue", "mlss", 8.0, 100, 0.25),
-                &mut rng,
-            )
-            .unwrap()
-            .as_f64()
-            .unwrap();
-        assert!(tau_srs > 0.0 && tau_mlss > 0.0);
-        let rel = (tau_srs - tau_mlss).abs() / tau_srs;
-        assert!(rel < 1.0, "srs {tau_srs} vs mlss {tau_mlss}");
-        assert_eq!(results_count(&db).unwrap(), 2);
-    }
-
-    #[test]
     fn new_methods_and_models_estimate() {
-        let db = db();
-        let r = ProcRegistry::with_builtins();
-        let mut rng = rng_from_seed(6);
+        let s = Session::new(SessionConfig {
+            seed: 6,
+            ..SessionConfig::default()
+        })
+        .unwrap();
         // Every (model, method) pair below must produce a probability.
         // Note: s-MLSS is paired with a continuous-state model (AR). On
         // coarse discrete scores a balanced plan can create levels no
         // state value lands in; s-MLSS then never advances — the paper's
         // §6.2 "blindly applied s-MLSS" failure, reproduced in
         // tests/volatile_bias.rs. g-MLSS/auto handle those via skips.
-        let cases: Vec<(&str, &str, f64, i64)> = vec![
-            ("walk", "srs", 5.0, 50),
-            ("walk", "auto", 5.0, 50),
-            ("markov", "srs", 5.0, 50),
-            ("ar", "smlss", 3.0, 40),
-            ("ar", "gmlss", 3.0, 40),
-            ("network", "auto", 5.0, 60),
-            ("volatile", "mlss", 25.0, 80),
-            ("gbm", "srs", 550.0, 30),
+        // The last case runs on the parallel driver.
+        let cases = [
+            ("walk", "srs", 5.0, 50, ""),
+            ("walk", "auto", 5.0, 50, ""),
+            ("markov", "srs", 5.0, 50, ""),
+            ("ar", "smlss", 3.0, 40, ""),
+            ("ar", "gmlss", 3.0, 40, ""),
+            ("network", "auto", 5.0, 60, ""),
+            ("volatile", "mlss", 25.0, 80, ""),
+            ("gbm", "srs", 550.0, 30, ""),
+            ("walk", "srs", 6.0, 60, " WITH (threads=2)"),
         ];
-        let n_cases = cases.len() as i64;
-        for (model, method, beta, horizon) in cases {
-            let tau = r
-                .call(
-                    &db,
-                    "mlss_estimate",
-                    &estimate_args(model, method, beta, horizon, 0.5),
-                    &mut rng,
-                )
-                .unwrap_or_else(|e| panic!("{model}/{method}: {e}"))
-                .as_f64()
-                .unwrap();
-            assert!(
-                (0.0..=1.0).contains(&tau),
-                "{model}/{method}: τ̂={tau} out of range"
+        for (model, method, beta, horizon, with) in cases {
+            let sql = format!(
+                "ESTIMATE DURABILITY OF {model}(beta={beta}) WITHIN {horizon} \
+                 USING {method} TARGET RE 0.5{with}"
             );
+            let res = s.execute(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let tau = res.rows()[0][2].as_f64().unwrap();
+            assert!((0.0..=1.0).contains(&tau), "{sql}: τ̂={tau} out of range");
         }
-        assert_eq!(results_count(&db).unwrap(), n_cases);
-    }
-
-    #[test]
-    fn threads_argument_routes_through_parallel_driver() {
-        let db = db();
-        let r = ProcRegistry::with_builtins();
-        let mut rng = rng_from_seed(7);
-        let mut args = estimate_args("walk", "srs", 6.0, 60, 0.3);
-        args.push(Value::Int(2));
-        let tau = r
-            .call(&db, "mlss_estimate", &args, &mut rng)
-            .unwrap()
-            .as_f64()
-            .unwrap();
-        assert!((0.0..=1.0).contains(&tau));
-        // Bad thread counts are rejected.
-        let mut bad = estimate_args("walk", "srs", 6.0, 60, 0.3);
-        bad.push(Value::Int(0));
-        assert!(r.call(&db, "mlss_estimate", &bad, &mut rng).is_err());
-    }
-
-    #[test]
-    fn estimate_validates_arguments() {
-        let db = db();
-        let r = ProcRegistry::with_builtins();
-        let mut rng = rng_from_seed(1);
-        let bad = estimate_args("queue", "nope", 8.0, 10, 0.5);
-        assert!(matches!(
-            r.call(&db, "mlss_estimate", &bad, &mut rng),
-            Err(DbError::Spec(SpecError {
-                kind: SpecErrorKind::UnknownMethod { .. },
-                ..
-            }))
-        ));
-        let bad2 = estimate_args("mystery", "srs", 8.0, 10, 0.5);
-        assert!(matches!(
-            r.call(&db, "mlss_estimate", &bad2, &mut rng),
-            Err(DbError::Spec(SpecError {
-                kind: SpecErrorKind::UnknownModel { .. },
-                ..
-            }))
-        ));
-        assert!(r.call(&db, "missing_proc", &[], &mut rng).is_err());
+        assert_eq!(results_count(s.db()).unwrap(), cases.len() as i64);
     }
 
     #[test]
     fn unknown_proc_is_a_distinct_error() {
         let db = db();
-        let r = ProcRegistry::with_builtins();
+        let r = registry();
         let mut rng = rng_from_seed(1);
         match r.call(&db, "no_such_proc", &[], &mut rng) {
             Err(DbError::UnknownProc(name)) => assert_eq!(name, "no_such_proc"),
@@ -1758,21 +1552,8 @@ mod tests {
     #[test]
     fn bad_arity_is_a_distinct_error() {
         let db = db();
-        let r = ProcRegistry::with_builtins();
+        let r = registry();
         let mut rng = rng_from_seed(1);
-        // Too few arguments for mlss_estimate (needs 5..=6).
-        match r.call(&db, "mlss_estimate", &["queue".into()], &mut rng) {
-            Err(DbError::ProcArity {
-                proc,
-                expected,
-                got,
-            }) => {
-                assert_eq!(proc, "mlss_estimate");
-                assert_eq!(expected, "5..=6");
-                assert_eq!(got, 1);
-            }
-            other => panic!("expected ProcArity, got {other:?}"),
-        }
         // Too many arguments for materialize_paths (needs 4..=5).
         let too_many: Vec<Value> = vec![
             "cpp".into(),
@@ -1799,29 +1580,38 @@ mod tests {
     #[test]
     fn bad_arg_type_is_a_distinct_error() {
         let db = db();
-        let r = ProcRegistry::with_builtins();
+        let r = registry();
         let mut rng = rng_from_seed(1);
+        let args = |model: Value, horizon: Value| -> Vec<Value> {
+            vec![model, horizon, Value::Int(2), "t".into()]
+        };
         // Argument 0 must be text, not an integer.
-        let mut bad = estimate_args("queue", "srs", 8.0, 10, 0.5);
-        bad[0] = Value::Int(1);
-        match r.call(&db, "mlss_estimate", &bad, &mut rng) {
+        match r.call(
+            &db,
+            "materialize_paths",
+            &args(Value::Int(1), Value::Int(10)),
+            &mut rng,
+        ) {
             Err(DbError::ProcArgType {
                 proc,
                 index,
                 expected,
             }) => {
-                assert_eq!(proc, "mlss_estimate");
+                assert_eq!(proc, "materialize_paths");
                 assert_eq!(index, 0);
                 assert_eq!(expected, "text");
             }
             other => panic!("expected ProcArgType, got {other:?}"),
         }
-        // Argument 3 (horizon) must be an integer, not text.
-        let mut bad = estimate_args("queue", "srs", 8.0, 10, 0.5);
-        bad[3] = "soon".into();
-        match r.call(&db, "mlss_estimate", &bad, &mut rng) {
-            Err(DbError::ProcArgType { index: 3, .. }) => {}
-            other => panic!("expected ProcArgType at index 3, got {other:?}"),
+        // Argument 1 (horizon) must be an integer, not text.
+        match r.call(
+            &db,
+            "materialize_paths",
+            &args("cpp".into(), "soon".into()),
+            &mut rng,
+        ) {
+            Err(DbError::ProcArgType { index: 1, .. }) => {}
+            other => panic!("expected ProcArgType at index 1, got {other:?}"),
         }
         // The variants display distinct, useful messages.
         let msgs = [
@@ -1851,74 +1641,9 @@ mod tests {
     }
 
     #[test]
-    fn repeated_estimates_hit_the_plan_cache() {
-        let db = db();
-        let plans = Arc::new(PlanCache::new());
-        let r = ProcRegistry::with_builtins_cached(Arc::clone(&plans));
-        let mut rng = rng_from_seed(12);
-        for _ in 0..3 {
-            let tau = r
-                .call(
-                    &db,
-                    "mlss_estimate",
-                    &estimate_args("ar", "gmlss", 3.0, 40, 0.5),
-                    &mut rng,
-                )
-                .unwrap()
-                .as_f64()
-                .unwrap();
-            assert!((0.0..=1.0).contains(&tau));
-        }
-        assert_eq!(plans.misses(), 1, "one pilot for three identical queries");
-        assert_eq!(plans.hits(), 2);
-        // A different β is a different fingerprint → new entry.
-        r.call(
-            &db,
-            "mlss_estimate",
-            &estimate_args("ar", "gmlss", 4.0, 40, 0.5),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(plans.misses(), 2);
-    }
-
-    #[test]
-    fn results_rows_record_plan_cache_provenance() {
-        let db = db();
-        let r = ProcRegistry::with_builtins();
-        let mut rng = rng_from_seed(31);
-        // SRS needs no plan; first gmlss misses; second gmlss hits.
-        for (model, method) in [("walk", "srs"), ("ar", "gmlss"), ("ar", "gmlss")] {
-            r.call(
-                &db,
-                "mlss_estimate",
-                &estimate_args(model, method, 3.0, 40, 0.5),
-                &mut rng,
-            )
-            .unwrap();
-        }
-        let rows: Vec<(String, String)> = db
-            .with_table("results", |t| {
-                t.scan()
-                    .map(|row| {
-                        (
-                            row[9].as_str().unwrap().to_string(),
-                            row[10].as_str().unwrap().to_string(),
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap();
-        let sources: Vec<&str> = rows.iter().map(|(p, _)| p.as_str()).collect();
-        assert_eq!(sources, vec!["none", "miss", "hit"]);
-        // No store attached to the bare proc registry: every row says so.
-        assert!(rows.iter().all(|(_, r)| r == "none"), "{rows:?}");
-    }
-
-    #[test]
     fn materialize_paths_writes_rows() {
         let db = db();
-        let r = ProcRegistry::with_builtins();
+        let r = registry();
         let mut rng = rng_from_seed(9);
         let args: Vec<Value> = vec![
             "cpp".into(),
@@ -1939,7 +1664,7 @@ mod tests {
     #[test]
     fn materialize_paths_supports_registry_models() {
         let db = db();
-        let r = ProcRegistry::with_builtins();
+        let r = registry();
         let mut rng = rng_from_seed(10);
         for model in ["walk", "gbm", "markov"] {
             let args: Vec<Value> = vec![
@@ -1962,7 +1687,7 @@ mod tests {
         // One RNG stream per path, split in path order ⇒ the materialized
         // rows are a function of the path id alone, never of the cohort
         // width. Widths 1, 3, and 64 must write identical tables.
-        let r = ProcRegistry::with_builtins();
+        let r = registry();
         let mut tables: Vec<Vec<Vec<Value>>> = Vec::new();
         for width in [1i64, 3, 64] {
             let db = db();
@@ -2015,16 +1740,18 @@ mod tests {
         let out =
             crate::dispatch::execute_spec(&db, &models, &plans, None, None, None, &spec, &mut rng)
                 .unwrap();
-        let crate::dispatch::SpecOutcome::Estimated { tau: hot, .. } = out else {
+        let crate::dispatch::SpecOutcome::Estimated { est, .. } = out else {
             panic!("sync spec");
         };
+        let hot = est.tau;
         let base = QuerySpec::new("walk", 5.0, 50, 0.3).with_method(Method::Srs);
         let out =
             crate::dispatch::execute_spec(&db, &models, &plans, None, None, None, &base, &mut rng)
                 .unwrap();
-        let crate::dispatch::SpecOutcome::Estimated { tau: cold, .. } = out else {
+        let crate::dispatch::SpecOutcome::Estimated { est, .. } = out else {
             panic!("sync spec");
         };
+        let cold = est.tau;
         assert!(hot > cold, "override ignored: hot={hot} cold={cold}");
         // Unknown override names and out-of-range values are typed errors.
         let mut bad = base.clone();

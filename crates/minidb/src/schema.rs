@@ -1,10 +1,9 @@
 //! Table schemas.
 
 use crate::value::{DataType, Value};
-use serde::{Deserialize, Serialize};
 
 /// A column definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name (case-sensitive).
     pub name: String,
@@ -32,7 +31,7 @@ impl ColumnDef {
 }
 
 /// An ordered set of columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<ColumnDef>,
 }

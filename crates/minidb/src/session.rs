@@ -1,12 +1,11 @@
 //! Concurrent serving sessions: the asynchronous face of the §6.4 DBMS
-//! integration, and the front door for the declarative ESTIMATE dialect.
+//! integration, and the one front door for estimation.
 //!
-//! `mlss_estimate` is synchronous — the SQL call blocks until the
-//! relative-error target is reached, which can take seconds for tight
-//! targets. A [`Session`] instead fronts a shared
-//! [`mlss_core::scheduler::Scheduler`]: queries are **submitted**,
-//! time-sliced alongside each other, and **polled** for results, so many
-//! clients share one engine without head-of-line blocking.
+//! A [`Session`] fronts a shared [`mlss_core::scheduler::Scheduler`]:
+//! synchronous statements block until their relative-error target is
+//! reached, while `ASYNC` statements are **submitted**, time-sliced
+//! alongside each other, and **polled** for results, so many clients
+//! share one engine without head-of-line blocking.
 //!
 //! [`Session::execute`] runs any statement text: the plain SQL surface
 //! (`SELECT`/`INSERT`/…) plus the dialect —
@@ -19,24 +18,12 @@
 //! SHOW MODELS;
 //! ```
 //!
-//! Every estimation path — dialect statement, positional procedure,
-//! native [`Session::submit`] — compiles to the same
+//! Every estimate starts there: the statement compiles to a
 //! [`mlss_core::spec::QuerySpec`] and dispatches through
-//! [`crate::dispatch::execute_spec`].
-//!
-//! Three stored procedures wrap the async lifecycle (all also available
-//! as native methods):
-//!
-//! * `mlss_submit(model, method, beta, horizon, target_re [, priority [, seed]])`
-//!   → query id (integer). Lower priority runs first; the seed pins the
-//!   query's RNG stream for reproducibility (drawn from the session
-//!   stream when omitted).
-//! * `mlss_poll(id)` → the estimate `τ̂` (float) once done — the first
-//!   such poll also appends the standard `results` row — or a status
-//!   string (`'queued'`, `'running'`, `'paused'`, `'cancelled'`,
-//!   `'failed: …'`) while not.
-//! * `mlss_cancel(id)` → 1 if the cancellation took effect, 0 if the
-//!   query was already terminal.
+//! [`crate::dispatch::execute_spec`]. An `ASYNC` statement returns a
+//! query id, which [`Session::poll`], [`Session::wait`] (the first wait
+//! on a completed query records its `results` row) and
+//! [`Session::cancel`] take.
 //!
 //! Sessions share one [`PlanCache`] across the synchronous and scheduled
 //! paths, so a submit after an estimate (or vice versa) of the same
@@ -56,10 +43,7 @@ use crate::durability::{
     intern_provenance, rebuild_spec, Durability, SessionWal, WalSessionConfig,
 };
 use crate::engine::{Database, DbError};
-use crate::proc::{
-    arg_f64, arg_i64, arg_text, results_schema, seed_default_models, Method, ModelRegistry,
-    PlanContext, ProcRegistry, StoredProcedure,
-};
+use crate::proc::{results_schema, seed_default_models, ModelRegistry, PlanContext, ProcRegistry};
 use crate::sql::{is_dialect, parse_dialect, DialectStatement, ExecResult};
 use crate::value::Value;
 use mlss_core::estimator::Diagnostics;
@@ -69,7 +53,7 @@ use mlss_core::ranking::RaceOutcome;
 use mlss_core::rng::{rng_from_seed, split_rng};
 use mlss_core::scheduler::{DurabilityHook, QueryId, QueryStatus, Scheduler, SchedulerConfig};
 use mlss_core::shard_store::ShardStore;
-use mlss_core::spec::{ExecMode, QuerySpec, RankSpec};
+use mlss_core::spec::{QuerySpec, RankSpec};
 use mlss_store::{Record, ResultRow};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -197,8 +181,7 @@ fn record_submit_meta(
 }
 
 /// A serving session: an embedded database plus a shared scheduler, plan
-/// cache, model registry, and procedure registry (the built-ins plus
-/// `mlss_submit`/`mlss_poll`/`mlss_cancel`).
+/// cache, model registry, and procedure registry.
 pub struct Session {
     db: Arc<Database>,
     scheduler: Arc<Scheduler>,
@@ -206,7 +189,7 @@ pub struct Session {
     store: Option<Arc<ShardStore>>,
     models: Arc<ModelRegistry>,
     registry: ProcRegistry,
-    meta: Arc<MetaMap>,
+    meta: MetaMap,
     rank_meta: RankMap,
     rng: Mutex<SimRng>,
     wal: Option<Arc<SessionWal>>,
@@ -234,7 +217,7 @@ impl Session {
     /// Open a session over an existing database (tables are shared; the
     /// scheduler and caches are per-session).
     pub fn over(db: Arc<Database>, cfg: SessionConfig) -> Result<Self, DbError> {
-        if cfg.seed_models && !db.has_table("models") {
+        if cfg.seed_models {
             seed_default_models(&db)?;
         }
         // Open + replay the journal before anything else: the replayed
@@ -277,8 +260,8 @@ impl Session {
             for stmt in &state.sql {
                 crate::sql::execute(&db, stmt)?;
             }
-            if !state.rows.is_empty() && !db.has_table("results") {
-                db.create_table("results", results_schema())?;
+            if !state.rows.is_empty() {
+                db.ensure_table("results", results_schema());
             }
             for row in &state.rows {
                 db.insert("results", result_row_values(row))?;
@@ -362,29 +345,8 @@ impl Session {
             scheduler.attach_durability_hook(Arc::clone(sw) as Arc<dyn DurabilityHook>);
         }
 
-        let meta: Arc<MetaMap> = Arc::new(Mutex::new(BTreeMap::new()));
-        let mut registry = ProcRegistry::with_builtins_shared(
-            Arc::clone(&plans),
-            Arc::clone(&models),
-            store.clone(),
-            wal.clone(),
-        );
-        registry.register(Box::new(MlssSubmit {
-            scheduler: Arc::clone(&scheduler),
-            plans: Arc::clone(&plans),
-            store: store.clone(),
-            meta: Arc::clone(&meta),
-            models: Arc::clone(&models),
-            wal: wal.clone(),
-        }));
-        registry.register(Box::new(MlssPoll {
-            scheduler: Arc::clone(&scheduler),
-            plans: Arc::clone(&plans),
-            meta: Arc::clone(&meta),
-        }));
-        registry.register(Box::new(MlssCancel {
-            scheduler: Arc::clone(&scheduler),
-        }));
+        let meta: MetaMap = Mutex::new(BTreeMap::new());
+        let registry = ProcRegistry::with_builtins(Arc::clone(&models));
 
         // Resubmit interrupted ASYNC queries in durable-id order: warm
         // from their last checkpoint when one survived, cold from their
@@ -716,37 +678,14 @@ impl Session {
         }
     }
 
-    /// Submit an estimation query; returns its id immediately.
-    pub fn submit(
-        &self,
-        model: &str,
-        method: &str,
-        beta: f64,
-        horizon: i64,
-        target_re: f64,
-        priority: u8,
-    ) -> Result<QueryId, DbError> {
-        let args = [
-            Value::Text(model.to_string()),
-            Value::Text(method.to_string()),
-            Value::Float(beta),
-            Value::Int(horizon),
-            Value::Float(target_re),
-            Value::Int(priority as i64),
-        ];
-        let id = self.call("mlss_submit", &args)?;
-        Ok(id.as_i64().expect("mlss_submit returns an id") as QueryId)
-    }
-
     /// Current status of a submitted query.
     pub fn poll(&self, id: QueryId) -> Option<QueryStatus> {
         self.scheduler.poll(id)
     }
 
     /// Block until the query is terminal; records the `results` row for
-    /// completed queries (like a successful `mlss_poll`, and with the
-    /// same error behavior: a failed insert surfaces instead of silently
-    /// dropping the row). `Ok(None)` means the id is unknown.
+    /// completed queries exactly once (a failed insert surfaces instead
+    /// of silently dropping the row). `Ok(None)` means the id is unknown.
     pub fn wait(&self, id: QueryId) -> Result<Option<QueryStatus>, DbError> {
         let Some(status) = self.scheduler.wait(id) else {
             return Ok(None);
@@ -990,14 +929,12 @@ fn record_result(
 ) -> Result<(), DbError> {
     let mut metas = meta.lock().unwrap_or_else(PoisonError::into_inner);
     let Some(m) = metas.get_mut(&id) else {
-        return Ok(()); // submitted outside the session procs
+        return Ok(()); // submitted outside the session
     };
     if m.recorded {
         return Ok(());
     }
-    if !db.has_table("results") {
-        db.create_table("results", results_schema())?;
-    }
+    db.ensure_table("results", results_schema());
     let millis = scheduler
         .progress(id)
         .map(|p| p.elapsed)
@@ -1029,134 +966,6 @@ fn record_result(
     Ok(())
 }
 
-/// `mlss_submit(model, method, beta, horizon, target_re [, priority [, seed]])`
-/// — the positional shim over the async spec dispatch path.
-struct MlssSubmit {
-    scheduler: Arc<Scheduler>,
-    plans: Arc<PlanCache>,
-    store: Option<Arc<ShardStore>>,
-    meta: Arc<MetaMap>,
-    models: Arc<ModelRegistry>,
-    wal: Option<Arc<SessionWal>>,
-}
-
-impl StoredProcedure for MlssSubmit {
-    fn name(&self) -> &str {
-        "mlss_submit"
-    }
-
-    fn arity(&self) -> (usize, usize) {
-        (5, 7)
-    }
-
-    fn execute(&self, db: &Database, args: &[Value], rng: &mut SimRng) -> Result<Value, DbError> {
-        let proc_ = self.name();
-        let mut spec = QuerySpec::new(
-            arg_text(proc_, args, 0)?,
-            arg_f64(proc_, args, 2)?,
-            arg_i64(proc_, args, 3)?.max(0) as u64,
-            arg_f64(proc_, args, 4)?,
-        );
-        spec.method = Method::parse(arg_text(proc_, args, 1)?).map_err(DbError::from)?;
-        if arg_i64(proc_, args, 3)? < 1 {
-            return Err(DbError::Proc("horizon must be ≥ 1".into()));
-        }
-        if !(spec.target_re.is_finite() && spec.target_re > 0.0) {
-            return Err(DbError::Proc("target_re must be positive".into()));
-        }
-        if args.get(5).is_some() {
-            let p = arg_i64(proc_, args, 5)?;
-            if !(0..=255).contains(&p) {
-                return Err(DbError::Proc("priority must be in 0..=255".into()));
-            }
-            spec.options.priority = p as u8;
-        }
-        if args.get(6).is_some() {
-            spec.options.seed = Some(arg_i64(proc_, args, 6)? as u64);
-        }
-        spec.options.mode = ExecMode::Async;
-
-        match execute_spec(
-            db,
-            &self.models,
-            &self.plans,
-            self.store.as_ref(),
-            Some(&self.scheduler),
-            self.wal.as_deref(),
-            &spec,
-            rng,
-        )? {
-            SpecOutcome::Submitted {
-                id,
-                plan_source,
-                shard_reuse,
-                fingerprint,
-                ..
-            } => {
-                record_submit_meta(&self.meta, id, &spec, plan_source, shard_reuse, fingerprint);
-                Ok(Value::Int(id as i64))
-            }
-            SpecOutcome::Estimated { .. } => unreachable!("async spec cannot estimate inline"),
-        }
-    }
-}
-
-/// `mlss_poll(id)` — `τ̂` (float) once done, else a status string.
-struct MlssPoll {
-    scheduler: Arc<Scheduler>,
-    plans: Arc<PlanCache>,
-    meta: Arc<MetaMap>,
-}
-
-impl StoredProcedure for MlssPoll {
-    fn name(&self) -> &str {
-        "mlss_poll"
-    }
-
-    fn arity(&self) -> (usize, usize) {
-        (1, 1)
-    }
-
-    fn execute(&self, db: &Database, args: &[Value], _rng: &mut SimRng) -> Result<Value, DbError> {
-        let id = arg_i64(self.name(), args, 0)? as QueryId;
-        let status = self
-            .scheduler
-            .poll(id)
-            .ok_or_else(|| DbError::Proc(format!("unknown query id {id}")))?;
-        Ok(match status {
-            QueryStatus::Done(est) => {
-                record_result(db, &self.meta, &self.scheduler, &self.plans, id, &est)?;
-                Value::Float(est.tau)
-            }
-            QueryStatus::Queued => Value::Text("queued".into()),
-            QueryStatus::Running => Value::Text("running".into()),
-            QueryStatus::Paused => Value::Text("paused".into()),
-            QueryStatus::Cancelled => Value::Text("cancelled".into()),
-            QueryStatus::Failed(msg) => Value::Text(format!("failed: {msg}")),
-        })
-    }
-}
-
-/// `mlss_cancel(id)` — 1 if the cancellation took effect, else 0.
-struct MlssCancel {
-    scheduler: Arc<Scheduler>,
-}
-
-impl StoredProcedure for MlssCancel {
-    fn name(&self) -> &str {
-        "mlss_cancel"
-    }
-
-    fn arity(&self) -> (usize, usize) {
-        (1, 1)
-    }
-
-    fn execute(&self, _db: &Database, args: &[Value], _rng: &mut SimRng) -> Result<Value, DbError> {
-        let id = arg_i64(self.name(), args, 0)? as QueryId;
-        Ok(Value::Int(self.scheduler.cancel(id) as i64))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1172,72 +981,22 @@ mod tests {
         .unwrap()
     }
 
-    fn submit_args(model: &str, method: &str, beta: f64, horizon: i64, re: f64) -> Vec<Value> {
-        vec![
-            model.into(),
-            method.into(),
-            beta.into(),
-            Value::Int(horizon),
-            re.into(),
-        ]
+    fn estimate(model: &str, method: &str, beta: f64, horizon: u64, re: f64) -> String {
+        format!(
+            "ESTIMATE DURABILITY OF {model}(beta={beta}) WITHIN {horizon} \
+             USING {method} TARGET RE {re}"
+        )
     }
 
-    #[test]
-    fn registry_lists_session_procs() {
-        let s = session();
-        let names: Vec<String> = s.registry.names().iter().map(|n| n.to_string()).collect();
-        for p in ["mlss_submit", "mlss_poll", "mlss_cancel", "mlss_estimate"] {
-            assert!(names.iter().any(|n| n == p), "missing proc {p}");
-        }
+    /// Run an `… ASYNC` statement and return its query id.
+    fn submit(s: &Session, sql: &str) -> QueryId {
+        let res = s.execute(&format!("{sql} ASYNC")).unwrap();
+        res.scalar().unwrap().as_i64().unwrap() as QueryId
     }
 
-    #[test]
-    fn submit_poll_roundtrip_records_result() {
-        let s = session();
-        let id = s
-            .call("mlss_submit", &submit_args("walk", "srs", 6.0, 50, 0.3))
-            .unwrap()
-            .as_i64()
-            .unwrap() as QueryId;
-        // Poll until done; the first done-poll returns τ̂ and records it.
-        let tau = loop {
-            match s.call("mlss_poll", &[Value::Int(id as i64)]).unwrap() {
-                Value::Float(tau) => break tau,
-                Value::Text(status) => {
-                    assert!(
-                        matches!(status.as_str(), "queued" | "running"),
-                        "unexpected status {status}"
-                    );
-                    std::thread::yield_now();
-                }
-                other => panic!("unexpected poll result {other:?}"),
-            }
-        };
-        assert!((0.0..=1.0).contains(&tau));
-        assert_eq!(results_count(s.db()).unwrap(), 1);
-        // Polling again must not duplicate the results row.
-        let again = s.call("mlss_poll", &[Value::Int(id as i64)]).unwrap();
-        assert!(matches!(again, Value::Float(_)));
-        assert_eq!(results_count(s.db()).unwrap(), 1);
-        // Prune evicts the consumed query; the results row survives.
-        assert_eq!(s.prune().unwrap(), 1);
-        assert!(s.poll(id).is_none());
-        assert_eq!(results_count(s.db()).unwrap(), 1);
-    }
-
-    #[test]
-    fn polled_results_surface_plan_cache_provenance() {
-        let s = session();
-        // First gmlss submit schedules the pilot as its first slice
-        // (miss), the second reuses the plan (hit); SRS needs no plan.
-        let a = s.submit("ar", "gmlss", 3.0, 40, 0.5, 0).unwrap();
-        s.wait(a).unwrap().unwrap();
-        let b = s.submit("ar", "gmlss", 3.0, 40, 0.5, 0).unwrap();
-        s.wait(b).unwrap().unwrap();
-        let c = s.submit("walk", "srs", 6.0, 50, 0.5, 0).unwrap();
-        s.wait(c).unwrap().unwrap();
-        let rows: Vec<(String, String)> = s
-            .db()
+    /// `(plan_cache, shard_reuse)` of every `results` row.
+    fn provenance(s: &Session) -> Vec<(String, String)> {
+        s.db()
             .with_table("results", |t| {
                 t.scan()
                     .map(|row| {
@@ -1248,7 +1007,58 @@ mod tests {
                     })
                     .collect()
             })
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn retired_positional_procedures_are_unknown() {
+        let s = session();
+        for name in ["mlss_estimate", "mlss_submit", "mlss_poll", "mlss_cancel"] {
+            match s.call(name, &[]) {
+                Err(DbError::UnknownProc(p)) => assert_eq!(p, name),
+                other => panic!("{name}: expected UnknownProc, got {other:?}"),
+            }
+        }
+        assert_eq!(s.registry.names(), vec!["materialize_paths"]);
+    }
+
+    #[test]
+    fn submit_wait_roundtrip_records_result() {
+        let s = session();
+        let id = submit(&s, &estimate("walk", "srs", 6.0, 50, 0.3));
+        // Polling observes the status without recording anything.
+        while !s.poll(id).unwrap().is_terminal() {
+            std::thread::yield_now();
+        }
+        assert_eq!(results_count(s.db()).unwrap_or(0), 0);
+        // The first wait on the completed query records its row.
+        let tau = s.wait(id).unwrap().unwrap().estimate().unwrap().tau;
+        assert!((0.0..=1.0).contains(&tau));
+        assert_eq!(results_count(s.db()).unwrap(), 1);
+        // Waiting again must not duplicate the results row.
+        assert!(s.wait(id).unwrap().unwrap().estimate().is_some());
+        assert_eq!(results_count(s.db()).unwrap(), 1);
+        // Prune evicts the consumed query; the results row survives.
+        assert_eq!(s.prune().unwrap(), 1);
+        assert!(s.poll(id).is_none());
+        assert!(s.wait(id).unwrap().is_none(), "unknown ids wait to None");
+        assert_eq!(results_count(s.db()).unwrap(), 1);
+    }
+
+    #[test]
+    fn polled_results_surface_plan_cache_provenance() {
+        let s = session();
+        // First gmlss submit schedules the pilot as its first slice
+        // (miss), the second reuses the plan (hit); SRS needs no plan.
+        for sql in [
+            estimate("ar", "gmlss", 3.0, 40, 0.5),
+            estimate("ar", "gmlss", 3.0, 40, 0.5),
+            estimate("walk", "srs", 6.0, 50, 0.5),
+        ] {
+            let id = submit(&s, &sql);
+            s.wait(id).unwrap().unwrap();
+        }
+        let rows = provenance(&s);
         let sources: Vec<&str> = rows.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(sources, vec!["miss", "hit", "none"]);
         // Shard-store provenance rides alongside: the first gmlss run is
@@ -1260,35 +1070,23 @@ mod tests {
 
     #[test]
     fn cold_submit_returns_before_the_pilot_runs() {
-        // The carried-over ROADMAP item: a cold ASYNC submission must not
-        // pay the pilot synchronously. With a paused-capacity scheduler
-        // (workers busy elsewhere is hard to stage; instead check the
-        // cache is still cold right after submit returns).
+        // A cold ASYNC submission must not pay the pilot synchronously:
+        // the miss is only counted when the query's first slice derives
+        // the plan, and its results row records the deferred miss.
         let s = session();
-        let id = s.submit("ar", "gmlss", 3.5, 40, 0.4, 0).unwrap();
-        // Submit returned; the pilot may not have started yet. The miss
-        // is only counted when the first slice derives the plan.
-        // (We can't assert misses()==0 without racing the pool, but we
-        // can assert the submit path itself recorded a deferred miss.)
+        let id = submit(&s, &estimate("ar", "gmlss", 3.5, 40, 0.4));
         let est = s.wait(id).unwrap().unwrap();
         assert!(est.estimate().is_some());
         assert_eq!(s.plan_cache().misses(), 1, "first slice ran the pilot");
-        let sources: Vec<String> = s
-            .db()
-            .with_table("results", |t| {
-                t.scan()
-                    .map(|row| row[9].as_str().unwrap().to_string())
-                    .collect()
-            })
-            .unwrap();
+        let sources: Vec<String> = provenance(&s).into_iter().map(|(p, _)| p).collect();
         assert_eq!(sources, vec!["miss"]);
     }
 
     #[test]
     fn prune_records_unpolled_completions_before_evicting() {
         let s = session();
-        let id = s.submit("walk", "srs", 6.0, 50, 0.3, 0).unwrap();
-        // Let it finish without ever polling…
+        let id = submit(&s, &estimate("walk", "srs", 6.0, 50, 0.3));
+        // Let it finish without ever waiting…
         while !s
             .scheduler()
             .poll(id)
@@ -1309,13 +1107,9 @@ mod tests {
         let s = session();
         // Same (model, β, horizon, method) four times: one pilot (the
         // deferred builds are single-flight), the rest cache hits.
-        let mut ids = Vec::new();
-        for _ in 0..4 {
-            ids.push(
-                s.submit("ar", "gmlss", 3.0, 40, 0.5, 0)
-                    .expect("submit succeeds"),
-            );
-        }
+        let ids: Vec<QueryId> = (0..4)
+            .map(|_| submit(&s, &estimate("ar", "gmlss", 3.0, 40, 0.5)))
+            .collect();
         for id in ids {
             let status = s.wait(id).unwrap().unwrap();
             let est = status.estimate().expect("queries complete");
@@ -1336,23 +1130,89 @@ mod tests {
     #[test]
     fn synchronous_and_scheduled_paths_share_plans() {
         let s = session();
-        // Synchronous estimate derives and caches the plan…
-        let tau = s
-            .call("mlss_estimate", &submit_args("ar", "gmlss", 3.0, 40, 0.5))
-            .unwrap()
-            .as_f64()
-            .unwrap();
-        assert!((0.0..=1.0).contains(&tau));
+        // A synchronous estimate derives and caches the plan, and a
+        // synchronous repeat hits it…
+        for _ in 0..2 {
+            let res = s.execute(&estimate("ar", "gmlss", 3.0, 40, 0.5)).unwrap();
+            assert!((0.0..=1.0).contains(&res.rows()[0][2].as_f64().unwrap()));
+        }
         assert_eq!(s.plan_cache().misses(), 1);
-        // …and the scheduled path reuses it.
-        let id = s.submit("ar", "gmlss", 3.0, 40, 0.5, 0).unwrap();
+        assert_eq!(s.plan_cache().hits(), 1);
+        // …and so does the scheduled path.
+        let id = submit(&s, &estimate("ar", "gmlss", 3.0, 40, 0.5));
         assert!(s.wait(id).unwrap().unwrap().estimate().is_some());
         assert_eq!(s.plan_cache().misses(), 1);
-        assert!(s.plan_cache().hits() >= 1);
+        assert!(s.plan_cache().hits() >= 2);
+        // A different β is a different fingerprint → a new pilot.
+        s.execute(&estimate("ar", "gmlss", 4.0, 40, 0.5)).unwrap();
+        assert_eq!(s.plan_cache().misses(), 2);
+        let sources: Vec<String> = provenance(&s).into_iter().map(|(p, _)| p).collect();
+        assert_eq!(sources, vec!["miss", "hit", "hit", "miss"]);
     }
 
     #[test]
-    fn cancel_via_proc() {
+    fn racing_first_statements_both_record_results() {
+        // Two threads released together each run an estimate as a fresh
+        // session's first statement, so both reach the creation of
+        // `results` at nearly the same instant. The g-MLSS statement's
+        // single-flight plan build wakes both threads at once; the cheaper
+        // SRS statement gives the race many more chances per second.
+        let gmlss = "ESTIMATE DURABILITY OF walk(beta=4) WITHIN 8 USING gmlss TARGET RE 50%";
+        let srs = "ESTIMATE DURABILITY OF walk(beta=2) WITHIN 8 USING srs TARGET RE 50%";
+        let rounds = std::iter::repeat_n(gmlss, 10).chain(std::iter::repeat_n(srs, 1000));
+        for (seed, sql) in rounds.enumerate() {
+            let s = Session::new(SessionConfig {
+                workers: 1,
+                seed: seed as u64,
+                ..SessionConfig::default()
+            })
+            .unwrap();
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        s.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+                    });
+                }
+            });
+            assert_eq!(results_count(s.db()).unwrap(), 2, "{sql}");
+        }
+    }
+
+    #[test]
+    fn pinned_seed_statements_are_reproducible() {
+        // A pinned seed wins over the session seed: the same statement in
+        // two sessions seeded differently records bit-identical rows
+        // (every column but `millis`, index 8).
+        let rows = |session_seed: u64| -> Vec<Value> {
+            let s = Session::new(SessionConfig {
+                seed: session_seed,
+                ..SessionConfig::default()
+            })
+            .unwrap();
+            s.execute(&format!(
+                "{} WITH (seed=777)",
+                estimate("walk", "srs", 6.0, 50, 0.3)
+            ))
+            .unwrap();
+            let mut row = s
+                .db()
+                .with_table("results", |t| t.scan().next().unwrap().to_vec())
+                .unwrap();
+            row.remove(8);
+            row
+        };
+        let (a, b) = (rows(1), rows(2));
+        assert_eq!(
+            a[4].as_f64().unwrap().to_bits(),
+            b[4].as_f64().unwrap().to_bits()
+        );
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn cancel_stops_a_running_query() {
         let s = Session::new(SessionConfig {
             workers: 1,
             slice_budget: 4_096,
@@ -1361,57 +1221,20 @@ mod tests {
         })
         .unwrap();
         // Tight target ⇒ long-running query we can cancel.
-        let id = s.submit("walk", "srs", 6.0, 60, 0.01, 0).unwrap();
-        let cancelled = s
-            .call("mlss_cancel", &[Value::Int(id as i64)])
-            .unwrap()
-            .as_i64()
-            .unwrap();
-        assert_eq!(cancelled, 1);
+        let id = submit(&s, &estimate("walk", "srs", 6.0, 60, 0.01));
+        assert!(s.cancel(id), "cancelling a live query takes effect");
         loop {
-            match s.call("mlss_poll", &[Value::Int(id as i64)]).unwrap() {
-                Value::Text(status) if status == "cancelled" => break,
-                Value::Text(status) => {
-                    assert!(matches!(status.as_str(), "queued" | "running"));
-                    std::thread::yield_now();
-                }
+            match s.poll(id).unwrap() {
+                QueryStatus::Cancelled => break,
+                QueryStatus::Queued | QueryStatus::Running => std::thread::yield_now(),
                 other => panic!("cancelled query produced {other:?}"),
             }
         }
-        // Cancelling a terminal query reports 0.
-        let again = s
-            .call("mlss_cancel", &[Value::Int(id as i64)])
-            .unwrap()
-            .as_i64()
-            .unwrap();
-        assert_eq!(again, 0);
+        // Cancelling a terminal query has no effect, and nothing is
+        // recorded for it.
+        assert!(!s.cancel(id));
+        assert!(matches!(s.wait(id).unwrap(), Some(QueryStatus::Cancelled)));
         assert_eq!(results_count(s.db()).unwrap_or(0), 0);
-    }
-
-    #[test]
-    fn submit_validates_arguments() {
-        let s = session();
-        // Unknown method.
-        assert!(s
-            .call("mlss_submit", &submit_args("walk", "nope", 6.0, 50, 0.3))
-            .is_err());
-        // Wrong arity.
-        assert!(matches!(
-            s.call(
-                "mlss_submit",
-                &submit_args("walk", "srs", 6.0, 50, 0.3)[..2]
-            ),
-            Err(DbError::ProcArity { .. })
-        ));
-        // Wrong arg type.
-        let mut bad = submit_args("walk", "srs", 6.0, 50, 0.3);
-        bad[0] = Value::Int(7);
-        assert!(matches!(
-            s.call("mlss_submit", &bad),
-            Err(DbError::ProcArgType { index: 0, .. })
-        ));
-        // Unknown poll id.
-        assert!(s.call("mlss_poll", &[Value::Int(404)]).is_err());
     }
 
     #[test]
@@ -1444,18 +1267,35 @@ mod tests {
 
     #[test]
     fn execute_reports_spanned_spec_errors() {
+        use mlss_core::spec::SpecErrorKind;
         let s = session();
-        let sql = "ESTIMATE DURABILITY OF walk(beta=6, wat=1) WITHIN 50 TARGET RE 30%";
-        match s.execute(sql) {
-            Err(DbError::Spec(e)) => {
-                assert!(matches!(
-                    e.kind,
-                    mlss_core::spec::SpecErrorKind::UnknownParam { .. }
-                ));
-                let span = e.span.unwrap();
-                assert_eq!(&sql[span.start..span.end], "wat");
+        type KindCheck = fn(&SpecErrorKind) -> bool;
+        let cases: [(&str, KindCheck, &str); 3] = [
+            (
+                "ESTIMATE DURABILITY OF walk(beta=6, wat=1) WITHIN 50 TARGET RE 30%",
+                |k| matches!(k, SpecErrorKind::UnknownParam { .. }),
+                "wat",
+            ),
+            (
+                "ESTIMATE DURABILITY OF walk(beta=6) WITHIN 50 USING nope TARGET RE 30%",
+                |k| matches!(k, SpecErrorKind::UnknownMethod { .. }),
+                "nope",
+            ),
+            (
+                "ESTIMATE DURABILITY OF mystery(beta=6) WITHIN 50 TARGET RE 30% ASYNC",
+                |k| matches!(k, SpecErrorKind::UnknownModel { .. }),
+                "mystery",
+            ),
+        ];
+        for (sql, kind_ok, token) in cases {
+            match s.execute(sql) {
+                Err(DbError::Spec(e)) => {
+                    assert!(kind_ok(&e.kind), "{sql}: wrong kind {:?}", e.kind);
+                    let span = e.span.unwrap();
+                    assert_eq!(&sql[span.start..span.end], token, "{sql}");
+                }
+                other => panic!("{sql}: expected Spec error, got {other:?}"),
             }
-            other => panic!("expected Spec error, got {other:?}"),
         }
     }
 

@@ -3,10 +3,9 @@
 use crate::expr::{Expr, ExprError};
 use crate::schema::{Schema, SchemaError};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// A heap table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
     rows: Vec<Vec<Value>>,

@@ -1,11 +1,10 @@
 //! Cell values and data types of the mini-DBMS.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// Column data types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -18,7 +17,7 @@ pub enum DataType {
 }
 
 /// A single cell value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL NULL.
     Null,

@@ -69,4 +69,4 @@ pub mod server;
 
 pub use admission::{Admission, AdmissionConfig, Decision};
 pub use client::{Client, Response};
-pub use server::{ServeConfig, Server};
+pub use server::{ServeConfig, Server, MAX_REQUEST_BYTES};

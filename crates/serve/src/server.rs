@@ -15,11 +15,17 @@ use mlss_core::scheduler::{QueryId, QueryStatus};
 use mlss_db::session::Session;
 use mlss_db::sql::ExecResult;
 use mlss_db::DbError;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Longest request line the server reads, in bytes (the newline not
+/// counted). A longer line is answered with `ERR request exceeds … bytes`
+/// and the connection is closed, so a client that never sends a newline
+/// cannot grow the server's buffer without limit.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -182,10 +188,26 @@ fn handle(
     stream: TcpStream,
 ) -> std::io::Result<()> {
     let mut out = stream.try_clone()?;
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
     let mut tenant: Option<String> = None;
-    for line in reader.lines() {
-        let line = line?;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let cap = MAX_REQUEST_BYTES as u64 + 1;
+        if (&mut reader).take(cap).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(()); // client closed the connection
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_REQUEST_BYTES {
+            write_line(
+                &mut out,
+                &format!("ERR request exceeds {MAX_REQUEST_BYTES} bytes"),
+            )?;
+            return Ok(());
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         let req = line.trim();
         if req.is_empty() {
             continue;
@@ -307,5 +329,4 @@ fn handle(
         }
         out.flush()?;
     }
-    Ok(())
 }

@@ -263,3 +263,40 @@ fn show_diagnostics_surfaces_tenants_and_admission_blocks() {
     );
     assert!(has("admission", "acme.accepted"));
 }
+
+#[test]
+fn overlong_request_line_is_refused_and_the_server_keeps_serving() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let s = session(1, 8_192);
+    let server = start(&s, ServeConfig::default());
+    let addr = server.addr().to_string();
+
+    // One byte past the cap and no newline: the server answers with an
+    // error and closes the connection instead of buffering on.
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    raw.write_all(&vec![b'a'; mlss_serve::MAX_REQUEST_BYTES + 1])
+        .unwrap();
+    let mut reader = BufReader::new(raw);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(
+        line.trim_end(),
+        format!(
+            "ERR request exceeds {} bytes",
+            mlss_serve::MAX_REQUEST_BYTES
+        )
+    );
+    let mut rest = Vec::new();
+    assert_eq!(
+        reader.read_to_end(&mut rest).unwrap(),
+        0,
+        "connection closed"
+    );
+
+    // A fresh connection is served as usual.
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    raw.write_all(b"PING\n").unwrap();
+    let mut line = String::new();
+    BufReader::new(raw).read_line(&mut line).unwrap();
+    assert_eq!(line.trim_end(), "OK pong");
+}

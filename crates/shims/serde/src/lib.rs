@@ -1,9 +1,8 @@
 //! Offline stand-in for `serde`. Instead of the real crate's visitor
 //! architecture, [`Serialize`] and [`Deserialize`] convert to and from an
-//! in-memory JSON tree ([`JsonValue`]); the sibling `serde_json` shim
-//! renders and parses that tree. The derive macros (re-exported from
-//! `serde_derive`) generate the same externally-tagged representation the
-//! real serde uses, so persisted files keep their expected shape.
+//! in-memory JSON tree ([`JsonValue`]). The derive macros (re-exported
+//! from `serde_derive`) generate the same externally-tagged
+//! representation the real serde uses.
 
 pub use serde_derive::{Deserialize, Serialize};
 

@@ -7,7 +7,7 @@
 
 use durability_mlss::core::scheduler::QueryStatus;
 use mlss_core::scheduler::QueryId;
-use mlss_db::{Session, SessionConfig, Value};
+use mlss_db::{Session, SessionConfig};
 
 fn main() {
     let session = Session::new(SessionConfig {
@@ -98,27 +98,24 @@ fn main() {
     }
 
     // 5. The same query shape again: the partition plan is served from
-    //    the cache (no second pilot), and SQL-style polling works too.
+    //    the cache (no second pilot). Poll it while it runs, then wait,
+    //    which records its results row.
     let again = submit(
         &session,
         "ESTIMATE DURABILITY OF cpp(beta=25) WITHIN 80 USING gmlss TARGET RE 5% ASYNC",
     );
-    loop {
-        match session
-            .call("mlss_poll", &[Value::Int(again as i64)])
-            .expect("poll")
-        {
-            Value::Float(tau) => {
-                println!("repeat query via mlss_poll: τ̂ = {tau:.5}");
-                break;
-            }
-            Value::Text(status) => {
-                println!("repeat query status: {status}");
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            other => panic!("unexpected poll value {other:?}"),
-        }
+    while let Some(status) = session.poll(again).filter(|s| !s.is_terminal()) {
+        println!("repeat query status: {status:?}");
+        std::thread::sleep(std::time::Duration::from_millis(20));
     }
+    let tau = session
+        .wait(again)
+        .expect("record result")
+        .expect("known id")
+        .estimate()
+        .expect("repeat query completes")
+        .tau;
+    println!("repeat query: τ̂ = {tau:.5}");
 
     // 6. Serving diagnostics: plan cache effectiveness + pool counters.
     for d in session.diagnostics() {

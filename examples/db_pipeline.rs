@@ -1,18 +1,22 @@
 //! The end-to-end in-DBMS pipeline (§6.4): model parameters in tables,
 //! durability queries asked in the declarative ESTIMATE dialect, results
-//! and sample paths materialized back into tables, everything persisted
-//! to disk and recovered.
+//! and sample paths materialized back into tables, the journaled state
+//! persisted to a write-ahead log and recovered by reopening the session.
 //!
 //! Run: `cargo run --release --example db_pipeline`
 
-use mlss_db::{col, lit, load, save, Aggregate, Session, SessionConfig, Value};
+use mlss_db::{col, lit, Aggregate, Session, SessionConfig, Value};
 
 fn main() {
-    let session = Session::new(SessionConfig {
+    // A WAL-backed session: results rows and plain-SQL mutations are
+    // journaled to `dir` as they happen.
+    let dir = std::env::temp_dir().join("mlss-db-pipeline-demo");
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = SessionConfig {
         seed: 1234,
         ..SessionConfig::default()
-    })
-    .expect("open session");
+    };
+    let session = Session::open(&dir, config.clone()).expect("open session");
     let db = session.db();
     println!("tables: {:?}", db.table_names());
 
@@ -140,15 +144,20 @@ fn main() {
         println!("  {} | {} | τ̂ = {}", row[0], row[1], row[2]);
     }
 
-    // 7. Persist and recover.
-    let dir = std::env::temp_dir().join("mlss-db-pipeline-demo");
-    save(db, &dir).expect("save");
-    let report = load(&dir).expect("load");
+    // 7. Recover: reopen the log in a fresh session. Journaled state —
+    //    every results row — comes back; the materialized `worlds`
+    //    table is derived output and is not journaled.
+    let answers = session.db().with_table("results", |t| t.len());
+    drop(session);
+    let reopened = Session::open(&dir, config).expect("reopen session");
+    let recovered = reopened.db().with_table("results", |t| t.len());
     println!(
-        "\npersisted to {} and recovered {} tables (skipped: {})",
+        "\nreopened {}: {:?} of {:?} results rows recovered; tables {:?}",
         dir.display(),
-        report.db.table_names().len(),
-        report.skipped.len()
+        recovered.expect("results"),
+        answers.expect("results"),
+        reopened.db().table_names()
     );
+    drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }

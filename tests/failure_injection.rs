@@ -338,30 +338,59 @@ fn transient_panic_is_retried_without_losing_state() {
     assert_eq!(sched.stats().failed, 0);
 }
 
+/// A log truncated inside its last frame (a crash or disk fault during
+/// the final append) reopens with every committed statement intact and
+/// only the torn mutation dropped.
 #[test]
 fn db_recovers_from_truncated_files() {
-    use mlss_db::{execute, load, save, Database};
+    use mlss_db::{ExecResult, Session, SessionConfig, Value};
+
     let dir = std::env::temp_dir().join(format!("mlss-failure-inj-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let db = Database::new();
-    execute(&db, "CREATE TABLE a (x INT)").unwrap();
-    execute(&db, "CREATE TABLE b (y INT)").unwrap();
-    execute(&db, "INSERT INTO a VALUES (1), (2)").unwrap();
-    execute(&db, "INSERT INTO b VALUES (3)").unwrap();
-    save(&db, &dir).unwrap();
+    let config = SessionConfig {
+        workers: 1,
+        ..SessionConfig::default()
+    };
+    let tail = dir.join("tail.wal");
+    let (committed, torn) = {
+        let session = Session::open(&dir, config.clone()).unwrap();
+        for sql in [
+            "CREATE TABLE a (x INT)",
+            "CREATE TABLE b (y INT)",
+            "INSERT INTO a VALUES (1), (2)",
+            "INSERT INTO b VALUES (3)",
+        ] {
+            session.execute(sql).unwrap();
+        }
+        let committed = std::fs::metadata(&tail).unwrap().len();
+        session.execute("INSERT INTO a VALUES (99)").unwrap();
+        (committed, std::fs::metadata(&tail).unwrap().len())
+    };
+    assert!(torn > committed, "the last mutation was journaled");
+    let file = std::fs::OpenOptions::new().write(true).open(&tail).unwrap();
+    file.set_len(committed + (torn - committed) / 2).unwrap();
+    drop(file);
 
-    // Truncate one table file mid-way (simulated crash during write is
-    // impossible thanks to temp+rename, so simulate disk corruption).
-    let victim = dir.join("a.table.json");
-    let bytes = std::fs::read(&victim).unwrap();
-    std::fs::write(&victim, &bytes[..bytes.len() / 3]).unwrap();
-
-    let report = load(&dir).unwrap();
-    assert_eq!(report.skipped.len(), 1);
-    assert_eq!(report.skipped[0].0, "a");
-    // The intact table survived.
-    let res = execute(&report.db, "SELECT COUNT(*) FROM b").unwrap();
-    assert_eq!(res.scalar(), Some(&mlss_db::Value::Int(1)));
+    let session = Session::open(&dir, config).unwrap();
+    let column = |sql: &str| -> Vec<Value> {
+        let ExecResult::Rows { rows, .. } = session.execute(sql).unwrap() else {
+            panic!("{sql} returns rows");
+        };
+        rows.into_iter().map(|r| r[0].clone()).collect()
+    };
+    assert_eq!(
+        column("SELECT x FROM a ORDER BY x"),
+        vec![Value::Int(1), Value::Int(2)]
+    );
+    assert_eq!(column("SELECT y FROM b"), vec![Value::Int(3)]);
+    let repaired = session
+        .diagnostics()
+        .into_iter()
+        .find(|d| d.estimator == "wal")
+        .and_then(|d| d.details.into_iter().find(|(k, _)| k == "wal_truncated"))
+        .map(|(_, v)| v);
+    assert_eq!(repaired, Some(1.0), "the torn frame was cut away");
+    drop(session);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

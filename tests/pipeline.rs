@@ -2,40 +2,33 @@
 //! RNN black box under MLSS, and parallel-vs-sequential consistency.
 
 use mlss_core::prelude::*;
-use mlss_db::{seed_default_models, Database, ProcRegistry, Value};
+use mlss_db::{Session, SessionConfig};
 use mlss_models::synthetic_price_series;
 use mlss_nn::{rnn_price_score, NetConfig, RnnStockModel};
 
 #[test]
 fn db_hosted_estimates_agree_between_methods() {
-    let db = Database::new();
-    seed_default_models(&db).unwrap();
-    let registry = ProcRegistry::with_builtins();
-    let mut rng = rng_from_seed(71);
-
-    let run = |method: &str, rng: &mut SimRng| -> f64 {
-        let args: Vec<Value> = vec![
-            "cpp".into(),
-            method.into(),
-            50.0.into(),
-            Value::Int(500),
-            0.2.into(),
-        ];
-        registry
-            .call(&db, "mlss_estimate", &args, rng)
-            .unwrap()
+    let session = Session::new(SessionConfig {
+        seed: 71,
+        ..SessionConfig::default()
+    })
+    .unwrap();
+    let run = |method: &str| -> f64 {
+        let sql =
+            format!("ESTIMATE DURABILITY OF cpp(beta=50) WITHIN 500 USING {method} TARGET RE 0.2");
+        session.execute(&sql).unwrap().rows()[0][2]
             .as_f64()
             .unwrap()
     };
-    let srs = run("srs", &mut rng);
-    let mlss = run("mlss", &mut rng);
+    let srs = run("srs");
+    let mlss = run("mlss");
     // Both target 20% RE on a ~5% query; they must agree within ~3σ.
     assert!(
         (srs - mlss).abs() / srs < 0.8,
         "srs {srs} vs mlss {mlss} disagree"
     );
     // Both runs recorded.
-    let n = db.with_table("results", |t| t.len()).unwrap();
+    let n = session.db().with_table("results", |t| t.len()).unwrap();
     assert_eq!(n, 2);
 }
 
