@@ -6,8 +6,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mlss_core::prelude::*;
 use mlss_models::{
-    queue2_score, surplus_score, CompoundPoisson, GeometricBrownian, MarkovChain, RandomWalk,
-    TandemQueue,
+    position_score, queue2_score, surplus_score, CompoundPoisson, GeometricBrownian, MarkovChain,
+    RandomWalk, TandemQueue,
 };
 use mlss_nn::{NetConfig, RnnStockModel};
 use std::hint::black_box;
@@ -87,6 +87,9 @@ fn bench_samplers(c: &mut Criterion) {
     g.finish();
 }
 
+/// `g`-call budget that runs the skipping walk ledger to ~900 roots.
+const WALK_SKIP_BUDGET: u64 = 90_000;
+
 fn bench_bootstrap(c: &mut Criterion) {
     let mut g = c.benchmark_group("bootstrap");
     // Build a realistic ledger from an actual volatile-ish run.
@@ -107,6 +110,28 @@ fn bench_bootstrap(c: &mut Criterion) {
             )
         });
     }
+
+    // The shape the coarse-score workload bootstraps twice per answer: a
+    // reflected walk(beta=6) over a 50-step horizon on the engine's
+    // 4-level balanced plan, where ±1 steps skip levels, run to ~900
+    // roots (a few dozen distinct ledger records).
+    let walk = RandomWalk::new(0.3, 0.3, 0).reflected();
+    let vf = RatioValue::new(position_score, 6.0);
+    let problem = Problem::new(&walk, &vf, 50);
+    let plan = balanced_plan(problem, 4, 2000, &mut rng_from_seed(5)).0;
+    let mut cfg = GMlssConfig::new(plan, RunControl::budget(WALK_SKIP_BUDGET));
+    cfg.keep_ledger = true;
+    let res = GMlssSampler::new(cfg).run(problem, &mut rng_from_seed(6));
+    assert!(res.skip_events > 0, "the walk ledger must skip levels");
+    let ledger = res.ledger.expect("ledger kept");
+    eprintln!("walk skip ledger: {} roots", ledger.n_roots());
+    g.bench_function("variance_200_resamples_walk_skip", |b| {
+        b.iter_batched(
+            || rng_from_seed(9),
+            |mut rng| bootstrap_variance(black_box(&ledger), 200, 3, &mut rng),
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 

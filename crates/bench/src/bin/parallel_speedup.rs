@@ -39,9 +39,8 @@ fn legacy_merged_estimate(
     rng: &mut SimRng,
 ) -> Estimate {
     let n = ledger.n_roots();
-    let idx: Vec<usize> = (0..n).collect();
-    let tau = ledger.estimate_over(&idx, ratio);
     let agg = ledger.aggregate();
+    let tau = agg.tau(n as u64, ratio);
     let variance = if n < 2 {
         f64::INFINITY
     } else if skip_events == 0 {

@@ -8,7 +8,8 @@
 
 use crate::gmlss::estimator;
 use crate::rng::SimRng;
-use rand::RngExt;
+use crate::simd::chacha::fill_below;
+use std::collections::HashMap;
 
 /// Per-root counter storage: a flat arena with one fixed-size record per
 /// root path, holding level landings, offspring crossings, skip counts,
@@ -96,49 +97,18 @@ impl RootLedger {
         self.n_roots += 1;
     }
 
-    /// Raw record of root `i`.
-    fn record(&self, i: usize) -> &[u32] {
-        &self.data[i * self.stride..(i + 1) * self.stride]
-    }
-
-    /// Fold root `i` into running aggregate arrays.
-    fn fold_into(
-        &self,
-        i: usize,
-        landings: &mut [u64],
-        crossings: &mut [u64],
-        skips: &mut [u64],
-        hits: &mut u64,
-    ) {
-        let rec = self.record(i);
-        for l in 0..self.m {
-            landings[l] += rec[l] as u64;
-            crossings[l] += rec[self.m + l] as u64;
-            skips[l] += rec[2 * self.m + l] as u64;
-        }
-        *hits += rec[3 * self.m] as u64;
-    }
-
     /// Aggregate over all committed roots.
     pub fn aggregate(&self) -> Aggregates {
-        let mut landings = vec![0u64; self.m];
-        let mut crossings = vec![0u64; self.m];
-        let mut skips = vec![0u64; self.m];
-        let mut hits = 0u64;
-        for i in 0..self.n_roots {
-            self.fold_into(i, &mut landings, &mut crossings, &mut skips, &mut hits);
+        let mut agg = Aggregates::zeroed(self.m);
+        for rec in self.data.chunks_exact(self.stride) {
+            agg.add_record(rec, 1);
         }
-        Aggregates {
-            landings,
-            crossings,
-            skips,
-            hits,
-        }
+        agg
     }
 
     /// Target hits recorded for root `i`.
     pub fn root_hits(&self, i: usize) -> u32 {
-        self.record(i)[3 * self.m]
+        self.data[i * self.stride + 3 * self.m]
     }
 
     /// Absorb another ledger's committed roots (parallel reduction).
@@ -147,27 +117,82 @@ impl RootLedger {
         self.data.extend_from_slice(&other.data);
         self.n_roots += other.n_roots;
     }
+}
 
-    /// The g-MLSS estimate computed over an arbitrary multiset of roots
-    /// (given by index). Used by the bootstrap and by partial-sample
-    /// analyses.
-    pub fn estimate_over(&self, roots: &[usize], ratio: u32) -> f64 {
-        let n = roots.len() as u64;
-        if n == 0 {
-            return 0.0;
+impl Aggregates {
+    fn zeroed(m: usize) -> Self {
+        Self {
+            landings: vec![0; m],
+            crossings: vec![0; m],
+            skips: vec![0; m],
+            hits: 0,
         }
-        let mut landings = vec![0u64; self.m];
-        let mut crossings = vec![0u64; self.m];
-        let mut skips = vec![0u64; self.m];
-        let mut hits = 0u64;
-        for &i in roots {
-            self.fold_into(i, &mut landings, &mut crossings, &mut skips, &mut hits);
-        }
-        if self.m == 1 {
-            return hits as f64 / n as f64;
-        }
-        estimator(self.m, ratio, n, &landings, &crossings, &skips).0
     }
+
+    /// Add `times` copies of one ledger record (layout of [`RootLedger`]).
+    fn add_record(&mut self, rec: &[u32], times: u64) {
+        let m = self.landings.len();
+        for l in 0..m {
+            self.landings[l] += rec[l] as u64 * times;
+            self.crossings[l] += rec[m + l] as u64 * times;
+            self.skips[l] += rec[2 * m + l] as u64 * times;
+        }
+        self.hits += rec[3 * m] as u64 * times;
+    }
+
+    /// The g-MLSS estimate τ̂ (Eq. 9-10) these counters give over a pool
+    /// of `n_roots` roots (hit fraction for single-level plans).
+    pub fn tau(&self, n_roots: u64, ratio: u32) -> f64 {
+        let (l, c, s) = (&self.landings, &self.crossings, &self.skips);
+        match l.len() {
+            _ if n_roots == 0 => 0.0,
+            1 => self.hits as f64 / n_roots as f64,
+            m => estimator(m, ratio, n_roots, l, c, s).0,
+        }
+    }
+}
+
+/// The resampling kernel: `resamples` with-replacement redraws of the
+/// root pool, each reduced to its g-MLSS estimate. [`fill_below`] draws
+/// exactly what one `random_range(0..n)` per slot would; each redraw then
+/// counts its picks per distinct record (a coarse model's roots repeat a
+/// few dozen patterns) and folds `count × record` — the same integer
+/// aggregates as a root-by-root fold, so the estimates are bit-identical.
+fn resample_estimates(
+    ledger: &RootLedger,
+    resamples: usize,
+    ratio: u32,
+    rng: &mut SimRng,
+) -> Vec<f64> {
+    let n = ledger.n_roots();
+    let mut class_ids: HashMap<&[u32], u32> = HashMap::new();
+    let mut classes = Vec::new();
+    let class_of: Vec<u32> = ledger
+        .data
+        .chunks_exact(ledger.stride)
+        .map(|rec| {
+            *class_ids.entry(rec).or_insert_with(|| {
+                classes.push(rec);
+                classes.len() as u32 - 1
+            })
+        })
+        .collect();
+    let mut picks = vec![0u64; n];
+    let mut counts = vec![0u64; classes.len()];
+    (0..resamples)
+        .map(|_| {
+            fill_below(rng, n as u64, &mut picks);
+            counts.fill(0);
+            for &i in &picks {
+                counts[class_of[i as usize] as usize] += 1;
+            }
+            let mut agg = Aggregates::zeroed(ledger.m);
+            for (rec, &count) in classes.iter().zip(&counts) {
+                agg.add_record(rec, count);
+            }
+            agg.tau(n as u64, ratio)
+        })
+        .collect()
 }
 
 /// One bootstrap evaluation: `resamples` independent with-replacement
@@ -179,18 +204,10 @@ pub fn bootstrap_variance(
     ratio: u32,
     rng: &mut SimRng,
 ) -> f64 {
-    let n = ledger.n_roots();
-    if n < 2 {
+    if ledger.n_roots() < 2 {
         return f64::INFINITY;
     }
-    let mut estimates = Vec::with_capacity(resamples);
-    let mut idx = vec![0usize; n];
-    for _ in 0..resamples {
-        for slot in idx.iter_mut() {
-            *slot = rng.random_range(0..n);
-        }
-        estimates.push(ledger.estimate_over(&idx, ratio));
-    }
+    let estimates = resample_estimates(ledger, resamples, ratio, rng);
     let mean = estimates.iter().sum::<f64>() / resamples as f64;
     estimates
         .iter()
@@ -209,18 +226,10 @@ pub fn bootstrap_percentile_ci(
     rng: &mut SimRng,
 ) -> (f64, f64) {
     assert!(confidence > 0.0 && confidence < 1.0);
-    let n = ledger.n_roots();
-    if n < 2 {
+    if ledger.n_roots() < 2 {
         return (0.0, 1.0);
     }
-    let mut estimates = Vec::with_capacity(resamples);
-    let mut idx = vec![0usize; n];
-    for _ in 0..resamples {
-        for slot in idx.iter_mut() {
-            *slot = rng.random_range(0..n);
-        }
-        estimates.push(ledger.estimate_over(&idx, ratio));
-    }
+    let mut estimates = resample_estimates(ledger, resamples, ratio, rng);
     estimates.sort_by(|a, b| a.partial_cmp(b).expect("finite estimates"));
     let alpha = 1.0 - confidence;
     let lo_idx = ((alpha / 2.0) * resamples as f64).floor() as usize;
@@ -244,17 +253,21 @@ impl crate::persist::Persist for RootLedger {
 
     fn restore(r: &mut crate::persist::Reader<'_>) -> Result<Self, crate::persist::PersistError> {
         use crate::persist::PersistError;
-        let m = r.u64()? as usize;
-        let n_roots = r.u64()? as usize;
+        // Sizes are untrusted: an overflow is a malformed record, never a
+        // panic or a wrapped geometry.
+        let m = r.u64()?;
+        let n_roots = r.u64()?;
         let data = r.u32s()?;
         let cur = r.u32s()?;
-        if m < 1 {
-            return Err(PersistError::Malformed("root ledger levels"));
-        }
-        let stride = 3 * m + 1;
-        if cur.len() != stride || data.len() != n_roots * stride {
+        let stride = match m.checked_mul(3).and_then(|x| x.checked_add(1)) {
+            Some(stride) if m >= 1 => stride,
+            _ => return Err(PersistError::Malformed("root ledger levels")),
+        };
+        if cur.len() as u64 != stride || n_roots.checked_mul(stride) != Some(data.len() as u64) {
             return Err(PersistError::Malformed("root ledger geometry"));
         }
+        // `data.len()` bounds both sizes, so they fit in `usize`.
+        let (m, stride, n_roots) = (m as usize, stride as usize, n_roots as usize);
         Ok(Self {
             m,
             stride,
@@ -298,18 +311,17 @@ mod tests {
     }
 
     #[test]
-    fn estimate_over_full_pool_matches_closed_form() {
+    fn full_pool_tau_matches_closed_form() {
         let ledger = two_level_ledger(4, 6);
-        let idx: Vec<usize> = (0..10).collect();
-        let tau = ledger.estimate_over(&idx, 3);
+        let tau = ledger.aggregate().tau(10, 3);
         // π̂_1 = 4/10, π̂_2 = (12/3)/4 = 1 → τ̂ = 0.4.
         assert!((tau - 0.4).abs() < 1e-12);
     }
 
     #[test]
-    fn estimate_over_empty_is_zero() {
-        let ledger = two_level_ledger(1, 1);
-        assert_eq!(ledger.estimate_over(&[], 3), 0.0);
+    fn empty_pool_tau_is_zero() {
+        let ledger = RootLedger::new(2);
+        assert_eq!(ledger.aggregate().tau(0, 3), 0.0);
     }
 
     #[test]
@@ -355,6 +367,175 @@ mod tests {
         assert_eq!(agg.hits, 1);
         // τ̂ over the single skipping root: π̂_1 = (0+1)/1 = 1,
         // π̂_2 = (0/3 + 1)/(0+1) = 1, π̂_3 = (0/3 + 1)/(0+1) = 1 → τ̂ = 1.
-        assert!((ledger.estimate_over(&[0], 3) - 1.0).abs() < 1e-12);
+        assert!((agg.tau(1, 3) - 1.0).abs() < 1e-12);
+    }
+
+    /// The resampling loop as it stood before the kernel: one scalar
+    /// `random_range(0..n)` per slot and a root-by-root fold — the
+    /// reference the kernel must reproduce bit for bit.
+    fn reference_estimates(
+        ledger: &RootLedger,
+        resamples: usize,
+        ratio: u32,
+        rng: &mut SimRng,
+    ) -> Vec<f64> {
+        use rand::RngExt;
+        let n = ledger.n_roots();
+        let mut idx = vec![0usize; n];
+        (0..resamples)
+            .map(|_| {
+                for slot in idx.iter_mut() {
+                    *slot = rng.random_range(0..n);
+                }
+                let mut agg = Aggregates::zeroed(ledger.m);
+                for &i in &idx {
+                    let rec = &ledger.data[i * ledger.stride..];
+                    for l in 0..ledger.m {
+                        agg.landings[l] += rec[l] as u64;
+                        agg.crossings[l] += rec[ledger.m + l] as u64;
+                        agg.skips[l] += rec[2 * ledger.m + l] as u64;
+                    }
+                    agg.hits += rec[3 * ledger.m] as u64;
+                }
+                if ledger.m == 1 {
+                    agg.hits as f64 / n as f64
+                } else {
+                    estimator(
+                        ledger.m,
+                        ratio,
+                        n as u64,
+                        &agg.landings,
+                        &agg.crossings,
+                        &agg.skips,
+                    )
+                    .0
+                }
+            })
+            .collect()
+    }
+
+    fn reference_variance(
+        ledger: &RootLedger,
+        resamples: usize,
+        ratio: u32,
+        rng: &mut SimRng,
+    ) -> f64 {
+        let estimates = reference_estimates(ledger, resamples, ratio, rng);
+        let mean = estimates.iter().sum::<f64>() / resamples as f64;
+        estimates
+            .iter()
+            .map(|e| (e - mean) * (e - mean))
+            .sum::<f64>()
+            / resamples as f64
+    }
+
+    /// A ledger of `n` roots over `m` levels with a few repeated record
+    /// patterns (the coarse-model shape) mixed with one-off records.
+    fn mixed_ledger(m: usize, n: usize, seed: u64) -> RootLedger {
+        use rand::RngExt;
+        let mut rng = rng_from_seed(seed);
+        let mut ledger = RootLedger::new(m);
+        for _ in 0..n {
+            let pattern = rng.random_range(0u32..8);
+            for l in 0..m {
+                let bump = if pattern < 6 {
+                    (pattern as usize + l) % 3
+                } else {
+                    rng.random_range(0..4)
+                };
+                for _ in 0..bump {
+                    ledger.bump_landing(l);
+                }
+                ledger.add_crossings(l, (bump as u32 * pattern) % 7);
+                if bump == 0 && l > 0 && pattern % 2 == 1 {
+                    ledger.bump_skip(l);
+                }
+            }
+            ledger.commit_root(pattern % 4);
+        }
+        ledger
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_to_the_reference_loop() {
+        use rand::RngCore;
+        for (m, n) in [(1usize, 37usize), (1, 900), (2, 2), (4, 885), (5, 129)] {
+            let ledger = mixed_ledger(m, n, 70 + m as u64);
+            for resamples in [2usize, 200] {
+                for seed in [1u64, 2] {
+                    let mut kernel = rng_from_seed(seed);
+                    let mut reference = rng_from_seed(seed);
+                    // Start mid-block, as a run's shared stream does.
+                    let _ = kernel.next_u32();
+                    let _ = reference.next_u32();
+                    let v = bootstrap_variance(&ledger, resamples, 3, &mut kernel);
+                    let r = reference_variance(&ledger, resamples, 3, &mut reference);
+                    assert_eq!(
+                        v.to_bits(),
+                        r.to_bits(),
+                        "variance m={m} n={n} B={resamples}"
+                    );
+                    assert_eq!(
+                        kernel.next_u64(),
+                        reference.next_u64(),
+                        "stream m={m} n={n}"
+                    );
+
+                    let ci = bootstrap_percentile_ci(&ledger, resamples, 3, 0.9, &mut kernel);
+                    let mut sorted = reference_estimates(&ledger, resamples, 3, &mut reference);
+                    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    let alpha = 1.0 - 0.9;
+                    let lo = ((alpha / 2.0) * resamples as f64).floor() as usize;
+                    let hi = (((1.0 - alpha / 2.0) * resamples as f64).ceil() as usize)
+                        .min(resamples)
+                        .saturating_sub(1);
+                    assert_eq!(ci.0.to_bits(), sorted[lo].to_bits(), "ci lo m={m} n={n}");
+                    assert_eq!(ci.1.to_bits(), sorted[hi].to_bits(), "ci hi m={m} n={n}");
+                    assert_eq!(
+                        kernel.next_u64(),
+                        reference.next_u64(),
+                        "stream m={m} n={n}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn encoded_ledger(m: u64, n_roots: u64, data: &[u32], cur: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        crate::persist::put_u64(&mut out, m);
+        crate::persist::put_u64(&mut out, n_roots);
+        crate::persist::put_u32s(&mut out, data);
+        crate::persist::put_u32s(&mut out, cur);
+        out
+    }
+
+    #[test]
+    fn restore_rejects_overflowing_geometry_without_panicking() {
+        use crate::persist::{Persist, Reader};
+        for (m, n_roots) in [
+            (u64::MAX / 2, 1),
+            (u64::MAX, 1),
+            (1, u64::MAX),
+            (2, u64::MAX / 3),
+        ] {
+            let bytes = encoded_ledger(m, n_roots, &[0; 8], &[0; 4]);
+            assert!(
+                RootLedger::restore(&mut Reader::new(&bytes)).is_err(),
+                "m={m} n_roots={n_roots}"
+            );
+        }
+        // Zero levels, and a root count the data does not back.
+        for (m, n_roots, data_len) in [(0u64, 0u64, 0usize), (1, 3, 4), (1, 1, 8)] {
+            let bytes = encoded_ledger(m, n_roots, &vec![0; data_len], &[0; 4]);
+            assert!(RootLedger::restore(&mut Reader::new(&bytes)).is_err());
+        }
+        // The well-formed encoding still round-trips.
+        let ledger = two_level_ledger(2, 3);
+        let mut bytes = Vec::new();
+        ledger.persist(&mut bytes);
+        let back = RootLedger::restore(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(back.aggregate(), ledger.aggregate());
+        assert_eq!(back.n_roots(), 5);
     }
 }

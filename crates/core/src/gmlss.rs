@@ -364,6 +364,12 @@ impl crate::persist::Persist for GmlssShard {
         {
             return Err(PersistError::Malformed("gmlss shard geometry"));
         }
+        let skip_events = r.u64()?;
+        let moments = HitMoments::restore(r)?;
+        let n_roots = r.u64()?;
+        if track_ledger && ledger.n_roots() as u64 != n_roots {
+            return Err(PersistError::Malformed("gmlss ledger root count"));
+        }
         Ok(Self {
             m,
             ratio,
@@ -372,9 +378,9 @@ impl crate::persist::Persist for GmlssShard {
             landings,
             crossings,
             skips,
-            skip_events: r.u64()?,
-            moments: HitMoments::restore(r)?,
-            n_roots: r.u64()?,
+            skip_events,
+            moments,
+            n_roots,
             hits: r.u64()?,
             steps: r.u64()?,
             checks: r.u64()?,
@@ -1157,6 +1163,22 @@ mod tests {
         assert_eq!(&agg.landings[1..], res.landings.as_slice());
         assert_eq!(&agg.crossings[1..], res.crossings.as_slice());
         assert_eq!(&agg.skips[1..], res.skips.as_slice());
+    }
+
+    #[test]
+    fn restore_rejects_a_ledger_that_disagrees_with_the_shard_root_count() {
+        use crate::persist::{Persist, Reader};
+        let mut shard = GmlssShard::new(2, 3, true);
+        shard.ledger.commit_root(0);
+        shard.n_roots = 1;
+        let mut bytes = Vec::new();
+        shard.persist(&mut bytes);
+        assert!(GmlssShard::restore(&mut Reader::new(&bytes)).is_ok());
+
+        shard.n_roots = 2;
+        bytes.clear();
+        shard.persist(&mut bytes);
+        assert!(GmlssShard::restore(&mut Reader::new(&bytes)).is_err());
     }
 
     #[test]

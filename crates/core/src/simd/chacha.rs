@@ -24,6 +24,10 @@
 //!   scalar refill inside `next_u32` — still bit-identical, just not
 //!   vectorized for that tail.
 //!
+//! A third front end, `fill_below`, serves one stream rather than
+//! many: the bootstrap's bulk `random_range(0..n)` draws, computing that
+//! stream's next 16 consecutive blocks per pass.
+//!
 //! Word extraction mirrors `ChaCha12Rng::next_u64` exactly (low word
 //! first, refill checked before every word), so a lane's draw sequence
 //! is indistinguishable from scalar stepping at any interleaving.
@@ -728,6 +732,127 @@ pub fn gather_u64(rngs: &mut [SimRng], lanes: &[usize], per_lane: usize, sc: &mu
     debug_assert_eq!(ri, idxs.len());
 }
 
+/// Exact `v % n` for any 64-bit `v` and divisor `n ≥ 1`, by direct
+/// computation (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+/// Computation", 2019): with `c = ⌈2¹²⁸ / n⌉`, `v mod n` is the top 64
+/// bits of `((c · v) mod 2¹²⁸) · n`. The paper's condition `c·n − 2¹²⁸
+/// ≤ 2⁶⁴` holds for every 64-bit `n` at this 128-bit precision, so the
+/// result equals `%` on every input — a handful of multiplies instead of
+/// a 64-bit divide. (`n = 1` wraps `c` to 0, which yields the correct 0.)
+#[derive(Debug, Clone, Copy)]
+struct FastRem {
+    c: u128,
+    n: u64,
+}
+
+impl FastRem {
+    /// Precompute the reciprocal for divisor `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` is 0.
+    fn new(n: u64) -> Self {
+        assert!(n > 0, "FastRem divisor must be nonzero");
+        Self {
+            c: (u128::MAX / n as u128).wrapping_add(1),
+            n,
+        }
+    }
+
+    /// `v % n`, bit-exact.
+    #[inline(always)]
+    fn reduce(self, v: u64) -> u64 {
+        let low = self.c.wrapping_mul(v as u128);
+        let n = self.n as u128;
+        // High 64 bits of the 192-bit product `low · n`, from two
+        // 64×64 → 128 partial products (their sum cannot overflow).
+        let lo = (low as u64 as u128) * n;
+        let hi = (low >> 64) * n;
+        ((hi + (lo >> 64)) >> 64) as u64
+    }
+}
+
+/// Blocks per bulk keystream pass of [`fill_below`] — one 16-stream
+/// [`compute_blocks`] pass of the same stream's consecutive counters.
+const FILL_PASS_BLOCKS: usize = 16;
+
+/// Fill `out` with uniform draws from `[0, n)`, exactly as `out.len()`
+/// successive `rng.random_range(0..n)` calls would — same values, and
+/// the stream left at the same position — on the process-wide active
+/// backend.
+pub(crate) fn fill_below(rng: &mut SimRng, n: u64, out: &mut [u64]) {
+    fill_below_with(Backend::active(), rng, n, out)
+}
+
+/// [`fill_below`] on an explicit backend — the test harness uses this to
+/// pin draw-identity on every backend.
+///
+/// `random_range(0..n)` draws `v = next_u64()` (low word first) until
+/// `v` falls in the rejection zone, then returns `v % n`. Here the
+/// stream's words are laid out flat — the unread tail of the current
+/// block, then up to [`FILL_PASS_BLOCKS`] next blocks computed in one
+/// pass — and every attempt reads the next word pair as a pure load.
+/// Each attempt consumes exactly two words, so an odd tail word carries
+/// into the next pass's layout and no pair is ever split. The words a
+/// pass consumed are committed with `install_block` + `skip_words`.
+///
+/// # Panics
+///
+/// Panics when `n` is 0.
+pub(crate) fn fill_below_with(backend: Backend, rng: &mut SimRng, n: u64, out: &mut [u64]) {
+    assert!(n > 0, "cannot sample from an empty range");
+    let zone = u64::MAX - (u64::MAX - n + 1) % n;
+    let rem = FastRem::new(n);
+    let keys = [*rng.block_key(); FILL_PASS_BLOCKS];
+    let mut counters = [0u64; FILL_PASS_BLOCKS];
+    // Slot 0 holds the current block; slots 1.. the pass's new blocks.
+    let mut buf = [[0u32; BLOCK_WORDS]; FILL_PASS_BLOCKS + 1];
+    let mut filled = 0;
+    while filled < out.len() {
+        let tail = rng.words_remaining();
+        if tail > 0 {
+            buf[0] = *rng.current_block();
+        }
+        // Enough new blocks for the draws still owed, absent rejections.
+        let owed_words = 2 * (out.len() - filled);
+        let k = owed_words
+            .saturating_sub(tail)
+            .div_ceil(BLOCK_WORDS)
+            .min(FILL_PASS_BLOCKS);
+        let base = rng.block_counter();
+        for (j, c) in counters[..k].iter_mut().enumerate() {
+            *c = base.wrapping_add(j as u64);
+        }
+        compute_blocks_with(backend, &keys[..k], &counters[..k], &mut buf[1..=k]);
+        let words = &buf.as_flattened()[BLOCK_WORDS - tail..BLOCK_WORDS * (k + 1)];
+        let mut used = 0;
+        for pair in words.chunks_exact(2) {
+            if filled == out.len() {
+                break;
+            }
+            used += 2;
+            let v = ((pair[1] as u64) << 32) | pair[0] as u64;
+            if v <= zone {
+                out[filled] = rem.reduce(v);
+                filled += 1;
+            }
+        }
+        // Commit: the current block's tail first, then every new block
+        // up to the one holding the last consumed word.
+        rng.skip_words(used.min(tail));
+        let mut fresh = used.saturating_sub(tail);
+        for block in &buf[1..] {
+            if fresh == 0 {
+                break;
+            }
+            rng.install_block(*block);
+            let take = fresh.min(BLOCK_WORDS);
+            rng.skip_words(take);
+            fresh -= take;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,6 +915,94 @@ mod tests {
         // Final positions agree too.
         for (a, b) in gathered.iter_mut().zip(scalar.iter_mut()) {
             assert_eq!(a.random::<u64>(), b.random::<u64>());
+        }
+    }
+
+    #[test]
+    fn fast_rem_equals_hardware_remainder() {
+        let edges = [
+            1u64,
+            2,
+            3,
+            7,
+            1000,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 1,
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let values = [
+            0u64,
+            1,
+            2,
+            999,
+            1 << 32,
+            (1 << 63) + 5,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut rng = rng_from_seed(17);
+        for &n in &edges {
+            let fr = FastRem::new(n);
+            for &v in &values {
+                assert_eq!(fr.reduce(v), v % n, "{v} % {n}");
+            }
+            for v in [
+                n - 1,
+                n,
+                n.wrapping_add(1),
+                n.wrapping_mul(2).wrapping_sub(1),
+            ] {
+                assert_eq!(fr.reduce(v), v % n, "{v} % {n}");
+            }
+        }
+        for _ in 0..20_000 {
+            // Divisors of every magnitude: shift a random word down.
+            let n = (rng.random::<u64>() >> rng.random_range(0u64..64)).max(1);
+            let v = rng.random::<u64>();
+            assert_eq!(FastRem::new(n).reduce(v), v % n, "{v} % {n}");
+        }
+    }
+
+    #[test]
+    fn fill_below_equals_scalar_random_range_draw_for_draw() {
+        let bounds = [2u64, 3, 1000, (1 << 32) + 1, (1 << 63) + 1];
+        let lens = [1usize, 7, 8, 9, 128, 129, 1000];
+        let mut out = vec![0u64; 1000];
+        for backend in Backend::available() {
+            for offset in 0..=BLOCK_WORDS {
+                // One block drained, then rebuilt with `offset` words of a
+                // fresh block already read (offset 16 = fully drained).
+                let mut warm = rng_from_seed(4000 + offset as u64);
+                for _ in 0..BLOCK_WORDS {
+                    let _ = warm.next_u32();
+                }
+                let (key, counter, _) = warm.state();
+                let start = SimRng::from_state(key, counter, (BLOCK_WORDS - offset) as u8);
+                for &n in &bounds {
+                    for &len in &lens {
+                        let mut bulk = start.clone();
+                        let mut scalar = start.clone();
+                        fill_below_with(backend, &mut bulk, n, &mut out[..len]);
+                        for (k, &got) in out[..len].iter().enumerate() {
+                            assert_eq!(
+                                got,
+                                scalar.random_range(0..n),
+                                "{backend}: offset {offset}, n {n}, len {len}, draw {k}"
+                            );
+                        }
+                        assert_eq!(
+                            bulk.next_u32(),
+                            scalar.next_u32(),
+                            "{backend}: stream position after offset {offset}, n {n}, len {len}"
+                        );
+                    }
+                }
+            }
         }
     }
 
