@@ -48,7 +48,7 @@ impl Series {
         let mut shard = estimator.shard();
         while shard.steps() < budget {
             let chunk = next.min(budget).saturating_sub(shard.steps()).max(1);
-            estimator.run_chunk(problem, &mut shard, chunk, &mut rng);
+            estimator.run_chunk(problem, &mut shard, chunk, &mut rng, 1);
             let est = estimator.check_estimate(&mut shard, &mut rng);
             if est.steps >= next && est.hits > 0 {
                 next += every;

@@ -120,7 +120,7 @@ where
     width::calibrate(class.probe_candidates(), |w| {
         let mut shard = <SrsEstimator as Estimator<M, V>>::shard(&SrsEstimator);
         let mut rng = rng_from_seed(0xBEEF);
-        SrsEstimator.run_chunk_batched(problem, &mut shard, 4096, &mut rng, w);
+        SrsEstimator.run_chunk(problem, &mut shard, 4096, &mut rng, w);
     })
 }
 

@@ -108,7 +108,7 @@ where
                     }
                     // One chunk with the shared root simulation.
                     let mut chunk = shard_for(base, &problem);
-                    base.run_chunk(problem, &mut chunk, sync_every, &mut rng);
+                    base.run_chunk(problem, &mut chunk, sync_every, &mut rng, 1);
 
                     // Merge and evaluate inside the single global lock —
                     // the legacy bottleneck.
@@ -198,7 +198,7 @@ fn main() {
         sync_every,
         seed: 7,
         bootstrap_resamples: 200,
-        batch_width: 0,
+        batch_width: 1,
     };
     let new_run = run_parallel(problem, &base, control, &cfg);
     let new_rate = new_run.estimate.steps as f64 / new_run.elapsed.as_secs_f64();

@@ -3,11 +3,10 @@
 //! The paper's Table 2 fixes `(s, β)` per model and query class so the
 //! ground-truth probabilities fall into four bands: Medium (~15-17%),
 //! Small (~5%), Tiny (~0.15-0.26%), and Rare (~3-4·10⁻⁴). Our simulators
-//! reproduce the paper's *process forms*, but (see DESIGN.md,
-//! substitution 4) the paper's CPP β values are inconsistent with its
-//! stated parameters, so thresholds here are **recalibrated** (via the
-//! `calibrate` binary) to land in the same bands. `EXPERIMENTS.md`
-//! records the calibration outputs.
+//! reproduce the paper's *process forms*, but the paper's CPP β values
+//! are inconsistent with its stated parameters, so thresholds here are
+//! **recalibrated** to land in the same bands. The `calibrate` binary
+//! re-derives them: it prints each candidate's ground-truth probability.
 
 use mlss_core::quality::QualityTarget;
 use serde::{Deserialize, Serialize};

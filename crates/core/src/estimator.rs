@@ -22,12 +22,15 @@
 //! | g-MLSS (§4) | [`crate::gmlss::GMlssConfig`] | [`crate::gmlss::GmlssShard`] |
 //! | IS (§2.2) | [`crate::is::IsEstimator`] | [`crate::is::IsShard`] |
 //!
-//! Chunk contract: `run_chunk(problem, shard, budget, rng)` simulates
-//! complete root paths (never truncating one mid-flight) until at least
-//! `budget` additional `g` invocations have been spent, exactly mirroring
-//! the paper's "stop at the first completion at or beyond the budget"
-//! semantics. This keeps every estimator unbiased under chunking: a chunk
-//! boundary is indistinguishable from a run boundary.
+//! Chunk contract: `run_chunk(problem, shard, budget, rng, width)`
+//! simulates complete root paths (never truncating one mid-flight) until
+//! at least `budget` additional `g` invocations have been spent, exactly
+//! mirroring the paper's "stop at the first completion at or beyond the
+//! budget" semantics. This keeps every estimator unbiased under chunking:
+//! a chunk boundary is indistinguishable from a run boundary. Every root
+//! draws its own RNG stream from `rng` (see [`crate::frontier`]), so the
+//! committed shard is bit-identical at every `width`; width changes
+//! throughput, never answers.
 
 use crate::estimate::Estimate;
 use crate::model::SimulationModel;
@@ -106,40 +109,19 @@ where
     fn shard(&self) -> Self::Shard;
 
     /// Simulate complete root paths into `shard` until at least `budget`
-    /// additional `g` invocations have been spent.
+    /// additional `g` invocations have been spent, advancing a frontier
+    /// of up to `width` root paths per `g` call over the model's batch
+    /// kernel (`step_batch`). Each root runs on its own RNG stream split
+    /// from `rng`, so the committed shard and the final `rng` position
+    /// are bit-identical at every width (see `docs/kernel.md`).
     fn run_chunk(
         &self,
         problem: Problem<'_, M, V>,
         shard: &mut Self::Shard,
         budget: u64,
         rng: &mut SimRng,
-    ) -> ChunkOutcome;
-
-    /// Like [`Estimator::run_chunk`], but advancing a frontier of up to
-    /// `width` root paths per `g` call over the model's batch kernel
-    /// (`step_batch`), with **one RNG stream per root** so the committed
-    /// shard is bit-identical at every width (see `docs/kernel.md`).
-    ///
-    /// Note the randomness scheme differs from `run_chunk` (which owes
-    /// bit-compatibility to pre-frontier checkpoints): per-root streams
-    /// are derived from `rng` by splitting, rather than threading `rng`
-    /// through every step. The two paths are statistically identical but
-    /// not bit-identical to each other; within the batched path, any two
-    /// widths are.
-    ///
-    /// The default ignores `width` and runs the scalar chunk — estimators
-    /// from downstream crates keep working; the four built-ins override.
-    fn run_chunk_batched(
-        &self,
-        problem: Problem<'_, M, V>,
-        shard: &mut Self::Shard,
-        budget: u64,
-        rng: &mut SimRng,
         width: usize,
-    ) -> ChunkOutcome {
-        let _ = width;
-        self.run_chunk(problem, shard, budget, rng)
-    }
+    ) -> ChunkOutcome;
 
     /// The estimate implied by `shard`. `rng` powers resampling-based
     /// variance estimation (bootstrap); closed-form estimators ignore it.
@@ -212,7 +194,9 @@ pub struct EstimatorRun<L> {
     pub estimate_elapsed: Duration,
 }
 
-/// Run any estimator sequentially until `control` is satisfied.
+/// Run any estimator sequentially until `control` is satisfied, one
+/// root at a time (width 1) — exactly what a statement with no
+/// `batch_width` runs.
 ///
 /// Budget mode hands the estimator the entire remaining budget in one
 /// chunk (the chunk contract already stops at the first root completing
@@ -230,37 +214,13 @@ where
     V: ValueFunction<M::State>,
     E: Estimator<M, V>,
 {
-    run_sequential_from(estimator, problem, control, rng, estimator.shard())
+    run_sequential_from(estimator, problem, control, rng, estimator.shard(), 1)
 }
 
-/// Resume a sequential run from a previously accumulated shard (a
-/// checkpoint): the run continues until `control` is satisfied over the
-/// *combined* state — a shard checkpointed at 10k steps resumed under a
-/// 50k budget runs 40k more. Because chunk boundaries are invisible
-/// (shards merge exactly and every chunk completes its last root), a
-/// paused-and-resumed run is statistically identical to an uninterrupted
-/// one; with the same `rng` state it is bit-identical. This is the
-/// primitive behind the scheduler's pause/checkpoint/resume support.
-pub fn run_sequential_from<M, V, E>(
-    estimator: &E,
-    problem: Problem<'_, M, V>,
-    control: RunControl,
-    rng: &mut SimRng,
-    shard: E::Shard,
-) -> EstimatorRun<E::Shard>
-where
-    M: SimulationModel,
-    V: ValueFunction<M::State>,
-    E: Estimator<M, V>,
-{
-    run_sequential_impl(estimator, problem, control, rng, shard, 0)
-}
-
-/// Run any estimator sequentially over the batched frontier: chunks go
-/// through [`Estimator::run_chunk_batched`] at the given width (≥ 1), so
-/// the model's native batch kernel carries the hot loop. Results are
-/// bit-identical across widths (the per-root-stream invariant); width
-/// only changes throughput.
+/// [`run_sequential`] at frontier width `width`, so the model's native
+/// batch kernel carries the hot loop. Results are bit-identical across
+/// widths (the per-root-stream invariant); width only changes
+/// throughput.
 pub fn run_sequential_batched<M, V, E>(
     estimator: &E,
     problem: Problem<'_, M, V>,
@@ -273,15 +233,18 @@ where
     V: ValueFunction<M::State>,
     E: Estimator<M, V>,
 {
-    run_sequential_batched_from(estimator, problem, control, rng, estimator.shard(), width)
+    run_sequential_from(estimator, problem, control, rng, estimator.shard(), width)
 }
 
-/// Resume a batched sequential run from a checkpointed shard — the
-/// batched counterpart of [`run_sequential_from`]. A checkpoint taken
-/// between chunks (even with frontier lanes in flight when it was cut:
-/// chunks always drain their frontier, so the shard plus the RNG is the
-/// complete state) resumes to the same estimate at any width.
-pub fn run_sequential_batched_from<M, V, E>(
+/// Resume a sequential run from a previously accumulated shard (a
+/// checkpoint): the run continues until `control` is satisfied over the
+/// *combined* state — a shard checkpointed at 10k steps resumed under a
+/// 50k budget runs 40k more. Because chunk boundaries are invisible
+/// (shards merge exactly, every chunk completes its last root and drains
+/// its frontier), a paused-and-resumed run with the same `rng` state is
+/// bit-identical to an uninterrupted one, at any `width`. This is the
+/// primitive behind the scheduler's pause/checkpoint/resume support.
+pub fn run_sequential_from<M, V, E>(
     estimator: &E,
     problem: Problem<'_, M, V>,
     control: RunControl,
@@ -294,30 +257,12 @@ where
     V: ValueFunction<M::State>,
     E: Estimator<M, V>,
 {
-    run_sequential_impl(estimator, problem, control, rng, shard, width.max(1))
-}
-
-/// Shared driver body; `batch_width == 0` runs the scalar `run_chunk`
-/// path, `>= 1` the frontier path at that width.
-fn run_sequential_impl<M, V, E>(
-    estimator: &E,
-    problem: Problem<'_, M, V>,
-    control: RunControl,
-    rng: &mut SimRng,
-    shard: E::Shard,
-    batch_width: usize,
-) -> EstimatorRun<E::Shard>
-where
-    M: SimulationModel,
-    V: ValueFunction<M::State>,
-    E: Estimator<M, V>,
-{
     let start = Instant::now();
     let mut shard = shard;
     let mut estimate_elapsed = Duration::ZERO;
     // Defense in depth: an unresolved `batch_width=auto` sentinel runs
     // at the static fallback width instead of a usize::MAX cohort.
-    let batch_width = crate::width::effective(batch_width);
+    let width = crate::width::effective(width);
 
     loop {
         // Observed steps per root (before any root completes, assume the
@@ -352,19 +297,14 @@ where
                     .max(1)
             }
         };
-        if batch_width == 0 {
-            estimator.run_chunk(problem, &mut shard, budget, rng);
-        } else {
-            // Budget-boundary shrink: the frontier launches a full
-            // cohort up front, but lanes past the chunk's commit target
-            // are speculation that gets discarded. When the remaining
-            // budget only pays for fewer roots than the configured
-            // width, narrow the final chunks — bit-identity across
-            // widths makes this invisible to results.
-            let roots_in_budget = usize::try_from(budget.div_ceil(per_root)).unwrap_or(usize::MAX);
-            let width = batch_width.min(roots_in_budget).max(1);
-            estimator.run_chunk_batched(problem, &mut shard, budget, rng, width);
-        }
+        // Budget-boundary shrink: the frontier launches a full cohort up
+        // front, but lanes past the chunk's commit target are speculation
+        // that gets discarded. When the remaining budget only pays for
+        // fewer roots than the configured width, narrow the final chunks
+        // — bit-identity across widths makes this invisible to results.
+        let roots_in_budget = usize::try_from(budget.div_ceil(per_root)).unwrap_or(usize::MAX);
+        let chunk_width = width.min(roots_in_budget);
+        estimator.run_chunk(problem, &mut shard, budget, rng, chunk_width);
         if let RunControl::Target { target, .. } = control {
             let t0 = Instant::now();
             let est = estimator.check_estimate(&mut shard, rng);
@@ -478,13 +418,13 @@ mod tests {
 
         let mut rng_a = rng_from_seed(9);
         let mut one = shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut one, 50_000, &mut rng_a);
+        cfg.run_chunk(problem, &mut one, 50_000, &mut rng_a, 1);
 
         let mut rng_b = rng_from_seed(9);
         let mut two = shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut two, 25_000, &mut rng_b);
+        cfg.run_chunk(problem, &mut two, 25_000, &mut rng_b, 1);
         let already = two.steps();
-        cfg.run_chunk(problem, &mut two, 50_000 - already, &mut rng_b);
+        cfg.run_chunk(problem, &mut two, 50_000 - already, &mut rng_b, 1);
 
         assert_eq!(one.steps(), two.steps());
         assert_eq!(one.n_roots(), two.n_roots());
@@ -504,9 +444,9 @@ mod tests {
 
         // Two independent shards from different streams, merged.
         let mut a = shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut a, 20_000, &mut rng_from_seed(5));
+        cfg.run_chunk(problem, &mut a, 20_000, &mut rng_from_seed(5), 1);
         let mut b = shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut b, 20_000, &mut rng_from_seed(6));
+        cfg.run_chunk(problem, &mut b, 20_000, &mut rng_from_seed(6), 1);
         let (sa, sb) = (a.steps(), b.steps());
         let (na, nb) = (a.n_roots(), b.n_roots());
         a.merge(b);
@@ -524,7 +464,7 @@ mod tests {
         let problem = Problem::new(&model, &v, 40);
         let shard = {
             let mut s = shard_for(&SrsEstimator, &problem);
-            SrsEstimator.run_chunk(problem, &mut s, 1000, &mut rng_from_seed(3));
+            SrsEstimator.run_chunk(problem, &mut s, 1000, &mut rng_from_seed(3), 1);
             s
         };
         type Vf = RatioValue<fn(&f64) -> f64>;

@@ -18,11 +18,11 @@
 //! frontier width.** Width changes wall-clock, never results. Three
 //! mechanisms deliver that:
 //!
-//! * **one RNG stream per root** ([`FrontierMode::PerRoot`]) — root `k`
-//!   draws its private ChaCha stream from the master RNG at launch
-//!   (exactly [`crate::rng::split_rng`]); every random draw of the root's
-//!   whole splitting tree comes from that stream, so a root's outcome
-//!   does not depend on which other roots run concurrently.
+//! * **one RNG stream per root** — root `k` draws its private ChaCha
+//!   stream from the master RNG at launch (exactly
+//!   [`crate::rng::split_rng`]); every random draw of the root's whole
+//!   splitting tree comes from that stream, so a root's outcome does
+//!   not depend on which other roots run concurrently.
 //! * **in-order commits** — roots retire out of order at width > 1, but
 //!   outcomes are buffered and folded into the shard strictly in root
 //!   launch order, so shard contents (including per-root ledgers and
@@ -34,10 +34,9 @@
 //!   point are discarded, and the master RNG is rewound to "as if only
 //!   the committed launches drew from it".
 //!
-//! [`FrontierMode::Shared`] runs the same engine at width 1 with all
-//! draws taken from the caller's RNG directly — the pre-frontier scalar
-//! semantics, kept so `run_chunk` stays bit-compatible with every shard,
-//! checkpoint, and determinism guarantee shipped before this layer.
+//! This is the workspace's only randomness discipline: every estimator,
+//! driver and session runs its chunks here, width 1 included, so a
+//! statement's answer never depends on the width it ran at.
 //!
 //! The engine itself is width-policy only: the per-step SIMD work —
 //! multi-stream ChaCha refills, vectorized `exp`/`ln`/normal transforms
@@ -75,9 +74,10 @@ pub(crate) enum SegmentStatus {
 /// everything the estimator defines: segment transitions, split
 /// bookkeeping, and how a finished root folds into the shard.
 ///
-/// Equivalence contract: driving a kernel through the engine at
-/// [`FrontierMode::Shared`] must be bit-identical to the estimator's
-/// historical scalar loop — same draws from the same RNG, same shard.
+/// Equivalence contract: driving a kernel through the engine must be
+/// bit-identical to the estimator's scalar reference loop run root by
+/// root, each root on its own `split_rng` stream of the same master —
+/// same draws, same shard, same final master position.
 pub(crate) trait RootKernel<M, V>
 where
     M: SimulationModel,
@@ -138,28 +138,17 @@ where
     fn commit(&self, shard: &mut Self::Shard, outcome: Self::Outcome);
 }
 
-/// How the frontier sources randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FrontierMode {
-    /// Width 1, every draw taken from the caller's RNG directly — the
-    /// historical scalar chunk semantics, bit-compatible with all
-    /// pre-frontier shards and checkpoints.
-    Shared,
-    /// Per-root streams at the given width (clamped to ≥ 1). Results are
-    /// bit-identical at every width.
-    PerRoot(usize),
-}
-
 /// Run the kernel until at least `budget` additional `g` invocations have
 /// been *committed* into `shard` (the chunk contract: stop at the first
-/// root completing at or beyond the budget).
+/// root completing at or beyond the budget), advancing up to `width`
+/// roots (clamped to ≥ 1) per step call.
 pub(crate) fn run_frontier<M, V, K>(
     kernel: &K,
     problem: &Problem<'_, M, V>,
     shard: &mut K::Shard,
     budget: u64,
     rng: &mut SimRng,
-    mode: FrontierMode,
+    width: usize,
 ) -> ChunkOutcome
 where
     M: SimulationModel,
@@ -171,18 +160,13 @@ where
     if shard.steps() >= target {
         return chunk;
     }
-    let (per_root, width) = match mode {
-        FrontierMode::Shared => (false, 1),
-        FrontierMode::PerRoot(w) => (true, w.max(1)),
-    };
+    let width = width.max(1);
     let horizon = problem.horizon;
 
-    // Master-RNG handling. PerRoot: remember the entry state so the exit
-    // state can be set to "exactly one seed draw per committed root",
-    // independent of speculative launches. Shared: the single lane *is*
-    // the master stream; move it in and back out.
-    let rng_entry = per_root.then(|| rng.clone());
-    let mut shared_master = (!per_root).then(|| std::mem::replace(rng, rng_from_seed(0)));
+    // Remember the master's entry state so the exit state can be set to
+    // "exactly one seed draw per committed root", independent of
+    // speculative launches.
+    let rng_entry = rng.clone();
 
     // Lane-parallel storage (allocated up to `width` slots, recycled).
     let mut lanes: Vec<M::State> = Vec::with_capacity(width);
@@ -194,7 +178,7 @@ where
     let mut alive: Vec<usize> = Vec::with_capacity(width);
     let mut free: Vec<usize> = Vec::new();
 
-    let mut next_root: u64 = 0; // launch counter (== master seed draws in PerRoot)
+    let mut next_root: u64 = 0; // launch counter (== master seed draws)
     let mut next_commit: u64 = 0; // next root index to fold into the shard
     let mut pending: BTreeMap<u64, (K::Outcome, u64)> = BTreeMap::new();
     // Steps taken by alive lanes plus retired-but-uncommitted roots;
@@ -214,20 +198,14 @@ where
                     // Placeholder values; overwritten below.
                     lanes.push(problem.model.initial_state());
                     ts.push(0);
-                    rngs.push(if per_root {
-                        rng_from_seed(0)
-                    } else {
-                        shared_master.take().expect("shared master present")
-                    });
+                    rngs.push(rng_from_seed(0));
                     root_of.push(0);
                     steps_of.push(0);
                     s
                 }
             };
-            if per_root {
-                // The per-root stream: one seed draw from the master.
-                rngs[slot] = split_rng(rng);
-            }
+            // The per-root stream: one seed draw from the master.
+            rngs[slot] = split_rng(rng);
             let (state, t0) = kernel.begin_root(problem, &mut scratches[slot]);
             debug_assert!(t0 < horizon, "roots must have at least one step");
             lanes[slot] = state;
@@ -301,20 +279,11 @@ where
     crate::width::record_frontier(width, next_root, next_commit);
 
     // ---- restore the master RNG -----------------------------------------
-    if per_root {
-        // Exactly one seed draw per *committed* root, as the width-1
-        // execution would have left it.
-        *rng = rng_entry.expect("saved entry state");
-        for _ in 0..next_commit {
-            let _ = rng.random::<u64>();
-        }
-    } else {
-        // The (single) lane held the master stream; hand it back.
-        *rng = if rngs.is_empty() {
-            shared_master.take().expect("never launched")
-        } else {
-            rngs.swap_remove(0)
-        };
+    // Exactly one seed draw per *committed* root, as the width-1
+    // execution would have left it.
+    *rng = rng_entry;
+    for _ in 0..next_commit {
+        let _ = rng.random::<u64>();
     }
     chunk
 }
@@ -370,7 +339,7 @@ mod tests {
         for width in [1usize, 3, 17, 64] {
             let mut rng = rng_from_seed(42);
             let mut shard = <SrsEstimator as Estimator<JumpyWalk, Vf>>::shard(&SrsEstimator);
-            SrsEstimator.run_chunk_batched(problem, &mut shard, 40_000, &mut rng, width);
+            SrsEstimator.run_chunk(problem, &mut shard, 40_000, &mut rng, width);
             let sig = (shard.n, shard.hits, shard.steps, rng.random::<u64>());
             match &reference {
                 None => reference = Some(sig),
@@ -381,7 +350,7 @@ mod tests {
 
     #[test]
     fn batched_chunk_boundaries_are_invisible() {
-        // Two batched chunks must equal one big batched chunk — shard and
+        // Two wide chunks must equal one big wide chunk — shard and
         // master RNG state both — at a width that forces speculation
         // discard at each boundary.
         let model = JumpyWalk;
@@ -392,13 +361,13 @@ mod tests {
 
         let mut rng_a = rng_from_seed(7);
         let mut one = crate::estimator::shard_for(&cfg, &problem);
-        cfg.run_chunk_batched(problem, &mut one, 50_000, &mut rng_a, 32);
+        cfg.run_chunk(problem, &mut one, 50_000, &mut rng_a, 32);
 
         let mut rng_b = rng_from_seed(7);
         let mut two = crate::estimator::shard_for(&cfg, &problem);
-        cfg.run_chunk_batched(problem, &mut two, 20_000, &mut rng_b, 32);
+        cfg.run_chunk(problem, &mut two, 20_000, &mut rng_b, 32);
         let already = two.steps();
-        cfg.run_chunk_batched(problem, &mut two, 50_000 - already, &mut rng_b, 32);
+        cfg.run_chunk(problem, &mut two, 50_000 - already, &mut rng_b, 32);
 
         assert_eq!(one.steps(), two.steps());
         assert_eq!(one.n_roots(), two.n_roots());
@@ -417,7 +386,7 @@ mod tests {
         for width in [1usize, 64] {
             let mut rng = rng_from_seed(3);
             let mut shard = <SrsEstimator as Estimator<JumpyWalk, Vf>>::shard(&SrsEstimator);
-            SrsEstimator.run_chunk_batched(problem, &mut shard, 10_000, &mut rng, width);
+            SrsEstimator.run_chunk(problem, &mut shard, 10_000, &mut rng, width);
             assert!(shard.steps >= 10_000);
             assert!(shard.steps < 10_000 + 50, "width {width}: {}", shard.steps);
         }

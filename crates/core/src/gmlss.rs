@@ -42,7 +42,7 @@ use crate::estimate::Estimate;
 use crate::estimator::{
     run_sequential, ChunkOutcome, Diagnostics, Estimator, EstimatorRun, Ledger,
 };
-use crate::frontier::{run_frontier, FrontierMode, RootKernel, SegmentStatus};
+use crate::frontier::{run_frontier, RootKernel, SegmentStatus};
 use crate::levels::PartitionPlan;
 use crate::model::{SimulationModel, Time};
 use crate::quality::RunControl;
@@ -698,21 +698,6 @@ where
         shard: &mut GmlssShard,
         budget: u64,
         rng: &mut SimRng,
-    ) -> ChunkOutcome {
-        let kernel = GMlssKernel {
-            plan: &self.plan,
-            ratio: self.ratio,
-            track_ledger: shard.track_ledger,
-        };
-        run_frontier(&kernel, &problem, shard, budget, rng, FrontierMode::Shared)
-    }
-
-    fn run_chunk_batched(
-        &self,
-        problem: Problem<'_, M, V>,
-        shard: &mut GmlssShard,
-        budget: u64,
-        rng: &mut SimRng,
         width: usize,
     ) -> ChunkOutcome {
         let kernel = GMlssKernel {
@@ -720,14 +705,7 @@ where
             ratio: self.ratio,
             track_ledger: shard.track_ledger,
         };
-        run_frontier(
-            &kernel,
-            &problem,
-            shard,
-            budget,
-            rng,
-            FrontierMode::PerRoot(width),
-        )
+        run_frontier(&kernel, &problem, shard, budget, rng, width)
     }
 
     fn estimate(&self, shard: &GmlssShard, rng: &mut SimRng) -> Estimate {
@@ -891,7 +869,7 @@ pub(crate) fn estimator(
 mod tests {
     use super::*;
     use crate::query::RatioValue;
-    use crate::rng::rng_from_seed;
+    use crate::rng::{rng_from_seed, split_rng};
     use rand::RngExt;
 
     /// Simulate one g-MLSS root path (with its full splitting tree) into the
@@ -1212,8 +1190,9 @@ mod tests {
     fn sampler_and_estimator_trait_agree_exactly() {
         // The scalar `simulate_root` and the frontier's `GMlssKernel` are
         // two implementations of the same root program: pin them
-        // bit-exactly from the identical RNG stream. The sampler runs the
-        // kernel through `run_sequential`.
+        // bit-exactly. Each reference root runs on its own `split_rng`
+        // stream of the master, as the frontier's roots do; the driver's
+        // chunk-boundary stream must end where the master does.
         let model = JumpyWalk {
             step: 0.05,
             jump_p: 0.02,
@@ -1224,9 +1203,11 @@ mod tests {
         let plan = PartitionPlan::new(vec![0.3, 0.6]).unwrap();
         let cfg = GMlssConfig::new(plan.clone(), RunControl::budget(100_000));
 
-        let sampler_res = GMlssSampler::new(cfg.clone()).run(problem, &mut rng_from_seed(17));
+        let run = run_sequential(&cfg, problem, cfg.control, &mut rng_from_seed(17));
+        let driver_rng = run.resume_rng.clone();
+        let sampler_res = GMlssResult::from(run);
 
-        let mut rng = rng_from_seed(17);
+        let mut master = rng_from_seed(17);
         let mut shard = crate::estimator::shard_for(&cfg, &problem);
         let (mut stack, mut events) = (Vec::new(), Vec::new());
         while shard.steps < 100_000 {
@@ -1236,7 +1217,7 @@ mod tests {
                 &mut shard,
                 &mut stack,
                 &mut events,
-                &mut rng,
+                &mut split_rng(&mut master),
             );
         }
         assert_eq!(shard.steps, sampler_res.estimate.steps);
@@ -1245,5 +1226,6 @@ mod tests {
         assert_eq!(shard.tau(), sampler_res.estimate.tau);
         assert_eq!(shard.skip_events, sampler_res.skip_events);
         assert_eq!(shard.skips_per_level(), sampler_res.skips);
+        assert_eq!(master.state(), driver_rng.state());
     }
 }

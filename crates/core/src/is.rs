@@ -13,7 +13,7 @@
 
 use crate::estimate::Estimate;
 use crate::estimator::{ChunkOutcome, Diagnostics, Estimator, Ledger};
-use crate::frontier::{run_frontier, FrontierMode, RootKernel, SegmentStatus};
+use crate::frontier::{run_frontier, RootKernel, SegmentStatus};
 use crate::model::{ScalarAdapter, SimulationModel, StepCounter, Time};
 use crate::query::{Problem, ValueFunction};
 use crate::rng::SimRng;
@@ -370,28 +370,10 @@ where
         shard: &mut IsShard,
         budget: u64,
         rng: &mut SimRng,
-    ) -> ChunkOutcome {
-        let kernel = IsKernel { theta: self.theta };
-        run_frontier(&kernel, &problem, shard, budget, rng, FrontierMode::Shared)
-    }
-
-    fn run_chunk_batched(
-        &self,
-        problem: Problem<'_, M, V>,
-        shard: &mut IsShard,
-        budget: u64,
-        rng: &mut SimRng,
         width: usize,
     ) -> ChunkOutcome {
         let kernel = IsKernel { theta: self.theta };
-        run_frontier(
-            &kernel,
-            &problem,
-            shard,
-            budget,
-            rng,
-            FrontierMode::PerRoot(width),
-        )
+        run_frontier(&kernel, &problem, shard, budget, rng, width)
     }
 
     fn estimate(&self, shard: &IsShard, _rng: &mut SimRng) -> Estimate {
@@ -464,7 +446,7 @@ mod tests {
     use crate::estimator::run_sequential;
     use crate::quality::RunControl;
     use crate::query::RatioValue;
-    use crate::rng::rng_from_seed;
+    use crate::rng::{rng_from_seed, split_rng};
     use crate::srs::SrsSampler;
     use rand_distr::{Distribution, Normal};
 
@@ -630,8 +612,10 @@ mod tests {
     fn sampler_and_estimator_trait_agree_exactly() {
         // The scalar `simulate_path` loop and the frontier's `IsKernel`
         // are two implementations of the same root program: pin the two
-        // bit-exactly so they cannot drift. The estimator runs the kernel
-        // through `run_sequential`.
+        // bit-exactly so they cannot drift. Each reference path runs on
+        // its own `split_rng` stream of the master, as the frontier's
+        // roots do. The estimator runs the kernel through
+        // `run_sequential`.
         let model = GaussWalk {
             mu: 0.0,
             sigma: 1.0,
@@ -640,10 +624,10 @@ mod tests {
         let problem = Problem::new(&model, &vf, horizon);
         let run = importance_run(problem, 0.25, 150_000, 23);
 
-        let mut rng = rng_from_seed(23);
+        let mut master = rng_from_seed(23);
         let mut shard = IsShard::default();
         while shard.steps < 150_000 {
-            simulate_path(&problem, 0.25, &mut shard, &mut rng);
+            simulate_path(&problem, 0.25, &mut shard, &mut split_rng(&mut master));
         }
         assert_eq!(shard.steps, run.shard.steps);
         assert_eq!(shard.n, run.shard.n);
@@ -653,6 +637,7 @@ mod tests {
             run.estimate.tau.to_bits(),
             "identical exact weight sums must give identical τ̂"
         );
+        assert_eq!(master.state(), run.resume_rng.state());
     }
 
     #[test]

@@ -83,8 +83,9 @@
 //! Underneath the trait, all four built-in estimators execute on one
 //! batched *frontier* engine: chunks advance a cohort of root paths per
 //! [`model::SimulationModel::step_batch`] call, with one RNG stream per
-//! root so results are bit-identical at every frontier width (see
-//! `docs/kernel.md`). [`estimator::run_sequential_batched`],
+//! root so results are bit-identical at every frontier width, width 1
+//! (the default everywhere) included (see `docs/kernel.md`).
+//! [`estimator::run_sequential_batched`],
 //! `ParallelConfig::batch_width`, and `SchedulerConfig::batch_width`
 //! expose the width at each layer.
 
@@ -124,8 +125,8 @@ pub mod prelude {
     pub use crate::diagnostics::{trace_root_tree, SplitTree};
     pub use crate::estimate::Estimate;
     pub use crate::estimator::{
-        run_sequential, run_sequential_batched, run_sequential_batched_from, run_sequential_from,
-        ChunkOutcome, Diagnostics, Estimator, EstimatorRun, Ledger,
+        run_sequential, run_sequential_batched, run_sequential_from, ChunkOutcome, Diagnostics,
+        Estimator, EstimatorRun, Ledger,
     };
     pub use crate::gmlss::{GMlssConfig, GMlssResult, GMlssSampler, GmlssShard, VarianceMode};
     pub use crate::is::{select_tilt, IsEstimator, IsShard, TiltableModel};

@@ -52,10 +52,8 @@ pub struct ParallelConfig {
     /// Bootstrap resamples used by the g-MLSS compatibility wrappers'
     /// final variance ([`run_parallel_gmlss`]).
     pub bootstrap_resamples: usize,
-    /// Frontier width for each worker's chunks: `0` runs the classic
-    /// scalar `run_chunk` path (bit-compatible with pre-frontier runs);
-    /// `w ≥ 1` routes chunks through `run_chunk_batched` at width `w`
-    /// (bit-identical across widths, so this knob only changes speed).
+    /// Frontier width for each worker's chunks (default 1; bit-identical
+    /// across widths, so this knob only changes speed).
     /// [`crate::width::AUTO_WIDTH`] is accepted and runs at the static
     /// fallback width — resolve it upstream (per-model) for the real
     /// adaptive pick.
@@ -71,7 +69,7 @@ impl Default for ParallelConfig {
             sync_every: 65_536,
             seed: 0,
             bootstrap_resamples: 200,
-            batch_width: 0,
+            batch_width: 1,
         }
     }
 }
@@ -235,11 +233,8 @@ where
                     // Defense in depth: an unresolved `batch_width=auto`
                     // sentinel runs at the static fallback width.
                     let width = crate::width::effective(cfg.batch_width);
-                    let outcome = if width == 0 {
-                        estimator.run_chunk(problem, &mut pending, chunk, &mut rng)
-                    } else {
-                        estimator.run_chunk_batched(problem, &mut pending, chunk, &mut rng, width)
-                    };
+                    let outcome =
+                        estimator.run_chunk(problem, &mut pending, chunk, &mut rng, width);
 
                     // Deposit into this worker's slot — contended only
                     // with a reducer draining it, never with peers.
@@ -454,7 +449,7 @@ mod tests {
             sync_every: 20_000,
             seed: 7,
             bootstrap_resamples: 50,
-            batch_width: 0,
+            batch_width: 1,
         };
         let res = run_parallel_gmlss(problem, &base, RunControl::budget(400_000), &cfg);
         assert!(res.estimate.steps >= 400_000);
@@ -479,7 +474,7 @@ mod tests {
             sync_every: 50_000,
             seed: 11,
             bootstrap_resamples: 50,
-            batch_width: 0,
+            batch_width: 1,
         };
         let par = run_parallel_gmlss(problem, &base, RunControl::budget(600_000), &cfg);
 
@@ -507,7 +502,7 @@ mod tests {
             sync_every: 10_000,
             seed: 42,
             bootstrap_resamples: 50,
-            batch_width: 0,
+            batch_width: 1,
         };
         // Worker *streams* are seed-deterministic, but chunk scheduling is
         // not, so repeated runs agree statistically rather than exactly.
@@ -535,7 +530,7 @@ mod tests {
             sync_every: 5_000,
             seed: 1,
             bootstrap_resamples: 20,
-            batch_width: 0,
+            batch_width: 1,
         };
         let res = run_parallel_gmlss(problem, &base, RunControl::budget(20_000), &cfg);
         assert!(res.estimate.steps >= 20_000);
@@ -555,7 +550,7 @@ mod tests {
             sync_every: 65_536, // silent foot-gun before the clamp
             seed: 5,
             bootstrap_resamples: 20,
-            batch_width: 0,
+            batch_width: 1,
         };
         let run = run_parallel(problem, &SrsEstimator, RunControl::budget(budget), &cfg).estimate;
         assert!(run.steps >= budget, "budget must still be spent");
@@ -579,7 +574,7 @@ mod tests {
             sync_every: 10_000,
             seed: 9,
             bootstrap_resamples: 20,
-            batch_width: 0,
+            batch_width: 1,
         };
 
         let srs = run_parallel(problem, &SrsEstimator, RunControl::budget(150_000), &cfg);
@@ -658,24 +653,24 @@ mod tests {
         };
         let batched = run_parallel(problem, &SrsEstimator, RunControl::budget(150_000), &cfg);
         assert!(batched.estimate.steps >= 150_000);
-        let scalar_cfg = ParallelConfig {
-            batch_width: 0,
+        let narrow_cfg = ParallelConfig {
+            batch_width: 1,
             ..cfg
         };
-        let scalar = run_parallel(
+        let narrow = run_parallel(
             problem,
             &SrsEstimator,
             RunControl::budget(150_000),
-            &scalar_cfg,
+            &narrow_cfg,
         );
-        let diff = (batched.estimate.tau - scalar.estimate.tau).abs();
+        let diff = (batched.estimate.tau - narrow.estimate.tau).abs();
         let tol =
-            5.0 * (batched.estimate.variance.max(0.0) + scalar.estimate.variance.max(0.0)).sqrt();
+            5.0 * (batched.estimate.variance.max(0.0) + narrow.estimate.variance.max(0.0)).sqrt();
         assert!(
             diff <= tol.max(5e-3),
-            "batched {} vs scalar {}",
+            "width 32 {} vs width 1 {}",
             batched.estimate.tau,
-            scalar.estimate.tau
+            narrow.estimate.tau
         );
     }
 

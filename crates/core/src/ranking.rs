@@ -681,6 +681,7 @@ where
                 &mut lane.shard,
                 cfg.round_budget,
                 &mut lane.rng,
+                1,
             );
             total_steps += out.steps;
             lane.last = Some(<GMlssConfig as Estimator<M, V>>::estimate(

@@ -3,7 +3,7 @@
 //! Every stochastic component in this workspace draws from a [`SimRng`],
 //! a counter-based ChaCha12 generator. Using one concrete, seedable RNG
 //! everywhere gives us bit-for-bit reproducible experiments (every number
-//! in `EXPERIMENTS.md` can be regenerated from the recorded seeds) while
+//! the `mlss-bench` binaries print can be regenerated from their seeds) while
 //! remaining statistically strong enough for rare-event estimation, where
 //! a weak generator could visibly bias tail probabilities.
 //!

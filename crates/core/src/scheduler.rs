@@ -131,8 +131,7 @@ where
     control: RunControl,
     shard: E::Shard,
     rng: SimRng,
-    /// Frontier width for slices: 0 = classic scalar chunks, w ≥ 1 =
-    /// batched chunks at width w (bit-identical across widths).
+    /// Frontier width for slices (bit-identical across widths).
     batch_width: usize,
     /// The pinned seed this job was built from (`None` when the caller
     /// handed over a raw RNG) — recorded in shard-store deposits.
@@ -167,7 +166,7 @@ where
             control,
             shard,
             rng,
-            batch_width: 0,
+            batch_width: 1,
             seed: None,
             reuse_key: None,
         }
@@ -194,7 +193,7 @@ where
             control,
             shard,
             rng,
-            batch_width: 0,
+            batch_width: 1,
             seed: None,
             reuse_key: None,
         }
@@ -216,14 +215,11 @@ where
         self
     }
 
-    /// Route this job's slices through the batched frontier at the given
-    /// width (`0` restores the scalar path). Because batched execution is
-    /// bit-identical across widths, changing between two widths `≥ 1` is
+    /// Run this job's slices at the given frontier width (default 1).
+    /// Because chunks are bit-identical across widths, changing width is
     /// safe at any slice boundary — including mid-query on a detached
     /// job (pause → detach → rewiden → resubmit), which changes
-    /// throughput and nothing else. The one unsafe switch is between `0`
-    /// and `≥ 1`: the scalar path's randomness scheme differs from the
-    /// batched path's, so cross that line only before the first slice.
+    /// throughput and nothing else.
     pub fn with_batch_width(mut self, width: usize) -> Self {
         self.batch_width = width;
         self
@@ -293,13 +289,9 @@ where
         // Defense in depth: an unresolved `batch_width=auto` sentinel
         // runs at the static fallback width, never a usize::MAX cohort.
         let width = crate::width::effective(self.batch_width);
-        let outcome = if width == 0 {
-            self.estimator
-                .run_chunk(problem, &mut pending, budget, &mut rng)
-        } else {
-            self.estimator
-                .run_chunk_batched(problem, &mut pending, budget, &mut rng, width)
-        };
+        let outcome = self
+            .estimator
+            .run_chunk(problem, &mut pending, budget, &mut rng, width);
         self.shard.merge(pending);
         self.rng = rng;
         outcome
@@ -478,9 +470,9 @@ pub struct SchedulerConfig {
     /// exhaustion) get another chance.
     pub max_retries: u32,
     /// Frontier width applied to queries admitted via
-    /// [`Scheduler::submit`]: 0 = scalar slices, w ≥ 1 = batched slices
-    /// at width w. Pre-built jobs ([`Scheduler::submit_query`]) keep
-    /// whatever width they were built with.
+    /// [`Scheduler::submit`] (default 1). Pre-built jobs
+    /// ([`Scheduler::submit_query`]) keep whatever width they were built
+    /// with.
     /// [`crate::width::AUTO_WIDTH`] is accepted and runs slices at the
     /// static fallback width — resolve it upstream (per-model) for the
     /// real adaptive pick.
@@ -502,7 +494,7 @@ impl Default for SchedulerConfig {
                 .unwrap_or(1),
             slice_budget: 32_768,
             max_retries: 1,
-            batch_width: 0,
+            batch_width: 1,
             tenant_weights: Vec::new(),
         }
     }
@@ -1497,7 +1489,7 @@ mod tests {
             workers,
             slice_budget: 10_000,
             max_retries: 1,
-            batch_width: 0,
+            batch_width: 1,
             tenant_weights: Vec::new(),
         })
     }
@@ -1691,7 +1683,7 @@ mod tests {
                 sync_every: 50_000,
                 seed: 31,
                 bootstrap_resamples: 20,
-                batch_width: 0,
+                batch_width: 1,
             },
             shard,
         );
@@ -1747,7 +1739,7 @@ mod tests {
             workers: 1,
             slice_budget: 5_000,
             max_retries: 0,
-            batch_width: 0,
+            batch_width: 1,
             tenant_weights: Vec::new(),
         });
         let expensive = sched.submit(
@@ -1844,7 +1836,7 @@ mod tests {
             workers: 1,
             slice_budget: 1_000,
             max_retries: 0,
-            batch_width: 0,
+            batch_width: 1,
             tenant_weights: Vec::new(),
         });
         let doomed = sched.submit_query(Box::new(FinishedPanics { steps: 0 }), 0);
@@ -1925,7 +1917,7 @@ mod tests {
             workers: 1,
             slice_budget: 5_000,
             max_retries: 0,
-            batch_width: 0,
+            batch_width: 1,
             tenant_weights: vec![("alpha".into(), 1.0), ("beta".into(), 1.0)],
         });
         let a = sched.ensure_tenant("alpha");
@@ -1952,7 +1944,7 @@ mod tests {
             workers: 1,
             slice_budget: 5_000,
             max_retries: 0,
-            batch_width: 0,
+            batch_width: 1,
             tenant_weights: vec![("gold".into(), 4.0), ("basic".into(), 1.0)],
         });
         let gold = sched.ensure_tenant("gold");

@@ -56,7 +56,7 @@ use std::sync::OnceLock;
 
 /// Cohorts below this size are not worth routing through the vectorized
 /// pipeline — the staging/dispatch overhead outweighs the SIMD win, most
-/// acutely at width 1 (the `FrontierMode::Shared` compatibility path).
+/// acutely at width 1 (the default when a statement sets no width).
 /// Native kernels fall back to their scalar per-lane loop under this
 /// threshold; results are bit-identical either way, so the cutoff is a
 /// pure throughput choice.

@@ -16,7 +16,7 @@
 
 use crate::estimate::Estimate;
 use crate::estimator::{run_sequential, ChunkOutcome, Diagnostics, Estimator, Ledger};
-use crate::frontier::{run_frontier, FrontierMode, RootKernel, SegmentStatus};
+use crate::frontier::{run_frontier, RootKernel, SegmentStatus};
 use crate::levels::PartitionPlan;
 use crate::model::{SimulationModel, Time};
 use crate::quality::RunControl;
@@ -352,34 +352,13 @@ where
         shard: &mut SMlssShard,
         budget: u64,
         rng: &mut SimRng,
-    ) -> ChunkOutcome {
-        let kernel = SMlssKernel {
-            plan: &self.plan,
-            ratio: self.ratio,
-        };
-        run_frontier(&kernel, &problem, shard, budget, rng, FrontierMode::Shared)
-    }
-
-    fn run_chunk_batched(
-        &self,
-        problem: Problem<'_, M, V>,
-        shard: &mut SMlssShard,
-        budget: u64,
-        rng: &mut SimRng,
         width: usize,
     ) -> ChunkOutcome {
         let kernel = SMlssKernel {
             plan: &self.plan,
             ratio: self.ratio,
         };
-        run_frontier(
-            &kernel,
-            &problem,
-            shard,
-            budget,
-            rng,
-            FrontierMode::PerRoot(width),
-        )
+        run_frontier(&kernel, &problem, shard, budget, rng, width)
     }
 
     fn estimate(&self, shard: &SMlssShard, _rng: &mut SimRng) -> Estimate {
@@ -441,7 +420,7 @@ mod tests {
     use super::*;
     use crate::quality::QualityTarget;
     use crate::query::RatioValue;
-    use crate::rng::rng_from_seed;
+    use crate::rng::{rng_from_seed, split_rng};
     use rand::RngExt;
 
     /// Simulate one s-MLSS root path (with its full splitting tree) into the
@@ -653,19 +632,23 @@ mod tests {
     fn sampler_and_estimator_trait_agree_exactly() {
         // The scalar `simulate_root` (splitting stack included) and the
         // frontier's `SMlssKernel` are two implementations of the same
-        // root program: pin them bit-exactly so they cannot drift. The
-        // sampler runs the kernel through `run_sequential`.
+        // root program: pin them bit-exactly so they cannot drift. Each
+        // reference root runs on its own `split_rng` stream of the
+        // master, as the frontier's roots do. The sampler runs the kernel
+        // through `run_sequential`.
         let model = FineWalk { k: 8, up: 0.52 };
         let (vf, horizon) = walk_problem(&model, 60);
         let problem = Problem::new(&model, &vf, horizon);
         let plan = PartitionPlan::new(vec![0.3, 0.6]).unwrap();
         let cfg = SMlssConfig::new(plan.clone(), RunControl::budget(40_000));
-        let res = SMlssSampler::new(cfg).run(problem, &mut rng_from_seed(19));
+        let mut driver_rng = rng_from_seed(19);
+        let res = SMlssSampler::new(cfg).run(problem, &mut driver_rng);
 
-        let mut rng = rng_from_seed(19);
+        let mut master = rng_from_seed(19);
         let mut shard = SMlssShard::new(plan.num_levels(), 3);
         let mut stack = Vec::new();
         while shard.steps < 40_000 {
+            let mut rng = split_rng(&mut master);
             simulate_root(&problem, &plan, 3, &mut shard, &mut stack, &mut rng);
         }
         assert_eq!(shard.steps, res.estimate.steps);
@@ -676,5 +659,6 @@ mod tests {
             shard.estimate().variance.to_bits(),
             res.estimate.variance.to_bits()
         );
+        assert_eq!(master.state(), driver_rng.state());
     }
 }

@@ -308,9 +308,9 @@ pub enum ExecMode {
 pub struct ExecOptions {
     /// Worker threads for the synchronous path (1 = sequential driver).
     pub threads: usize,
-    /// Frontier batch width. `None` inherits the layer default (scalar
-    /// for the sync driver, the scheduler's configured width for async);
-    /// `Some(0)` forces scalar, `Some(w)` batched slices at width `w`,
+    /// Frontier batch width. `None` inherits the layer default (1 for
+    /// the sync driver, the scheduler's configured width for async);
+    /// `Some(w)` runs at width `w ≥ 1`,
     /// and `Some(`[`crate::width::AUTO_WIDTH`]`)` (`batch_width=auto`)
     /// asks the executor to resolve a width from the model's kernel
     /// class, probing and memoizing per query fingerprint. Widths never
@@ -917,7 +917,7 @@ pub fn resolve_method(method: Method, lookup: Option<&PlanLookup>) -> ResolvedMe
 
 /// Box a resolved method as a scheduler job: an [`EstimatorQuery`] over
 /// the concrete estimator, seeded worker-0-canonically and running its
-/// slices at `batch_width` (0 = scalar). With `reuse_fingerprint`, the
+/// slices at `batch_width`. With `reuse_fingerprint`, the
 /// job is tagged with its shard-store key so a store-attached scheduler
 /// deposits its checkpoints for cross-query reuse.
 #[allow(clippy::too_many_arguments)]
@@ -1440,7 +1440,7 @@ mod tests {
             workers: 1,
             slice_budget: 8_192,
             max_retries: 0,
-            batch_width: 0,
+            batch_width: 1,
             tenant_weights: Vec::new(),
         });
         let a = sched.submit_query(inline, 0);

@@ -8,7 +8,7 @@
 
 use crate::estimate::Estimate;
 use crate::estimator::{run_sequential, ChunkOutcome, Estimator, Ledger};
-use crate::frontier::{run_frontier, FrontierMode, RootKernel, SegmentStatus};
+use crate::frontier::{run_frontier, RootKernel, SegmentStatus};
 use crate::model::{SimulationModel, Time};
 use crate::quality::RunControl;
 use crate::query::{Problem, ValueFunction};
@@ -145,33 +145,9 @@ where
         shard: &mut SrsShard,
         budget: u64,
         rng: &mut SimRng,
-    ) -> ChunkOutcome {
-        run_frontier(
-            &SrsKernel,
-            &problem,
-            shard,
-            budget,
-            rng,
-            FrontierMode::Shared,
-        )
-    }
-
-    fn run_chunk_batched(
-        &self,
-        problem: Problem<'_, M, V>,
-        shard: &mut SrsShard,
-        budget: u64,
-        rng: &mut SimRng,
         width: usize,
     ) -> ChunkOutcome {
-        run_frontier(
-            &SrsKernel,
-            &problem,
-            shard,
-            budget,
-            rng,
-            FrontierMode::PerRoot(width),
-        )
+        run_frontier(&SrsKernel, &problem, shard, budget, rng, width)
     }
 
     fn estimate(&self, shard: &SrsShard, _rng: &mut SimRng) -> Estimate {
@@ -238,7 +214,7 @@ mod tests {
     use super::*;
     use crate::model::Time;
     use crate::query::RatioValue;
-    use crate::rng::rng_from_seed;
+    use crate::rng::{rng_from_seed, split_rng};
     use rand::RngExt;
 
     /// Simulate one SRS root path; returns `(hit, steps_spent)` — the
@@ -357,18 +333,21 @@ mod tests {
     fn sampler_and_estimator_trait_agree_exactly() {
         // The scalar `simulate_root` loop and the frontier's `SrsKernel`
         // are two implementations of the same root program: pin them
-        // bit-exactly so they cannot drift apart. The sampler runs the
-        // kernel through `run_sequential`.
+        // bit-exactly so they cannot drift apart. Each reference root
+        // runs on its own `split_rng` stream of the master, as the
+        // frontier's roots do. The sampler runs the kernel through
+        // `run_sequential`.
         let model = Jump { p: 0.2 };
         let vf = RatioValue::new(|s: &f64| *s, 1.0);
         let problem = Problem::new(&model, &vf, 6);
         let sampler = SrsSampler::new(RunControl::budget(20_000));
-        let res = sampler.run(problem, &mut rng_from_seed(13));
+        let mut driver_rng = rng_from_seed(13);
+        let res = sampler.run(problem, &mut driver_rng);
 
-        let mut rng = rng_from_seed(13);
+        let mut master = rng_from_seed(13);
         let mut shard = SrsShard::default();
         while shard.steps < 20_000 {
-            let (hit, steps) = simulate_root(&problem, &mut rng);
+            let (hit, steps) = simulate_root(&problem, &mut split_rng(&mut master));
             shard.n += 1;
             shard.steps += steps;
             shard.hits += hit as u64;
@@ -376,5 +355,6 @@ mod tests {
         assert_eq!(shard.steps, res.estimate.steps);
         assert_eq!(shard.n, res.estimate.n_roots);
         assert_eq!(shard.hits, res.estimate.hits);
+        assert_eq!(master.state(), driver_rng.state());
     }
 }

@@ -288,14 +288,11 @@ pub fn explain_spec(
             (_, false) => "inline before the run".into(),
         },
     );
-    let width = if asynchronous {
-        spec.options
-            .batch_width
-            .or_else(|| scheduler.map(|s| s.config().batch_width))
-            .unwrap_or(0)
-    } else {
-        spec.options.batch_width.unwrap_or(0)
+    let default_width = match scheduler {
+        Some(s) if asynchronous => s.config().batch_width,
+        _ => 1,
     };
+    let width = spec.options.batch_width.unwrap_or(default_width);
     push(
         "driver",
         if asynchronous {
@@ -311,9 +308,7 @@ pub fn explain_spec(
     );
     push(
         "batch_width",
-        if width == 0 {
-            "0 (scalar)".into()
-        } else if width == mlss_core::width::AUTO_WIDTH {
+        if width == mlss_core::width::AUTO_WIDTH {
             "auto".into()
         } else {
             format!("{width}")
@@ -323,11 +318,6 @@ pub fn explain_spec(
     // launch at, and where that number came from. For `auto` the probe
     // (or its memoized winner) runs right here, so EXPLAIN warms the
     // width memo exactly like executing would.
-    let default_width = if asynchronous {
-        scheduler.map(|s| s.config().batch_width).unwrap_or(0)
-    } else {
-        0
-    };
     let (resolved_width, width_src) = runner.resolve_width(spec, &ctx, default_width);
     push(
         "width",
@@ -410,10 +400,9 @@ pub fn execute_rank(
     rank.validate().map_err(DbError::from)?;
     let asynchronous = rank.options.mode == ExecMode::Async;
     let seed = rank.options.seed.unwrap_or_else(|| rng.random::<u64>());
-    let default_width = if asynchronous {
-        scheduler.map(|s| s.config().batch_width).unwrap_or(0)
-    } else {
-        0
+    let default_width = match scheduler {
+        Some(s) if asynchronous => s.config().batch_width,
+        _ => 1,
     };
     let mut arms = Vec::with_capacity(rank.arms.len());
     let mut plan_sources = Vec::with_capacity(rank.arms.len());

@@ -268,7 +268,9 @@ pub(crate) fn rebuild_spec(sub: &SubmitSpec) -> Result<QuerySpec, DbError> {
     spec.levels = sub.levels as usize;
     spec.params = sub.params.iter().cloned().collect();
     spec.options.priority = sub.priority;
-    spec.options.batch_width = sub.batch_width.map(|w| w as usize);
+    // Width 0 (the retired scalar mode) in logs written before width 1
+    // became the default replays at the default width.
+    spec.options.batch_width = sub.batch_width.filter(|&w| w != 0).map(|w| w as usize);
     spec.options.seed = sub.pinned_seed;
     spec.options.mode = ExecMode::Async;
     spec.options.tenant = sub.tenant.clone();
@@ -750,6 +752,23 @@ mod tests {
         let spec = rebuild_spec(&q.spec).unwrap();
         assert_eq!(spec.options.seed, Some(42));
         assert_eq!(spec.options.mode, ExecMode::Async);
+    }
+
+    #[test]
+    fn replay_maps_a_journaled_scalar_width_to_the_default() {
+        let mut spec = submit_spec(5);
+        spec.batch_width = Some(0);
+        let records = vec![Record::AsyncSubmit {
+            qid: 2,
+            spec,
+            plan_source: "none".into(),
+            shard_reuse: "cold".into(),
+        }];
+        let state = parse_records(records);
+        assert_eq!(state.resubmit.len(), 1);
+        let spec = rebuild_spec(&state.resubmit[0].spec).unwrap();
+        assert_eq!(spec.options.batch_width, None);
+        assert!(spec.validate().is_ok());
     }
 
     #[test]

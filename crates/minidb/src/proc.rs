@@ -23,7 +23,7 @@ use crate::engine::{Database, DbError};
 use crate::schema::{ColumnDef, Schema};
 use crate::table::Aggregate;
 use crate::value::{DataType, Value};
-use mlss_core::estimator::{run_sequential_batched_from, run_sequential_from, Estimator};
+use mlss_core::estimator::{run_sequential_from, Estimator};
 use mlss_core::model::SimulationModel;
 use mlss_core::parallel::{run_parallel, run_parallel_from, ParallelConfig};
 use mlss_core::partition::balanced_plan;
@@ -399,7 +399,7 @@ pub trait ModelRunner: Send + Sync {
 
     /// Resolve the launch width this spec will execute with, plus the
     /// resolution's provenance. `default_width` is the layer fallback
-    /// that applies when the spec doesn't say (0 for the sync drivers,
+    /// that applies when the spec doesn't say (1 for the sync drivers,
     /// the scheduler's configured width for async). Provenance values:
     /// `"requested"` (an explicit number in the spec), `"default"` (the
     /// inherited layer fallback), `"static"` (auto, picked from the
@@ -484,7 +484,7 @@ where
         let control = target_control(spec.target_re);
         // `batch_width=auto` resolves here — per model, memoized per
         // fingerprint — before any driver launches.
-        let (width, _) = self.width_for(spec, plans, 0);
+        let (width, _) = self.width_for(spec, plans, 1);
         let vf = RatioValue::new(self.score, spec.beta);
         let problem = Problem::new(&self.model, &vf, spec.horizon);
 
@@ -563,11 +563,7 @@ where
             Some(r) => r,
             None => rng,
         };
-        let run = if width == 0 {
-            run_sequential_from(est, problem, control, rng, initial)
-        } else {
-            run_sequential_batched_from(est, problem, control, rng, initial, width)
-        };
+        let run = run_sequential_from(est, problem, control, rng, initial, width);
         if let (Some(s), Some(k)) = (store, key) {
             // The resume RNG sits at the final chunk boundary, so the
             // deposit is the exact state a longer run would continue
@@ -670,7 +666,7 @@ where
         let picked = mlss_core::width::calibrate(class.probe_candidates(), |w| {
             let mut rng = rng_from_seed(plans.fingerprint ^ WIDTH_PROBE_SEED_SALT);
             let mut shard = <SrsEstimator as Estimator<M, RatioValue<Z>>>::shard(&est);
-            est.run_chunk_batched(problem, &mut shard, WIDTH_PROBE_BUDGET, &mut rng, w);
+            est.run_chunk(problem, &mut shard, WIDTH_PROBE_BUDGET, &mut rng, w);
         });
         plans
             .cache

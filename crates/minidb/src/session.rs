@@ -69,9 +69,8 @@ pub struct SessionConfig {
     pub slice_budget: u64,
     /// Panic retries per query before it is reported failed.
     pub max_retries: u32,
-    /// Frontier width for scheduled queries (0 = scalar slices; w ≥ 1 =
-    /// batched slices at width w — bit-identical across widths, so this
-    /// is purely a throughput knob). Set it to
+    /// Frontier width for scheduled queries (default 1; bit-identical
+    /// across widths, so this is purely a throughput knob). Set it to
     /// [`mlss_core::width::AUTO_WIDTH`] to let every query resolve a
     /// width from its model's kernel class (the `batch_width=auto`
     /// policy, probe-memoized per query family). A spec's `batch_width`
@@ -101,7 +100,7 @@ impl Default for SessionConfig {
                 .unwrap_or(1),
             slice_budget: 32_768,
             max_retries: 1,
-            batch_width: 0,
+            batch_width: 1,
             seed: 0,
             seed_models: true,
             shard_store_capacity: 64,
@@ -1308,16 +1307,18 @@ mod tests {
                  USING auto TARGET RE 50% WITH (batch_width=16)",
             )
             .unwrap();
-        let props: BTreeMap<String, String> = res
-            .rows()
-            .iter()
-            .map(|r| {
-                (
-                    r[0].as_str().unwrap().to_string(),
-                    r[1].as_str().unwrap().to_string(),
-                )
-            })
-            .collect();
+        let props_of = |res: ExecResult| -> BTreeMap<String, String> {
+            res.rows()
+                .iter()
+                .map(|r| {
+                    (
+                        r[0].as_str().unwrap().to_string(),
+                        r[1].as_str().unwrap().to_string(),
+                    )
+                })
+                .collect()
+        };
+        let props = props_of(res);
         assert_eq!(props["method"], "auto");
         assert!(
             props["resolved_method"] == "gmlss" || props["resolved_method"] == "srs",
@@ -1325,6 +1326,7 @@ mod tests {
         );
         assert_eq!(props["plan_cache"], "miss", "cold cache: the pilot ran");
         assert_eq!(props["batch_width"], "16");
+        assert_eq!(props["width"], "16 (requested)");
         assert_eq!(props["driver"], "sequential");
         assert!(props.contains_key("level_plan"));
         // The EXPLAIN warmed the cache: executing now hits.
@@ -1340,5 +1342,15 @@ mod tests {
             .find(|r| r[0].as_str() == Some("plan_cache"))
             .unwrap();
         assert_eq!(cache_row[1].as_str(), Some("hit"));
+        // No width requested: one root at a time, the default.
+        let props = props_of(
+            s.execute(
+                "EXPLAIN ESTIMATE DURABILITY OF ar(beta=3) WITHIN 40 \
+                 USING srs TARGET RE 50%",
+            )
+            .unwrap(),
+        );
+        assert_eq!(props["batch_width"], "1");
+        assert_eq!(props["width"], "1 (default)");
     }
 }

@@ -810,7 +810,16 @@ impl DialectParser<'_> {
                     "batch_width" if value.is_infinite() => {
                         options.batch_width = Some(mlss_core::width::AUTO_WIDTH)
                     }
-                    "batch_width" => options.batch_width = Some(int_in(0.0, 1_048_576.0)? as usize),
+                    "batch_width" if value < 1.0 => {
+                        return Err(SpecError::at(
+                            SpecErrorKind::InvalidValue {
+                                field: "batch_width",
+                                message: "must be ≥ 1 or auto".into(),
+                            },
+                            vtok.span,
+                        ))
+                    }
+                    "batch_width" => options.batch_width = Some(int_in(1.0, 1_048_576.0)? as usize),
                     "seed" => {
                         // Reparse the token text: a seed is a full u64
                         // and must not round through f64.

@@ -45,7 +45,7 @@ fn random_spec(rng: &mut SimRng) -> QuerySpec {
         spec.options.threads = rng.random_range(1u64..9) as usize;
     }
     if rng.random::<f64>() < 0.5 {
-        spec.options.batch_width = Some(rng.random_range(0u64..257) as usize);
+        spec.options.batch_width = Some(rng.random_range(1u64..257) as usize);
     }
     if rng.random::<f64>() < 0.5 {
         // Full-u64 seeds: the parser must not round them through f64.
@@ -205,6 +205,19 @@ fn malformed_statements_fail_with_typed_spanned_errors() {
                         field: "threads",
                         ..
                     }
+                )
+            },
+            "0",
+        ),
+        (
+            "ESTIMATE DURABILITY OF walk(beta=5) WITHIN 10 TARGET RE 0.5 WITH (batch_width=0)",
+            |k| {
+                matches!(
+                    k,
+                    SpecErrorKind::InvalidValue {
+                        field: "batch_width",
+                        message,
+                    } if message == "must be ≥ 1 or auto"
                 )
             },
             "0",

@@ -73,11 +73,26 @@ pub struct ChaCha12Rng {
     stream: u64,
 }
 
-/// Allocate a fresh process-unique stream identity.
+/// Allocate a fresh process-unique stream identity. Threads reserve ids
+/// from the global counter in batches, so the per-root streams of
+/// concurrent threads do not contend on one atomic.
 fn alloc_stream_id() -> u64 {
+    use core::cell::Cell;
     use core::sync::atomic::{AtomicU64, Ordering};
+    const BATCH: u64 = 1024;
     static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+    std::thread_local! {
+        static RESERVED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+    RESERVED.with(|r| {
+        let (mut next, mut end) = r.get();
+        if next == end {
+            next = NEXT.fetch_add(BATCH, Ordering::Relaxed);
+            end = next + BATCH;
+        }
+        r.set((next + 1, end));
+        next
+    })
 }
 
 #[inline(always)]
@@ -316,6 +331,24 @@ mod tests {
         }
         let mut c = ChaCha12Rng::seed_from_u64(6);
         assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn stream_ids_stay_unique_across_threads_and_batches() {
+        let ids: Vec<u64> = std::thread::scope(|s| {
+            let hs: Vec<_> = (0..3)
+                .map(|k| {
+                    s.spawn(move || {
+                        (0..2_500)
+                            .map(|i| ChaCha12Rng::seed_from_u64(k * 10_000 + i).stream_id())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            hs.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        let distinct: std::collections::BTreeSet<u64> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), ids.len());
     }
 
     #[test]

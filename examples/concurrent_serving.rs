@@ -14,7 +14,7 @@ fn main() {
         workers: 2,
         slice_budget: 16_384,
         // Slices advance a 32-wide frontier of root paths per model
-        // batch call (bit-identical to scalar execution — a pure
+        // batch call (bit-identical to the default width 1 — a pure
         // throughput knob; see docs/kernel.md). A statement's
         // `WITH (batch_width=…)` overrides it per query.
         batch_width: 32,

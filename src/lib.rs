@@ -12,8 +12,9 @@
 //! * [`analytic`](mlss_analytic) — exact first-hitting-time ground truth;
 //! * [`db`](mlss_db) — the embedded mini-DBMS hosting the whole pipeline.
 //!
-//! See the `examples/` directory for runnable end-to-end scenarios and
-//! `DESIGN.md` / `EXPERIMENTS.md` for the reproduction map.
+//! See the `examples/` directory for runnable end-to-end scenarios, the
+//! `mlss-bench` binaries (one per paper figure and table) for the
+//! reproduction map, and `docs/` for the engine's design.
 
 pub use mlss_analytic as analytic;
 pub use mlss_core as core;

@@ -1,7 +1,7 @@
-//! Scalar-vs-batched bit-identity: the frontier's defining property.
+//! Bit-identity across frontier widths: the frontier's defining property.
 //!
-//! The batched execution path (`run_chunk_batched` and everything built
-//! on it) gives every root path its own RNG stream and commits roots in
+//! Every chunk (`Estimator::run_chunk` and everything built on it) gives
+//! every root path its own RNG stream and commits roots in
 //! launch order, so the committed shard is a pure function of the master
 //! RNG state and the budget — **independent of the frontier width** and
 //! of whether the model runs its native batch kernel or the scalar→batch
@@ -21,7 +21,7 @@
 use durability_mlss::models::{
     ar_value_score, surplus_score, ArModel, CompoundPoisson, GeometricBrownian, RandomWalk,
 };
-use mlss_core::estimator::{run_sequential_batched, run_sequential_batched_from};
+use mlss_core::estimator::{run_sequential_batched, run_sequential_from};
 use mlss_core::is::IsEstimator;
 use mlss_core::prelude::*;
 use mlss_core::smlss::SMlssConfig;
@@ -61,7 +61,7 @@ where
 {
     let mut rng = rng_from_seed(seed);
     let mut shard = estimator.shard();
-    estimator.run_chunk_batched(problem, &mut shard, budget, &mut rng, width);
+    estimator.run_chunk(problem, &mut shard, budget, &mut rng, width);
     let est = estimator.estimate(&shard, &mut rng_from_seed(0));
     (
         shard.steps(),
@@ -125,7 +125,7 @@ fn gmlss_is_bit_identical_across_widths() {
     let run_ledger = |width: usize| {
         let mut rng = rng_from_seed(5);
         let mut shard = mlss_core::estimator::shard_for(&cfg, &problem);
-        cfg.run_chunk_batched(problem, &mut shard, 40_000, &mut rng, width);
+        cfg.run_chunk(problem, &mut shard, 40_000, &mut rng, width);
         assert!(shard.skip_events > 0, "test requires observed skipping");
         let n = shard.ledger.n_roots();
         let hits: Vec<u32> = (0..n).map(|i| shard.ledger.root_hits(i)).collect();
@@ -204,9 +204,9 @@ fn is_mid_run_checkpoint_resumes_to_the_same_estimate() {
 
     let mut rng = rng_from_seed(21);
     let mut checkpoint = <IsEstimator as Estimator<CompoundPoisson, CppVf>>::shard(&est);
-    est.run_chunk_batched(problem, &mut checkpoint, 30_000, &mut rng, 32);
+    est.run_chunk(problem, &mut checkpoint, 30_000, &mut rng, 32);
     assert!(checkpoint.steps() > 0 && checkpoint.steps() < 90_000);
-    let resumed = run_sequential_batched_from(&est, problem, control, &mut rng, checkpoint, 32);
+    let resumed = run_sequential_from(&est, problem, control, &mut rng, checkpoint, 32);
 
     assert_eq!(whole.estimate.steps, resumed.estimate.steps);
     assert_eq!(whole.estimate.n_roots, resumed.estimate.n_roots);
@@ -296,8 +296,8 @@ fn native_kernel_and_scalar_adapter_agree() {
 
 #[test]
 fn mid_run_checkpoint_resumes_to_the_same_estimate() {
-    // Cut a checkpoint between batched chunks and resume through the
-    // batched sequential driver: identical to the uninterrupted run.
+    // Cut a checkpoint between wide chunks and resume through the
+    // sequential driver: identical to the uninterrupted run.
     let model = CompoundPoisson::zero_drift_default();
     let v = cpp_vf(40.0);
     let problem = Problem::new(&model, &v, 80);
@@ -307,10 +307,9 @@ fn mid_run_checkpoint_resumes_to_the_same_estimate() {
 
     let mut rng = rng_from_seed(11);
     let mut checkpoint = <SrsEstimator as Estimator<CompoundPoisson, CppVf>>::shard(&SrsEstimator);
-    SrsEstimator.run_chunk_batched(problem, &mut checkpoint, 30_000, &mut rng, 32);
+    SrsEstimator.run_chunk(problem, &mut checkpoint, 30_000, &mut rng, 32);
     assert!(checkpoint.steps() > 0 && checkpoint.steps() < 90_000);
-    let resumed =
-        run_sequential_batched_from(&SrsEstimator, problem, control, &mut rng, checkpoint, 32);
+    let resumed = run_sequential_from(&SrsEstimator, problem, control, &mut rng, checkpoint, 32);
 
     assert_eq!(whole.estimate.steps, resumed.estimate.steps);
     assert_eq!(whole.estimate.n_roots, resumed.estimate.n_roots);
@@ -400,7 +399,7 @@ fn budget_boundary_clamps_the_final_cohort_width() {
     // cohort even though the budget pays for ~25 roots of horizon 80.
     let mut raw =
         <SrsEstimator as Estimator<StepCounter<CompoundPoisson>, CppVf>>::shard(&SrsEstimator);
-    SrsEstimator.run_chunk_batched(problem, &mut raw, budget, &mut rng_from_seed(7), width);
+    SrsEstimator.run_chunk(problem, &mut raw, budget, &mut rng_from_seed(7), width);
     let raw_speculation = counted.steps() - raw.steps();
 
     // The driver clamps the launch width to ⌈budget / per_root⌉.
@@ -462,14 +461,14 @@ fn step_counter_meters_batches_exactly() {
     counted.step_batch(&mut lanes, &ts, &mut rngs, &[]);
     assert_eq!(counted.steps(), 7);
 
-    // Through a whole width-1 batched chunk the meter equals the shard's
+    // Through a whole width-1 chunk the meter equals the shard's
     // committed step count exactly (no speculation at width 1).
     counted.reset();
     let v = cpp_vf(40.0);
     let problem = Problem::new(&counted, &v, 80);
     let mut shard =
         <SrsEstimator as Estimator<StepCounter<CompoundPoisson>, CppVf>>::shard(&SrsEstimator);
-    SrsEstimator.run_chunk_batched(problem, &mut shard, 20_000, &mut rng_from_seed(2), 1);
+    SrsEstimator.run_chunk(problem, &mut shard, 20_000, &mut rng_from_seed(2), 1);
     assert_eq!(counted.steps(), shard.steps());
 
     // At width 64 the meter may additionally count discarded speculative
@@ -477,7 +476,7 @@ fn step_counter_meters_batches_exactly() {
     counted.reset();
     let mut shard64 =
         <SrsEstimator as Estimator<StepCounter<CompoundPoisson>, CppVf>>::shard(&SrsEstimator);
-    SrsEstimator.run_chunk_batched(problem, &mut shard64, 20_000, &mut rng_from_seed(2), 64);
+    SrsEstimator.run_chunk(problem, &mut shard64, 20_000, &mut rng_from_seed(2), 64);
     assert!(counted.steps() >= shard64.steps());
     assert_eq!(shard64.steps(), shard.steps(), "widths agree on the shard");
 }

@@ -1,32 +1,34 @@
 //! Cross-driver determinism: the same seed and plan must produce the
 //! same samples — and therefore identical estimates — no matter which
-//! execution path runs them.
+//! execution path runs them, at which frontier width.
 //!
-//! Three paths share one RNG stream convention (worker 0 of
+//! Four paths share one RNG stream convention (worker 0 of
 //! `StreamFactory::new(seed)`):
 //!
-//! 1. the sequential driver `run_sequential`, handed that stream
-//!    directly;
-//! 2. the parallel driver `run_parallel` at 1 thread, whose single
-//!    worker draws the same stream;
-//! 3. the scheduler with 1 worker, whose `EstimatorQuery::from_seed`
-//!    seeds the job identically.
+//! 1. the sequential driver `run_sequential` (width 1), handed that
+//!    stream directly;
+//! 2. `run_sequential_batched` at width 7 over the same stream;
+//! 3. the parallel driver `run_parallel` at 1 thread and width 64, whose
+//!    single worker draws the same stream;
+//! 4. the scheduler with 1 worker at width 16, whose
+//!    `EstimatorQuery::from_seed` seeds the job identically.
 //!
-//! Chunk boundaries differ wildly between the three (one monolithic
-//! chunk vs `sync_every` chunks vs scheduler slices), but the chunk
-//! contract — complete every root path you start; shards merge exactly —
-//! makes the boundaries invisible, so in budget mode all counters and
-//! the point estimate agree **bit-for-bit**.
+//! Chunk boundaries differ wildly between them (one monolithic chunk vs
+//! `sync_every` chunks vs scheduler slices), but the chunk contract —
+//! complete every root path you start; shards merge exactly — makes the
+//! boundaries invisible, and every root runs on its own stream split
+//! from the driver's, so width is invisible too: in budget mode all
+//! counters, the point estimate and the variance agree **bit-for-bit**.
 //!
 //! Intentional divergences (documented, not bugs):
 //! * **Target mode** consumes RNG in quality checks (bootstrap variance
-//!   draws), and the three paths check at different cadences, so their
-//!   streams separate; estimates then agree statistically, not exactly.
+//!   draws), and the paths check at different cadences, so their streams
+//!   separate; estimates then agree statistically, not exactly.
 //! * **Multi-worker runs** split work across streams; totals depend on
 //!   scheduling and agree statistically.
-//! * **Bootstrap variances** (g-MLSS under skips) depend on resampling
-//!   draws; only the point estimate τ̂ is exactly reproducible there.
 
+use mlss_core::estimator::run_sequential_batched;
+use mlss_core::is::{IsEstimator, TiltableModel};
 use mlss_core::prelude::*;
 use mlss_core::smlss::SMlssConfig;
 use rand::RngExt;
@@ -53,6 +55,21 @@ impl SimulationModel for Walk {
     }
 }
 
+/// Exponential tilt of the ±0.05 Bernoulli step: the up-probability
+/// moves from `p` to `q ∝ p·e^θ`, with one uniform draw per step like
+/// [`Walk::step`].
+impl TiltableModel for Walk {
+    fn step_tilted(&self, s: &f64, _t: Time, theta: f64, rng: &mut SimRng) -> (f64, f64) {
+        let p = self.up;
+        let q = p * theta.exp() / (p * theta.exp() + (1.0 - p) * (-theta).exp());
+        if rng.random::<f64>() < q {
+            ((s + 0.05).clamp(0.0, 1.0), (p / q).ln())
+        } else {
+            ((s - 0.05).clamp(0.0, 1.0), ((1.0 - p) / (1.0 - q)).ln())
+        }
+    }
+}
+
 type Vf = RatioValue<fn(&f64) -> f64>;
 
 fn vf() -> Vf {
@@ -62,8 +79,8 @@ fn vf() -> Vf {
     RatioValue::new(score as fn(&f64) -> f64, 1.0)
 }
 
-/// Run one estimator through all three drivers and demand bit-identical
-/// counters and point estimate (plus variance when `exact_variance`).
+/// Run one estimator through all four drivers, each at its own width,
+/// and demand bit-identical counters, point estimate and variance.
 fn check_cross_driver<E>(name: &str, estimator: E, seed: u64, budget: u64)
 where
     E: Estimator<Walk, Vf> + Clone + Send + Sync + 'static,
@@ -74,7 +91,7 @@ where
     let problem = Problem::new(&model, &v, 70);
     let control = RunControl::budget(budget);
 
-    // 1. Sequential driver over the canonical worker-0 stream.
+    // 1. Sequential driver (width 1) over the canonical worker-0 stream.
     let seq = run_sequential(
         &estimator,
         problem,
@@ -83,7 +100,18 @@ where
     )
     .estimate;
 
-    // 2. Parallel driver at 1 thread (multiple sync_every-sized chunks).
+    // 2. The same driver at width 7.
+    let batched = run_sequential_batched(
+        &estimator,
+        problem,
+        control,
+        &mut StreamFactory::new(seed).stream(0),
+        7,
+    )
+    .estimate;
+
+    // 3. Parallel driver at 1 thread and width 64 (multiple
+    //    sync_every-sized chunks).
     let par = run_parallel(
         problem,
         &estimator,
@@ -93,17 +121,17 @@ where
             sync_every: 7_000,
             seed,
             bootstrap_resamples: 50,
-            batch_width: 0,
+            batch_width: 64,
         },
     )
     .estimate;
 
-    // 3. Scheduler with 1 worker (yet another slicing).
+    // 4. Scheduler with 1 worker at width 16 (yet another slicing).
     let sched = Scheduler::new(SchedulerConfig {
         workers: 1,
         slice_budget: 9_000,
         max_retries: 0,
-        batch_width: 0,
+        batch_width: 16,
         tenant_weights: Vec::new(),
     });
     let id = sched.submit(model.clone(), v, 70, estimator.clone(), control, seed, 0);
@@ -113,7 +141,11 @@ where
         .estimate()
         .expect("scheduler completes the query");
 
-    for (path, est) in [("parallel@1", par), ("scheduler@1", via_sched)] {
+    for (path, est) in [
+        ("sequential@7", batched),
+        ("parallel@1x64", par),
+        ("scheduler@1x16", via_sched),
+    ] {
         assert_eq!(est.steps, seq.steps, "{name}/{path}: steps");
         assert_eq!(est.n_roots, seq.n_roots, "{name}/{path}: roots");
         assert_eq!(est.hits, seq.hits, "{name}/{path}: hits");
@@ -160,6 +192,11 @@ fn gmlss_is_deterministic_across_drivers() {
     check_cross_driver("gmlss", cfg, 29, 60_000);
 }
 
+#[test]
+fn is_is_deterministic_across_drivers() {
+    check_cross_driver("is", IsEstimator::new(0.1), 37, 60_000);
+}
+
 /// Target mode is the documented divergence: quality checks consume RNG
 /// at driver-specific cadences, so the paths agree statistically (same
 /// quality target) but not bit-for-bit.
@@ -190,7 +227,7 @@ fn target_mode_diverges_statistically_only() {
         workers: 1,
         slice_budget: 9_000,
         max_retries: 0,
-        batch_width: 0,
+        batch_width: 1,
         tenant_weights: Vec::new(),
     });
     let id = sched.submit(model.clone(), v, 70, SrsEstimator, control, seed, 0);

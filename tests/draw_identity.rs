@@ -202,7 +202,7 @@ where
 {
     let mut rng = rng_from_seed(seed);
     let mut shard = estimator.shard();
-    estimator.run_chunk_batched(problem, &mut shard, budget, &mut rng, width);
+    estimator.run_chunk(problem, &mut shard, budget, &mut rng, width);
     let est = estimator.estimate(&shard, &mut rng_from_seed(0));
     (
         shard.steps(),
@@ -309,7 +309,7 @@ fn gmlss_ledger_agrees_native_vs_adapter_record_for_record() {
             let model = CompoundPoisson::zero_drift_default();
             let problem = Problem::new(&model, &v, 80);
             let mut shard = mlss_core::estimator::shard_for(&cfg, &problem);
-            cfg.run_chunk_batched(problem, &mut shard, 40_000, &mut rng, 64);
+            cfg.run_chunk(problem, &mut shard, 40_000, &mut rng, 64);
             let n = shard.ledger.n_roots();
             let hits: Vec<u32> = (0..n).map(|i| shard.ledger.root_hits(i)).collect();
             (n, hits, shard.ledger.aggregate(), shard.tau().to_bits())
@@ -317,7 +317,7 @@ fn gmlss_ledger_agrees_native_vs_adapter_record_for_record() {
             let model = ScalarAdapter(CompoundPoisson::zero_drift_default());
             let problem = Problem::new(&model, &v, 80);
             let mut shard = mlss_core::estimator::shard_for(&cfg, &problem);
-            cfg.run_chunk_batched(problem, &mut shard, 40_000, &mut rng, 64);
+            cfg.run_chunk(problem, &mut shard, 40_000, &mut rng, 64);
             let n = shard.ledger.n_roots();
             let hits: Vec<u32> = (0..n).map(|i| shard.ledger.root_hits(i)).collect();
             (n, hits, shard.ledger.aggregate(), shard.tau().to_bits())

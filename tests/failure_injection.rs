@@ -226,7 +226,7 @@ fn scheduler_survives_a_panicking_query() {
         workers: 2,
         slice_budget: 8_192,
         max_retries: 1,
-        batch_width: 0,
+        batch_width: 1,
         tenant_weights: Vec::new(),
     });
 
@@ -311,7 +311,7 @@ fn transient_panic_is_retried_without_losing_state() {
         workers: 1,
         slice_budget: 8_192,
         max_retries: 1,
-        batch_width: 0,
+        batch_width: 1,
         tenant_weights: Vec::new(),
     });
     let armed = Arc::new(AtomicBool::new(true));

@@ -86,7 +86,7 @@ fn parallel_driver_matches_sequential_on_queue() {
             sync_every: 50_000,
             seed: 22,
             bootstrap_resamples: 50,
-            batch_width: 0,
+            batch_width: 1,
         },
     );
 

@@ -79,7 +79,7 @@ where
     let shards: Vec<E::Shard> = (0..4u64)
         .map(|k| {
             let mut s = estimator.shard();
-            estimator.run_chunk(problem, &mut s, 20_000, &mut rng_from_seed(1_000 + k));
+            estimator.run_chunk(problem, &mut s, 20_000, &mut rng_from_seed(1_000 + k), 1);
             s
         })
         .collect();
@@ -254,7 +254,7 @@ fn all_four_estimators_run_through_run_parallel() {
         sync_every: 20_000,
         seed: 77,
         bootstrap_resamples: 50,
-        batch_width: 0,
+        batch_width: 1,
     };
     let control = RunControl::budget(200_000);
 

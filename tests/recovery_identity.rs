@@ -40,7 +40,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One worker + scalar slices + checkpoint-every-slice: the maximally
+/// One worker + width-1 slices + checkpoint-every-slice: the maximally
 /// deterministic scheduler shape, with a checkpoint at every commit so
 /// the sweep crosses every record kind.
 fn wal_config(dir: &Path, crash: Option<CrashPlan>) -> SessionConfig {
@@ -51,7 +51,7 @@ fn wal_config(dir: &Path, crash: Option<CrashPlan>) -> SessionConfig {
     SessionConfig {
         workers: 1,
         slice_budget: 512,
-        batch_width: 0,
+        batch_width: 1,
         seed: 7,
         durability: Durability::Wal(wal),
         ..SessionConfig::default()

@@ -29,7 +29,7 @@
 //!   hit/miss counter or LRU perturbation).
 
 use durability_mlss::models::{surplus_score, CompoundPoisson};
-use mlss_core::estimator::{run_sequential_batched, run_sequential_batched_from};
+use mlss_core::estimator::{run_sequential_batched, run_sequential_from};
 use mlss_core::is::IsEstimator;
 use mlss_core::planner::{plan_reuse, ReusePlan};
 use mlss_core::prelude::*;
@@ -128,7 +128,7 @@ fn check_warm_equals_cold<M, V, E>(
         .expect("method-keyed entry downcasts")
         .clone();
     let mut warm_rng = entry.rng.clone();
-    let warm = run_sequential_batched_from(
+    let warm = run_sequential_from(
         estimator,
         problem,
         target(tight),

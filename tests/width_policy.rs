@@ -225,7 +225,7 @@ fn boundary_shrink_launches_zero_doomed_speculation() {
     // Raw chunk at width 64: the unclamped baseline speculates.
     width::take_thread_stats();
     let mut raw = <SrsEstimator as Estimator<RandomWalk, WalkVf>>::shard(&SrsEstimator);
-    SrsEstimator.run_chunk_batched(problem, &mut raw, budget, &mut rng_from_seed(7), 64);
+    SrsEstimator.run_chunk(problem, &mut raw, budget, &mut rng_from_seed(7), 64);
     let unclamped = width::take_thread_stats();
     assert!(
         unclamped.discarded() > 0,
