@@ -4,7 +4,7 @@
 #   make ci         — everything CI runs: fmt, build, test, clippy, mt-tests
 #   make bench      — criterion micro-benchmarks (shimmed harness)
 #   make bench-build — build the perfbench benchmark (its own workspace)
-#   make speedup    — parallel-driver mutex-vs-sharded merge comparison
+#   make speedup    — parallel-driver thread scaling (identical answers per row)
 #   make test-mt    — release tests with 4 test threads (scheduler jobs)
 #   make test-scalar — full release suite with the SIMD backend forced off
 #   make sched-bench — FIFO vs concurrent-serving latency benchmark
@@ -168,4 +168,4 @@ bench-build:
 	$(CARGO) build --release --offline --manifest-path perfbench/Cargo.toml
 
 speedup:
-	$(CARGO) run --release -p mlss-bench --bin parallel_speedup
+	$(CARGO) run --release -p mlss-bench --bin parallel_speedup 4 0.02

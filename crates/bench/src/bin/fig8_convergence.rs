@@ -44,12 +44,15 @@ impl Series {
     {
         let every = (budget / POINTS as u64).max(1);
         let mut next = every;
-        let mut rng = rng_from_seed(seed);
+        let mut roots = RootCursor::from_rng(&mut rng_from_seed(seed));
         let mut shard = estimator.shard();
-        while shard.steps() < budget {
+        for check in 0.. {
+            if shard.steps() >= budget {
+                break;
+            }
             let chunk = next.min(budget).saturating_sub(shard.steps()).max(1);
-            estimator.run_chunk(problem, &mut shard, chunk, &mut rng, 1);
-            let est = estimator.check_estimate(&mut shard, &mut rng);
+            estimator.run_chunk(problem, &mut shard, chunk, &mut roots, 1);
+            let est = estimator.check_estimate(&mut shard, &mut roots.check_stream(check));
             if est.steps >= next && est.hits > 0 {
                 next += every;
                 let quality = if use_ci {

@@ -13,7 +13,7 @@
 use mlss_core::estimator::run_sequential_batched;
 use mlss_core::model::{ScalarAdapter, SimulationModel, Time};
 use mlss_core::prelude::{Estimator, Problem, RatioValue, RunControl, SrsEstimator, ValueFunction};
-use mlss_core::rng::{rng_from_seed, SimRng};
+use mlss_core::rng::{rng_from_seed, RootCursor, SimRng};
 use mlss_core::simd::Backend;
 use mlss_core::width::{self, KernelClass};
 use mlss_models::{
@@ -119,8 +119,7 @@ where
     }
     width::calibrate(class.probe_candidates(), |w| {
         let mut shard = <SrsEstimator as Estimator<M, V>>::shard(&SrsEstimator);
-        let mut rng = rng_from_seed(0xBEEF);
-        SrsEstimator.run_chunk(problem, &mut shard, 4096, &mut rng, w);
+        SrsEstimator.run_chunk(problem, &mut shard, 4096, &mut RootCursor::new(0xBEEF), w);
     })
 }
 

@@ -22,21 +22,29 @@
 //! | g-MLSS (§4) | [`crate::gmlss::GMlssConfig`] | [`crate::gmlss::GmlssShard`] |
 //! | IS (§2.2) | [`crate::is::IsEstimator`] | [`crate::is::IsShard`] |
 //!
-//! Chunk contract: `run_chunk(problem, shard, budget, rng, width)`
+//! Chunk contract: `run_chunk(problem, shard, budget, roots, width)`
 //! simulates complete root paths (never truncating one mid-flight) until
 //! at least `budget` additional `g` invocations have been spent, exactly
 //! mirroring the paper's "stop at the first completion at or beyond the
 //! budget" semantics. This keeps every estimator unbiased under chunking:
-//! a chunk boundary is indistinguishable from a run boundary. Every root
-//! draws its own RNG stream from `rng` (see [`crate::frontier`]), so the
+//! a chunk boundary is indistinguishable from a run boundary. Root `k`
+//! draws from stream `k` of the run key (see [`crate::frontier`]), so the
 //! committed shard is bit-identical at every `width`; width changes
 //! throughput, never answers.
+//!
+//! Run contract: a run is keyed once ([`RunCursor`]), commits roots in
+//! index order, and evaluates its stopping rule at the chunk ends of
+//! [`RunControl::next_chunk`], quality check `i` on check stream `i`.
+//! Its committed prefix, checks and answer are therefore pure functions
+//! of `(key, problem, control)`: the sequential, parallel and scheduler
+//! drivers all produce the same bits, paused or not.
 
 use crate::estimate::Estimate;
 use crate::model::SimulationModel;
-use crate::quality::RunControl;
+use crate::quality::{steps_per_root, RunControl};
 use crate::query::{Problem, ValueFunction};
-use crate::rng::SimRng;
+use crate::rng::{RootCursor, SimRng, StreamFactory};
+use rand::RngExt;
 use std::time::{Duration, Instant};
 
 /// What one [`Estimator::run_chunk`] call accomplished.
@@ -109,17 +117,18 @@ where
     fn shard(&self) -> Self::Shard;
 
     /// Simulate complete root paths into `shard` until at least `budget`
-    /// additional `g` invocations have been spent, advancing a frontier
-    /// of up to `width` root paths per `g` call over the model's batch
-    /// kernel (`step_batch`). Each root runs on its own RNG stream split
-    /// from `rng`, so the committed shard and the final `rng` position
+    /// additional `g` invocations have been spent (or `roots.end` is
+    /// reached), advancing a frontier of up to `width` root paths per
+    /// `g` call over the model's batch kernel (`step_batch`). Root `k`
+    /// runs on stream `k` of the cursor's key and the cursor advances
+    /// past the committed roots, so the committed shard and the cursor
     /// are bit-identical at every width (see `docs/kernel.md`).
     fn run_chunk(
         &self,
         problem: Problem<'_, M, V>,
         shard: &mut Self::Shard,
         budget: u64,
-        rng: &mut SimRng,
+        roots: &mut RootCursor,
         width: usize,
     ) -> ChunkOutcome;
 
@@ -174,20 +183,107 @@ where
     estimator.estimate(shard, rng)
 }
 
-/// Result of a sequential trait-level run.
+/// A run's position in its trajectory: the root cursor plus the cadence
+/// cursor. Together with the shard it is everything a paused run needs
+/// to continue bit-identically — on any driver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunCursor {
+    /// The run key and the next root to commit.
+    pub roots: RootCursor,
+    /// Quality checks evaluated so far (check `i` draws from
+    /// [`RootCursor::check_stream`]`(i)`).
+    pub checks: u64,
+    /// The committed step count at which the open chunk ends and the
+    /// stopping rule is next evaluated (`None` between chunks).
+    pub chunk_end: Option<u64>,
+}
+
+impl RunCursor {
+    /// A fresh run under `key`.
+    pub fn new(key: u64) -> Self {
+        Self {
+            roots: RootCursor::new(key),
+            checks: 0,
+            chunk_end: None,
+        }
+    }
+
+    /// A fresh run keyed by one draw from `rng`.
+    pub fn from_rng(rng: &mut SimRng) -> Self {
+        Self::new(rng.random::<u64>())
+    }
+
+    /// The run a pinned `seed` names: keyed by the first draw of
+    /// `StreamFactory::new(seed).stream(0)`, exactly what handing that
+    /// stream to [`run_sequential`] keys.
+    pub fn from_seed(seed: u64) -> Self {
+        Self::from_rng(&mut StreamFactory::new(seed).stream(0))
+    }
+
+    /// The step count the open chunk ends at, opening the next chunk
+    /// from the committed prefix ([`RunControl::next_chunk`]) when none
+    /// is open. `None` once the control's step bound is spent.
+    pub fn open_chunk<L: Ledger>(
+        &mut self,
+        control: &RunControl,
+        shard: &L,
+        horizon: u64,
+    ) -> Option<u64> {
+        if self.chunk_end.is_none() {
+            let budget = control.next_chunk(shard.steps(), shard.n_roots(), horizon)?;
+            self.chunk_end = Some(shard.steps().saturating_add(budget));
+        }
+        self.chunk_end
+    }
+
+    /// Close the open chunk — its roots are committed — and evaluate the
+    /// stopping rule on check stream `checks`. Returns whether the
+    /// quality target holds (always `false` in budget mode, which ends
+    /// when [`RunCursor::open_chunk`] finds the budget spent).
+    pub fn close_chunk<M, V, E>(
+        &mut self,
+        estimator: &E,
+        control: &RunControl,
+        shard: &mut E::Shard,
+    ) -> bool
+    where
+        M: SimulationModel,
+        V: ValueFunction<M::State>,
+        E: Estimator<M, V>,
+    {
+        self.chunk_end = None;
+        let RunControl::Target { target, .. } = control else {
+            return false;
+        };
+        let mut rng = self.roots.check_stream(self.checks);
+        self.checks += 1;
+        target.satisfied(&estimator.check_estimate(shard, &mut rng))
+    }
+
+    /// The closing estimate of `shard`, on the run's closing stream: the
+    /// same bits whenever and wherever it is evaluated.
+    pub fn estimate<M, V, E>(&self, estimator: &E, shard: &E::Shard) -> Estimate
+    where
+        M: SimulationModel,
+        V: ValueFunction<M::State>,
+        E: Estimator<M, V>,
+    {
+        estimator.estimate(shard, &mut self.roots.closing_stream())
+    }
+}
+
+/// Result of a trait-level run (sequential or parallel driver).
 #[derive(Debug, Clone)]
 pub struct EstimatorRun<L> {
     /// Final estimate.
     pub estimate: Estimate,
     /// The accumulated shard (for diagnostics or further merging).
     pub shard: L,
-    /// RNG stream position at the final chunk boundary, captured
-    /// *before* the closing estimate evaluation (which may consume
-    /// draws — e.g. a g-MLSS bootstrap variance). `(shard, resume_rng)`
-    /// is the exact state a longer run of the same control would have
-    /// continued from, which is what makes a stored shard warm-startable
-    /// bit-exactly (see `mlss_core::shard_store`).
-    pub resume_rng: SimRng,
+    /// Where the run stopped: `(shard, cursor)` is the exact state a
+    /// longer run of the same key continues from, which is what makes a
+    /// stored shard warm-startable bit-exactly (see
+    /// `mlss_core::shard_store`).
+    pub cursor: RunCursor,
     /// Wall-clock time spent simulating.
     pub sim_elapsed: Duration,
     /// Wall-clock time spent in estimate/variance evaluations.
@@ -195,14 +291,7 @@ pub struct EstimatorRun<L> {
 }
 
 /// Run any estimator sequentially until `control` is satisfied, one
-/// root at a time (width 1) — exactly what a statement with no
-/// `batch_width` runs.
-///
-/// Budget mode hands the estimator the entire remaining budget in one
-/// chunk (the chunk contract already stops at the first root completing
-/// at or past the budget). Target mode sizes chunks to roughly
-/// `check_every` root paths using the observed cost per root, then
-/// re-evaluates the quality target between chunks.
+/// root at a time (width 1), keyed by one draw from `rng`.
 pub fn run_sequential<M, V, E>(
     estimator: &E,
     problem: Problem<'_, M, V>,
@@ -214,13 +303,13 @@ where
     V: ValueFunction<M::State>,
     E: Estimator<M, V>,
 {
-    run_sequential_from(estimator, problem, control, rng, estimator.shard(), 1)
+    let run = RunCursor::from_rng(rng);
+    run_sequential_from(estimator, problem, control, run, estimator.shard(), 1)
 }
 
 /// [`run_sequential`] at frontier width `width`, so the model's native
 /// batch kernel carries the hot loop. Results are bit-identical across
-/// widths (the per-root-stream invariant); width only changes
-/// throughput.
+/// widths; width only changes throughput.
 pub fn run_sequential_batched<M, V, E>(
     estimator: &E,
     problem: Problem<'_, M, V>,
@@ -233,22 +322,23 @@ where
     V: ValueFunction<M::State>,
     E: Estimator<M, V>,
 {
-    run_sequential_from(estimator, problem, control, rng, estimator.shard(), width)
+    let run = RunCursor::from_rng(rng);
+    run_sequential_from(estimator, problem, control, run, estimator.shard(), width)
 }
 
-/// Resume a sequential run from a previously accumulated shard (a
-/// checkpoint): the run continues until `control` is satisfied over the
-/// *combined* state — a shard checkpointed at 10k steps resumed under a
-/// 50k budget runs 40k more. Because chunk boundaries are invisible
-/// (shards merge exactly, every chunk completes its last root and drains
-/// its frontier), a paused-and-resumed run with the same `rng` state is
-/// bit-identical to an uninterrupted one, at any `width`. This is the
-/// primitive behind the scheduler's pause/checkpoint/resume support.
+/// Continue a run from a checkpoint `(shard, run)` until `control` is
+/// satisfied over the *combined* state — a shard checkpointed at 10k
+/// steps resumed under a 50k budget runs 40k more. The run continues at
+/// the cursor's next root and chunk, so a paused-and-resumed run is
+/// bit-identical to an uninterrupted one, at any `width` and whichever
+/// driver produced the checkpoint. This is the primitive behind the
+/// scheduler's pause/checkpoint/resume support and shard-store warm
+/// starts.
 pub fn run_sequential_from<M, V, E>(
     estimator: &E,
     problem: Problem<'_, M, V>,
     control: RunControl,
-    rng: &mut SimRng,
+    run: RunCursor,
     shard: E::Shard,
     width: usize,
 ) -> EstimatorRun<E::Shard>
@@ -257,77 +347,65 @@ where
     V: ValueFunction<M::State>,
     E: Estimator<M, V>,
 {
-    let start = Instant::now();
-    let mut shard = shard;
-    let mut estimate_elapsed = Duration::ZERO;
     // Defense in depth: an unresolved `batch_width=auto` sentinel runs
     // at the static fallback width instead of a usize::MAX cohort.
     let width = crate::width::effective(width);
+    drive(
+        estimator,
+        problem,
+        control,
+        run,
+        shard,
+        |shard, roots, end| {
+            let budget = end - shard.steps();
+            // Budget-boundary shrink: the frontier launches a full cohort up
+            // front, but lanes past the chunk's commit target are
+            // speculation that gets discarded. When the remaining budget only
+            // pays for fewer roots than the configured width, narrow the
+            // chunk — bit-identity across widths makes this invisible.
+            let per_root = steps_per_root(shard.steps(), shard.n_roots(), problem.horizon);
+            let roots_in_budget = usize::try_from(budget.div_ceil(per_root)).unwrap_or(usize::MAX);
+            estimator.run_chunk(problem, shard, budget, roots, width.min(roots_in_budget));
+        },
+    )
+}
 
-    loop {
-        // Observed steps per root (before any root completes, assume the
-        // worst case of one horizon per root). Sizes target-mode chunks
-        // and the final-chunk width clamp below.
-        let per_root = if shard.n_roots() > 0 {
-            (shard.steps() / shard.n_roots()).max(1)
-        } else {
-            problem.horizon.max(1)
-        };
-        let budget = match control {
-            RunControl::Budget(total) => {
-                let remaining = total.saturating_sub(shard.steps());
-                if remaining == 0 {
-                    break;
-                }
-                remaining
-            }
-            RunControl::Target {
-                check_every,
-                max_steps,
-                ..
-            } => {
-                if shard.steps() >= max_steps {
-                    break;
-                }
-                // ≈ check_every roots' worth of steps.
-                check_every
-                    .max(1)
-                    .saturating_mul(per_root)
-                    .min(max_steps - shard.steps())
-                    .max(1)
-            }
-        };
-        // Budget-boundary shrink: the frontier launches a full cohort up
-        // front, but lanes past the chunk's commit target are speculation
-        // that gets discarded. When the remaining budget only pays for
-        // fewer roots than the configured width, narrow the final chunks
-        // — bit-identity across widths makes this invisible to results.
-        let roots_in_budget = usize::try_from(budget.div_ceil(per_root)).unwrap_or(usize::MAX);
-        let chunk_width = width.min(roots_in_budget);
-        estimator.run_chunk(problem, &mut shard, budget, rng, chunk_width);
-        if let RunControl::Target { target, .. } = control {
-            let t0 = Instant::now();
-            let est = estimator.check_estimate(&mut shard, rng);
-            estimate_elapsed += t0.elapsed();
-            if target.satisfied(&est) {
-                break;
-            }
+/// The run loop every whole-run driver shares: open a chunk, `commit`
+/// its roots (until the shard's steps reach the chunk end), close it
+/// with a quality check; finish with the closing estimate. Drivers
+/// differ only in how `commit` spreads the roots over threads.
+pub(crate) fn drive<M, V, E>(
+    estimator: &E,
+    problem: Problem<'_, M, V>,
+    control: RunControl,
+    mut run: RunCursor,
+    mut shard: E::Shard,
+    mut commit: impl FnMut(&mut E::Shard, &mut RootCursor, u64),
+) -> EstimatorRun<E::Shard>
+where
+    M: SimulationModel,
+    V: ValueFunction<M::State>,
+    E: Estimator<M, V>,
+{
+    let start = Instant::now();
+    let mut estimate_elapsed = Duration::ZERO;
+    while let Some(end) = run.open_chunk(&control, &shard, problem.horizon) {
+        commit(&mut shard, &mut run.roots, end);
+        let t0 = Instant::now();
+        let done = run.close_chunk(estimator, &control, &mut shard);
+        estimate_elapsed += t0.elapsed();
+        if done {
+            break;
         }
     }
-
-    // Snapshot the stream before the closing estimate: g-MLSS bootstrap
-    // variances draw from `rng`, and a warm start must continue from the
-    // chunk boundary, not from after those draws.
-    let resume_rng = rng.clone();
     let t0 = Instant::now();
-    let estimate = estimator.estimate(&shard, rng);
+    let estimate = run.estimate(estimator, &shard);
     estimate_elapsed += t0.elapsed();
-    let sim_elapsed = start.elapsed().saturating_sub(estimate_elapsed);
     EstimatorRun {
         estimate,
         shard,
-        resume_rng,
-        sim_elapsed,
+        cursor: run,
+        sim_elapsed: start.elapsed().saturating_sub(estimate_elapsed),
         estimate_elapsed,
     }
 }
@@ -409,23 +487,24 @@ mod tests {
     #[test]
     fn chunked_and_monolithic_runs_agree_exactly() {
         // Chunking must not change the sampled path sequence: two chunks
-        // of 25k steps equal one 50k chunk, RNG state included.
+        // of 25k steps equal one 50k chunk, cursor included.
         let model = ClampWalk { up: 0.48 };
         let v = vf();
         let problem = Problem::new(&model, &v, 80);
         let plan = PartitionPlan::new(vec![0.4, 0.7]).unwrap();
         let cfg = GMlssConfig::new(plan, RunControl::budget(1));
 
-        let mut rng_a = rng_from_seed(9);
+        let mut roots_a = RootCursor::new(9);
         let mut one = shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut one, 50_000, &mut rng_a, 1);
+        cfg.run_chunk(problem, &mut one, 50_000, &mut roots_a, 1);
 
-        let mut rng_b = rng_from_seed(9);
+        let mut roots_b = RootCursor::new(9);
         let mut two = shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut two, 25_000, &mut rng_b, 1);
+        cfg.run_chunk(problem, &mut two, 25_000, &mut roots_b, 1);
         let already = two.steps();
-        cfg.run_chunk(problem, &mut two, 50_000 - already, &mut rng_b, 1);
+        cfg.run_chunk(problem, &mut two, 50_000 - already, &mut roots_b, 1);
 
+        assert_eq!(roots_a, roots_b);
         assert_eq!(one.steps(), two.steps());
         assert_eq!(one.n_roots(), two.n_roots());
         let ea = estimate_for(&cfg, &problem, &one, &mut rng_from_seed(0));
@@ -444,9 +523,9 @@ mod tests {
 
         // Two independent shards from different streams, merged.
         let mut a = shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut a, 20_000, &mut rng_from_seed(5), 1);
+        cfg.run_chunk(problem, &mut a, 20_000, &mut RootCursor::new(5), 1);
         let mut b = shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut b, 20_000, &mut rng_from_seed(6), 1);
+        cfg.run_chunk(problem, &mut b, 20_000, &mut RootCursor::new(6), 1);
         let (sa, sb) = (a.steps(), b.steps());
         let (na, nb) = (a.n_roots(), b.n_roots());
         a.merge(b);
@@ -464,7 +543,7 @@ mod tests {
         let problem = Problem::new(&model, &v, 40);
         let shard = {
             let mut s = shard_for(&SrsEstimator, &problem);
-            SrsEstimator.run_chunk(problem, &mut s, 1000, &mut rng_from_seed(3), 1);
+            SrsEstimator.run_chunk(problem, &mut s, 1000, &mut RootCursor::new(3), 1);
             s
         };
         type Vf = RatioValue<fn(&f64) -> f64>;

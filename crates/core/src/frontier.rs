@@ -14,25 +14,25 @@
 //! ## Bit-identity across widths
 //!
 //! The engine's defining invariant: **the committed shard is a pure
-//! function of the caller's RNG state and the budget, independent of the
-//! frontier width.** Width changes wall-clock, never results. Three
-//! mechanisms deliver that:
+//! function of the run key, the root cursor and the budget, independent
+//! of the frontier width.** Width changes wall-clock, never results.
+//! Three mechanisms deliver that:
 //!
-//! * **one RNG stream per root** — root `k` draws its private ChaCha
-//!   stream from the master RNG at launch (exactly
-//!   [`crate::rng::split_rng`]); every random draw of the root's whole
-//!   splitting tree comes from that stream, so a root's outcome does
-//!   not depend on which other roots run concurrently.
+//! * **index-addressed root streams** — root `k` draws every random
+//!   number of its whole splitting tree from stream `k` of the run key
+//!   ([`crate::rng::RootCursor`]), so a root's outcome does not depend
+//!   on which other roots run concurrently, or on which chunk, slice,
+//!   worker or driver launches it.
 //! * **in-order commits** — roots retire out of order at width > 1, but
 //!   outcomes are buffered and folded into the shard strictly in root
-//!   launch order, so shard contents (including per-root ledgers and
+//!   index order, so shard contents (including per-root ledgers and
 //!   hit-moment sequences) match the width-1 execution bit for bit.
 //! * **the scalar commit rule with speculation discard** — root `k`
 //!   commits iff the steps committed before it are below the chunk
-//!   target, exactly the classic "stop at the first completion at or
-//!   beyond the budget" rule. Lanes launched speculatively past that
-//!   point are discarded, and the master RNG is rewound to "as if only
-//!   the committed launches drew from it".
+//!   target (and `k` is below the cursor's `end`), exactly the classic
+//!   "stop at the first completion at or beyond the budget" rule. Lanes
+//!   launched speculatively past that point are discarded; the cursor
+//!   advances past the committed roots only, so nothing needs undoing.
 //!
 //! This is the workspace's only randomness discipline: every estimator,
 //! driver and session runs its chunks here, width 1 included, so a
@@ -51,8 +51,7 @@
 use crate::estimator::{ChunkOutcome, Ledger};
 use crate::model::{SimulationModel, Time};
 use crate::query::{Problem, ValueFunction};
-use crate::rng::{rng_from_seed, split_rng, SimRng};
-use rand::RngExt;
+use crate::rng::{RootCursor, SimRng};
 use std::collections::BTreeMap;
 
 /// Verdict of [`RootKernel::on_step`] for the lane's current segment.
@@ -76,8 +75,7 @@ pub(crate) enum SegmentStatus {
 ///
 /// Equivalence contract: driving a kernel through the engine must be
 /// bit-identical to the estimator's scalar reference loop run root by
-/// root, each root on its own `split_rng` stream of the same master —
-/// same draws, same shard, same final master position.
+/// root, root `k` on stream `k` of the run key — same draws, same shard.
 pub(crate) trait RootKernel<M, V>
 where
     M: SimulationModel,
@@ -134,20 +132,22 @@ where
     fn finish_root(&self, scratch: &mut Self::Scratch, steps: u64) -> Self::Outcome;
 
     /// Fold a committed root into the shard. Called strictly in root
-    /// launch order; must add the root's steps to the shard's step count.
+    /// index order; must add the root's steps to the shard's step count.
     fn commit(&self, shard: &mut Self::Shard, outcome: Self::Outcome);
 }
 
 /// Run the kernel until at least `budget` additional `g` invocations have
 /// been *committed* into `shard` (the chunk contract: stop at the first
-/// root completing at or beyond the budget), advancing up to `width`
-/// roots (clamped to ≥ 1) per step call.
+/// root completing at or beyond the budget) or the cursor reaches its
+/// `end`, advancing up to `width` roots (clamped to ≥ 1) per step call.
+/// Roots launch from `roots.next`; on return it indexes the first
+/// uncommitted root.
 pub(crate) fn run_frontier<M, V, K>(
     kernel: &K,
     problem: &Problem<'_, M, V>,
     shard: &mut K::Shard,
     budget: u64,
-    rng: &mut SimRng,
+    roots: &mut RootCursor,
     width: usize,
 ) -> ChunkOutcome
 where
@@ -157,16 +157,11 @@ where
 {
     let target = shard.steps().saturating_add(budget);
     let mut chunk = ChunkOutcome::default();
-    if shard.steps() >= target {
+    if shard.steps() >= target || roots.next >= roots.end {
         return chunk;
     }
     let width = width.max(1);
     let horizon = problem.horizon;
-
-    // Remember the master's entry state so the exit state can be set to
-    // "exactly one seed draw per committed root", independent of
-    // speculative launches.
-    let rng_entry = rng.clone();
 
     // Lane-parallel storage (allocated up to `width` slots, recycled).
     let mut lanes: Vec<M::State> = Vec::with_capacity(width);
@@ -178,8 +173,9 @@ where
     let mut alive: Vec<usize> = Vec::with_capacity(width);
     let mut free: Vec<usize> = Vec::new();
 
-    let mut next_root: u64 = 0; // launch counter (== master seed draws)
-    let mut next_commit: u64 = 0; // next root index to fold into the shard
+    let first = roots.next;
+    let mut next_root = first; // next root index to launch
+    let mut next_commit = first; // next root index to fold into the shard
     let mut pending: BTreeMap<u64, (K::Outcome, u64)> = BTreeMap::new();
     // Steps taken by alive lanes plus retired-but-uncommitted roots;
     // bounds speculation in the launch gate below.
@@ -189,6 +185,7 @@ where
         // ---- launch: keep lanes busy while known work is below target --
         while (!free.is_empty() || lanes.len() < width)
             && shard.steps().saturating_add(inflight_steps) < target
+            && next_root < roots.end
         {
             let slot = match free.pop() {
                 Some(s) => s,
@@ -198,14 +195,13 @@ where
                     // Placeholder values; overwritten below.
                     lanes.push(problem.model.initial_state());
                     ts.push(0);
-                    rngs.push(rng_from_seed(0));
+                    rngs.push(roots.stream(next_root));
                     root_of.push(0);
                     steps_of.push(0);
                     s
                 }
             };
-            // The per-root stream: one seed draw from the master.
-            rngs[slot] = split_rng(rng);
+            rngs[slot] = roots.stream(next_root);
             let (state, t0) = kernel.begin_root(problem, &mut scratches[slot]);
             debug_assert!(t0 < horizon, "roots must have at least one step");
             lanes[slot] = state;
@@ -266,7 +262,7 @@ where
             chunk.roots += 1;
             next_commit += 1;
         }
-        if shard.steps() >= target {
+        if shard.steps() >= target || next_commit == roots.end {
             break;
         }
     }
@@ -276,15 +272,8 @@ where
     // the cost of running a frontier wider than the chunk's remaining
     // commit target. The width policy's boundary shrink exists to drive
     // this to zero; the counters let tests and SHOW DIAGNOSTICS see it.
-    crate::width::record_frontier(width, next_root, next_commit);
-
-    // ---- restore the master RNG -----------------------------------------
-    // Exactly one seed draw per *committed* root, as the width-1
-    // execution would have left it.
-    *rng = rng_entry;
-    for _ in 0..next_commit {
-        let _ = rng.random::<u64>();
-    }
+    crate::width::record_frontier(width, next_root - first, next_commit - first);
+    roots.next = next_commit;
     chunk
 }
 
@@ -296,8 +285,8 @@ mod tests {
     use crate::levels::PartitionPlan;
     use crate::quality::RunControl;
     use crate::query::RatioValue;
-    use crate::rng::rng_from_seed;
     use crate::srs::SrsEstimator;
+    use rand::RngExt;
 
     struct JumpyWalk;
 
@@ -331,16 +320,17 @@ mod tests {
     }
 
     #[test]
-    fn widths_are_bit_identical_and_rewind_the_rng() {
+    fn widths_are_bit_identical_and_advance_the_cursor_alike() {
         let model = JumpyWalk;
         let v = vf();
         let problem = Problem::new(&model, &v, 60);
         let mut reference: Option<(u64, u64, u64, u64)> = None;
         for width in [1usize, 3, 17, 64] {
-            let mut rng = rng_from_seed(42);
+            let mut roots = RootCursor::new(42);
             let mut shard = <SrsEstimator as Estimator<JumpyWalk, Vf>>::shard(&SrsEstimator);
-            SrsEstimator.run_chunk(problem, &mut shard, 40_000, &mut rng, width);
-            let sig = (shard.n, shard.hits, shard.steps, rng.random::<u64>());
+            SrsEstimator.run_chunk(problem, &mut shard, 40_000, &mut roots, width);
+            assert_eq!(roots.next, shard.n, "one cursor step per committed root");
+            let sig = (shard.n, shard.hits, shard.steps, roots.next);
             match &reference {
                 None => reference = Some(sig),
                 Some(r) => assert_eq!(*r, sig, "width {width} diverged"),
@@ -351,29 +341,59 @@ mod tests {
     #[test]
     fn batched_chunk_boundaries_are_invisible() {
         // Two wide chunks must equal one big wide chunk — shard and
-        // master RNG state both — at a width that forces speculation
-        // discard at each boundary.
+        // cursor both — at a width that forces speculation discard at
+        // each boundary.
         let model = JumpyWalk;
         let v = vf();
         let problem = Problem::new(&model, &v, 60);
         let plan = PartitionPlan::new(vec![0.4, 0.7]).unwrap();
         let cfg = GMlssConfig::new(plan, RunControl::budget(1));
 
-        let mut rng_a = rng_from_seed(7);
+        let mut roots_a = RootCursor::new(7);
         let mut one = crate::estimator::shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut one, 50_000, &mut rng_a, 32);
+        cfg.run_chunk(problem, &mut one, 50_000, &mut roots_a, 32);
 
-        let mut rng_b = rng_from_seed(7);
+        let mut roots_b = RootCursor::new(7);
         let mut two = crate::estimator::shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut two, 20_000, &mut rng_b, 32);
+        cfg.run_chunk(problem, &mut two, 20_000, &mut roots_b, 32);
         let already = two.steps();
-        cfg.run_chunk(problem, &mut two, 50_000 - already, &mut rng_b, 32);
+        cfg.run_chunk(problem, &mut two, 50_000 - already, &mut roots_b, 32);
 
         assert_eq!(one.steps(), two.steps());
         assert_eq!(one.n_roots(), two.n_roots());
         assert_eq!(one.hits, two.hits);
         assert_eq!(one.tau().to_bits(), two.tau().to_bits());
-        assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>());
+        assert_eq!(roots_a, roots_b);
+    }
+
+    #[test]
+    fn a_bounded_cursor_commits_exactly_its_block() {
+        // Root blocks — what a parallel worker claims — merged in index
+        // order equal one unbounded chunk over the same roots.
+        let model = JumpyWalk;
+        let v = vf();
+        let problem = Problem::new(&model, &v, 60);
+        let mut whole = <SrsEstimator as Estimator<JumpyWalk, Vf>>::shard(&SrsEstimator);
+        let mut roots = RootCursor::new(5);
+        roots.end = 300;
+        SrsEstimator.run_chunk(problem, &mut whole, u64::MAX, &mut roots, 16);
+        assert_eq!((whole.n, roots.next), (300, 300));
+
+        let mut merged = <SrsEstimator as Estimator<JumpyWalk, Vf>>::shard(&SrsEstimator);
+        for start in (0..300).step_by(70) {
+            let mut block = <SrsEstimator as Estimator<JumpyWalk, Vf>>::shard(&SrsEstimator);
+            let mut cursor = RootCursor {
+                key: 5,
+                next: start,
+                end: (start + 70).min(300),
+            };
+            SrsEstimator.run_chunk(problem, &mut block, u64::MAX, &mut cursor, 8);
+            merged.merge(block);
+        }
+        assert_eq!(
+            (merged.n, merged.hits, merged.steps),
+            (whole.n, whole.hits, whole.steps)
+        );
     }
 
     #[test]
@@ -384,9 +404,8 @@ mod tests {
         let v = vf();
         let problem = Problem::new(&model, &v, 50);
         for width in [1usize, 64] {
-            let mut rng = rng_from_seed(3);
             let mut shard = <SrsEstimator as Estimator<JumpyWalk, Vf>>::shard(&SrsEstimator);
-            SrsEstimator.run_chunk(problem, &mut shard, 10_000, &mut rng, width);
+            SrsEstimator.run_chunk(problem, &mut shard, 10_000, &mut RootCursor::new(3), width);
             assert!(shard.steps >= 10_000);
             assert!(shard.steps < 10_000 + 50, "width {width}: {}", shard.steps);
         }

@@ -47,7 +47,7 @@ use crate::levels::PartitionPlan;
 use crate::model::{SimulationModel, Time};
 use crate::quality::RunControl;
 use crate::query::{Problem, ValueFunction};
-use crate::rng::SimRng;
+use crate::rng::{RootCursor, SimRng};
 use crate::stats::HitMoments;
 
 /// How the sampler estimates the variance of `τ̂` for stopping decisions.
@@ -323,8 +323,8 @@ impl GmlssShard {
 
 // Durability codec. The check-state fields (`checks`,
 // `cached_variance`) are included: a resumed target-mode run must keep
-// the original bootstrap cadence, or its quality checks — and with them
-// the RNG draw positions — would diverge from an uninterrupted run.
+// the original bootstrap cadence, or its quality checks would diverge
+// from an uninterrupted run's.
 impl crate::persist::Persist for GmlssShard {
     fn persist(&self, out: &mut Vec<u8>) {
         crate::persist::put_u64(out, self.m as u64);
@@ -408,9 +408,9 @@ impl Ledger for GmlssShard {
         self.n_roots += other.n_roots;
         self.hits += other.hits;
         self.steps += other.steps;
-        // The cached check-variance describes a superseded pool; drop it
-        // so the next cadenced check re-evaluates on the merged shard.
-        self.cached_variance = f64::INFINITY;
+        // The check state (`checks`, `cached_variance`) is the receiving
+        // run's: a run that folds roots in by merge must check exactly
+        // like one that commits them in place.
     }
 
     fn n_roots(&self) -> u64 {
@@ -697,7 +697,7 @@ where
         problem: Problem<'_, M, V>,
         shard: &mut GmlssShard,
         budget: u64,
-        rng: &mut SimRng,
+        roots: &mut RootCursor,
         width: usize,
     ) -> ChunkOutcome {
         let kernel = GMlssKernel {
@@ -705,7 +705,7 @@ where
             ratio: self.ratio,
             track_ledger: shard.track_ledger,
         };
-        run_frontier(&kernel, &problem, shard, budget, rng, width)
+        run_frontier(&kernel, &problem, shard, budget, roots, width)
     }
 
     fn estimate(&self, shard: &GmlssShard, rng: &mut SimRng) -> Estimate {
@@ -869,7 +869,7 @@ pub(crate) fn estimator(
 mod tests {
     use super::*;
     use crate::query::RatioValue;
-    use crate::rng::{rng_from_seed, split_rng};
+    use crate::rng::{rng_from_seed, RootCursor};
     use rand::RngExt;
 
     /// Simulate one g-MLSS root path (with its full splitting tree) into the
@@ -1190,9 +1190,9 @@ mod tests {
     fn sampler_and_estimator_trait_agree_exactly() {
         // The scalar `simulate_root` and the frontier's `GMlssKernel` are
         // two implementations of the same root program: pin them
-        // bit-exactly. Each reference root runs on its own `split_rng`
-        // stream of the master, as the frontier's roots do; the driver's
-        // chunk-boundary stream must end where the master does.
+        // bit-exactly. Each reference root runs on stream `k` of the run
+        // key, as the frontier's roots do; the driver's cursor must end
+        // one past the last committed root.
         let model = JumpyWalk {
             step: 0.05,
             jump_p: 0.02,
@@ -1204,20 +1204,21 @@ mod tests {
         let cfg = GMlssConfig::new(plan.clone(), RunControl::budget(100_000));
 
         let run = run_sequential(&cfg, problem, cfg.control, &mut rng_from_seed(17));
-        let driver_rng = run.resume_rng.clone();
+        let driver_next = run.cursor.roots.next;
         let sampler_res = GMlssResult::from(run);
 
-        let mut master = rng_from_seed(17);
+        let roots = RootCursor::from_rng(&mut rng_from_seed(17));
         let mut shard = crate::estimator::shard_for(&cfg, &problem);
         let (mut stack, mut events) = (Vec::new(), Vec::new());
         while shard.steps < 100_000 {
+            let mut rng = roots.stream(shard.n_roots);
             simulate_root(
                 &problem,
                 &plan,
                 &mut shard,
                 &mut stack,
                 &mut events,
-                &mut split_rng(&mut master),
+                &mut rng,
             );
         }
         assert_eq!(shard.steps, sampler_res.estimate.steps);
@@ -1226,6 +1227,6 @@ mod tests {
         assert_eq!(shard.tau(), sampler_res.estimate.tau);
         assert_eq!(shard.skip_events, sampler_res.skip_events);
         assert_eq!(shard.skips_per_level(), sampler_res.skips);
-        assert_eq!(master.state(), driver_rng.state());
+        assert_eq!(driver_next, shard.n_roots);
     }
 }

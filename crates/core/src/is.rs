@@ -16,7 +16,7 @@ use crate::estimator::{ChunkOutcome, Diagnostics, Estimator, Ledger};
 use crate::frontier::{run_frontier, RootKernel, SegmentStatus};
 use crate::model::{ScalarAdapter, SimulationModel, StepCounter, Time};
 use crate::query::{Problem, ValueFunction};
-use crate::rng::SimRng;
+use crate::rng::{RootCursor, SimRng};
 use crate::stats::ExactSum;
 
 /// A model that can simulate under an exponentially tilted proposal.
@@ -369,11 +369,11 @@ where
         problem: Problem<'_, M, V>,
         shard: &mut IsShard,
         budget: u64,
-        rng: &mut SimRng,
+        roots: &mut RootCursor,
         width: usize,
     ) -> ChunkOutcome {
         let kernel = IsKernel { theta: self.theta };
-        run_frontier(&kernel, &problem, shard, budget, rng, width)
+        run_frontier(&kernel, &problem, shard, budget, roots, width)
     }
 
     fn estimate(&self, shard: &IsShard, _rng: &mut SimRng) -> Estimate {
@@ -446,7 +446,7 @@ mod tests {
     use crate::estimator::run_sequential;
     use crate::quality::RunControl;
     use crate::query::RatioValue;
-    use crate::rng::{rng_from_seed, split_rng};
+    use crate::rng::{rng_from_seed, RootCursor};
     use crate::srs::SrsSampler;
     use rand_distr::{Distribution, Normal};
 
@@ -613,8 +613,7 @@ mod tests {
         // The scalar `simulate_path` loop and the frontier's `IsKernel`
         // are two implementations of the same root program: pin the two
         // bit-exactly so they cannot drift. Each reference path runs on
-        // its own `split_rng` stream of the master, as the frontier's
-        // roots do. The estimator runs the kernel through
+        // stream `k` of the run key, as the frontier's roots do. The estimator runs the kernel through
         // `run_sequential`.
         let model = GaussWalk {
             mu: 0.0,
@@ -624,10 +623,11 @@ mod tests {
         let problem = Problem::new(&model, &vf, horizon);
         let run = importance_run(problem, 0.25, 150_000, 23);
 
-        let mut master = rng_from_seed(23);
+        let roots = RootCursor::from_rng(&mut rng_from_seed(23));
         let mut shard = IsShard::default();
         while shard.steps < 150_000 {
-            simulate_path(&problem, 0.25, &mut shard, &mut split_rng(&mut master));
+            let mut rng = roots.stream(shard.n);
+            simulate_path(&problem, 0.25, &mut shard, &mut rng);
         }
         assert_eq!(shard.steps, run.shard.steps);
         assert_eq!(shard.n, run.shard.n);
@@ -637,7 +637,7 @@ mod tests {
             run.estimate.tau.to_bits(),
             "identical exact weight sums must give identical τ̂"
         );
-        assert_eq!(master.state(), run.resume_rng.state());
+        assert_eq!(run.cursor.roots.next, shard.n);
     }
 
     #[test]

@@ -56,10 +56,10 @@
 //! | [`is`] | §2.2 | importance-sampling baseline for tiltable models |
 //! | [`variance`] | §3.1, §4.2, §5.1 | closed-form variance results |
 //! | [`partition`] | §5 | `eval(B)`, greedy search, balanced plans |
-//! | [`parallel`] | §3.1 | multi-threaded driver over any `Estimator`, sharded merge |
+//! | [`parallel`] | §3.1 | multi-threaded driver over any `Estimator`: root-index blocks committed in index order |
 //! | [`scheduler`] | §6.4 serving | concurrent query scheduler: slicing, pause/checkpoint/resume, panic isolation |
 //! | [`plan_cache`] | §5, §6.4 | memoized partition plans keyed by model fingerprint (single-flight builds) |
-//! | [`shard_store`] | §6.4 serving | cross-query shard store: LRU-capped reusable checkpoints (shard + RNG provenance + achieved RE) |
+//! | [`shard_store`] | §6.4 serving | cross-query shard store: LRU-capped reusable checkpoints (shard + run cursor + achieved RE) |
 //! | [`planner`] | §6.4 serving | cost-based reuse planner: cold vs warm-start vs serve-from-store |
 //! | [`spec`] | §6.4 | the typed [`spec::QuerySpec`] IR every estimation entry point compiles to, the [`spec::SpecError`] taxonomy, model parameter schemas, and deferred plan-derivation scheduler jobs |
 //! | [`quality`] | §6 | CI/RE quality targets and budgets |
@@ -82,9 +82,11 @@
 //!
 //! Underneath the trait, all four built-in estimators execute on one
 //! batched *frontier* engine: chunks advance a cohort of root paths per
-//! [`model::SimulationModel::step_batch`] call, with one RNG stream per
-//! root so results are bit-identical at every frontier width, width 1
-//! (the default everywhere) included (see `docs/kernel.md`).
+//! [`model::SimulationModel::step_batch`] call. Root `k` of a run draws
+//! stream `k` of the run key ([`rng::RootCursor`]) and every driver
+//! evaluates the stopping rule at the same chunk ends, so results are
+//! bit-identical at every frontier width, thread count and driver (see
+//! `docs/kernel.md`).
 //! [`estimator::run_sequential_batched`],
 //! `ParallelConfig::batch_width`, and `SchedulerConfig::batch_width`
 //! expose the width at each layer.
@@ -126,7 +128,7 @@ pub mod prelude {
     pub use crate::estimate::Estimate;
     pub use crate::estimator::{
         run_sequential, run_sequential_batched, run_sequential_from, ChunkOutcome, Diagnostics,
-        Estimator, EstimatorRun, Ledger,
+        Estimator, EstimatorRun, Ledger, RunCursor,
     };
     pub use crate::gmlss::{GMlssConfig, GMlssResult, GMlssSampler, GmlssShard, VarianceMode};
     pub use crate::is::{select_tilt, IsEstimator, IsShard, TiltableModel};
@@ -134,10 +136,7 @@ pub mod prelude {
     pub use crate::model::{
         simulate_path, SamplePath, ScalarAdapter, SimulationModel, StepCounter, Time,
     };
-    pub use crate::parallel::{
-        run_parallel, run_parallel_from, run_parallel_gmlss, run_parallel_to_target,
-        ParallelConfig, ParallelResult, ParallelRun,
-    };
+    pub use crate::parallel::{run_parallel, run_parallel_from, ParallelConfig};
     pub use crate::partition::{balanced_plan, evaluate_plan, GreedyConfig, GreedyPartition};
     pub use crate::plan_cache::{fingerprint, CacheCounters, CachedPlan, Fingerprint, PlanCache};
     pub use crate::planner::{
@@ -149,7 +148,7 @@ pub mod prelude {
         rank_by_durability, Candidate, FreezeReason, RaceArm, RaceConfig, RaceOutcome, RaceQuery,
         Standing,
     };
-    pub use crate::rng::{rng_from_seed, split_rng, SimRng, StreamFactory};
+    pub use crate::rng::{rng_from_seed, split_rng, RootCursor, SimRng, StreamFactory};
     pub use crate::scheduler::{
         CompletedQuery, EstimatorQuery, QueryId, QueryProgress, QueryStatus, Scheduler,
         SchedulerConfig, SchedulerStats, SliceableQuery,

@@ -1,13 +1,12 @@
 //! Bit-exact binary serialization for durable state.
 //!
-//! The WAL layer (`mlss_store`) journals shard checkpoints, RNG
-//! positions, plan-cache entries, and estimates; a recovered session must
-//! resume **bit-identically** to an uninterrupted run, so every codec
-//! here is exact: floats round-trip through [`f64::to_bits`], the
-//! 128-bit integer moment sums are written verbatim, and the ChaCha
-//! stream position is stored as `(key, counter, words_remaining)` — the
-//! buffered block is a pure function of the first two, so restoring is
-//! O(1) with no keystream replay.
+//! The WAL layer (`mlss_store`) journals shard checkpoints, run cursors,
+//! plan-cache entries, and estimates; a recovered session must resume
+//! **bit-identically** to an uninterrupted run, so every codec here is
+//! exact: floats round-trip through [`f64::to_bits`] and the 128-bit
+//! integer moment sums are written verbatim. A run's randomness is
+//! index-addressed by its key, so its position is four integers (run
+//! key, next root, checks made, open chunk end) — no generator state.
 //!
 //! The [`Persist`] impls for shard types live next to their struct
 //! definitions (they serialize private fields); this module holds the
@@ -21,10 +20,11 @@
 //! indicate a version mismatch (or a bug), never silent disk corruption.
 
 use crate::estimate::Estimate;
+use crate::estimator::RunCursor;
 use crate::gmlss::GmlssShard;
 use crate::is::IsShard;
 use crate::levels::PartitionPlan;
-use crate::rng::SimRng;
+use crate::rng::RootCursor;
 use crate::shard_store::StoredShard;
 use crate::smlss::SMlssShard;
 use crate::srs::SrsShard;
@@ -219,8 +219,8 @@ impl<'a> Reader<'a> {
 
 /// Exact binary serialization. `restore(persist(x)) == x` must hold
 /// bit-for-bit for every observable field; in particular a restored shard
-/// or RNG must continue a run with draws and estimates identical to the
-/// original's.
+/// and cursor must continue a run with draws and estimates identical to
+/// the original's.
 pub trait Persist: Sized {
     /// Append this value's encoding to `out`.
     fn persist(&self, out: &mut Vec<u8>);
@@ -262,27 +262,23 @@ impl Persist for PartitionPlan {
     }
 }
 
-impl Persist for SimRng {
+impl Persist for RunCursor {
     fn persist(&self, out: &mut Vec<u8>) {
-        let (key, counter, remaining) = self.state();
-        for w in key {
-            put_u32(out, w);
-        }
-        put_u64(out, counter);
-        put_u8(out, remaining);
+        put_u64(out, self.roots.key);
+        put_u64(out, self.roots.next);
+        put_u64(out, self.checks);
+        // A chunk end is at least one step: 0 encodes "no open chunk".
+        put_u64(out, self.chunk_end.unwrap_or(0));
     }
 
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let mut key = [0u32; 8];
-        for w in key.iter_mut() {
-            *w = r.u32()?;
-        }
-        let counter = r.u64()?;
-        let remaining = r.u8()?;
-        if remaining as usize > SimRng::BLOCK_WORDS {
-            return Err(PersistError::Malformed("rng words_remaining"));
-        }
-        Ok(SimRng::from_state(key, counter, remaining))
+        let mut roots = RootCursor::new(r.u64()?);
+        roots.next = r.u64()?;
+        Ok(RunCursor {
+            roots,
+            checks: r.u64()?,
+            chunk_end: Some(r.u64()?).filter(|&end| end > 0),
+        })
     }
 }
 
@@ -293,7 +289,7 @@ const TAG_SMLSS: u8 = 2;
 const TAG_GMLSS: u8 = 3;
 const TAG_IS: u8 = 4;
 
-/// Encode a type-erased [`StoredShard`] (shard + resume RNG + estimate +
+/// Encode a type-erased [`StoredShard`] (shard + run cursor + estimate +
 /// seed provenance). The concrete shard type is discovered by downcast
 /// and recorded as a tag byte; returns `UnsupportedShard` for shard types
 /// outside the four in-tree estimators.
@@ -313,7 +309,7 @@ pub fn encode_stored_shard(entry: &StoredShard, out: &mut Vec<u8>) -> Result<(),
     } else {
         return Err(PersistError::UnsupportedShard(0));
     }
-    entry.rng.persist(out);
+    entry.cursor.persist(out);
     entry.estimate.persist(out);
     match entry.seed {
         Some(s) => {
@@ -323,7 +319,6 @@ pub fn encode_stored_shard(entry: &StoredShard, out: &mut Vec<u8>) -> Result<(),
         None => put_u8(out, 0),
     }
     put_f64(out, entry.target_re);
-    put_u8(out, entry.bit_exact as u8);
     Ok(())
 }
 
@@ -336,7 +331,7 @@ pub fn decode_stored_shard(r: &mut Reader<'_>) -> Result<StoredShard, PersistErr
     macro_rules! finish {
         ($shard:expr) => {{
             let shard = $shard;
-            let rng = SimRng::restore(r)?;
+            let cursor = RunCursor::restore(r)?;
             let estimate = Estimate::restore(r)?;
             let seed = match r.u8()? {
                 0 => None,
@@ -344,14 +339,7 @@ pub fn decode_stored_shard(r: &mut Reader<'_>) -> Result<StoredShard, PersistErr
                 _ => return Err(PersistError::Malformed("seed option tag")),
             };
             let target_re = r.f64()?;
-            let bit_exact = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(PersistError::Malformed("bit_exact flag")),
-            };
-            Ok(StoredShard::new(
-                &shard, rng, estimate, seed, target_re, bit_exact,
-            ))
+            Ok(StoredShard::new(&shard, cursor, estimate, seed, target_re))
         }};
     }
     match tag {
@@ -366,8 +354,6 @@ pub fn decode_stored_shard(r: &mut Reader<'_>) -> Result<StoredShard, PersistErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::rng_from_seed;
-    use rand::RngCore;
 
     #[test]
     fn primitive_roundtrip() {
@@ -404,16 +390,15 @@ mod tests {
     }
 
     #[test]
-    fn rng_roundtrip_is_draw_identical() {
-        let mut rng = rng_from_seed(99);
-        for _ in 0..37 {
-            let _ = rng.next_u32();
-        }
-        let mut out = Vec::new();
-        rng.persist(&mut out);
-        let mut restored = SimRng::restore(&mut Reader::new(&out)).unwrap();
-        for _ in 0..64 {
-            assert_eq!(rng.next_u64(), restored.next_u64());
+    fn cursor_roundtrip_is_exact() {
+        let mut cursor = RunCursor::from_seed(99);
+        cursor.roots.next = 1234;
+        cursor.checks = 7;
+        for chunk_end in [None, Some(1), Some(u64::MAX)] {
+            cursor.chunk_end = chunk_end;
+            let mut out = Vec::new();
+            cursor.persist(&mut out);
+            assert_eq!(RunCursor::restore(&mut Reader::new(&out)), Ok(cursor));
         }
     }
 

@@ -3,9 +3,10 @@
 //! choose the cheapest of three candidate plans —
 //!
 //! * **cold** — simulate from scratch (the only option on a store miss);
-//! * **warm** — resume from the stored shard through the existing
-//!   `run_sequential_*_from` / `run_parallel_from` machinery, paying
-//!   only the *marginal* roots between the stored RE and the target;
+//! * **warm** — resume from the stored shard and its run cursor
+//!   through `run_sequential_from`, `run_parallel_from` or a scheduler
+//!   job, paying only the *marginal* roots between the stored RE and the
+//!   target;
 //! * **stored** — the stored shard already meets the target: answer
 //!   with its estimate and simulate nothing.
 //!
@@ -43,26 +44,23 @@
 //! ## Pinned seeds: the store-on/store-off guarantee
 //!
 //! A pinned-seed statement must be **bit-identical with or without a
-//! store** (see `docs/planner.md`). Two rules enforce that, both on top
-//! of [`ShardStore::lookup`]'s same-seed/bit-exact filter:
-//!
-//! * **Target discipline** — the query's target must be at least as
-//!   tight as the entry's producing target
-//!   ([`StoredShard::target_re`]). Every quality check before the
-//!   stored checkpoint had RE above the producing target, hence above
-//!   any equal-or-tighter query target too, so the checkpoint is a
-//!   bit-exact prefix of the cold run the query would otherwise do. A
-//!   *looser* query, by contrast, may stop at an earlier check than the
-//!   checkpoint — serving or resuming stored state would change its
-//!   bits, so it plans cold.
-//! * **Replayable path only** — reuse is offered only to execution
-//!   paths that replay the sequential target-mode cadence (the
-//!   synchronous single-threaded driver). The parallel driver merges a
-//!   stored shard a storeless session would never hold, and scheduler
-//!   slices check quality at slice (not check-cadence) boundaries; a
-//!   pinned query on either path plans cold without consulting the
-//!   store. Unpinned queries reuse on every path — pooling independent
-//!   samples is statistically sound regardless of cadence.
+//! store** (see `docs/planner.md`). Every driver — sequential, parallel,
+//! scheduler — replays one trajectory per seed, and
+//! [`ShardStore::lookup`] only hands a pinned query entries of its own
+//! seed, so a stored entry is a prefix of the query's own cold run as
+//! long as that run would not have stopped earlier. The **target
+//! discipline** ensures it would not: the query's target must be at
+//! least as tight as the entry's producing target
+//! ([`StoredShard::target_re`]). Every quality check before the stored
+//! checkpoint had RE above the producing target, hence above any
+//! equal-or-tighter query target too. A *looser* query, by contrast, may
+//! stop at an earlier check than the checkpoint — serving or resuming
+//! stored state would change its bits, so it plans cold. And a pinned
+//! query is served as **stored** only from an entry cut at a quality
+//! check ([`StoredMeta::at_check`]): a scheduler pause or detach can
+//! deposit a checkpoint inside a chunk, where the query's own run would
+//! not stop even if the RE already met its target, so such an entry is
+//! warm-started to the chunk end instead.
 //!
 //! Correctness therefore never depends on the choice: cold and warm
 //! draw from the same distribution (warm with a pinned seed is
@@ -201,7 +199,7 @@ pub fn required_roots(n_stored: u64, stored_re: f64, target_re: f64) -> u64 {
 /// The shared decision core: classify a seed-compatible entry against
 /// the query's target. `pinned` applies the target-discipline rule (see
 /// the module docs); callers are responsible for seed compatibility
-/// ([`StoredMeta::answers`]) and the replayable-path rule.
+/// ([`StoredMeta::answers`]).
 // The negated comparisons are load-bearing: `!(x > 0.0)` and
 // `!(a <= b)` must reject NaN operands (unknown producing target,
 // uncostable variance), which the un-negated flips would silently admit.
@@ -220,7 +218,10 @@ fn decide(meta: &StoredMeta, target_re: f64, pinned: bool) -> ReuseDecision {
     if pinned && !(target_re <= meta.target_re) {
         return ReuseDecision::Cold;
     }
-    if meta.stored_re <= target_re {
+    // A pinned query's own run evaluates its target only at chunk ends,
+    // so a checkpoint cut inside a chunk (a scheduler pause or detach)
+    // is a warm-start point even when its RE already meets the target.
+    if meta.stored_re <= target_re && (meta.at_check || !pinned) {
         return ReuseDecision::Stored;
     }
     let required = required_roots(meta.n_roots, meta.stored_re, target_re);
@@ -233,22 +234,14 @@ fn decide(meta: &StoredMeta, target_re: f64, pinned: bool) -> ReuseDecision {
 /// Consult the store and pick the cheapest plan for a query over `key`
 /// targeting `target_re`. `pinned_seed` is the query's explicit seed, if
 /// any — it restricts which entries may answer (see
-/// [`ShardStore::lookup`] and the module docs). `replayable` says
-/// whether the executing driver replays the sequential target-mode
-/// cadence bit-exactly (the synchronous single-threaded path): a pinned
-/// query on a non-replayable driver (parallel, scheduler) plans cold
-/// without consulting the store at all, preserving store-on/store-off
-/// bit-identity. Counts a store hit or miss when the store is consulted.
+/// [`ShardStore::lookup`] and the module docs). Counts a store hit or
+/// miss.
 pub fn plan_reuse(
     store: &ShardStore,
     key: &ShardKey,
     target_re: f64,
     pinned_seed: Option<u64>,
-    replayable: bool,
 ) -> ReusePlan {
-    if pinned_seed.is_some() && !replayable {
-        return ReusePlan::Cold;
-    }
     let Some(entry) = store.lookup(key, pinned_seed) else {
         return ReusePlan::Cold;
     };
@@ -276,11 +269,7 @@ pub fn peek_reuse(
     key: &ShardKey,
     target_re: f64,
     pinned_seed: Option<u64>,
-    replayable: bool,
 ) -> ReuseDecision {
-    if pinned_seed.is_some() && !replayable {
-        return ReuseDecision::Cold;
-    }
     match store.peek_meta(key) {
         Some(meta) if meta.answers(pinned_seed) => decide(&meta, target_re, pinned_seed.is_some()),
         _ => ReuseDecision::Cold,
@@ -291,7 +280,7 @@ pub fn peek_reuse(
 mod tests {
     use super::*;
     use crate::estimate::Estimate;
-    use crate::rng::rng_from_seed;
+    use crate::estimator::RunCursor;
     use crate::shard_store::shard_key;
     use crate::srs::SrsShard;
 
@@ -316,7 +305,7 @@ mod tests {
             shard_key(fp, "srs", None),
             StoredShard::new(
                 &shard,
-                rng_from_seed(1),
+                RunCursor::new(1),
                 Estimate {
                     tau,
                     variance: sigma * sigma,
@@ -326,7 +315,6 @@ mod tests {
                 },
                 seed,
                 producer_target,
-                true,
             ),
         );
     }
@@ -338,7 +326,7 @@ mod tests {
     #[test]
     fn miss_plans_cold() {
         let store = ShardStore::new(4);
-        let plan = plan_reuse(&store, &shard_key(1, "srs", None), 0.01, None, true);
+        let plan = plan_reuse(&store, &shard_key(1, "srs", None), 0.01, None);
         assert!(matches!(plan, ReusePlan::Cold));
         assert_eq!(plan.tag(), "cold");
         assert_eq!(plan.describe(1), "cold");
@@ -348,7 +336,7 @@ mod tests {
     fn met_target_plans_stored() {
         let store = ShardStore::new(4);
         deposit(&store, 1, 10_000, 0.5, 0.01);
-        let plan = plan_reuse(&store, &shard_key(1, "srs", None), 0.02, None, true);
+        let plan = plan_reuse(&store, &shard_key(1, "srs", None), 0.02, None);
         assert!(matches!(plan, ReusePlan::Stored { .. }));
         assert_eq!(plan.tag(), "stored");
     }
@@ -357,7 +345,7 @@ mod tests {
     fn tighter_target_plans_warm_with_quadratic_marginal() {
         let store = ShardStore::new(4);
         deposit(&store, 1, 10_000, 0.5, 0.02);
-        let plan = plan_reuse(&store, &shard_key(1, "srs", None), 0.01, None, true);
+        let plan = plan_reuse(&store, &shard_key(1, "srs", None), 0.01, None);
         let ReusePlan::Warm {
             stored_re,
             est_marginal_roots,
@@ -384,7 +372,7 @@ mod tests {
         let store = ShardStore::new(4);
         deposit(&store, 1, 10_000, 0.0, 0.02); // τ̂ = 0 ⇒ RE not finite
         assert!(matches!(
-            plan_reuse(&store, &shard_key(1, "srs", None), 0.01, None, true),
+            plan_reuse(&store, &shard_key(1, "srs", None), 0.01, None),
             ReusePlan::Cold
         ));
     }
@@ -396,7 +384,7 @@ mod tests {
         let store = ShardStore::new(4);
         deposit(&store, 1, MIN_REUSE_ROOTS - 1, 0.5, 0.02);
         assert!(matches!(
-            plan_reuse(&store, &shard_key(1, "srs", None), 0.05, None, true),
+            plan_reuse(&store, &shard_key(1, "srs", None), 0.05, None),
             ReusePlan::Cold
         ));
 
@@ -406,7 +394,7 @@ mod tests {
         let store = ShardStore::new(4);
         deposit(&store, 1, 10_000, 1.0, 0.0);
         assert!(matches!(
-            plan_reuse(&store, &shard_key(1, "srs", None), 0.05, None, true),
+            plan_reuse(&store, &shard_key(1, "srs", None), 0.05, None),
             ReusePlan::Cold
         ));
     }
@@ -416,7 +404,7 @@ mod tests {
         let store = ShardStore::new(4);
         deposit(&store, 1, 10_000, 0.5, 0.02);
         assert!(matches!(
-            plan_reuse(&store, &shard_key(2, "srs", None), 0.01, None, true),
+            plan_reuse(&store, &shard_key(2, "srs", None), 0.01, None),
             ReusePlan::Cold
         ));
     }
@@ -427,14 +415,14 @@ mod tests {
         deposit_full(&store, 1, 10_000, 0.5, 0.009, 0.01, Some(7));
         let key = shard_key(1, "srs", None);
         assert!(matches!(
-            plan_reuse(&store, &key, 0.01, Some(7), true),
+            plan_reuse(&store, &key, 0.01, Some(7)),
             ReusePlan::Stored { .. }
         ));
         // Tighter-but-met ("lucky") pinned repeat is also a bit-exact
         // prefix: the first check meeting 0.0095 is the first check
         // meeting 0.01, i.e. exactly the stored checkpoint.
         assert!(matches!(
-            plan_reuse(&store, &key, 0.0095, Some(7), true),
+            plan_reuse(&store, &key, 0.0095, Some(7)),
             ReusePlan::Stored { .. }
         ));
     }
@@ -448,33 +436,59 @@ mod tests {
         deposit_full(&store, 1, 10_000, 0.5, 0.009, 0.01, Some(7));
         let key = shard_key(1, "srs", None);
         assert!(matches!(
-            plan_reuse(&store, &key, 0.02, Some(7), true),
+            plan_reuse(&store, &key, 0.02, Some(7)),
             ReusePlan::Cold
         ));
         // The same looser query *unpinned* is pure statistical reuse
         // and still serves from the store.
         assert!(matches!(
-            plan_reuse(&store, &key, 0.02, None, true),
+            plan_reuse(&store, &key, 0.02, None),
             ReusePlan::Stored { .. }
         ));
     }
 
     #[test]
-    fn pinned_reuse_requires_a_replayable_path() {
-        // A pinned query on a parallel/scheduler driver plans cold
-        // without even consulting the store (no counter traffic)…
+    fn pinned_mid_chunk_checkpoint_warm_starts_even_when_met() {
+        // A pause deposited inside a chunk: its RE meets the target, but
+        // the pinned query's own run would go on to the chunk end.
         let store = ShardStore::new(4);
-        deposit_full(&store, 1, 10_000, 0.5, 0.02, 0.03, Some(7));
+        let shard = SrsShard {
+            n: 10_000,
+            hits: 5_000,
+            steps: 10_000,
+        };
+        let mut cursor = RunCursor::new(1);
+        cursor.chunk_end = Some(12_000);
+        let sigma = 0.009 * 0.5;
+        let estimate = Estimate {
+            tau: 0.5,
+            variance: sigma * sigma,
+            n_roots: 10_000,
+            steps: 10_000,
+            hits: 5_000,
+        };
         let key = shard_key(1, "srs", None);
+        store.deposit(
+            key.clone(),
+            StoredShard::new(&shard, cursor, estimate, Some(7), 0.01),
+        );
+        let plan = plan_reuse(&store, &key, 0.01, Some(7));
+        assert!(
+            matches!(
+                plan,
+                ReusePlan::Warm {
+                    est_marginal_roots: 0,
+                    ..
+                }
+            ),
+            "pinned: {}",
+            plan.tag()
+        );
+        assert_eq!(peek_reuse(&store, &key, 0.01, Some(7)), plan.decision());
+        // Unpinned reuse is statistical and serves the met estimate.
         assert!(matches!(
-            plan_reuse(&store, &key, 0.01, Some(7), false),
-            ReusePlan::Cold
-        ));
-        assert_eq!((store.hits(), store.misses()), (0, 0));
-        // …while an unpinned query on the same driver reuses freely.
-        assert!(matches!(
-            plan_reuse(&store, &key, 0.01, None, false),
-            ReusePlan::Warm { .. }
+            plan_reuse(&store, &key, 0.01, None),
+            ReusePlan::Stored { .. }
         ));
     }
 
@@ -483,14 +497,14 @@ mod tests {
         let store = ShardStore::new(4);
         deposit(&store, 1, 10_000, 0.5, 0.02);
         let key = shard_key(1, "srs", None);
-        let peeked = peek_reuse(&store, &key, 0.01, None, true);
+        let peeked = peek_reuse(&store, &key, 0.01, None);
         assert_eq!((store.hits(), store.misses()), (0, 0), "peek is free");
-        let planned = plan_reuse(&store, &key, 0.01, None, true);
+        let planned = plan_reuse(&store, &key, 0.01, None);
         assert_eq!(peeked, planned.decision());
         assert_eq!(peeked.describe(9), planned.describe(9));
         assert_eq!((store.hits(), store.misses()), (1, 0), "plan counts");
         assert_eq!(
-            peek_reuse(&store, &shard_key(2, "srs", None), 0.01, None, true),
+            peek_reuse(&store, &shard_key(2, "srs", None), 0.01, None),
             ReuseDecision::Cold
         );
         assert_eq!((store.hits(), store.misses()), (1, 0));

@@ -85,12 +85,13 @@ pub enum RunControl {
     /// Run until (at least) this many `g` invocations have been spent.
     /// The paper's fixed-budget mode.
     Budget(u64),
-    /// Run until the quality target holds, re-checking after every
-    /// `check_every` root paths. `max_steps` is a hard safety valve.
+    /// Run until the quality target holds, re-checking after chunks of
+    /// about `check_every` root paths (see [`RunControl::next_chunk`]).
+    /// `max_steps` is a hard safety valve.
     Target {
         /// The quality target to reach.
         target: QualityTarget,
-        /// Check cadence in root paths.
+        /// Check cadence in root paths' worth of steps.
         check_every: u64,
         /// Upper bound on `g` invocations regardless of quality.
         max_steps: u64,
@@ -113,26 +114,45 @@ impl RunControl {
         RunControl::Budget(steps)
     }
 
-    /// Decide whether to keep sampling given the current state.
-    pub fn should_continue(&self, est: &Estimate, roots_since_check: &mut u64) -> bool {
-        match self {
-            RunControl::Budget(b) => est.steps < *b,
+    /// The one cadence every driver shares: the `g` invocations the
+    /// next chunk must commit before the stopping rule is evaluated
+    /// again, sized from the committed prefix (`steps` over `n_roots`),
+    /// or `None` once the step bound is spent. A chunk ends at the first
+    /// root at or past its budget.
+    ///
+    /// Budget mode runs one chunk to the budget. Target mode runs
+    /// `check_every` roots' worth at the observed cost per root (one
+    /// horizon per root before any root commits), clamped to the
+    /// `max_steps` valve, then checks.
+    pub fn next_chunk(&self, steps: u64, n_roots: u64, horizon: u64) -> Option<u64> {
+        match *self {
+            RunControl::Budget(total) => Some(total.saturating_sub(steps)).filter(|&r| r > 0),
             RunControl::Target {
-                target,
                 check_every,
                 max_steps,
+                ..
             } => {
-                if est.steps >= *max_steps {
-                    return false;
+                if steps >= max_steps {
+                    return None;
                 }
-                if *roots_since_check < *check_every {
-                    return true;
-                }
-                *roots_since_check = 0;
-                !target.satisfied(est)
+                let per_root = steps_per_root(steps, n_roots, horizon);
+                Some(
+                    check_every
+                        .max(1)
+                        .saturating_mul(per_root)
+                        .min(max_steps - steps)
+                        .max(1),
+                )
             }
         }
     }
+}
+
+/// Observed `g` invocations per committed root (at least 1), or one
+/// horizon per root before any root commits — the cost estimate chunk
+/// sizing and cohort clamps share.
+pub fn steps_per_root(steps: u64, n_roots: u64, horizon: u64) -> u64 {
+    steps.checked_div(n_roots).unwrap_or(horizon).max(1)
 }
 
 #[cfg(test)]
@@ -183,30 +203,32 @@ mod tests {
     }
 
     #[test]
-    fn budget_control() {
+    fn budget_cadence_is_one_chunk_to_the_budget() {
         let c = RunControl::budget(1000);
-        let mut since = 0;
-        assert!(c.should_continue(&est(0.1, 1.0, 1, 999), &mut since));
-        assert!(!c.should_continue(&est(0.1, 1.0, 1, 1000), &mut since));
+        assert_eq!(c.next_chunk(0, 0, 50), Some(1000));
+        assert_eq!(c.next_chunk(999, 40, 50), Some(1));
+        assert_eq!(c.next_chunk(1000, 41, 50), None);
+        assert_eq!(c.next_chunk(1040, 42, 50), None);
     }
 
     #[test]
-    fn target_control_checks_cadence() {
+    fn target_cadence_sizes_chunks_from_the_prefix_under_the_valve() {
         let c = RunControl::Target {
             target: QualityTarget::paper_re(),
             check_every: 10,
             max_steps: 1_000_000,
         };
-        // Quality already met, but cadence not reached: keep going.
-        let good = est(0.01, 1e-9, 5, 100);
-        let mut since = 5;
-        assert!(c.should_continue(&good, &mut since));
-        // Cadence reached: stop (target met) and reset counter.
-        let mut since = 10;
-        assert!(!c.should_continue(&good, &mut since));
-        assert_eq!(since, 0);
-        // Safety valve.
-        let mut since = 0;
-        assert!(!c.should_continue(&est(0.0, 1.0, 0, 1_000_000), &mut since));
+        // Before any root commits, assume one horizon per root.
+        assert_eq!(c.next_chunk(0, 0, 70), Some(700));
+        // Then the observed cost per root.
+        assert_eq!(c.next_chunk(600, 20, 70), Some(300));
+        // Clamped to the valve…
+        assert_eq!(c.next_chunk(999_900, 100, 70), Some(100));
+        // …and over once it is reached.
+        assert_eq!(c.next_chunk(1_000_000, 100, 70), None);
+        // Whether the target holds is the check's business, not the
+        // cadence's: a met target still gets its next chunk sized.
+        assert!(c.next_chunk(100, 5, 70).is_some());
+        assert!(QualityTarget::paper_re().satisfied(&est(0.01, 1e-9, 5, 100)));
     }
 }

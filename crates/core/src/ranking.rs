@@ -55,9 +55,9 @@ use crate::estimator::{ChunkOutcome, Diagnostics, Estimator};
 use crate::gmlss::GMlssConfig;
 use crate::levels::PartitionPlan;
 use crate::model::SimulationModel;
-use crate::quality::RunControl;
+use crate::quality::{QualityTarget, RunControl};
 use crate::query::{Problem, ValueFunction};
-use crate::rng::{split_rng, SimRng};
+use crate::rng::{RootCursor, SimRng};
 use crate::scheduler::SliceableQuery;
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -341,12 +341,18 @@ pub struct RaceArm {
     /// Display label (model ref with parameters, in the SQL path).
     pub label: String,
     /// The arm's sampler job; its accumulated shard is the pooled state.
+    /// The race owns the arm's cadence: run the job in budget mode (its
+    /// step valve), so only the race decides when the arm is checked.
     pub job: Box<dyn SliceableQuery>,
+    /// The arm's own stopping rule, evaluated at the end of each of its
+    /// rounds: once it holds, the arm freezes as `resolved`.
+    pub target: QualityTarget,
 }
 
 struct ArmState {
     label: String,
     job: Box<dyn SliceableQuery>,
+    target: QualityTarget,
     frozen_at: Option<usize>,
     reason: Option<FreezeReason>,
     last: Option<Estimate>,
@@ -390,6 +396,7 @@ impl RaceQuery {
                 .map(|a| ArmState {
                     label: a.label,
                     job: a.job,
+                    target: a.target,
                     frozen_at: None,
                     reason: None,
                     last: None,
@@ -423,10 +430,9 @@ impl RaceQuery {
             .expect("race finalized")
     }
 
+    /// Close a round: every arm still racing was advanced (and
+    /// estimated) this round, so the boundary rule reads `last`.
     fn evaluate_round(&mut self) {
-        for arm in self.arms.iter_mut().filter(|a| a.frozen_at.is_none()) {
-            arm.last = Some(arm.job.estimate());
-        }
         let intervals: Vec<ArmInterval> = self
             .arms
             .iter()
@@ -540,15 +546,18 @@ impl SliceableQuery for RaceQuery {
             self.evaluate_round();
             return ChunkOutcome::default();
         };
-        let round_budget = self.cfg.round_budget;
-        let out = self.arms[idx].job.run_slice(round_budget);
+        // One round of this arm, then its own stopping rule on the
+        // pooled estimate (a pure function of the arm's shard).
+        let arm = &mut self.arms[idx];
+        let out = arm.job.run_slice(self.cfg.round_budget);
         self.total_steps += out.steps;
-        if self.arms[idx].job.finished() {
-            // The arm's own stopping rule (target RE) is satisfied: it
+        let estimate = arm.job.estimate();
+        arm.last = Some(estimate);
+        if arm.target.satisfied(&estimate) || arm.job.finished() {
+            // The target holds (or the step valve is spent): the arm
             // leaves the race with its evidence as a fixed comparator.
-            self.arms[idx].last = Some(self.arms[idx].job.estimate());
-            self.arms[idx].frozen_at = Some(self.round);
-            self.arms[idx].reason = Some(FreezeReason::Resolved);
+            arm.frozen_at = Some(self.round);
+            arm.reason = Some(FreezeReason::Resolved);
         }
         self.cursor = idx + 1;
         let more = (self.cursor..self.arms.len()).any(|i| self.arms[i].frozen_at.is_none());
@@ -624,9 +633,10 @@ pub struct Candidate<'a, M: SimulationModel, V> {
 /// Run the race and rank candidates by estimated durability.
 ///
 /// Each lane keeps one persistent g-MLSS shard across rounds: a round is
-/// a [`Estimator::run_chunk`] continuation of the same shard with the
-/// same RNG stream — no cold restarts, and pooling across rounds is
-/// exact by construction. The freeze rule is the same top-`k`
+/// a [`Estimator::run_chunk`] continuation of the same shard and root
+/// cursor (each lane keyed by one draw from `rng`) — no cold restarts,
+/// and pooling across rounds is exact by construction. Round `r`'s
+/// evaluation draws from the lane's check stream `r`. The freeze rule is the same top-`k`
 /// [`boundary_freezes`] the scheduler path uses.
 pub fn rank_by_durability<M, V>(
     candidates: Vec<Candidate<'_, M, V>>,
@@ -645,7 +655,7 @@ where
         cand: Candidate<'a, M, V>,
         estimator: GMlssConfig,
         shard: crate::gmlss::GmlssShard,
-        rng: SimRng,
+        roots: RootCursor,
         frozen_at: Option<usize>,
         reason: Option<FreezeReason>,
         last: Option<Estimate>,
@@ -662,7 +672,7 @@ where
                 cand,
                 estimator,
                 shard,
-                rng: split_rng(rng),
+                roots: RootCursor::from_rng(rng),
                 frozen_at: None,
                 reason: None,
                 last: None,
@@ -680,14 +690,14 @@ where
                 lane.cand.problem,
                 &mut lane.shard,
                 cfg.round_budget,
-                &mut lane.rng,
+                &mut lane.roots,
                 1,
             );
             total_steps += out.steps;
             lane.last = Some(<GMlssConfig as Estimator<M, V>>::estimate(
                 &lane.estimator,
                 &lane.shard,
-                &mut lane.rng,
+                &mut lane.roots.check_stream(round as u64),
             ));
         }
 

@@ -15,6 +15,13 @@
 //! sequence would have produced. The generator's block-level accessors
 //! (`block_key`, `block_counter`, `words_remaining`, `install_block`)
 //! are the seam; per-stream word order never changes.
+//!
+//! Being counter-based also makes a run's randomness index-addressed
+//! (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
+//! SC'11): a run is keyed once, and root `k`, quality check `i` and the
+//! closing estimate each draw from a stream that is a pure function of
+//! `(key, index)` ([`RootCursor`]). Which driver, thread or slice runs a
+//! root never changes what it draws.
 
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -29,19 +36,19 @@ pub fn rng_from_seed(seed: u64) -> SimRng {
 
 /// Derive a child RNG from a parent.
 ///
-/// Used to hand independent streams to worker threads and to root paths:
-/// the parent draws a fresh 64-bit seed for each child, so child streams
-/// are independent of each other and of the parent's subsequent output.
+/// Used to hand independent streams to sessions and to materialized
+/// sample paths: the parent draws a fresh 64-bit seed for each child, so
+/// child streams are independent of each other and of the parent's
+/// subsequent output.
 pub fn split_rng(parent: &mut SimRng) -> SimRng {
     SimRng::seed_from_u64(parent.random::<u64>())
 }
 
 /// A small factory for numbered, independent RNG streams.
 ///
-/// `StreamFactory::new(seed).stream(k)` is a pure function of `(seed, k)`,
-/// which lets parallel drivers assign stream `k` to root path `k`
-/// regardless of which thread executes it — results are then identical
-/// across thread counts.
+/// `StreamFactory::new(seed).stream(k)` is a pure function of `(seed, k)`:
+/// [`RootCursor`] hands stream `k` of a run's key to root path `k`,
+/// whichever thread executes it.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamFactory {
     seed: u64,
@@ -62,6 +69,58 @@ impl StreamFactory {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
         SimRng::seed_from_u64(z)
+    }
+}
+
+/// Key-domain salts: a run's check and closing streams come from
+/// factories keyed apart from its root streams.
+const CHECK_DOMAIN: u64 = 0xC4EC_6B5A_17E2_0F3D;
+const CLOSING_DOMAIN: u64 = 0x0C1F_E5A7_93D2_B861;
+
+/// A run's root cursor. Root `k` of the run keyed `key` draws every
+/// random number of its splitting tree from
+/// `StreamFactory::new(key).stream(k)`; quality check `i` draws from
+/// [`RootCursor::check_stream`] and the closing estimate from
+/// [`RootCursor::closing_stream`], keyed apart from every root.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RootCursor {
+    /// The run key.
+    pub key: u64,
+    /// Index of the next root to commit.
+    pub next: u64,
+    /// Exclusive bound on the roots a chunk may commit: `u64::MAX` for a
+    /// whole run, a block end for one parallel worker's claim.
+    pub end: u64,
+}
+
+impl RootCursor {
+    /// A fresh run under `key`, at root 0.
+    pub fn new(key: u64) -> Self {
+        Self {
+            key,
+            next: 0,
+            end: u64::MAX,
+        }
+    }
+
+    /// A fresh run keyed by one draw from `rng`.
+    pub fn from_rng(rng: &mut SimRng) -> Self {
+        Self::new(rng.random::<u64>())
+    }
+
+    /// Root `k`'s stream.
+    pub fn stream(&self, k: u64) -> SimRng {
+        StreamFactory::new(self.key).stream(k)
+    }
+
+    /// Quality check `i`'s stream.
+    pub fn check_stream(&self, i: u64) -> SimRng {
+        StreamFactory::new(self.key ^ CHECK_DOMAIN).stream(i)
+    }
+
+    /// The closing estimate's stream.
+    pub fn closing_stream(&self) -> SimRng {
+        StreamFactory::new(self.key ^ CLOSING_DOMAIN).stream(0)
     }
 }
 
@@ -104,6 +163,17 @@ mod tests {
         assert_eq!(a.random::<u64>(), b.random::<u64>());
         let mut c = f.stream(6);
         assert_ne!(f.stream(5).random::<u64>(), c.random::<u64>());
+    }
+
+    #[test]
+    fn root_check_and_closing_streams_are_keyed_apart() {
+        let c = RootCursor::from_rng(&mut StreamFactory::new(3).stream(0));
+        let first = |mut r: SimRng| r.random::<u64>();
+        let root = first(c.stream(0));
+        assert_eq!(root, first(c.stream(0)));
+        assert_ne!(root, first(c.check_stream(0)));
+        assert_ne!(root, first(c.closing_stream()));
+        assert_ne!(first(c.check_stream(0)), first(c.closing_stream()));
     }
 
     #[test]

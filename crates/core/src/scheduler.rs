@@ -12,8 +12,10 @@
 //! [`crate::estimator::Estimator::run_chunk`] call into a fresh shard,
 //! merged on success). Because chunk boundaries are invisible — the chunk
 //! contract completes every root path it starts, and shards merge exactly
-//! — a query executed as 50 interleaved slices produces **bit-identical**
-//! results to the same query run uninterrupted with the same RNG stream.
+//! — and the run evaluates its stopping rule at the same chunk ends on
+//! the same check streams, a query executed as 50 interleaved slices
+//! produces **bit-identical** results to the same query run uninterrupted
+//! by any driver under the same run key.
 //! That single invariant buys everything the serving layer needs:
 //!
 //! * **concurrency** — workers pick slices from different queries;
@@ -22,20 +24,19 @@
 //!   short queries finish fast);
 //! * **pause / checkpoint / resume** — a paused query is just a job whose
 //!   next slice hasn't been scheduled; a detached job *is* the
-//!   checkpoint (shard + RNG state), resumable in place or through
+//!   checkpoint (shard + run cursor), resumable in place or through
 //!   [`crate::estimator::run_sequential_from`] /
 //!   [`crate::parallel::run_parallel_from`];
 //! * **failure isolation** — a panic inside a slice is caught by the
-//!   worker; the slice ran on scratch state (fresh shard, cloned RNG), so
+//!   worker; the slice ran on scratch state (fresh shard, copied cursor), so
 //!   the query's committed state is untouched and the query is retried or
 //!   reported failed while every other query proceeds normally.
 
 use crate::estimate::Estimate;
-use crate::estimator::{ChunkOutcome, Diagnostics, Estimator, Ledger};
+use crate::estimator::{ChunkOutcome, Diagnostics, Estimator, Ledger, RunCursor};
 use crate::model::SimulationModel;
 use crate::quality::{QualityTarget, RunControl};
 use crate::query::{Problem, ValueFunction};
-use crate::rng::{SimRng, StreamFactory};
 use crate::shard_store::{ShardKey, ShardStore, StoredShard};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -54,9 +55,10 @@ pub type TenantId = u32;
 /// A query the scheduler can advance one slice at a time.
 ///
 /// Contract: `run_slice` must be **transactional** — if it panics, the
-/// job's observable state (shard, RNG, counters) must be as if the call
-/// never happened. [`EstimatorQuery`] achieves this by simulating into a
-/// fresh shard with a cloned RNG and committing both only on success;
+/// job's observable state (shard, cursor, counters) must be as if the
+/// call never happened. [`EstimatorQuery`] achieves this by simulating
+/// into a fresh shard with a copied cursor and committing both only on
+/// success;
 /// custom implementations must do the same, because the scheduler retries
 /// panicked slices on the same job object.
 pub trait SliceableQuery: Send + Any {
@@ -68,8 +70,8 @@ pub trait SliceableQuery: Send + Any {
     /// under panics (see trait docs).
     fn run_slice(&mut self, budget: u64) -> ChunkOutcome;
 
-    /// Has the query's stopping rule been satisfied? May consume RNG
-    /// (e.g. a bootstrap variance evaluation in target mode).
+    /// Has the query's stopping rule been satisfied? May evaluate a
+    /// quality check (e.g. a bootstrap variance in target mode).
     fn finished(&mut self) -> bool;
 
     /// The estimate over everything accumulated so far.
@@ -98,7 +100,7 @@ pub trait SliceableQuery: Send + Any {
         None
     }
 
-    /// Capture the job's committed `(shard, RNG)` state for a durability
+    /// Capture the job's committed `(shard, cursor)` state for a durability
     /// checkpoint, plus the resolved estimator name a recovering session
     /// needs to rebuild the job. Unlike [`SliceableQuery::reuse_snapshot`]
     /// this must be cheap — it runs at the checkpoint cadence on the
@@ -115,9 +117,12 @@ pub trait SliceableQuery: Send + Any {
 /// The standard [`SliceableQuery`]: any [`Estimator`] over an owned model
 /// and value function, advancing under a [`RunControl`].
 ///
-/// The job *is* the checkpoint: it owns the accumulated shard and the RNG
-/// stream position, so serialization-free pause/resume is a matter of
-/// keeping or handing back this object.
+/// The job *is* the checkpoint: it owns the accumulated shard and the
+/// run cursor, so serialization-free pause/resume is a matter of keeping
+/// or handing back this object. A slice never runs past the open chunk's
+/// end, and [`SliceableQuery::finished`] closes a chunk its slices have
+/// completed, so the job checks quality exactly where
+/// [`crate::estimator::run_sequential`] does.
 pub struct EstimatorQuery<M, V, E>
 where
     M: SimulationModel,
@@ -130,11 +135,11 @@ where
     estimator: E,
     control: RunControl,
     shard: E::Shard,
-    rng: SimRng,
+    run: RunCursor,
     /// Frontier width for slices (bit-identical across widths).
     batch_width: usize,
     /// The pinned seed this job was built from (`None` when the caller
-    /// handed over a raw RNG) — recorded in shard-store deposits.
+    /// handed over a raw cursor) — recorded in shard-store deposits.
     seed: Option<u64>,
     /// Shard-store identity; `Some` opts the job into reuse deposits.
     reuse_key: Option<ShardKey>,
@@ -146,33 +151,21 @@ where
     V: ValueFunction<M::State>,
     E: Estimator<M, V>,
 {
-    /// Build a query job. `rng` is the job's private stream; use
-    /// [`EstimatorQuery::from_seed`] for the canonical seeding that
-    /// matches the parallel driver's worker 0.
+    /// Build a fresh query job on the run `run` (see
+    /// [`EstimatorQuery::from_seed`] for the canonical seeding).
     pub fn new(
         model: M,
         value_fn: V,
         horizon: u64,
         estimator: E,
         control: RunControl,
-        rng: SimRng,
+        run: RunCursor,
     ) -> Self {
         let shard = estimator.shard();
-        Self {
-            model,
-            value_fn,
-            horizon,
-            estimator,
-            control,
-            shard,
-            rng,
-            batch_width: 1,
-            seed: None,
-            reuse_key: None,
-        }
+        Self::from_parts(model, value_fn, horizon, estimator, control, shard, run)
     }
 
-    /// Build a query job resuming from a checkpointed `(shard, rng)`
+    /// Build a query job resuming from a checkpointed `(shard, run)`
     /// pair — e.g. a [`StoredShard`] the reuse planner chose to
     /// warm-start from. The control is evaluated over the *combined*
     /// state, exactly like [`crate::estimator::run_sequential_from`].
@@ -183,7 +176,7 @@ where
         estimator: E,
         control: RunControl,
         shard: E::Shard,
-        rng: SimRng,
+        run: RunCursor,
     ) -> Self {
         Self {
             model,
@@ -192,7 +185,7 @@ where
             estimator,
             control,
             shard,
-            rng,
+            run,
             batch_width: 1,
             seed: None,
             reuse_key: None,
@@ -225,10 +218,10 @@ where
         self
     }
 
-    /// Build a query job seeded like the parallel driver's worker 0
-    /// (`StreamFactory::new(seed).stream(0)`), so a 1-worker scheduler
-    /// run, a 1-thread parallel run, and a sequential run over that
-    /// stream produce identical samples.
+    /// Build a query job on the run a pinned `seed` names
+    /// ([`RunCursor::from_seed`]) — the run a sequential driver handed
+    /// `StreamFactory::new(seed).stream(0)`, a parallel run under
+    /// `seed`, and a pinned statement all execute.
     pub fn from_seed(
         model: M,
         value_fn: V,
@@ -237,8 +230,15 @@ where
         control: RunControl,
         seed: u64,
     ) -> Self {
-        let rng = StreamFactory::new(seed).stream(0);
-        Self::new(model, value_fn, horizon, estimator, control, rng).with_seed_provenance(seed)
+        Self::new(
+            model,
+            value_fn,
+            horizon,
+            estimator,
+            control,
+            RunCursor::from_seed(seed),
+        )
+        .with_seed_provenance(seed)
     }
 
     /// The accumulated shard (the live checkpoint).
@@ -246,20 +246,23 @@ where
         &self.shard
     }
 
-    /// Consume the job, returning the accumulated shard and the RNG
-    /// stream position — everything needed to resume elsewhere (e.g.
-    /// through [`crate::parallel::run_parallel_from`]).
-    pub fn into_parts(self) -> (E::Shard, SimRng) {
-        (self.shard, self.rng)
+    /// Consume the job, returning the accumulated shard and the run
+    /// cursor — everything needed to resume elsewhere (e.g. through
+    /// [`crate::parallel::run_parallel_from`]).
+    pub fn into_parts(self) -> (E::Shard, RunCursor) {
+        (self.shard, self.run)
     }
 
-    /// Steps remaining before the control's hard step bound.
-    fn remaining(&self) -> u64 {
-        let bound = match self.control {
-            RunControl::Budget(b) => b,
-            RunControl::Target { max_steps, .. } => max_steps,
-        };
-        bound.saturating_sub(self.shard.steps())
+    /// The RE target this job stops against (`NaN` in budget mode) —
+    /// recorded with its shard-store deposits.
+    fn target_re(&self) -> f64 {
+        match &self.control {
+            RunControl::Target {
+                target: QualityTarget::RelativeError { target, .. },
+                ..
+            } => *target,
+            _ => f64::NAN,
+        }
     }
 }
 
@@ -276,7 +279,15 @@ where
     }
 
     fn run_slice(&mut self, budget: u64) -> ChunkOutcome {
-        let budget = budget.max(1).min(self.remaining());
+        let Some(end) = self
+            .run
+            .open_chunk(&self.control, &self.shard, self.horizon)
+        else {
+            return ChunkOutcome::default();
+        };
+        // Never past the open chunk's end: the stopping rule is evaluated
+        // there (by `finished`), as every driver does.
+        let budget = budget.max(1).min(end.saturating_sub(self.shard.steps()));
         if budget == 0 {
             return ChunkOutcome::default();
         }
@@ -285,40 +296,37 @@ where
         // the job can be retried (or inspected) with its state intact.
         let problem = Problem::new(&self.model, &self.value_fn, self.horizon);
         let mut pending = self.estimator.shard();
-        let mut rng = self.rng.clone();
+        let mut roots = self.run.roots;
         // Defense in depth: an unresolved `batch_width=auto` sentinel
         // runs at the static fallback width, never a usize::MAX cohort.
         let width = crate::width::effective(self.batch_width);
         let outcome = self
             .estimator
-            .run_chunk(problem, &mut pending, budget, &mut rng, width);
+            .run_chunk(problem, &mut pending, budget, &mut roots, width);
         self.shard.merge(pending);
-        self.rng = rng;
+        self.run.roots = roots;
         outcome
     }
 
     fn finished(&mut self) -> bool {
-        match self.control {
-            RunControl::Budget(b) => self.shard.steps() >= b,
-            RunControl::Target {
-                target, max_steps, ..
-            } => {
-                if self.shard.steps() >= max_steps {
-                    return true;
-                }
-                if self.shard.n_roots() == 0 {
-                    return false;
-                }
-                let est = self
-                    .estimator
-                    .check_estimate(&mut self.shard, &mut self.rng);
-                target.satisfied(&est)
-            }
+        let chunk_done = self
+            .run
+            .chunk_end
+            .is_some_and(|end| self.shard.steps() >= end);
+        if chunk_done
+            && self
+                .run
+                .close_chunk(&self.estimator, &self.control, &mut self.shard)
+        {
+            return true;
         }
+        self.run
+            .open_chunk(&self.control, &self.shard, self.horizon)
+            .is_none()
     }
 
     fn estimate(&mut self) -> Estimate {
-        self.estimator.estimate(&self.shard, &mut self.rng)
+        self.run.estimate(&self.estimator, &self.shard)
     }
 
     fn steps(&self) -> u64 {
@@ -342,48 +350,16 @@ where
         if self.shard.n_roots() == 0 {
             return None;
         }
-        // Evaluate on a cloned RNG: a bootstrap variance must not
-        // consume draws from the job's committed stream (the job may
-        // keep running after a pause/detach snapshot).
-        let mut rng = self.rng.clone();
-        let estimate = self.estimator.estimate(&self.shard, &mut rng);
-        // Scheduler checkpoints are never bit-exact: slice cadence stops
-        // at different root counts than the sequential target-mode
-        // driver, so they only answer unpinned (statistical) reuse —
-        // the producing target is recorded anyway where one exists.
-        let target_re = match &self.control {
-            RunControl::Target {
-                target: QualityTarget::RelativeError { target, .. },
-                ..
-            } => *target,
-            _ => f64::NAN,
-        };
-        Some((
-            key,
-            StoredShard::new(
-                &self.shard,
-                self.rng.clone(),
-                estimate,
-                self.seed,
-                target_re,
-                false,
-            ),
-        ))
+        let estimate = self.estimate();
+        let entry = StoredShard::new(&self.shard, self.run, estimate, self.seed, self.target_re());
+        Some((key, entry))
     }
 
     fn checkpoint(&mut self) -> Option<(&'static str, StoredShard)> {
-        let target_re = match &self.control {
-            RunControl::Target {
-                target: QualityTarget::RelativeError { target, .. },
-                ..
-            } => *target,
-            _ => f64::NAN,
-        };
         // Counters-only placeholder estimate: evaluating a real one here
-        // could run a bootstrap on every checkpoint, and — decisively —
-        // would consume cloned-RNG draws whose cost shows up nowhere.
-        // Recovery resumes the run from (shard, rng); it never reads
-        // tau/variance out of a checkpoint.
+        // could run a bootstrap on every checkpoint. Recovery resumes the
+        // run from (shard, cursor); it never reads tau/variance out of a
+        // checkpoint.
         let estimate = Estimate {
             tau: f64::NAN,
             variance: f64::INFINITY,
@@ -391,17 +367,8 @@ where
             steps: self.shard.steps(),
             hits: 0,
         };
-        Some((
-            self.estimator.name(),
-            StoredShard::new(
-                &self.shard,
-                self.rng.clone(),
-                estimate,
-                self.seed,
-                target_re,
-                false,
-            ),
-        ))
+        let entry = StoredShard::new(&self.shard, self.run, estimate, self.seed, self.target_re());
+        Some((self.estimator.name(), entry))
     }
 }
 
@@ -688,8 +655,7 @@ impl State {
 ///   computed but **before** the `Done` status becomes observable, so a
 ///   result a client can see is always recoverable (write-ahead
 ///   ordering). It is deliberately *outside* the retried slice closure:
-///   the final estimate has already consumed committed RNG draws, so a
-///   hook failure must not trigger a re-run.
+///   a hook failure must not trigger a re-run of the finished query.
 /// - [`DurabilityHook::discarded`] fires when a query ends without a
 ///   result (cancel, failure, detach) so recovery won't resurrect it.
 pub trait DurabilityHook: Send + Sync {
@@ -854,9 +820,8 @@ impl Scheduler {
             .unwrap_or_else(PoisonError::into_inner) = Some(hook);
     }
 
-    /// Admit any [`Estimator`] over an owned model as a query. The job's
-    /// RNG is worker-0-canonical for `seed` (see
-    /// [`EstimatorQuery::from_seed`]). Lower `priority` runs first.
+    /// Admit any [`Estimator`] over an owned model as a query, on the
+    /// run `seed` names (see [`EstimatorQuery::from_seed`]). Lower `priority` runs first.
     #[allow(clippy::too_many_arguments)]
     pub fn submit<M, V, E>(
         &self,
@@ -1113,7 +1078,7 @@ impl Scheduler {
     }
 
     /// Detach a queued or paused query, removing it from the scheduler
-    /// and returning the job — the live checkpoint (shard + RNG). The
+    /// and returning the job — the live checkpoint (shard + cursor). The
     /// caller can resume it later via [`Scheduler::submit_query`] (same
     /// or another scheduler) or downcast with
     /// [`SliceableQuery::into_any`] and continue through
@@ -1282,7 +1247,7 @@ fn worker_loop(shared: &Shared, slice_budget: u64, max_retries: u32) {
                 let evaluated = catch_unwind(AssertUnwindSafe(|| {
                     if job.finished() {
                         // Deposit the completed shard before the final
-                        // estimate consumes the job (and its RNG).
+                        // estimate.
                         if let Some(store) = &store {
                             deposit_snapshot(store, &mut job);
                         }
@@ -1302,10 +1267,9 @@ fn worker_loop(shared: &Shared, slice_budget: u64, max_retries: u32) {
 
         // Write-ahead finish: journal the final estimate before the Done
         // status becomes observable below. Deliberately outside the
-        // retried closure above — the final estimate has consumed
-        // committed RNG draws, so a hook panic here must degrade to "not
+        // retried closure above — a hook panic here must degrade to "not
         // journaled" (recovery re-runs the query), never to a re-run of
-        // `estimate()` on the live job.
+        // the finished job.
         if let SliceResult::Finished(est) = &outcome {
             shared.with_hook(|h| h.finishing(id, est));
         }
@@ -1398,7 +1362,7 @@ fn worker_loop(shared: &Shared, slice_budget: u64, max_retries: u32) {
                     discarded = true;
                 } else {
                     // The slice ran on scratch state; the committed shard
-                    // and RNG are intact — requeue for another attempt.
+                    // and cursor are intact — requeue for another attempt.
                     slot.job = Some(job);
                     slot.state = if slot.pause_requested {
                         slot.pause_requested = false;
@@ -1449,6 +1413,7 @@ mod tests {
     use crate::levels::PartitionPlan;
     use crate::model::Time;
     use crate::query::RatioValue;
+    use crate::rng::{SimRng, StreamFactory};
     use crate::smlss::SMlssConfig;
     use crate::srs::SrsEstimator;
     use rand::RngExt;
@@ -1635,9 +1600,8 @@ mod tests {
 
     #[test]
     fn detached_checkpoint_resumes_on_the_parallel_driver() {
-        // A checkpoint taken from the scheduler continues seamlessly on
-        // run_parallel_from: the combined run spends exactly the
-        // remaining budget.
+        // A checkpoint taken from the scheduler continues on
+        // run_parallel_from to exactly the uninterrupted run.
         let sched = small_sched(1);
         let id = sched.submit(
             Walk { up: 0.48 },
@@ -1667,32 +1631,30 @@ mod tests {
             .into_any()
             .downcast::<EstimatorQuery<Walk, Vf, SrsEstimator>>()
             .expect("known concrete type");
-        let (shard, _rng) = query.into_parts();
-        let checkpointed = shard.steps();
-        assert!(checkpointed > 0);
+        let (shard, cursor) = query.into_parts();
+        assert!(shard.steps() > 0);
 
         let model = Walk { up: 0.48 };
         let v = vf();
         let problem = Problem::new(&model, &v, 100);
-        let run = crate::parallel::run_parallel_from(
+        let control = RunControl::budget(1_000_000);
+        let cfg = crate::parallel::ParallelConfig {
+            threads: 2,
+            seed: 9,
+            batch_width: 1,
+        };
+        let resumed = crate::parallel::run_parallel_from(
             problem,
             &SrsEstimator,
-            RunControl::budget(1_000_000),
-            &crate::parallel::ParallelConfig {
-                threads: 2,
-                sync_every: 50_000,
-                seed: 31,
-                bootstrap_resamples: 20,
-                batch_width: 1,
-            },
+            control,
+            &cfg,
             shard,
+            cursor,
         );
-        assert!(run.estimate.steps >= 1_000_000);
-        assert!(
-            run.estimate.steps < 1_000_000 + 2 * 50_000 + 400,
-            "resume must not restart from zero or overshoot wildly: {}",
-            run.estimate.steps
-        );
+        let whole = crate::parallel::run_parallel(problem, &SrsEstimator, control, &cfg);
+        assert_eq!(resumed.estimate.steps, whole.estimate.steps);
+        assert_eq!(resumed.estimate.hits, whole.estimate.hits);
+        assert_eq!(resumed.cursor, whole.cursor);
     }
 
     #[test]

@@ -11,15 +11,16 @@
 //!
 //! * **serve** straight from the store when the stored shard already
 //!   meets its relative-error target (zero simulation), or
-//! * **warm-start** from the stored shard plus its RNG position through
-//!   the existing `run_sequential_*_from` resume machinery, paying only
-//!   the marginal roots between the stored RE and the target.
+//! * **warm-start** from the stored shard plus its run cursor through
+//!   the `run_sequential_from` / `run_parallel_from` / scheduler resume
+//!   machinery, paying only the marginal roots between the stored RE and
+//!   the target.
 //!
 //! [`crate::planner`] makes that choice with a cost model; this module is
 //! the storage: a capacity-capped LRU map from [`ShardKey`] to
-//! [`StoredShard`] (type-erased shard + RNG provenance + achieved
-//! estimate), with the hit/miss/evict counter surface shared with the
-//! plan cache ([`CacheCounters`]).
+//! [`StoredShard`] (type-erased shard + run cursor + achieved estimate),
+//! with the hit/miss/evict counter surface shared with the plan cache
+//! ([`CacheCounters`]).
 //!
 //! ## Keying and seed discipline
 //!
@@ -27,26 +28,24 @@
 //! on all three exactly when their samples are drawn from the same
 //! distribution *and* the shard statistics have the same shape (an
 //! s-MLSS shard over a different level plan is a different type of
-//! result even for the same model). Reuse across different RNG seeds is
+//! result even for the same model). Reuse across different seeds is
 //! statistically sound (independent samples merge into a valid pooled
 //! estimate), so unpinned queries may reuse any entry. A query that
 //! **pins** a seed is asking for reproducibility, so
-//! [`ShardStore::lookup`] only answers it with an entry that (a) was
-//! produced from the same pinned seed and (b) is flagged
-//! [`StoredShard::bit_exact`] — deposited by the sequential target-mode
-//! driver, whose check cadence a warm-started continuation replays
-//! exactly. Scheduler deposits are *not* bit-exact (slice boundaries
-//! stop at different root counts) and never answer pinned lookups.
-//! [`crate::planner`] layers a further pinned rule on top of this
-//! filter: the consuming query's target must be at least as tight as
-//! the entry's producing target ([`StoredShard::target_re`]), and only
-//! execution paths that replay the sequential cadence may reuse at all.
+//! [`ShardStore::lookup`] only answers it with an entry produced from
+//! the same pinned seed. Every driver replays one trajectory per seed
+//! (root streams and quality checks are index-addressed by the run key
+//! the cursor carries), so any such entry — sequential, parallel or
+//! scheduler, finished or paused — is a prefix of the pinned query's own
+//! run. [`crate::planner`] layers two further pinned rules on top: the
+//! consuming query's target must be at least as tight as the entry's
+//! producing target ([`StoredShard::target_re`]), and only an entry cut
+//! at a quality check ([`StoredMeta::at_check`]) may be served as is.
 
 use crate::estimate::Estimate;
-use crate::estimator::{Diagnostics, Ledger};
+use crate::estimator::{Diagnostics, Ledger, RunCursor};
 use crate::levels::PartitionPlan;
 use crate::plan_cache::{CacheCounters, Fingerprint};
-use crate::rng::SimRng;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -129,14 +128,13 @@ where
     }
 }
 
-/// One reusable checkpoint: the merged shard, the RNG position that
+/// One reusable checkpoint: the merged shard, the run cursor that
 /// continues it, and the estimate it achieved.
 pub struct StoredShard {
     shard: Box<dyn ShardSnapshot>,
-    /// RNG stream position *at the shard's last chunk boundary* — before
-    /// any final estimate evaluation consumed draws — so a warm start
-    /// continues the exact stream a longer cold run would have used.
-    pub rng: SimRng,
+    /// Where the producing run stopped, so a warm start continues the
+    /// exact trajectory a longer cold run of the same key takes.
+    pub cursor: RunCursor,
     /// The estimate the shard achieved when deposited (its
     /// [`Estimate::self_relative_error`] is the stored RE the planner
     /// costs against).
@@ -151,21 +149,16 @@ pub struct StoredShard {
     /// *looser* target stops at an earlier quality check than this
     /// checkpoint, so serving it would change pinned bits.
     pub target_re: f64,
-    /// Was this deposited by the sequential target-mode driver, whose
-    /// quality-check cadence a warm-started continuation replays
-    /// bit-exactly? Required for answering pinned-seed lookups.
-    pub bit_exact: bool,
 }
 
 impl Clone for StoredShard {
     fn clone(&self) -> Self {
         Self {
             shard: self.shard.clone_snapshot(),
-            rng: self.rng.clone(),
+            cursor: self.cursor,
             estimate: self.estimate,
             seed: self.seed,
             target_re: self.target_re,
-            bit_exact: self.bit_exact,
         }
     }
 }
@@ -176,7 +169,7 @@ impl std::fmt::Debug for StoredShard {
             .field("estimate", &self.estimate)
             .field("seed", &self.seed)
             .field("target_re", &self.target_re)
-            .field("bit_exact", &self.bit_exact)
+            .field("cursor", &self.cursor)
             .finish_non_exhaustive()
     }
 }
@@ -198,19 +191,19 @@ pub struct StoredMeta {
     pub seed: Option<u64>,
     /// The producing run's RE target (`NaN` when unknown).
     pub target_re: f64,
-    /// Sequential target-mode provenance (see [`StoredShard::bit_exact`]).
-    pub bit_exact: bool,
+    /// The checkpoint was cut where its run last evaluated the stopping
+    /// rule (no chunk open: a finished run, or a pause at a failed
+    /// check). A mid-chunk checkpoint is only a warm-start point for a
+    /// pinned query, whose own run would go on to the chunk end.
+    pub at_check: bool,
 }
 
 impl StoredMeta {
     /// May this entry answer a query with the given pinned seed? Pinned
-    /// lookups only match bit-exact entries produced under the same
-    /// seed; unpinned lookups match anything (see the module docs).
+    /// lookups only match entries produced under the same seed; unpinned
+    /// lookups match anything (see the module docs).
     pub fn answers(&self, pinned_seed: Option<u64>) -> bool {
-        match pinned_seed {
-            None => true,
-            Some(seed) => self.bit_exact && self.seed == Some(seed),
-        }
+        pinned_seed.is_none() || self.seed == pinned_seed
     }
 }
 
@@ -219,22 +212,20 @@ impl StoredShard {
     /// target the producing run stopped against (`NaN` when unknown).
     pub fn new<S>(
         shard: &S,
-        rng: SimRng,
+        cursor: RunCursor,
         estimate: Estimate,
         seed: Option<u64>,
         target_re: f64,
-        bit_exact: bool,
     ) -> Self
     where
         S: Ledger + Clone + 'static,
     {
         Self {
             shard: Box::new(shard.clone()),
-            rng,
+            cursor,
             estimate,
             seed,
             target_re,
-            bit_exact,
         }
     }
 
@@ -246,7 +237,7 @@ impl StoredShard {
             n_roots: self.estimate.n_roots,
             seed: self.seed,
             target_re: self.target_re,
-            bit_exact: self.bit_exact,
+            at_check: self.cursor.chunk_end.is_none(),
         }
     }
 
@@ -359,7 +350,7 @@ impl ShardStore {
         let tick = inner.tick;
         if let Some(slot) = inner.map.get_mut(&key) {
             // Replace only with at least as much work; on a tie prefer
-            // the newer entry (fresher RNG provenance).
+            // the newer entry.
             if entry.steps() < slot.entry.steps() {
                 return false;
             }
@@ -397,8 +388,8 @@ impl ShardStore {
     }
 
     /// Look up a reusable shard for `key`. `pinned_seed` is the query's
-    /// explicit seed, if any: pinned lookups only match bit-exact
-    /// entries deposited under the same seed (see the module docs);
+    /// explicit seed, if any: pinned lookups only match entries
+    /// deposited under the same seed (see the module docs);
     /// unpinned lookups match any entry. Counts a hit or a miss.
     pub fn lookup(&self, key: &ShardKey, pinned_seed: Option<u64>) -> Option<StoredShard> {
         let mut inner = self.lock();
@@ -494,10 +485,9 @@ impl ShardStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::rng_from_seed;
     use crate::srs::SrsShard;
 
-    fn entry(steps: u64, seed: Option<u64>, bit_exact: bool) -> StoredShard {
+    fn entry(steps: u64, seed: Option<u64>) -> StoredShard {
         let shard = SrsShard {
             n: steps, // SRS: one step per root in this toy shape
             hits: steps / 2,
@@ -505,7 +495,7 @@ mod tests {
         };
         StoredShard::new(
             &shard,
-            rng_from_seed(9),
+            RunCursor::new(9),
             Estimate {
                 tau: 0.5,
                 variance: 0.25 / steps.max(1) as f64,
@@ -515,7 +505,6 @@ mod tests {
             },
             seed,
             0.1,
-            bit_exact,
         )
     }
 
@@ -526,7 +515,7 @@ mod tests {
     #[test]
     fn deposit_then_lookup_roundtrips() {
         let store = ShardStore::new(4);
-        assert!(store.deposit(key(1), entry(100, None, true)));
+        assert!(store.deposit(key(1), entry(100, None)));
         let got = store.lookup(&key(1), None).expect("stored");
         assert_eq!(got.steps(), 100);
         assert_eq!(got.shard_as::<SrsShard>().unwrap().steps, 100);
@@ -568,12 +557,12 @@ mod tests {
     #[test]
     fn replace_keeps_the_longer_shard() {
         let store = ShardStore::new(4);
-        assert!(store.deposit(key(1), entry(200, None, true)));
+        assert!(store.deposit(key(1), entry(200, None)));
         // Shorter: discarded, and the discard is reported.
-        assert!(!store.deposit(key(1), entry(100, None, true)));
+        assert!(!store.deposit(key(1), entry(100, None)));
         assert_eq!(store.lookup(&key(1), None).unwrap().steps(), 200);
         // Longer: replaces.
-        assert!(store.deposit(key(1), entry(300, None, true)));
+        assert!(store.deposit(key(1), entry(300, None)));
         assert_eq!(store.lookup(&key(1), None).unwrap().steps(), 300);
         assert_eq!(store.len(), 1);
     }
@@ -581,12 +570,11 @@ mod tests {
     #[test]
     fn peek_meta_is_non_mutating() {
         let store = ShardStore::new(2);
-        store.deposit(key(1), entry(100, Some(7), true));
-        store.deposit(key(2), entry(100, None, false));
+        store.deposit(key(1), entry(100, Some(7)));
+        store.deposit(key(2), entry(100, None));
         let meta = store.peek_meta(&key(1)).expect("stored");
         assert_eq!(meta.n_roots, 100);
         assert_eq!(meta.seed, Some(7));
-        assert!(meta.bit_exact);
         assert!(meta.answers(Some(7)) && meta.answers(None));
         assert!(!meta.answers(Some(8)));
         assert!(store.peek_meta(&key(9)).is_none());
@@ -594,7 +582,7 @@ mod tests {
         assert_eq!((store.hits(), store.misses()), (0, 0));
         // …and no LRU touch: key 1's peek above must not have saved it
         // from eviction when key 3 arrives (key 2 was deposited later).
-        store.deposit(key(3), entry(100, None, true));
+        store.deposit(key(3), entry(100, None));
         assert!(!store.contains(&key(1)), "peek must not refresh LRU");
         assert!(store.contains(&key(2)));
     }
@@ -602,11 +590,11 @@ mod tests {
     #[test]
     fn lru_eviction_under_capacity_pressure() {
         let store = ShardStore::new(2);
-        store.deposit(key(1), entry(10, None, true));
-        store.deposit(key(2), entry(10, None, true));
+        store.deposit(key(1), entry(10, None));
+        store.deposit(key(2), entry(10, None));
         // Touch key 1 so key 2 becomes the LRU.
         store.lookup(&key(1), None);
-        store.deposit(key(3), entry(10, None, true));
+        store.deposit(key(3), entry(10, None));
         assert_eq!(store.len(), 2);
         assert_eq!(store.evictions(), 1);
         assert!(store.contains(&key(1)), "recently used survives");
@@ -615,17 +603,15 @@ mod tests {
     }
 
     #[test]
-    fn pinned_lookups_require_bit_exact_same_seed() {
+    fn pinned_lookups_require_the_same_seed() {
         let store = ShardStore::new(4);
-        store.deposit(key(1), entry(100, Some(7), true));
-        store.deposit(key(2), entry(100, Some(7), false)); // scheduler deposit
-        store.deposit(key(3), entry(100, None, true)); // unpinned producer
+        store.deposit(key(1), entry(100, Some(7)));
+        store.deposit(key(2), entry(100, None)); // unpinned producer
         assert!(store.lookup(&key(1), Some(7)).is_some());
         assert!(store.lookup(&key(1), Some(8)).is_none(), "other seed");
-        assert!(store.lookup(&key(2), Some(7)).is_none(), "not bit-exact");
-        assert!(store.lookup(&key(3), Some(7)).is_none(), "unpinned entry");
-        // All three answer unpinned queries.
-        for fp in 1..=3 {
+        assert!(store.lookup(&key(2), Some(7)).is_none(), "unpinned entry");
+        // Both answer unpinned queries.
+        for fp in 1..=2 {
             assert!(store.lookup(&key(fp), None).is_some());
         }
     }
@@ -633,14 +619,14 @@ mod tests {
     #[test]
     fn zero_capacity_stores_nothing() {
         let store = ShardStore::new(0);
-        assert!(!store.deposit(key(1), entry(10, None, true)));
+        assert!(!store.deposit(key(1), entry(10, None)));
         assert!(store.is_empty());
     }
 
     #[test]
     fn diagnostics_use_the_shared_counter_shape() {
         let store = ShardStore::new(2);
-        store.deposit(key(1), entry(10, None, true));
+        store.deposit(key(1), entry(10, None));
         store.lookup(&key(1), None);
         store.lookup(&key(9), None);
         store.clear();

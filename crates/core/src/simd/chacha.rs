@@ -975,14 +975,16 @@ mod tests {
         let mut out = vec![0u64; 1000];
         for backend in Backend::available() {
             for offset in 0..=BLOCK_WORDS {
-                // One block drained, then rebuilt with `offset` words of a
-                // fresh block already read (offset 16 = fully drained).
-                let mut warm = rng_from_seed(4000 + offset as u64);
+                // One block drained, the next one installed, and `offset`
+                // of its words already read (offset 16 = fully drained).
+                let mut start = rng_from_seed(4000 + offset as u64);
                 for _ in 0..BLOCK_WORDS {
-                    let _ = warm.next_u32();
+                    let _ = start.next_u32();
                 }
-                let (key, counter, _) = warm.state();
-                let start = SimRng::from_state(key, counter, (BLOCK_WORDS - offset) as u8);
+                start.install_block(chacha12_block(start.block_key(), start.block_counter()));
+                for _ in 0..offset {
+                    let _ = start.next_u32();
+                }
                 for &n in &bounds {
                     for &len in &lens {
                         let mut bulk = start.clone();

@@ -21,7 +21,7 @@ use crate::levels::PartitionPlan;
 use crate::model::{SimulationModel, Time};
 use crate::quality::RunControl;
 use crate::query::{Problem, ValueFunction};
-use crate::rng::SimRng;
+use crate::rng::{RootCursor, SimRng};
 use crate::stats::HitMoments;
 
 /// Configuration for the s-MLSS sampler.
@@ -351,14 +351,14 @@ where
         problem: Problem<'_, M, V>,
         shard: &mut SMlssShard,
         budget: u64,
-        rng: &mut SimRng,
+        roots: &mut RootCursor,
         width: usize,
     ) -> ChunkOutcome {
         let kernel = SMlssKernel {
             plan: &self.plan,
             ratio: self.ratio,
         };
-        run_frontier(&kernel, &problem, shard, budget, rng, width)
+        run_frontier(&kernel, &problem, shard, budget, roots, width)
     }
 
     fn estimate(&self, shard: &SMlssShard, _rng: &mut SimRng) -> Estimate {
@@ -420,7 +420,7 @@ mod tests {
     use super::*;
     use crate::quality::QualityTarget;
     use crate::query::RatioValue;
-    use crate::rng::{rng_from_seed, split_rng};
+    use crate::rng::{rng_from_seed, RootCursor};
     use rand::RngExt;
 
     /// Simulate one s-MLSS root path (with its full splitting tree) into the
@@ -633,22 +633,21 @@ mod tests {
         // The scalar `simulate_root` (splitting stack included) and the
         // frontier's `SMlssKernel` are two implementations of the same
         // root program: pin them bit-exactly so they cannot drift. Each
-        // reference root runs on its own `split_rng` stream of the
-        // master, as the frontier's roots do. The sampler runs the kernel
+        // reference root runs on stream `k` of the run key, as the
+        // frontier's roots do. The sampler runs the kernel
         // through `run_sequential`.
         let model = FineWalk { k: 8, up: 0.52 };
         let (vf, horizon) = walk_problem(&model, 60);
         let problem = Problem::new(&model, &vf, horizon);
         let plan = PartitionPlan::new(vec![0.3, 0.6]).unwrap();
         let cfg = SMlssConfig::new(plan.clone(), RunControl::budget(40_000));
-        let mut driver_rng = rng_from_seed(19);
-        let res = SMlssSampler::new(cfg).run(problem, &mut driver_rng);
+        let res = SMlssSampler::new(cfg).run(problem, &mut rng_from_seed(19));
 
-        let mut master = rng_from_seed(19);
+        let roots = RootCursor::from_rng(&mut rng_from_seed(19));
         let mut shard = SMlssShard::new(plan.num_levels(), 3);
         let mut stack = Vec::new();
         while shard.steps < 40_000 {
-            let mut rng = split_rng(&mut master);
+            let mut rng = roots.stream(shard.n_roots);
             simulate_root(&problem, &plan, 3, &mut shard, &mut stack, &mut rng);
         }
         assert_eq!(shard.steps, res.estimate.steps);
@@ -659,6 +658,5 @@ mod tests {
             shard.estimate().variance.to_bits(),
             res.estimate.variance.to_bits()
         );
-        assert_eq!(master.state(), driver_rng.state());
     }
 }

@@ -316,8 +316,9 @@ pub struct ExecOptions {
     /// class, probing and memoizing per query fingerprint. Widths never
     /// change results — `auto` is bit-identical to its resolved width.
     pub batch_width: Option<usize>,
-    /// Pinned RNG seed (worker-0-canonical stream). `None` draws from
-    /// the caller's stream.
+    /// Pinned seed: names the run ([`crate::estimator::RunCursor::from_seed`])
+    /// and the pilot's stream. `None` draws a seed from the caller's
+    /// stream.
     pub seed: Option<u64>,
     /// Scheduler priority (lower runs first; async only).
     pub priority: u8,
@@ -358,9 +359,10 @@ pub const PILOT_PATHS: usize = 2000;
 /// method with its own derivation (e.g. greedy) would use its own key.
 pub const BALANCED_PLAN_KEY: &str = "balanced";
 
-/// Seed salt for the pilot's private stream: the pilot must not consume
-/// draws from a scheduled query's main stream, or plan-cache hits and
-/// misses would produce different estimates.
+/// Seed salt for the pilot's private stream: every execution path runs
+/// the pilot on `seed ^ PILOT_SEED_SALT`, never on the query's run, so a
+/// statement's plan and answer do not depend on its driver or on whether
+/// the plan came from the cache.
 pub const PILOT_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The typed IR of one durability estimation query — what every entry
@@ -916,7 +918,7 @@ pub fn resolve_method(method: Method, lookup: Option<&PlanLookup>) -> ResolvedMe
 }
 
 /// Box a resolved method as a scheduler job: an [`EstimatorQuery`] over
-/// the concrete estimator, seeded worker-0-canonically and running its
+/// the concrete estimator, on the run `seed` names and running its
 /// slices at `batch_width`. With `reuse_fingerprint`, the
 /// job is tagged with its shard-store key so a store-attached scheduler
 /// deposits its checkpoints for cross-query reuse.
@@ -983,7 +985,7 @@ where
 
 /// Box a resolved method as a **warm-started** scheduler job resuming
 /// from a stored checkpoint: the job starts with `entry`'s shard and
-/// RNG position and runs only the marginal work its control still
+/// run cursor and runs only the marginal work its control still
 /// requires. Falls back to the cold job of [`estimator_job`] when the
 /// stored shard's concrete type does not match `resolved` — unreachable
 /// with a correct [`ShardKey`], but never worth failing a query over.
@@ -1020,7 +1022,7 @@ where
                             $estimator,
                             control,
                             shard.clone(),
-                            entry.rng.clone(),
+                            entry.cursor,
                         )
                         .with_batch_width(batch_width)
                         .with_reuse_key(key),
@@ -1064,6 +1066,11 @@ where
 /// holds at least one cadence's worth of roots.
 pub const TARGET_CHECK_EVERY: u64 = 256;
 
+/// Step valve of [`target_control`]: a target-mode run stops here even
+/// if its target never holds. `RANK BY` arms run in budget mode to it,
+/// their target checked by the race at round ends.
+pub const TARGET_MAX_STEPS: u64 = 2_000_000_000;
+
 /// The stopping rule every estimation entry point uses for a
 /// relative-error target.
 pub fn target_control(target_re: f64) -> RunControl {
@@ -1073,7 +1080,7 @@ pub fn target_control(target_re: f64) -> RunControl {
             reference: None,
         },
         check_every: TARGET_CHECK_EVERY,
-        max_steps: 2_000_000_000,
+        max_steps: TARGET_MAX_STEPS,
     }
 }
 
@@ -1089,10 +1096,9 @@ pub fn target_control(target_re: f64) -> RunControl {
 /// [`EstimatorQuery`].
 ///
 /// The pilot draws from its own salted stream (`seed ^`
-/// [`PILOT_SEED_SALT`]), exactly like the synchronous-submit path did,
-/// so the query's main RNG stream — and therefore its estimate — is
-/// bit-identical whether the plan came from the cache, an inline pilot,
-/// or a deferred one.
+/// [`PILOT_SEED_SALT`]), exactly like the synchronous path, so the
+/// query's run — and therefore its estimate — is bit-identical whether
+/// the plan came from the cache, an inline pilot, or a deferred one.
 pub struct DeferredPlanQuery<M, Z>
 where
     M: SimulationModel + Send + 'static,

@@ -12,7 +12,7 @@ use crate::frontier::{run_frontier, RootKernel, SegmentStatus};
 use crate::model::{SimulationModel, Time};
 use crate::quality::RunControl;
 use crate::query::{Problem, ValueFunction};
-use crate::rng::SimRng;
+use crate::rng::{RootCursor, SimRng};
 
 /// Accumulated SRS counts — the sampler's [`Ledger`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -144,10 +144,10 @@ where
         problem: Problem<'_, M, V>,
         shard: &mut SrsShard,
         budget: u64,
-        rng: &mut SimRng,
+        roots: &mut RootCursor,
         width: usize,
     ) -> ChunkOutcome {
-        run_frontier(&SrsKernel, &problem, shard, budget, rng, width)
+        run_frontier(&SrsKernel, &problem, shard, budget, roots, width)
     }
 
     fn estimate(&self, shard: &SrsShard, _rng: &mut SimRng) -> Estimate {
@@ -214,7 +214,7 @@ mod tests {
     use super::*;
     use crate::model::Time;
     use crate::query::RatioValue;
-    use crate::rng::{rng_from_seed, split_rng};
+    use crate::rng::{rng_from_seed, RootCursor};
     use rand::RngExt;
 
     /// Simulate one SRS root path; returns `(hit, steps_spent)` — the
@@ -334,20 +334,19 @@ mod tests {
         // The scalar `simulate_root` loop and the frontier's `SrsKernel`
         // are two implementations of the same root program: pin them
         // bit-exactly so they cannot drift apart. Each reference root
-        // runs on its own `split_rng` stream of the master, as the
-        // frontier's roots do. The sampler runs the kernel through
+        // runs on stream `k` of the run key, as the frontier's
+        // roots do. The sampler runs the kernel through
         // `run_sequential`.
         let model = Jump { p: 0.2 };
         let vf = RatioValue::new(|s: &f64| *s, 1.0);
         let problem = Problem::new(&model, &vf, 6);
         let sampler = SrsSampler::new(RunControl::budget(20_000));
-        let mut driver_rng = rng_from_seed(13);
-        let res = sampler.run(problem, &mut driver_rng);
+        let res = sampler.run(problem, &mut rng_from_seed(13));
 
-        let mut master = rng_from_seed(13);
+        let roots = RootCursor::from_rng(&mut rng_from_seed(13));
         let mut shard = SrsShard::default();
         while shard.steps < 20_000 {
-            let (hit, steps) = simulate_root(&problem, &mut split_rng(&mut master));
+            let (hit, steps) = simulate_root(&problem, &mut roots.stream(shard.n));
             shard.n += 1;
             shard.steps += steps;
             shard.hits += hit as u64;
@@ -355,6 +354,5 @@ mod tests {
         assert_eq!(shard.steps, res.estimate.steps);
         assert_eq!(shard.n, res.estimate.n_roots);
         assert_eq!(shard.hits, res.estimate.hits);
-        assert_eq!(master.state(), driver_rng.state());
     }
 }

@@ -80,7 +80,7 @@ impl RunningMoments {
 /// merging shards in any permutation yields the identical variance, which
 /// the Welford accumulator above cannot guarantee (its float merge is
 /// order-sensitive in the last ulp). This is what makes the parallel
-/// driver's sharded reduction and the scheduler's slice merging produce
+/// driver's block merges and the scheduler's slice merging produce
 /// estimates independent of merge order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HitMoments {

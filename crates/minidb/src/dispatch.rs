@@ -21,8 +21,8 @@ use crate::value::Value;
 use mlss_core::plan_cache::PlanCache;
 use mlss_core::planner::peek_reuse;
 use mlss_core::prelude::SimRng;
+use mlss_core::quality::QualityTarget;
 use mlss_core::ranking::{RaceArm, RaceOutcome, RaceQuery};
-use mlss_core::rng::StreamFactory;
 use mlss_core::scheduler::{QueryId, Scheduler};
 use mlss_core::shard_store::{shard_key, ShardStore};
 use mlss_core::spec::{ExecMode, QuerySpec, RankSpec};
@@ -81,6 +81,10 @@ pub fn execute_spec(
     rng: &mut SimRng,
 ) -> Result<SpecOutcome, DbError> {
     spec.validate().map_err(DbError::from)?;
+    // The seed names the run (and the pilot's stream), so a sync
+    // `WITH (seed=…)` statement is bit-identical to the async submission
+    // with the same seed, at any thread count.
+    let seed = spec.options.seed.unwrap_or_else(|| rng.random::<u64>());
     match spec.options.mode {
         ExecMode::Sync => {
             let started = Instant::now();
@@ -90,18 +94,7 @@ pub fn execute_spec(
                 fingerprint: fp,
                 store: store.map(Arc::clone),
             };
-            // A pinned seed runs on the worker-0-canonical stream, so a
-            // sync `WITH (seed=…)` run in budget mode is bit-identical
-            // to the async submission with the same seed.
-            let mut pinned;
-            let rng = match spec.options.seed {
-                Some(s) => {
-                    pinned = StreamFactory::new(s).stream(0);
-                    &mut pinned
-                }
-                None => rng,
-            };
-            let est = runner.estimate(spec, &ctx, rng)?;
+            let est = runner.estimate(spec, &ctx, seed)?;
             let millis = started.elapsed().as_millis() as i64;
             record_estimate_row(db, spec, &est, millis, wal)?;
             Ok(SpecOutcome::Estimated { est, millis })
@@ -110,7 +103,6 @@ pub fn execute_spec(
             let scheduler = scheduler.ok_or_else(|| {
                 DbError::Proc("ASYNC estimation requires a session scheduler".into())
             })?;
-            let seed = spec.options.seed.unwrap_or_else(|| rng.random::<u64>());
             let (runner, fp, _) = models.build_spec(db, spec)?;
             let ctx = PlanContext {
                 cache: Arc::clone(plans),
@@ -206,15 +198,8 @@ pub fn explain_spec(
         fingerprint: fp,
         store: store.map(Arc::clone),
     };
-    let mut pinned;
-    let rng = match spec.options.seed {
-        Some(s) => {
-            pinned = StreamFactory::new(s).stream(0);
-            &mut pinned
-        }
-        None => rng,
-    };
-    let res = runner.resolve_plan(spec, &ctx, rng)?;
+    let seed = spec.options.seed.unwrap_or_else(|| rng.random::<u64>());
+    let res = runner.resolve_plan(spec, &ctx, seed)?;
 
     let asynchronous = spec.options.mode == ExecMode::Async;
     let mut rows: Vec<(String, String)> = Vec::new();
@@ -265,17 +250,14 @@ pub fn explain_spec(
     // The reuse planner's verdict, previewed against the live store.
     // `peek_reuse` reads without side effects — no hit/miss counters,
     // no LRU touch, no shard clone — so EXPLAIN never perturbs SHOW
-    // DIAGNOSTICS or the store's eviction order. The replayability rule
-    // mirrors the execution paths': pinned seeds only reuse on the
-    // synchronous sequential driver.
+    // DIAGNOSTICS or the store's eviction order.
     push(
         "reuse",
         match store {
             None => "off".into(),
             Some(s) => {
                 let key = shard_key(fp, res.resolved.name(), res.resolved.plan());
-                let replayable = !asynchronous && spec.options.threads <= 1;
-                peek_reuse(s, &key, spec.target_re, spec.options.seed, replayable).describe(fp)
+                peek_reuse(s, &key, spec.target_re, spec.options.seed).describe(fp)
             }
         },
     );
@@ -417,6 +399,10 @@ pub fn execute_rank(
         arms.push(RaceArm {
             label: label.clone(),
             job,
+            target: QualityTarget::RelativeError {
+                target: spec.target_re,
+                reference: None,
+            },
         });
         plan_sources.push(plan_source);
     }
@@ -548,6 +534,7 @@ pub fn explain_rank(
 ) -> Result<Vec<(String, String)>, DbError> {
     rank.validate().map_err(DbError::from)?;
     let asynchronous = rank.options.mode == ExecMode::Async;
+    let seed = rank.options.seed.unwrap_or_else(|| rng.random::<u64>());
     let mut rows: Vec<(String, String)> = Vec::new();
     let mut push = |k: &str, v: String| rows.push((k.to_string(), v));
     push(
@@ -582,7 +569,7 @@ pub fn explain_rank(
             fingerprint: fp,
             store: None,
         };
-        let res = runner.resolve_plan(spec, &ctx, rng)?;
+        let res = runner.resolve_plan(spec, &ctx, arm_seed(seed, i))?;
         if !fingerprints.contains(&fp) {
             fingerprints.push(fp);
         }

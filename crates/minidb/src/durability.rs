@@ -10,9 +10,8 @@
 //! warm from their last durable checkpoint when one exists, cold from
 //! their recorded seed otherwise. Either way a pinned-seed query
 //! recovers to the same estimate bits an uninterrupted run produces
-//! (the checkpoint captures the shard and the exact RNG position at a
-//! slice boundary; a cold rerun replays the identical stream from the
-//! seed).
+//! (the checkpoint captures the shard and the run cursor at a slice
+//! boundary; a cold rerun replays the identical run from the seed).
 //!
 //! ## Ordering contract
 //!

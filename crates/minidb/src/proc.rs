@@ -23,9 +23,9 @@ use crate::engine::{Database, DbError};
 use crate::schema::{ColumnDef, Schema};
 use crate::table::Aggregate;
 use crate::value::{DataType, Value};
-use mlss_core::estimator::{run_sequential_from, Estimator};
+use mlss_core::estimator::{run_sequential_from, Estimator, RunCursor};
 use mlss_core::model::SimulationModel;
-use mlss_core::parallel::{run_parallel, run_parallel_from, ParallelConfig};
+use mlss_core::parallel::{run_parallel_from, ParallelConfig};
 use mlss_core::partition::balanced_plan;
 use mlss_core::plan_cache::{fingerprint, PlanCache, PlanLookup};
 use mlss_core::planner::{plan_reuse, ReusePlan};
@@ -33,20 +33,19 @@ use mlss_core::prelude::{
     GMlssConfig, Problem, RatioValue, SMlssConfig, SimRng, SrsEstimator, StateScore,
 };
 use mlss_core::quality::RunControl;
-use mlss_core::rng::{rng_from_seed, split_rng};
+use mlss_core::rng::{rng_from_seed, split_rng, RootCursor};
 use mlss_core::scheduler::{CompletedQuery, QueryId, Scheduler, SliceableQuery, TenantId};
 use mlss_core::shard_store::{shard_key, ShardStore, StoredShard};
 use mlss_core::spec::{
     estimator_job, resolve_method, target_control, warm_estimator_job, DeferredPlanQuery,
     ModelSchema, ParamSpec, QuerySpec, ResolvedMethod, SpecError, SpecErrorKind, BALANCED_PLAN_KEY,
-    PILOT_PATHS,
+    PILOT_PATHS, PILOT_SEED_SALT, TARGET_MAX_STEPS,
 };
 use mlss_models::{
     ar_value_score, last_station_score, position_score, price_score, queue2_score, surplus_score,
     ArModel, CompoundPoisson, GeometricBrownian, JumpDistribution, MarkovChain, RandomWalk,
     SeriesNetwork, TandemQueue, Volatile,
 };
-use rand::RngExt;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -322,13 +321,13 @@ pub struct PlanResolution {
 /// spine. Every entry point hands it the same [`QuerySpec`] IR.
 pub trait ModelRunner: Send + Sync {
     /// Answer the spec synchronously (sequential, batched, or parallel
-    /// driver per its execution options), memoizing derived partition
-    /// plans through `plans`.
+    /// driver per its execution options) on the run `seed` names,
+    /// memoizing derived partition plans through `plans`.
     fn estimate(
         &self,
         spec: &QuerySpec,
         plans: &PlanContext,
-        rng: &mut SimRng,
+        seed: u64,
     ) -> Result<ProcEstimate, DbError>;
 
     /// Submit the spec to a [`Scheduler`] instead of running it
@@ -354,7 +353,9 @@ pub trait ModelRunner: Send + Sync {
     /// pooled per-arm shard *is* its state, and standings must not
     /// depend on what earlier queries left behind). On a plan-cache miss
     /// the pilot is deferred to the arm's first slice, single-flight
-    /// through the shared cache — same-shape arms share one pilot.
+    /// through the shared cache — same-shape arms share one pilot. The
+    /// job runs in budget mode to the target valve: the race checks the
+    /// arm's target itself, at its round ends.
     /// Returns the job plus its plan-cache provenance.
     fn rank_arm(
         self: Box<Self>,
@@ -366,11 +367,11 @@ pub trait ModelRunner: Send + Sync {
 
     /// Resubmit a recovered ASYNC query from a durable checkpoint:
     /// `method` is the resolved estimator the checkpoint was cut under
-    /// and `entry` its shard + RNG at a slice boundary. Warm-starts
+    /// and `entry` its shard + run cursor at a slice boundary. Warm-starts
     /// when the plan and shard type line up; any mismatch (plan not in
     /// the cache, foreign shard, non-SQL estimator) falls back to
     /// [`ModelRunner::submit`] — a cold rerun from `seed`, which under
-    /// a pinned seed replays the identical stream and is therefore
+    /// a pinned seed replays the identical run and is therefore
     /// still bit-exact, just slower. The default implementation is
     /// that fallback.
     fn resume(
@@ -388,13 +389,13 @@ pub trait ModelRunner: Send + Sync {
 
     /// Resolve the spec's execution plan without running the estimator:
     /// the `auto` rule, the level plan (derived through the cache — the
-    /// pilot runs on a cold cache), and the cache provenance. This is
-    /// the engine behind `EXPLAIN ESTIMATE`.
+    /// pilot runs on a cold cache, on `seed`'s pilot stream), and the
+    /// cache provenance. This is the engine behind `EXPLAIN ESTIMATE`.
     fn resolve_plan(
         &self,
         spec: &QuerySpec,
         plans: &PlanContext,
-        rng: &mut SimRng,
+        seed: u64,
     ) -> Result<PlanResolution, DbError>;
 
     /// Resolve the launch width this spec will execute with, plus the
@@ -407,8 +408,8 @@ pub trait ModelRunner: Send + Sync {
     /// micro-calibration burst ran and its winner was memoized in the
     /// plan cache), `"cached-probe"` (auto, a previous probe answered).
     ///
-    /// Probes time throwaway bursts on an RNG derived from the query
-    /// fingerprint — never the query's stream — so `batch_width=auto`
+    /// Probes time throwaway bursts on a run keyed by the query
+    /// fingerprint — never the query's run — so `batch_width=auto`
     /// stays bit-identical to running the resolved width explicitly.
     fn resolve_width(
         &self,
@@ -467,15 +468,15 @@ where
     /// or parallel spine per the spec's execution options, consulting
     /// the shard store first: a stored entry that already meets the
     /// target is served outright, a looser one warm-starts the run, and
-    /// sequential runs deposit their final shard (plus its
-    /// chunk-boundary RNG) back for the next query over the same key.
+    /// every run deposits its final shard (plus its run cursor) back for
+    /// the next query over the same key.
     fn drive_reused<E>(
         &self,
         est: &E,
         spec: &QuerySpec,
         plans: &PlanContext,
         resolved: &ResolvedMethod,
-        rng: &mut SimRng,
+        seed: u64,
     ) -> ProcEstimate
     where
         E: Estimator<M, RatioValue<Z>> + Sync,
@@ -490,15 +491,8 @@ where
 
         let store = plans.store.as_deref();
         let key = store.map(|_| shard_key(plans.fingerprint, resolved.name(), resolved.plan()));
-        // Only the sequential driver replays the target-mode cadence a
-        // bit-exact checkpoint was cut at, so only it may reuse under a
-        // pinned seed: a pinned parallel run would merge a stored shard
-        // a storeless session never holds, changing its bits. Unpinned
-        // parallel runs still reuse (statistical pooling is cadence-
-        // independent).
-        let replayable = spec.options.threads <= 1;
         let plan = match (store, &key) {
-            (Some(s), Some(k)) => plan_reuse(s, k, spec.target_re, spec.options.seed, replayable),
+            (Some(s), Some(k)) => plan_reuse(s, k, spec.target_re, spec.options.seed),
             _ => ReusePlan::Cold,
         };
 
@@ -515,14 +509,13 @@ where
             };
         }
 
-        // Warm-start: continue from the stored checkpoint. Sequential
-        // drivers replay the exact stream a longer cold run would have
-        // used (bit-identical under a pinned seed); the parallel driver
-        // reuses the merged shard under fresh worker streams.
+        // Warm-start: continue the stored checkpoint's run, the exact
+        // trajectory a longer cold run takes (bit-identical under a
+        // pinned seed, on every driver).
         let warm = match &plan {
             ReusePlan::Warm { entry, .. } => entry
                 .shard_as::<E::Shard>()
-                .map(|s| (s.clone(), entry.rng.clone())),
+                .map(|s| (s.clone(), entry.cursor)),
             _ => None,
         };
         let shard_reuse: &'static str = if warm.is_some() {
@@ -532,51 +525,26 @@ where
         } else {
             "none"
         };
-
-        if spec.options.threads > 1 {
+        let (initial, cursor) = warm.unwrap_or_else(|| (est.shard(), RunCursor::from_seed(seed)));
+        let run = if spec.options.threads > 1 {
             let cfg = ParallelConfig {
                 threads: spec.options.threads,
-                seed: rng.random::<u64>(),
+                seed,
                 batch_width: width,
-                ..Default::default()
             };
-            let e = match warm {
-                Some((shard, _)) => run_parallel_from(problem, est, control, &cfg, shard).estimate,
-                None => run_parallel(problem, est, control, &cfg).estimate,
-            };
-            observe_regime(plans, e.steps, e.n_roots);
-            return ProcEstimate {
-                tau: e.tau,
-                variance: e.variance,
-                steps: e.steps,
-                n_roots: e.n_roots,
-                plan_source: "none",
-                shard_reuse,
-            };
-        }
-
-        let (initial, mut warm_rng) = match warm {
-            Some((shard, warm_rng)) => (shard, Some(warm_rng)),
-            None => (est.shard(), None),
+            run_parallel_from(problem, est, control, &cfg, initial, cursor)
+        } else {
+            run_sequential_from(est, problem, control, cursor, initial, width)
         };
-        let rng: &mut SimRng = match warm_rng.as_mut() {
-            Some(r) => r,
-            None => rng,
-        };
-        let run = run_sequential_from(est, problem, control, rng, initial, width);
         if let (Some(s), Some(k)) = (store, key) {
-            // The resume RNG sits at the final chunk boundary, so the
-            // deposit is the exact state a longer run would continue
-            // from — bit-exact for same-seed warm starts.
             s.deposit(
                 k,
                 StoredShard::new(
                     &run.shard,
-                    run.resume_rng,
+                    run.cursor,
                     run.estimate,
                     spec.options.seed,
                     spec.target_re,
-                    true,
                 ),
             );
         }
@@ -593,14 +561,14 @@ where
     }
 
     /// The traced plan lookup every plan-needing path shares: the
-    /// pilot-plus-tail-fit runs only on a cache miss (drawing from
-    /// `rng`); repeated queries over the same (model, params, β,
-    /// horizon) reuse the stored plan and skip the pilot's draws.
+    /// pilot-plus-tail-fit runs only on a cache miss, on `seed`'s pilot
+    /// stream (the one a deferred ASYNC pilot uses); repeated queries
+    /// over the same (model, params, β, horizon) reuse the stored plan.
     fn plan_for(
         &self,
         spec: &QuerySpec,
         plans: &PlanContext,
-        rng: &mut SimRng,
+        seed: u64,
     ) -> (PlanLookup, &'static str) {
         let vf = RatioValue::new(self.score, spec.beta);
         let problem = Problem::new(&self.model, &vf, spec.horizon);
@@ -608,7 +576,10 @@ where
             plans.fingerprint,
             BALANCED_PLAN_KEY,
             spec.levels,
-            || balanced_plan(problem, spec.levels, PILOT_PATHS, rng),
+            || {
+                let mut pilot_rng = rng_from_seed(seed ^ PILOT_SEED_SALT);
+                balanced_plan(problem, spec.levels, PILOT_PATHS, &mut pilot_rng)
+            },
         );
         let src = if lookup.hit { "hit" } else { "miss" };
         (lookup, src)
@@ -655,18 +626,18 @@ where
             );
         }
         // Micro-calibration: time a fixed step burst per candidate width
-        // on a throwaway stream derived from the fingerprint. Every
-        // candidate replays the identical paths (the RNG reseeds per
-        // call), so the comparison isolates width. The winner is
+        // on a throwaway run keyed by the fingerprint. Every candidate
+        // replays the identical paths (the cursor restarts per call), so
+        // the comparison isolates width. The winner is
         // memoized in the plan cache — repeats of this query family
         // resolve as "cached-probe" without ever probing again.
         let vf = RatioValue::new(self.score, spec.beta);
         let problem = Problem::new(&self.model, &vf, spec.horizon);
         let est = SrsEstimator;
         let picked = mlss_core::width::calibrate(class.probe_candidates(), |w| {
-            let mut rng = rng_from_seed(plans.fingerprint ^ WIDTH_PROBE_SEED_SALT);
+            let mut roots = RootCursor::new(plans.fingerprint ^ WIDTH_PROBE_SEED_SALT);
             let mut shard = <SrsEstimator as Estimator<M, RatioValue<Z>>>::shard(&est);
-            est.run_chunk(problem, &mut shard, WIDTH_PROBE_BUDGET, &mut rng, w);
+            est.run_chunk(problem, &mut shard, WIDTH_PROBE_BUDGET, &mut roots, w);
         });
         plans
             .cache
@@ -690,20 +661,20 @@ where
         &self,
         spec: &QuerySpec,
         plans: &PlanContext,
-        rng: &mut SimRng,
+        seed: u64,
     ) -> Result<ProcEstimate, DbError> {
-        let resolution = self.resolve_plan(spec, plans, rng)?;
+        let resolution = self.resolve_plan(spec, plans, seed)?;
         let control = target_control(spec.target_re);
         let resolved = &resolution.resolved;
         let mut est = match resolved {
-            ResolvedMethod::Srs => self.drive_reused(&SrsEstimator, spec, plans, resolved, rng),
+            ResolvedMethod::Srs => self.drive_reused(&SrsEstimator, spec, plans, resolved, seed),
             ResolvedMethod::SMlss(plan) => {
                 let cfg = SMlssConfig::new(plan.clone(), control);
-                self.drive_reused(&cfg, spec, plans, resolved, rng)
+                self.drive_reused(&cfg, spec, plans, resolved, seed)
             }
             ResolvedMethod::GMlss(plan) => {
                 let cfg = GMlssConfig::new(plan.clone(), control);
-                self.drive_reused(&cfg, spec, plans, resolved, rng)
+                self.drive_reused(&cfg, spec, plans, resolved, seed)
             }
         };
         est.plan_source = resolution.plan_source;
@@ -755,13 +726,7 @@ where
                 return (job, "none");
             };
             let key = shard_key(fp, resolved.name(), resolved.plan());
-            // Scheduler slices check quality at slice boundaries, not
-            // the sequential driver's check cadence, so an async run is
-            // never a bit-exact replay: a pinned-seed submission plans
-            // cold (replayable = false keeps the planner from even
-            // consulting the store), preserving store-on/store-off
-            // bit-identity. Unpinned submissions reuse freely.
-            match plan_reuse(store, &key, spec.target_re, spec.options.seed, false) {
+            match plan_reuse(store, &key, spec.target_re, spec.options.seed) {
                 ReusePlan::Stored { entry } => (
                     Box::new(CompletedQuery::new(entry.estimate)) as Box<dyn SliceableQuery>,
                     "stored",
@@ -875,7 +840,9 @@ where
         plans: &PlanContext,
         default_width: usize,
     ) -> Result<(Box<dyn SliceableQuery>, &'static str), DbError> {
-        let control = target_control(spec.target_re);
+        // The race checks the arm's target at its round ends; the job
+        // itself only carries the step valve.
+        let control = RunControl::budget(TARGET_MAX_STEPS);
         let (width, _) = self.width_for(spec, plans, default_width);
         let fp = plans.fingerprint;
         let Runner { model, score } = *self;
@@ -988,7 +955,7 @@ where
         &self,
         spec: &QuerySpec,
         plans: &PlanContext,
-        rng: &mut SimRng,
+        seed: u64,
     ) -> Result<PlanResolution, DbError> {
         if !spec.method.needs_plan() {
             return Ok(PlanResolution {
@@ -997,7 +964,7 @@ where
                 plan_source: "none",
             });
         }
-        let (lookup, src) = self.plan_for(spec, plans, rng);
+        let (lookup, src) = self.plan_for(spec, plans, seed);
         Ok(PlanResolution {
             resolved: resolve_method(spec.method, Some(&lookup)),
             tau_hint: lookup.tau_hint,

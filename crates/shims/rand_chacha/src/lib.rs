@@ -68,8 +68,7 @@ pub struct ChaCha12Rng {
     /// key never mutates after construction, so `stream == stream`
     /// implies `key == key` — batch pipelines tag cached blocks with
     /// this one word instead of comparing the full 32-byte key. Clones
-    /// share the identity (same key, same stream); rebuilding via
-    /// [`ChaCha12Rng::from_state`] allocates a fresh one.
+    /// share the identity (same key, same stream).
     stream: u64,
 }
 
@@ -209,52 +208,6 @@ impl ChaCha12Rng {
         true
     }
 
-    // ---- exact state save/restore ------------------------------------
-    //
-    // The generator's observable state is fully determined by `(key,
-    // next-block counter, unread words)`: the buffered block, when one
-    // is partially read, is the pure function `chacha12_block(key,
-    // counter - 1)`. A durability layer can therefore persist three
-    // small integers and restore the stream to the exact draw position
-    // — no keystream replay, no buffered-block serialization.
-
-    /// The stream's exact position as `(key, next-block counter, unread
-    /// words in the current block)`. Feeding this to
-    /// [`ChaCha12Rng::from_state`] yields a generator whose future draw
-    /// sequence is bit-identical to this one's.
-    pub fn state(&self) -> ([u32; 8], u64, u8) {
-        (self.key, self.counter, (BLOCK_WORDS - self.idx) as u8)
-    }
-
-    /// Rebuild a generator from a [`ChaCha12Rng::state`] triple. When
-    /// the saved position was mid-block (`words_remaining > 0`), the
-    /// buffered block is recomputed from `(key, counter - 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `words_remaining` exceeds the block size.
-    pub fn from_state(key: [u32; 8], counter: u64, words_remaining: u8) -> Self {
-        let remaining = words_remaining as usize;
-        assert!(
-            remaining <= BLOCK_WORDS,
-            "words_remaining {remaining} exceeds block size {BLOCK_WORDS}"
-        );
-        let buf = if remaining == 0 {
-            // Fully drained (or never filled): the next draw refills
-            // from `counter`, so the buffer contents are irrelevant.
-            [0; BLOCK_WORDS]
-        } else {
-            chacha12_block(&key, counter.wrapping_sub(1))
-        };
-        Self {
-            key,
-            counter,
-            buf,
-            idx: BLOCK_WORDS - remaining,
-            stream: alloc_stream_id(),
-        }
-    }
-
     /// Install an externally computed next block, exactly as the internal
     /// refill would: `block` must equal
     /// [`chacha12_block`]`(&self.block_key(), self.block_counter())`.
@@ -385,29 +338,6 @@ mod tests {
         let _ = rng.next_u32(); // buffer now partially read
         let block = chacha12_block(rng.block_key(), rng.block_counter());
         rng.install_block(block);
-    }
-
-    #[test]
-    fn state_roundtrip_is_draw_identical() {
-        // Save/restore at every offset within a block (including the
-        // drained and never-filled positions): the restored generator's
-        // future draws must match the original bit for bit, across
-        // block boundaries.
-        for drained in 0..=40usize {
-            let mut original = ChaCha12Rng::seed_from_u64(1234);
-            for _ in 0..drained {
-                let _ = original.next_u32();
-            }
-            let (key, counter, remaining) = original.state();
-            let mut restored = ChaCha12Rng::from_state(key, counter, remaining);
-            for _ in 0..100 {
-                assert_eq!(
-                    original.next_u64(),
-                    restored.next_u64(),
-                    "drained={drained}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -28,4 +28,4 @@ mod wal;
 
 pub use crc::crc32;
 pub use record::{Record, ResultRow, SubmitSpec};
-pub use wal::{CrashPlan, FsyncPolicy, Replay, Wal, WalOptions, WalStats};
+pub use wal::{CrashPlan, FormatError, FsyncPolicy, Replay, Wal, WalOptions, WalStats};

@@ -2,7 +2,7 @@
 //!
 //! Every record payload is `[kind: u8][body]`; bodies use the exact
 //! little-endian codecs of `mlss_core::persist`, so floats, 128-bit
-//! moment sums, and RNG positions all round-trip bit-for-bit. Records
+//! moment sums, and run cursors all round-trip bit-for-bit. Records
 //! are self-contained — replay never needs context beyond earlier
 //! records — which is what lets a snapshot be "a compacted log of the
 //! same format".
@@ -101,7 +101,7 @@ pub enum Record {
     ShardDeposit {
         /// The store key.
         key: ShardKey,
-        /// The stored checkpoint (shard + resume RNG + provenance).
+        /// The stored checkpoint (shard + run cursor + provenance).
         entry: StoredShard,
     },
     /// An ASYNC query was submitted. `qid` is the durable query id —
@@ -117,7 +117,7 @@ pub enum Record {
         shard_reuse: String,
     },
     /// A periodic checkpoint of a running ASYNC query: its committed
-    /// shard + RNG at a slice boundary.
+    /// shard + run cursor at a slice boundary.
     AsyncCheckpoint {
         /// Durable query id.
         qid: u64,

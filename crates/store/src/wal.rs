@@ -8,17 +8,23 @@
 //! tail.wal       append-only suffix of records since the last compaction
 //! ```
 //!
-//! Each file is an 8-byte magic (`MLSSWAL1`) followed by frames:
+//! Each file is an 8-byte magic (`MLSSWAL2`) followed by frames:
 //!
 //! ```text
 //! [len: u32 LE][crc32(payload): u32 LE][payload: len bytes]
 //! ```
 //!
 //! Replay reads the snapshot then the tail and stops each file at the
-//! first invalid frame — short header, truncated payload, CRC mismatch,
-//! or undecodable record — returning every record before it. The tail is
-//! then physically truncated to its last valid frame so subsequent
-//! appends never interleave with a torn write.
+//! first invalid frame — short header, truncated payload or CRC mismatch
+//! — returning every record before it. The tail is then physically
+//! truncated to its last valid frame so subsequent appends never
+//! interleave with a torn write.
+//!
+//! A log written by another version of the format is refused, never
+//! repaired: a header carrying another `MLSSWAL*` magic, or a
+//! checksummed record this version cannot decode, makes [`Wal::open`]
+//! fail with a [`FormatError`] and leaves both files byte-for-byte as
+//! they were.
 //!
 //! Compaction rewrites `snapshot.wal` (write temp → fsync → rename) with
 //! the session's current state as ordinary records and truncates the
@@ -33,7 +39,61 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 
-const MAGIC: &[u8; 8] = b"MLSSWAL1";
+const MAGIC: &[u8; 8] = b"MLSSWAL2";
+/// The magic's version-independent prefix: a header starting with it
+/// but not equal to [`MAGIC`] is another version's log.
+const MAGIC_FAMILY: &[u8] = b"MLSSWAL";
+
+/// Why [`Wal::open`] refused a log directory: a file was written by
+/// another version of the format. Carried as the inner error of an
+/// [`std::io::ErrorKind::InvalidData`] error (recover it with
+/// `err.get_ref().and_then(|e| e.downcast_ref::<FormatError>())`); the
+/// refused files are left untouched.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FormatError {
+    /// The file's header carries another version's magic.
+    ForeignVersion {
+        /// The refused file.
+        path: PathBuf,
+        /// The header it carries.
+        magic: [u8; 8],
+    },
+    /// A frame's checksum holds but its record does not decode.
+    UndecodableRecord {
+        /// The refused file.
+        path: PathBuf,
+        /// Byte offset of the frame.
+        offset: u64,
+    },
+}
+
+impl std::fmt::Display for FormatError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FormatError::ForeignVersion { path, magic } => write!(
+                f,
+                "{} is a {} log; this build reads {}",
+                path.display(),
+                String::from_utf8_lossy(magic),
+                String::from_utf8_lossy(MAGIC)
+            ),
+            FormatError::UndecodableRecord { path, offset } => write!(
+                f,
+                "{}: the checksummed record at byte {offset} does not decode \
+                 (written by another version)",
+                path.display()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FormatError {}
+
+impl From<FormatError> for std::io::Error {
+    fn from(e: FormatError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
 const SNAPSHOT: &str = "snapshot.wal";
 const TAIL: &str = "tail.wal";
 
@@ -176,8 +236,13 @@ fn parse_file(path: &Path) -> std::io::Result<(Vec<Record>, u64, bool, u64)> {
         }
         Err(e) => return Err(e),
     }
+    if buf.len() >= MAGIC.len() && buf.starts_with(MAGIC_FAMILY) && &buf[..MAGIC.len()] != MAGIC {
+        let magic = buf[..MAGIC.len()].try_into().unwrap();
+        let path = path.to_path_buf();
+        return Err(FormatError::ForeignVersion { path, magic }.into());
+    }
     if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
-        // Missing or foreign header: nothing trustworthy in the file.
+        // Missing or unreadable header: nothing trustworthy in the file.
         return Ok((Vec::new(), 0, !buf.is_empty(), buf.len() as u64));
     }
     let mut records = Vec::new();
@@ -197,7 +262,13 @@ fn parse_file(path: &Path) -> std::io::Result<(Vec<Record>, u64, bool, u64)> {
         }
         match Record::decode(payload) {
             Ok(rec) => records.push(rec),
-            Err(_) => break, // CRC-valid but undecodable: version skew
+            Err(_) => {
+                // Checksummed bytes this build cannot read: another
+                // version wrote them. Refuse rather than truncate.
+                let path = path.to_path_buf();
+                let offset = pos as u64;
+                return Err(FormatError::UndecodableRecord { path, offset }.into());
+            }
         }
         pos += 8 + len;
     }
@@ -218,7 +289,9 @@ fn frame(rec: &Record) -> std::io::Result<Vec<u8>> {
 
 impl Wal {
     /// Open (creating if needed) the log in `dir`, replay it, truncate
-    /// any invalid tail suffix, and position for appending.
+    /// any invalid tail suffix, and position for appending. Fails with a
+    /// [`FormatError`] — touching no file — when either file was written
+    /// by another version of the format.
     pub fn open(dir: impl Into<PathBuf>, opts: WalOptions) -> std::io::Result<(Wal, Replay)> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -484,6 +557,60 @@ mod tests {
         );
         assert!(replay.truncated);
         assert!(replay.dropped_bytes > 0);
+    }
+
+    fn format_error(err: &std::io::Error) -> &FormatError {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        err.get_ref()
+            .and_then(|e| e.downcast_ref::<FormatError>())
+            .expect("a typed format error")
+    }
+
+    #[test]
+    fn an_old_format_log_is_refused_and_left_untouched() {
+        let dir = tempdir("old_format");
+        // A hand-written previous-version log: its magic and one frame.
+        let mut old = b"MLSSWAL1".to_vec();
+        let payload = [0x2a_u8; 12];
+        old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        old.extend_from_slice(&crc32(&payload).to_le_bytes());
+        old.extend_from_slice(&payload);
+        std::fs::create_dir_all(&dir).unwrap();
+        let snapshot = b"MLSSWAL1 stale snapshot bytes".to_vec();
+        std::fs::write(dir.join(TAIL), &old).unwrap();
+        std::fs::write(dir.join(SNAPSHOT), &snapshot).unwrap();
+
+        let err = Wal::open(&dir, WalOptions::default())
+            .err()
+            .expect("refused");
+        assert!(matches!(
+            format_error(&err),
+            FormatError::ForeignVersion { magic, .. } if magic == b"MLSSWAL1"
+        ));
+        assert_eq!(std::fs::read(dir.join(TAIL)).unwrap(), old);
+        assert_eq!(std::fs::read(dir.join(SNAPSHOT)).unwrap(), snapshot);
+    }
+
+    #[test]
+    fn an_undecodable_checksummed_record_is_refused_not_truncated() {
+        let dir = tempdir("undecodable");
+        write_n(&dir, 2);
+        let path = dir.join(TAIL);
+        let mut full = std::fs::read(&path).unwrap();
+        // Append a well-framed record of an unknown kind.
+        let payload = [0xEE_u8, 1, 2, 3];
+        full.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        full.extend_from_slice(&crc32(&payload).to_le_bytes());
+        full.extend_from_slice(&payload);
+        std::fs::write(&path, &full).unwrap();
+        let err = Wal::open(&dir, WalOptions::default())
+            .err()
+            .expect("refused");
+        assert!(matches!(
+            format_error(&err),
+            FormatError::UndecodableRecord { .. }
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), full);
     }
 
     #[test]

@@ -50,18 +50,26 @@ fn main() {
         srs.estimate.steps as f64 / mlss.estimate.steps as f64
     );
 
-    // 3c. Same, parallel across 4 threads (§3.1).
-    let base = GMlssConfig::new(
+    // 3c. Same, parallel across 4 threads (§3.1), keeping the merged
+    //     per-root ledger.
+    let mut base = GMlssConfig::new(
         PartitionPlan::uniform(5),
         RunControl::budget(1), // replaced by the parallel control
     );
-    let par = run_parallel_to_target(problem, &base, target, 4, 3);
+    base.keep_ledger = true;
+    let cfg = ParallelConfig {
+        threads: 4,
+        seed: 3,
+        batch_width: 1,
+    };
+    let par = run_parallel(problem, &base, RunControl::until(target), &cfg);
     println!(
-        "MLSS∥ : tau = {:.4e}  ({} g-invocations on {} threads, {:.2}s)",
+        "MLSS∥ : tau = {:.4e}  ({} g-invocations, {} ledger roots on {} threads, {:.2}s)",
         par.estimate.tau,
         par.estimate.steps,
-        par.threads,
-        par.elapsed.as_secs_f64()
+        par.shard.ledger.n_roots(),
+        cfg.threads,
+        par.sim_elapsed.as_secs_f64()
     );
 
     // 95% confidence intervals for all three.

@@ -1,9 +1,9 @@
 //! Bit-identity across frontier widths: the frontier's defining property.
 //!
-//! Every chunk (`Estimator::run_chunk` and everything built on it) gives
-//! every root path its own RNG stream and commits roots in
-//! launch order, so the committed shard is a pure function of the master
-//! RNG state and the budget — **independent of the frontier width** and
+//! Every chunk (`Estimator::run_chunk` and everything built on it) runs
+//! root `k` on stream `k` of the run key and commits roots in index
+//! order, so the committed shard is a pure function of the run key, the
+//! root cursor and the budget — **independent of the frontier width** and
 //! of whether the model runs its native batch kernel or the scalar→batch
 //! adapter. These tests pin that property end to end:
 //!
@@ -12,7 +12,7 @@
 //! * a native batch kernel (compound-Poisson) and the
 //!   [`ScalarAdapter`]-forced scalar loop produce bit-identical shards;
 //! * a checkpoint cut mid-run (between frontier chunks — chunks always
-//!   drain their frontier, so shard + RNG is the complete state) resumes
+//!   drain their frontier, so shard + cursor is the complete state) resumes
 //!   to the same estimate, both through the sequential driver and
 //!   through a scheduler pause/detach/resubmit cycle;
 //! * `StepCounter` meters a batch of `k` alive lanes as exactly `k`
@@ -25,7 +25,6 @@ use mlss_core::estimator::{run_sequential_batched, run_sequential_from};
 use mlss_core::is::IsEstimator;
 use mlss_core::prelude::*;
 use mlss_core::smlss::SMlssConfig;
-use rand::RngExt;
 
 const WIDTHS: [usize; 3] = [1, 7, 64];
 
@@ -59,9 +58,9 @@ where
     V: ValueFunction<M::State>,
     E: Estimator<M, V>,
 {
-    let mut rng = rng_from_seed(seed);
+    let mut roots = RootCursor::new(seed);
     let mut shard = estimator.shard();
-    estimator.run_chunk(problem, &mut shard, budget, &mut rng, width);
+    estimator.run_chunk(problem, &mut shard, budget, &mut roots, width);
     let est = estimator.estimate(&shard, &mut rng_from_seed(0));
     (
         shard.steps(),
@@ -69,7 +68,7 @@ where
         est.hits,
         est.tau.to_bits(),
         est.variance.to_bits(),
-        rng.random::<u64>(),
+        roots.next,
     )
 }
 
@@ -123,9 +122,8 @@ fn gmlss_is_bit_identical_across_widths() {
     // The per-root ledger must match record-for-record, not just in
     // aggregate — bootstrap resampling replays it by index.
     let run_ledger = |width: usize| {
-        let mut rng = rng_from_seed(5);
         let mut shard = mlss_core::estimator::shard_for(&cfg, &problem);
-        cfg.run_chunk(problem, &mut shard, 40_000, &mut rng, width);
+        cfg.run_chunk(problem, &mut shard, 40_000, &mut RootCursor::new(5), width);
         assert!(shard.skip_events > 0, "test requires observed skipping");
         let n = shard.ledger.n_roots();
         let hits: Vec<u32> = (0..n).map(|i| shard.ledger.root_hits(i)).collect();
@@ -155,7 +153,7 @@ fn is_estimator_is_bit_identical_across_widths() {
 fn is_estimator_is_bit_identical_across_widths_on_native_tilted_kernels() {
     // The PR-5 native `step_tilted_batch` kernels (cpp, walk, gbm on the
     // vectorized draw pipeline): the IS estimator must stay a pure
-    // function of (master RNG, budget) at every width.
+    // function of (run key, budget) at every width.
     let cpp = CompoundPoisson::zero_drift_default();
     let v = cpp_vf(40.0);
     check_widths(
@@ -202,11 +200,11 @@ fn is_mid_run_checkpoint_resumes_to_the_same_estimate() {
 
     let whole = run_sequential_batched(&est, problem, control, &mut rng_from_seed(21), 32);
 
-    let mut rng = rng_from_seed(21);
+    let mut run = RunCursor::from_rng(&mut rng_from_seed(21));
     let mut checkpoint = <IsEstimator as Estimator<CompoundPoisson, CppVf>>::shard(&est);
-    est.run_chunk(problem, &mut checkpoint, 30_000, &mut rng, 32);
+    est.run_chunk(problem, &mut checkpoint, 30_000, &mut run.roots, 32);
     assert!(checkpoint.steps() > 0 && checkpoint.steps() < 90_000);
-    let resumed = run_sequential_from(&est, problem, control, &mut rng, checkpoint, 32);
+    let resumed = run_sequential_from(&est, problem, control, run, checkpoint, 32);
 
     assert_eq!(whole.estimate.steps, resumed.estimate.steps);
     assert_eq!(whole.estimate.n_roots, resumed.estimate.n_roots);
@@ -305,11 +303,11 @@ fn mid_run_checkpoint_resumes_to_the_same_estimate() {
 
     let whole = run_sequential_batched(&SrsEstimator, problem, control, &mut rng_from_seed(11), 32);
 
-    let mut rng = rng_from_seed(11);
+    let mut run = RunCursor::from_rng(&mut rng_from_seed(11));
     let mut checkpoint = <SrsEstimator as Estimator<CompoundPoisson, CppVf>>::shard(&SrsEstimator);
-    SrsEstimator.run_chunk(problem, &mut checkpoint, 30_000, &mut rng, 32);
+    SrsEstimator.run_chunk(problem, &mut checkpoint, 30_000, &mut run.roots, 32);
     assert!(checkpoint.steps() > 0 && checkpoint.steps() < 90_000);
-    let resumed = run_sequential_from(&SrsEstimator, problem, control, &mut rng, checkpoint, 32);
+    let resumed = run_sequential_from(&SrsEstimator, problem, control, run, checkpoint, 32);
 
     assert_eq!(whole.estimate.steps, resumed.estimate.steps);
     assert_eq!(whole.estimate.n_roots, resumed.estimate.n_roots);
@@ -399,7 +397,13 @@ fn budget_boundary_clamps_the_final_cohort_width() {
     // cohort even though the budget pays for ~25 roots of horizon 80.
     let mut raw =
         <SrsEstimator as Estimator<StepCounter<CompoundPoisson>, CppVf>>::shard(&SrsEstimator);
-    SrsEstimator.run_chunk(problem, &mut raw, budget, &mut rng_from_seed(7), width);
+    SrsEstimator.run_chunk(
+        problem,
+        &mut raw,
+        budget,
+        &mut RootCursor::from_rng(&mut rng_from_seed(7)),
+        width,
+    );
     let raw_speculation = counted.steps() - raw.steps();
 
     // The driver clamps the launch width to ⌈budget / per_root⌉.
@@ -468,7 +472,7 @@ fn step_counter_meters_batches_exactly() {
     let problem = Problem::new(&counted, &v, 80);
     let mut shard =
         <SrsEstimator as Estimator<StepCounter<CompoundPoisson>, CppVf>>::shard(&SrsEstimator);
-    SrsEstimator.run_chunk(problem, &mut shard, 20_000, &mut rng_from_seed(2), 1);
+    SrsEstimator.run_chunk(problem, &mut shard, 20_000, &mut RootCursor::new(2), 1);
     assert_eq!(counted.steps(), shard.steps());
 
     // At width 64 the meter may additionally count discarded speculative
@@ -476,7 +480,7 @@ fn step_counter_meters_batches_exactly() {
     counted.reset();
     let mut shard64 =
         <SrsEstimator as Estimator<StepCounter<CompoundPoisson>, CppVf>>::shard(&SrsEstimator);
-    SrsEstimator.run_chunk(problem, &mut shard64, 20_000, &mut rng_from_seed(2), 64);
+    SrsEstimator.run_chunk(problem, &mut shard64, 20_000, &mut RootCursor::new(2), 64);
     assert!(counted.steps() >= shard64.steps());
     assert_eq!(shard64.steps(), shard.steps(), "widths agree on the shard");
 }

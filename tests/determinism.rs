@@ -1,37 +1,39 @@
-//! Cross-driver determinism: the same seed and plan must produce the
-//! same samples — and therefore identical estimates — no matter which
-//! execution path runs them, at which frontier width.
+//! Cross-driver determinism: one trajectory per seed. The same seed and
+//! plan must produce the same samples — and therefore identical
+//! estimates — no matter which execution path runs them, at which
+//! frontier width, on how many threads, sliced or paused how.
 //!
-//! Four paths share one RNG stream convention (worker 0 of
-//! `StreamFactory::new(seed)`):
+//! A run is keyed once from its seed (`RunCursor::from_seed`, the key
+//! `run_sequential` draws from `StreamFactory::new(seed).stream(0)`).
+//! Root `k` draws stream `k` of that key, quality check `i` draws check
+//! stream `i`, and the closing estimate its own stream, so a root's
+//! outcome never depends on who runs it. Every driver commits roots in
+//! index order and evaluates the stopping rule at the same chunk ends
+//! (`RunControl::next_chunk`), so the committed prefix and the answer
+//! are pure functions of `(seed, query)`. The paths compared here:
 //!
-//! 1. the sequential driver `run_sequential` (width 1), handed that
-//!    stream directly;
-//! 2. `run_sequential_batched` at width 7 over the same stream;
-//! 3. the parallel driver `run_parallel` at 1 thread and width 64, whose
-//!    single worker draws the same stream;
-//! 4. the scheduler with 1 worker at width 16, whose
-//!    `EstimatorQuery::from_seed` seeds the job identically.
+//! 1. the sequential driver `run_sequential` (width 1);
+//! 2. `run_sequential_batched` at width 7;
+//! 3. the parallel driver `run_parallel` at 1, 2 and 4 threads;
+//! 4. the scheduler with 1 and 2 workers (slices of a few thousand
+//!    steps);
+//! 5. a scheduler run paused mid-query, detached, and resubmitted.
 //!
-//! Chunk boundaries differ wildly between them (one monolithic chunk vs
-//! `sync_every` chunks vs scheduler slices), but the chunk contract —
-//! complete every root path you start; shards merge exactly — makes the
-//! boundaries invisible, and every root runs on its own stream split
-//! from the driver's, so width is invisible too: in budget mode all
-//! counters, the point estimate and the variance agree **bit-for-bit**.
-//!
-//! Intentional divergences (documented, not bugs):
-//! * **Target mode** consumes RNG in quality checks (bootstrap variance
-//!   draws), and the paths check at different cadences, so their streams
-//!   separate; estimates then agree statistically, not exactly.
-//! * **Multi-worker runs** split work across streams; totals depend on
-//!   scheduling and agree statistically.
+//! In budget and target mode alike, every path must agree with the
+//! sequential run **bit-for-bit**: steps, roots, hits, τ̂ and variance —
+//! g-MLSS with its bootstrap variance included.
 
 use mlss_core::estimator::run_sequential_batched;
+use mlss_core::gmlss::VarianceMode;
 use mlss_core::is::{IsEstimator, TiltableModel};
 use mlss_core::prelude::*;
+use mlss_core::scheduler::DurabilityHook;
 use mlss_core::smlss::SMlssConfig;
 use rand::RngExt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 #[derive(Clone)]
 struct Walk {
@@ -79,96 +81,172 @@ fn vf() -> Vf {
     RatioValue::new(score as fn(&f64) -> f64, 1.0)
 }
 
-/// Run one estimator through all four drivers, each at its own width,
+const HORIZON: u64 = 70;
+
+fn controls() -> [(&'static str, RunControl); 2] {
+    [
+        ("budget", RunControl::budget(40_000)),
+        (
+            "target",
+            RunControl::Target {
+                target: QualityTarget::RelativeError {
+                    target: 0.3,
+                    reference: None,
+                },
+                check_every: 64,
+                max_steps: 5_000_000,
+            },
+        ),
+    ]
+}
+
+fn scheduler(workers: usize, batch_width: usize) -> Scheduler {
+    Scheduler::new(SchedulerConfig {
+        workers,
+        slice_budget: 1_500,
+        max_retries: 0,
+        batch_width,
+        tenant_weights: Vec::new(),
+    })
+}
+
+/// Parks the first query to commit two slices: reports in, then holds
+/// the worker until the test has requested the pause.
+struct PauseAfterTwoSlices {
+    parked: Mutex<Sender<QueryId>>,
+    release: Mutex<Receiver<()>>,
+    fired: AtomicBool,
+}
+
+impl DurabilityHook for PauseAfterTwoSlices {
+    fn slice_committed(&self, id: QueryId, slices: u64, _job: &mut dyn SliceableQuery) {
+        if slices == 2 && !self.fired.swap(true, Ordering::SeqCst) {
+            self.parked.lock().unwrap().send(id).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+    }
+}
+
+/// Run on a scheduler that pauses the query mid-run, detaches it (the
+/// checkpoint), and resubmits it.
+fn paused_detached_resumed<E>(
+    model: &Walk,
+    estimator: &E,
+    control: RunControl,
+    seed: u64,
+) -> Estimate
+where
+    E: Estimator<Walk, Vf> + Clone + Send + Sync + 'static,
+    E::Shard: Send + Clone + 'static,
+{
+    let sched = scheduler(1, 3);
+    let (parked_tx, parked_rx) = channel();
+    let (release_tx, release_rx) = channel();
+    sched.attach_durability_hook(Arc::new(PauseAfterTwoSlices {
+        parked: Mutex::new(parked_tx),
+        release: Mutex::new(release_rx),
+        fired: AtomicBool::new(false),
+    }));
+    let id = sched.submit(
+        model.clone(),
+        vf(),
+        HORIZON,
+        estimator.clone(),
+        control,
+        seed,
+        0,
+    );
+    let parked = parked_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the query is still running after two slices");
+    assert_eq!(parked, id);
+    assert!(sched.pause(id));
+    release_tx.send(()).unwrap();
+    while !matches!(sched.poll(id), Some(QueryStatus::Paused)) {
+        std::thread::yield_now();
+    }
+    let job = sched.detach(id).expect("a paused query detaches");
+    assert!(job.steps() > 0, "paused mid-query");
+    let resumed = sched.submit_query(job, 0);
+    *sched
+        .wait(resumed)
+        .unwrap()
+        .estimate()
+        .expect("the resumed query completes")
+}
+
+/// Run one estimator through every driver, in budget and target mode,
 /// and demand bit-identical counters, point estimate and variance.
-fn check_cross_driver<E>(name: &str, estimator: E, seed: u64, budget: u64)
+fn check_cross_driver<E>(name: &str, estimator: E, seed: u64)
 where
     E: Estimator<Walk, Vf> + Clone + Send + Sync + 'static,
     E::Shard: Send + Clone + 'static,
 {
     let model = Walk { up: 0.48 };
     let v = vf();
-    let problem = Problem::new(&model, &v, 70);
-    let control = RunControl::budget(budget);
+    let problem = Problem::new(&model, &v, HORIZON);
+    for (mode, control) in controls() {
+        let stream = || StreamFactory::new(seed).stream(0);
+        let seq = run_sequential(&estimator, problem, control, &mut stream()).estimate;
 
-    // 1. Sequential driver (width 1) over the canonical worker-0 stream.
-    let seq = run_sequential(
-        &estimator,
-        problem,
-        control,
-        &mut StreamFactory::new(seed).stream(0),
-    )
-    .estimate;
+        let mut paths = vec![(
+            "sequential@7".to_string(),
+            run_sequential_batched(&estimator, problem, control, &mut stream(), 7).estimate,
+        )];
+        for threads in [1, 2, 4] {
+            let cfg = ParallelConfig {
+                threads,
+                seed,
+                batch_width: 16,
+            };
+            let est = run_parallel(problem, &estimator, control, &cfg).estimate;
+            paths.push((format!("parallel@{threads}"), est));
+        }
+        for workers in [1, 2] {
+            let sched = scheduler(workers, 16);
+            let id = sched.submit(
+                model.clone(),
+                v,
+                HORIZON,
+                estimator.clone(),
+                control,
+                seed,
+                0,
+            );
+            let est = *sched.wait(id).unwrap().estimate().unwrap();
+            paths.push((format!("scheduler@{workers}"), est));
+        }
+        paths.push((
+            "scheduler paused+detached".to_string(),
+            paused_detached_resumed(&model, &estimator, control, seed),
+        ));
 
-    // 2. The same driver at width 7.
-    let batched = run_sequential_batched(
-        &estimator,
-        problem,
-        control,
-        &mut StreamFactory::new(seed).stream(0),
-        7,
-    )
-    .estimate;
-
-    // 3. Parallel driver at 1 thread and width 64 (multiple
-    //    sync_every-sized chunks).
-    let par = run_parallel(
-        problem,
-        &estimator,
-        control,
-        &ParallelConfig {
-            threads: 1,
-            sync_every: 7_000,
-            seed,
-            bootstrap_resamples: 50,
-            batch_width: 64,
-        },
-    )
-    .estimate;
-
-    // 4. Scheduler with 1 worker at width 16 (yet another slicing).
-    let sched = Scheduler::new(SchedulerConfig {
-        workers: 1,
-        slice_budget: 9_000,
-        max_retries: 0,
-        batch_width: 16,
-        tenant_weights: Vec::new(),
-    });
-    let id = sched.submit(model.clone(), v, 70, estimator.clone(), control, seed, 0);
-    let via_sched = *sched
-        .wait(id)
-        .unwrap()
-        .estimate()
-        .expect("scheduler completes the query");
-
-    for (path, est) in [
-        ("sequential@7", batched),
-        ("parallel@1x64", par),
-        ("scheduler@1x16", via_sched),
-    ] {
-        assert_eq!(est.steps, seq.steps, "{name}/{path}: steps");
-        assert_eq!(est.n_roots, seq.n_roots, "{name}/{path}: roots");
-        assert_eq!(est.hits, seq.hits, "{name}/{path}: hits");
-        assert_eq!(
-            est.tau.to_bits(),
-            seq.tau.to_bits(),
-            "{name}/{path}: τ̂ {} vs sequential {}",
-            est.tau,
-            seq.tau
-        );
-        assert_eq!(
-            est.variance.to_bits(),
-            seq.variance.to_bits(),
-            "{name}/{path}: variance {} vs sequential {}",
-            est.variance,
-            seq.variance
-        );
+        for (path, est) in paths {
+            let what = format!("{name}/{mode}/{path}");
+            assert_eq!(est.steps, seq.steps, "{what}: steps");
+            assert_eq!(est.n_roots, seq.n_roots, "{what}: roots");
+            assert_eq!(est.hits, seq.hits, "{what}: hits");
+            assert_eq!(
+                est.tau.to_bits(),
+                seq.tau.to_bits(),
+                "{what}: τ̂ {} vs sequential {}",
+                est.tau,
+                seq.tau
+            );
+            assert_eq!(
+                est.variance.to_bits(),
+                seq.variance.to_bits(),
+                "{what}: variance {} vs sequential {}",
+                est.variance,
+                seq.variance
+            );
+        }
     }
 }
 
 #[test]
 fn srs_is_deterministic_across_drivers() {
-    check_cross_driver("srs", SrsEstimator, 17, 60_000);
+    check_cross_driver("srs", SrsEstimator, 17);
 }
 
 #[test]
@@ -177,72 +255,23 @@ fn smlss_is_deterministic_across_drivers() {
         PartitionPlan::new(vec![0.4, 0.7]).unwrap(),
         RunControl::budget(1), // superseded by the driver's control
     );
-    check_cross_driver("smlss", cfg, 23, 60_000);
+    check_cross_driver("smlss", cfg, 23);
 }
 
 #[test]
 fn gmlss_is_deterministic_across_drivers() {
-    // No-skip model ⇒ the per-root-hit variance applies and even the
-    // variance is bit-identical. (Under skips only τ̂ would be; the
-    // bootstrap consumes driver-specific RNG.)
-    let cfg = GMlssConfig::new(
+    // The bootstrap variance draws from the check and closing streams,
+    // which every driver evaluates at the same points.
+    let mut cfg = GMlssConfig::new(
         PartitionPlan::new(vec![0.4, 0.7]).unwrap(),
         RunControl::budget(1),
-    );
-    check_cross_driver("gmlss", cfg, 29, 60_000);
+    )
+    .with_variance(VarianceMode::Bootstrap);
+    cfg.bootstrap_resamples = 50;
+    check_cross_driver("gmlss", cfg, 29);
 }
 
 #[test]
 fn is_is_deterministic_across_drivers() {
-    check_cross_driver("is", IsEstimator::new(0.1), 37, 60_000);
-}
-
-/// Target mode is the documented divergence: quality checks consume RNG
-/// at driver-specific cadences, so the paths agree statistically (same
-/// quality target) but not bit-for-bit.
-#[test]
-fn target_mode_diverges_statistically_only() {
-    let model = Walk { up: 0.48 };
-    let v = vf();
-    let problem = Problem::new(&model, &v, 70);
-    let control = RunControl::Target {
-        target: QualityTarget::RelativeError {
-            target: 0.15,
-            reference: None,
-        },
-        check_every: 256,
-        max_steps: 50_000_000,
-    };
-    let seed = 31u64;
-
-    let seq = run_sequential(
-        &SrsEstimator,
-        problem,
-        control,
-        &mut StreamFactory::new(seed).stream(0),
-    )
-    .estimate;
-
-    let sched = Scheduler::new(SchedulerConfig {
-        workers: 1,
-        slice_budget: 9_000,
-        max_retries: 0,
-        batch_width: 1,
-        tenant_weights: Vec::new(),
-    });
-    let id = sched.submit(model.clone(), v, 70, SrsEstimator, control, seed, 0);
-    let via_sched = *sched.wait(id).unwrap().estimate().unwrap();
-
-    // Both reach the target…
-    assert!(seq.self_relative_error() <= 0.15);
-    assert!(via_sched.self_relative_error() <= 0.15);
-    // …and agree within the combined statistical tolerance.
-    let diff = (seq.tau - via_sched.tau).abs();
-    let tol = 5.0 * (seq.variance.max(0.0) + via_sched.variance.max(0.0)).sqrt();
-    assert!(
-        diff <= tol.max(1e-3),
-        "target mode: sequential {} vs scheduler {}",
-        seq.tau,
-        via_sched.tau
-    );
+    check_cross_driver("is", IsEstimator::new(0.1), 37);
 }

@@ -187,7 +187,7 @@ fn ar_vf(beta: f64) -> ArVf {
 
 /// Run a whole chunk and summarize everything the shard exposes:
 /// counters, estimate bits (τ̂ and variance ride on `ExactSum` /
-/// `HitMoments`), and the master RNG's exit position.
+/// `HitMoments`), and the cursor's exit position.
 fn shard_signature<M, V, E>(
     estimator: &E,
     problem: Problem<'_, M, V>,
@@ -200,9 +200,9 @@ where
     V: ValueFunction<M::State>,
     E: Estimator<M, V>,
 {
-    let mut rng = rng_from_seed(seed);
+    let mut roots = RootCursor::new(seed);
     let mut shard = estimator.shard();
-    estimator.run_chunk(problem, &mut shard, budget, &mut rng, width);
+    estimator.run_chunk(problem, &mut shard, budget, &mut roots, width);
     let est = estimator.estimate(&shard, &mut rng_from_seed(0));
     (
         shard.steps(),
@@ -210,7 +210,7 @@ where
         est.hits,
         est.tau.to_bits(),
         est.variance.to_bits(),
-        rng.random::<u64>(),
+        roots.next,
     )
 }
 
@@ -304,12 +304,12 @@ fn gmlss_ledger_agrees_native_vs_adapter_record_for_record() {
     );
     cfg.keep_ledger = true;
     let run = |use_native: bool| {
-        let mut rng = rng_from_seed(12);
+        let mut roots = RootCursor::new(12);
         if use_native {
             let model = CompoundPoisson::zero_drift_default();
             let problem = Problem::new(&model, &v, 80);
             let mut shard = mlss_core::estimator::shard_for(&cfg, &problem);
-            cfg.run_chunk(problem, &mut shard, 40_000, &mut rng, 64);
+            cfg.run_chunk(problem, &mut shard, 40_000, &mut roots, 64);
             let n = shard.ledger.n_roots();
             let hits: Vec<u32> = (0..n).map(|i| shard.ledger.root_hits(i)).collect();
             (n, hits, shard.ledger.aggregate(), shard.tau().to_bits())
@@ -317,7 +317,7 @@ fn gmlss_ledger_agrees_native_vs_adapter_record_for_record() {
             let model = ScalarAdapter(CompoundPoisson::zero_drift_default());
             let problem = Problem::new(&model, &v, 80);
             let mut shard = mlss_core::estimator::shard_for(&cfg, &problem);
-            cfg.run_chunk(problem, &mut shard, 40_000, &mut rng, 64);
+            cfg.run_chunk(problem, &mut shard, 40_000, &mut roots, 64);
             let n = shard.ledger.n_roots();
             let hits: Vec<u32> = (0..n).map(|i| shard.ledger.root_hits(i)).collect();
             (n, hits, shard.ledger.aggregate(), shard.tau().to_bits())

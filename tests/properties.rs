@@ -79,7 +79,7 @@ where
     let shards: Vec<E::Shard> = (0..4u64)
         .map(|k| {
             let mut s = estimator.shard();
-            estimator.run_chunk(problem, &mut s, 20_000, &mut rng_from_seed(1_000 + k), 1);
+            estimator.run_chunk(problem, &mut s, 20_000, &mut RootCursor::new(1_000 + k), 1);
             s
         })
         .collect();
@@ -251,9 +251,7 @@ fn all_four_estimators_run_through_run_parallel() {
     let problem = Problem::new(&model, &vf, 120);
     let cfg = ParallelConfig {
         threads: 2,
-        sync_every: 20_000,
         seed: 77,
-        bootstrap_resamples: 50,
         batch_width: 1,
     };
     let control = RunControl::budget(200_000);

@@ -332,15 +332,15 @@ fn is_checkpoint_roundtrips_through_the_wal_bit_exactly() {
         *s
     }
     type IsJob = EstimatorQuery<TiltWalk, RatioValue<fn(&f64) -> f64>, IsEstimator>;
-    let job = |entry: Option<(IsShard, SimRng)>| -> IsJob {
+    let job = |entry: Option<(IsShard, RunCursor)>| -> IsJob {
         let model = TiltWalk { up: 0.35 };
         let value_fn = RatioValue::new(score as fn(&f64) -> f64, 8.0);
         let estimator = IsEstimator::new(0.5);
         let control = RunControl::budget(30_000);
         match entry {
             None => EstimatorQuery::from_seed(model, value_fn, 40, estimator, control, 99),
-            Some((shard, rng)) => {
-                EstimatorQuery::from_parts(model, value_fn, 40, estimator, control, shard, rng)
+            Some((shard, run)) => {
+                EstimatorQuery::from_parts(model, value_fn, 40, estimator, control, shard, run)
             }
         }
     };
@@ -393,7 +393,7 @@ fn is_checkpoint_roundtrips_through_the_wal_bit_exactly() {
         .shard_as::<IsShard>()
         .expect("is-tagged shard decodes to IsShard")
         .clone();
-    let resumed = finish(job(Some((shard, entry.rng.clone()))));
+    let resumed = finish(job(Some((shard, entry.cursor))));
 
     assert_eq!(reference.tau.to_bits(), resumed.tau.to_bits());
     assert_eq!(reference.variance.to_bits(), resumed.variance.to_bits());

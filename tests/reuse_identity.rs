@@ -5,16 +5,14 @@
 //! simulates only the marginal roots to a tighter target — must be
 //! **bit-identical** to a single cold query run straight to that tighter
 //! target with the same seed. The stored checkpoint is the shard plus
-//! the RNG position at its last chunk boundary; since chunk boundaries
-//! are invisible (shards merge exactly; every chunk drains its
-//! frontier), the continuation replays the exact stream the longer cold
-//! run would have used — including the target-mode quality-check draws,
-//! which happen at the same shard states in both runs.
+//! the run cursor; root streams and quality checks are index-addressed
+//! by the run key, so the continuation replays the exact trajectory the
+//! longer cold run takes — including the target-mode quality checks,
+//! which happen at the same shard states on the same check streams.
 //!
 //! Pinned here:
 //! * warm ≡ cold-at-tighter-target for all four estimators (SRS,
-//!   s-MLSS, g-MLSS, IS): estimate bits, counters, and the master RNG's
-//!   final position;
+//!   s-MLSS, g-MLSS, IS): estimate bits, counters, and the final cursor;
 //! * the same invariant end-to-end through the SQL layer: `results`
 //!   rows of a tighten-after-loose session match a cold session
 //!   bit-for-bit in every estimate-bearing column;
@@ -23,21 +21,28 @@
 //! * fingerprint isolation: a parameter change never reuses another
 //!   model's shards;
 //! * store-on ≡ store-off for every pinned statement: a looser-target
-//!   pinned repeat and a pinned parallel re-run both ignore the store
-//!   and match a storeless session bit-for-bit;
+//!   pinned repeat ignores the store, and tighter pinned statements on
+//!   the parallel driver and the scheduler warm-start from it — each
+//!   matching a storeless session bit-for-bit — and a checkpoint a
+//!   paused ASYNC query left inside a chunk is warm-started to the chunk
+//!   end, never served;
 //! * `EXPLAIN` previews the reuse verdict without counted lookups (no
 //!   hit/miss counter or LRU perturbation).
 
 use durability_mlss::models::{surplus_score, CompoundPoisson};
 use mlss_core::estimator::{run_sequential_batched, run_sequential_from};
 use mlss_core::is::IsEstimator;
-use mlss_core::planner::{plan_reuse, ReusePlan};
+use mlss_core::planner::{plan_reuse, ReusePlan, MIN_REUSE_ROOTS};
 use mlss_core::prelude::*;
+use mlss_core::scheduler::DurabilityHook;
 use mlss_core::shard_store::{shard_key, ShardStore, StoredShard};
 use mlss_core::smlss::SMlssConfig;
 use mlss_core::spec::{ExecMode, Method, QuerySpec};
 use mlss_db::{Session, SessionConfig, Value};
-use rand::RngExt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 type CppVf = RatioValue<fn(&f64) -> f64>;
 
@@ -76,7 +81,7 @@ fn check_warm_equals_cold<M, V, E>(
 {
     let width = 8;
 
-    // The loose run, deposited as a bit-exact checkpoint.
+    // The loose run, deposited as a checkpoint.
     let mut rng = StreamFactory::new(seed).stream(0);
     let first = run_sequential_batched(estimator, problem, target(loose), &mut rng, width);
     let tight = first.estimate.self_relative_error() * 0.5;
@@ -93,17 +98,16 @@ fn check_warm_equals_cold<M, V, E>(
         key.clone(),
         StoredShard::new(
             &first.shard,
-            first.resume_rng.clone(),
+            first.cursor,
             first.estimate,
             Some(seed),
             loose,
-            true,
         ),
     );
 
     // The planner must choose warm (the stored RE misses the tighter
     // target) with a positive marginal-root estimate.
-    let plan = plan_reuse(&store, &key, tight, Some(seed), true);
+    let plan = plan_reuse(&store, &key, tight, Some(seed));
     let ReusePlan::Warm {
         entry,
         stored_re,
@@ -122,17 +126,16 @@ fn check_warm_equals_cold<M, V, E>(
         "{name}: checkpoint must be a strict prefix of the cold run"
     );
 
-    // Continue from the checkpoint: shard + RNG position.
+    // Continue from the checkpoint: shard + run cursor.
     let shard = entry
         .shard_as::<E::Shard>()
         .expect("method-keyed entry downcasts")
         .clone();
-    let mut warm_rng = entry.rng.clone();
     let warm = run_sequential_from(
         estimator,
         problem,
         target(tight),
-        &mut warm_rng,
+        entry.cursor,
         shard,
         width,
     );
@@ -165,13 +168,9 @@ fn check_warm_equals_cold<M, V, E>(
         Ledger::n_roots(&cold.shard),
         "{name}: shard roots"
     );
-    // Both streams ended at the same position — the continuation really
+    // Both runs ended at the same cursor — the continuation really
     // replayed the cold run's tail, not a statistically-similar one.
-    assert_eq!(
-        warm_rng.random::<u64>(),
-        cold_rng.random::<u64>(),
-        "{name}: final RNG position"
-    );
+    assert_eq!(warm.cursor, cold.cursor, "{name}: final cursor");
 }
 
 #[test]
@@ -194,8 +193,8 @@ fn smlss_warm_start_is_bit_identical_to_cold_at_tighter_target() {
 
 #[test]
 fn gmlss_warm_start_is_bit_identical_to_cold_at_tighter_target() {
-    // g-MLSS consumes RNG in its bootstrap-bearing quality checks; the
-    // continuation must replay those draws too.
+    // g-MLSS draws from its check streams in its bootstrap-bearing
+    // quality checks; the continuation must replay those too.
     let model = CompoundPoisson::zero_drift_default();
     let v = cpp_vf(40.0);
     let cfg = GMlssConfig::new(
@@ -246,15 +245,6 @@ fn estimate_sql(model: &str, method: Method, re: f64, seed: u64) -> String {
     }
     spec.options.seed = Some(seed);
     spec.options.mode = ExecMode::Sync;
-    spec.render()
-}
-
-fn estimate_sql_threads(model: &str, method: Method, re: f64, seed: u64, threads: usize) -> String {
-    let mut spec = QuerySpec::new(model, 3.0, 40, re);
-    spec.method = method;
-    spec.options.seed = Some(seed);
-    spec.options.mode = ExecMode::Sync;
-    spec.options.threads = threads;
     spec.render()
 }
 
@@ -352,40 +342,142 @@ fn pinned_looser_repeat_ignores_the_store() {
     );
 }
 
-#[test]
-fn pinned_parallel_run_ignores_the_store() {
-    // A sequential run deposits a bit-exact checkpoint; re-running the
-    // same pinned statement on the parallel driver must not consume it
-    // (neither served nor warm-started) — the merged result would
-    // include a shard a storeless parallel session never held. The
-    // parallel driver's chunk scheduling is not run-to-run
-    // deterministic, so the observable here is provenance plus store
-    // traffic, not result bits: the pinned parallel statement plans
-    // cold without so much as a counted lookup.
-    let seed = 888u64;
-    let a = session(16);
-    a.execute(&estimate_sql("ar", Method::Srs, 0.3, seed))
-        .unwrap();
-    let hits = shard_store_counter(&a, "shard_store_hits");
-    let misses = shard_store_counter(&a, "shard_store_misses");
-    a.execute(&estimate_sql_threads("ar", Method::Srs, 0.3, seed, 4))
-        .unwrap();
-    assert_eq!(last_reuse(&a), "cold", "pinned parallel never reuses");
-    assert_eq!(
-        shard_store_counter(&a, "shard_store_hits"),
-        hits,
-        "the store was never consulted"
-    );
-    assert_eq!(shard_store_counter(&a, "shard_store_misses"), misses);
+/// Run `sql`, waiting for it when it is an ASYNC submission, and return
+/// its `results` row.
+fn answer(s: &Session, sql: &str) -> Vec<Value> {
+    if let mlss_db::ExecResult::Rows { columns, rows } = s.execute(sql).unwrap() {
+        if columns == ["query_id"] {
+            let Value::Int(id) = rows[0][0] else {
+                panic!("query_id column: {:?}", rows[0][0]);
+            };
+            s.wait(id as u64).unwrap();
+        }
+    }
+    results_rows(s).pop().unwrap()
+}
 
-    // An *unpinned* parallel run of the same statement pools the stored
-    // sample freely — replayability only gates pinned seeds.
-    let mut spec = QuerySpec::new("ar", 3.0, 40, 0.3);
+#[test]
+fn pinned_parallel_and_async_runs_warm_start_bit_identically() {
+    // Every driver replays one trajectory per seed, so a tighter pinned
+    // statement on four threads, or submitted ASYNC, warm-starts from the
+    // loose run's checkpoint and still answers with the bits of a cold,
+    // storeless session.
+    let seed = 888u64;
+    let loose = estimate_sql("ar", Method::GMlss, 0.5, seed);
+    let probe = session(16);
+    let loose_row = answer(&probe, &loose);
+    let (tau, var) = match (&loose_row[4], &loose_row[5]) {
+        (Value::Float(t), Value::Float(v)) => (*t, *v),
+        other => panic!("tau/variance columns: {other:?}"),
+    };
+    let mut tight = QuerySpec::new("ar", 3.0, 40, var.max(0.0).sqrt() / tau * 0.5);
+    tight.method = Method::GMlss;
+    tight.levels = 3;
+    tight.options.seed = Some(seed);
+    for (what, threads, mode) in [
+        ("threads=4", 4, ExecMode::Sync),
+        ("ASYNC", 1, ExecMode::Async),
+    ] {
+        tight.options.threads = threads;
+        tight.options.mode = mode;
+        let a = session(16);
+        answer(&a, &loose);
+        let warm = answer(&a, &tight.render());
+        assert_eq!(last_reuse(&a), "warm", "{what}: tighten warm-starts");
+
+        let b = session(0);
+        let cold = answer(&b, &tight.render());
+        assert_eq!(last_reuse(&b), "none", "{what}: storeless session");
+        assert_rows_bit_identical(&warm, &cold, what);
+    }
+}
+
+/// Parks the first slice whose checkpoint a store could serve as is —
+/// admissible, RE at or under `target` — although it was cut inside a
+/// chunk, then holds the worker until the test has requested a pause.
+struct ParkInsideAMetChunk {
+    target: f64,
+    parked: Mutex<Sender<QueryId>>,
+    release: Mutex<Receiver<()>>,
+    fired: AtomicBool,
+}
+
+impl DurabilityHook for ParkInsideAMetChunk {
+    fn slice_committed(&self, id: QueryId, _slices: u64, job: &mut dyn SliceableQuery) {
+        if self.fired.load(Ordering::SeqCst) {
+            return;
+        }
+        let Some((_, entry)) = job.reuse_snapshot() else {
+            return;
+        };
+        let meta = entry.meta();
+        if !meta.at_check
+            && meta.n_roots >= MIN_REUSE_ROOTS
+            && meta.stored_re <= self.target
+            && !self.fired.swap(true, Ordering::SeqCst)
+        {
+            self.parked.lock().unwrap().send(id).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+    }
+}
+
+#[test]
+fn pinned_statement_after_a_paused_async_run_matches_a_storeless_session() {
+    // A pinned ASYNC query is paused and detached inside a chunk whose
+    // RE already meets its target; detaching deposits that checkpoint.
+    // The same statement run synchronously must warm-start from it to
+    // the chunk end — not serve it — and match a storeless session.
+    let (seed, re) = (31u64, 0.3);
+    let sync_sql = estimate_sql("ar", Method::Srs, re, seed);
+    let mut spec = QuerySpec::new("ar", 3.0, 40, re);
     spec.method = Method::Srs;
-    spec.options.mode = ExecMode::Sync;
-    spec.options.threads = 4;
-    a.execute(&spec.render()).unwrap();
-    assert_ne!(last_reuse(&a), "cold", "unpinned parallel reuses");
+    spec.options.seed = Some(seed);
+    spec.options.mode = ExecMode::Async;
+
+    let a = Session::new(SessionConfig {
+        workers: 1,
+        slice_budget: 200,
+        seed: 7,
+        shard_store_capacity: 16,
+        ..SessionConfig::default()
+    })
+    .unwrap();
+    let (parked_tx, parked_rx) = channel();
+    let (release_tx, release_rx) = channel();
+    a.scheduler()
+        .attach_durability_hook(Arc::new(ParkInsideAMetChunk {
+            target: re,
+            parked: Mutex::new(parked_tx),
+            release: Mutex::new(release_rx),
+            fired: AtomicBool::new(false),
+        }));
+    let mlss_db::ExecResult::Rows { rows, .. } = a.execute(&spec.render()).unwrap() else {
+        panic!("ASYNC returns its query id");
+    };
+    let Value::Int(id) = rows[0][0] else {
+        panic!("query_id column: {:?}", rows[0][0]);
+    };
+    let parked = parked_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a slice ends inside a chunk whose RE meets the target");
+    assert_eq!(parked, id as QueryId);
+    assert!(a.scheduler().pause(parked));
+    release_tx.send(()).unwrap();
+    while !matches!(a.scheduler().poll(parked), Some(QueryStatus::Paused)) {
+        std::thread::yield_now();
+    }
+    assert!(a.scheduler().detach(parked).is_some());
+
+    let warm = answer(&a, &sync_sql);
+    assert_eq!(
+        last_reuse(&a),
+        "warm",
+        "a mid-chunk checkpoint is not served"
+    );
+    let b = session(0);
+    let cold = answer(&b, &sync_sql);
+    assert_rows_bit_identical(&warm, &cold, "after a paused ASYNC run");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! cache) for everything else — and the budget-boundary clamp narrows
 //! the final cohort so speculation never runs past the budget. None of
 //! that may perturb results: the committed shard is a pure function of
-//! the master RNG state and the budget, independent of width.
+//! the run key, the root cursor and the budget, independent of width.
 //!
 //! Pinned here:
 //! * `batch_width=auto` is bit-identical to pinning the width it
@@ -225,7 +225,13 @@ fn boundary_shrink_launches_zero_doomed_speculation() {
     // Raw chunk at width 64: the unclamped baseline speculates.
     width::take_thread_stats();
     let mut raw = <SrsEstimator as Estimator<RandomWalk, WalkVf>>::shard(&SrsEstimator);
-    SrsEstimator.run_chunk(problem, &mut raw, budget, &mut rng_from_seed(7), 64);
+    SrsEstimator.run_chunk(
+        problem,
+        &mut raw,
+        budget,
+        &mut RootCursor::from_rng(&mut rng_from_seed(7)),
+        64,
+    );
     let unclamped = width::take_thread_stats();
     assert!(
         unclamped.discarded() > 0,
