@@ -14,7 +14,7 @@
 #   make reuse-bench — cross-query shard reuse vs store-disabled baseline
 #   make sql-demo   — pipe a demo script through the sql_shell example
 #   make test-durability — crash-recovery suites + the kill -9 shell smoke
-#   make serve-smoke — mlss_serve + 2-tenant load_bench + shell parity diff
+#   make serve-smoke — mlss_serve + 2-tenant load_bench + shell parity diff + nesting bomb
 #   make load-bench — overload (capped) + fairness profiles vs a live server
 #   make rank-bench — raced RANK BY vs exhaustive per-arm estimation + socket smoke
 
@@ -117,6 +117,10 @@ serve-smoke: build
 	  > target/serve-smoke/parity.sql; \
 	./target/release/examples/sql_shell < target/serve-smoke/parity.sql > target/serve-smoke/embedded.txt; \
 	./target/release/examples/sql_shell --connect 127.0.0.1:7879 < target/serve-smoke/parity.sql > target/serve-smoke/connected.txt; \
+	python3 -c 'print("SELECT * FROM results WHERE " + "(" * 2000 + "1" + ")" * 2000)' \
+	  | ./target/release/examples/sql_shell --connect 127.0.0.1:7879 > target/serve-smoke/nesting-bomb.txt || true; \
+	grep -q "nests deeper" target/serve-smoke/nesting-bomb.txt; \
+	echo "SHOW MODELS" | ./target/release/examples/sql_shell --connect 127.0.0.1:7879 > /dev/null; \
 	awk -F' \| ' 'BEGIN{OFS=" | "} NF>=7{$$7="_"} {print}' target/serve-smoke/embedded.txt > target/serve-smoke/embedded.masked; \
 	awk -F' \| ' 'BEGIN{OFS=" | "} NF>=7{$$7="_"} {print}' target/serve-smoke/connected.txt > target/serve-smoke/connected.masked; \
 	diff target/serve-smoke/embedded.masked target/serve-smoke/connected.masked

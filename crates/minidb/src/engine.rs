@@ -41,6 +41,9 @@ pub enum DbError {
     /// [`mlss_core::spec::SpecError`] taxonomy, carrying a byte span
     /// when the spec came from an `ESTIMATE` statement.
     Spec(mlss_core::spec::SpecError),
+    /// A dialect statement (`ESTIMATE`, `EXPLAIN`, `SHOW`) reached the
+    /// plain SQL executor; it needs a [`crate::session::Session`].
+    NeedsSession,
     /// Persistence failure.
     Io(std::io::Error),
 }
@@ -67,6 +70,10 @@ impl std::fmt::Display for DbError {
                 expected,
             } => write!(f, "procedure '{proc}': argument {index} must be {expected}"),
             DbError::Spec(e) => write!(f, "{e}"),
+            DbError::NeedsSession => write!(
+                f,
+                "ESTIMATE/EXPLAIN/SHOW statements require a session (use Session::execute)"
+            ),
             DbError::Io(e) => write!(f, "io error: {e}"),
         }
     }

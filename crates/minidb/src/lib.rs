@@ -24,8 +24,9 @@
 //!   for estimation: [`Session::execute`] runs the declarative ESTIMATE
 //!   dialect (sync or `ASYNC`), and `poll`/`wait`/`cancel` manage
 //!   submitted queries over a shared scheduler and plan cache;
-//! * [`sql`] — a SQL front end (SELECT/INSERT/CREATE/DELETE/DROP) plus
-//!   the ESTIMATE dialect parser ([`sql::estimate`]).
+//! * [`sql`] — the SQL front end: one lexer and one parser turn plain
+//!   SQL (SELECT/INSERT/CREATE/DELETE/DROP) and the ESTIMATE dialect
+//!   into one [`sql::Statement`] ([`sql::parse`]).
 
 #![warn(missing_docs)]
 
@@ -50,6 +51,10 @@ pub use expr::{col, lit, Expr};
 pub use proc::{seed_default_models, Method, ModelRegistry, ProcRegistry, StoredProcedure};
 pub use schema::{ColumnDef, Schema};
 pub use session::{DiagnosticsSource, Session, SessionConfig};
-pub use sql::{execute, is_dialect, parse_dialect, DialectStatement, ExecResult};
+pub use sql::{execute, ExecResult};
+/// The one parser and its statement under the names the benchmark
+/// harness (`perfbench/`) builds against: [`sql::parse`] parses plain
+/// SQL and the dialect alike, into one [`sql::Statement`].
+pub use sql::{parse as parse_dialect, Statement as DialectStatement};
 pub use table::{Aggregate, Table, TableError};
 pub use value::{DataType, Value};

@@ -18,7 +18,10 @@
 //! SHOW MODELS;
 //! ```
 //!
-//! Every estimate starts there: the statement compiles to a
+//! Every statement parses once, through the one parser
+//! ([`crate::sql::parse`], against the session's model catalog), and the
+//! session matches on the resulting [`Statement`]; nothing routes a
+//! statement by its first word. An estimate compiles to a
 //! [`mlss_core::spec::QuerySpec`] and dispatches through
 //! [`crate::dispatch::execute_spec`]. An `ASYNC` statement returns a
 //! query id, which [`Session::poll`], [`Session::wait`] (the first wait
@@ -44,7 +47,7 @@ use crate::durability::{
 };
 use crate::engine::{Database, DbError};
 use crate::proc::{results_schema, seed_default_models, ModelRegistry, PlanContext, ProcRegistry};
-use crate::sql::{is_dialect, parse_dialect, DialectStatement, ExecResult};
+use crate::sql::{execute_statement, ExecResult, Statement};
 use crate::value::Value;
 use mlss_core::estimator::Diagnostics;
 use mlss_core::plan_cache::{CachedPlan, PlanCache};
@@ -53,7 +56,7 @@ use mlss_core::ranking::RaceOutcome;
 use mlss_core::rng::{rng_from_seed, split_rng};
 use mlss_core::scheduler::{DurabilityHook, QueryId, QueryStatus, Scheduler, SchedulerConfig};
 use mlss_core::shard_store::ShardStore;
-use mlss_core::spec::{QuerySpec, RankSpec};
+use mlss_core::spec::{QuerySpec, RankSpec, SpecError};
 use mlss_store::{Record, ResultRow};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -153,6 +156,17 @@ type RankMap = Mutex<BTreeMap<QueryId, RankMeta>>;
 /// A pluggable diagnostics block (serving layers register admission /
 /// connection counters here so `SHOW DIAGNOSTICS` surfaces them).
 pub type DiagnosticsSource = Arc<dyn Fn() -> Diagnostics + Send + Sync>;
+
+/// `EXPLAIN` output: `(property, value)` rows.
+fn property_rows(rows: Vec<(String, String)>) -> ExecResult {
+    ExecResult::Rows {
+        columns: vec!["property".into(), "value".into()],
+        rows: rows
+            .into_iter()
+            .map(|(k, v)| vec![Value::Text(k), Value::Text(v)])
+            .collect(),
+    }
+}
 
 fn record_submit_meta(
     meta: &MetaMap,
@@ -478,12 +492,20 @@ impl Session {
     /// * `EXPLAIN ESTIMATE …` → `(property, value)` rows of the resolved
     ///   plan;
     /// * `SHOW MODELS` → the model catalog with per-parameter schemas;
-    /// * anything else → the plain SQL executor.
+    /// * plain SQL → the plain SQL executor.
     ///
-    /// Malformed dialect statements fail with [`DbError::Spec`] carrying
-    /// the typed [`mlss_core::spec::SpecError`] and its byte span.
+    /// Malformed statements, plain SQL included, fail with
+    /// [`DbError::Spec`] carrying the typed
+    /// [`mlss_core::spec::SpecError`] and its byte span.
     pub fn execute(&self, sql: &str) -> Result<ExecResult, DbError> {
         self.execute_as(None, sql)
+    }
+
+    /// Parse one statement against the session's model catalog, so
+    /// unknown models, unknown parameters and out-of-range values are
+    /// spanned errors too.
+    pub fn parse(&self, sql: &str) -> Result<Statement, SpecError> {
+        crate::sql::parse(sql, Some(&self.models.schemas()))
     }
 
     /// [`Session::execute`] on behalf of a tenant. The tenant name is
@@ -495,25 +517,23 @@ impl Session {
     /// `results` row carries the tenant in its `tenant` column
     /// (tenantless calls record `"-"`).
     pub fn execute_as(&self, tenant: Option<&str>, sql: &str) -> Result<ExecResult, DbError> {
-        if !is_dialect(sql) {
-            let res = crate::sql::execute(&self.db, sql)?;
-            // Journal mutations (CREATE/INSERT/DELETE/DROP) so a
-            // recovered session restores user tables. Appended *after*
-            // the successful execute — a failed statement must not be
-            // replayed — which leaves an at-most-once-behind window for
-            // the very last statement (see `SessionWal::record_sql`).
-            if !matches!(res, ExecResult::Rows { .. }) {
-                if let Some(wal) = &self.wal {
-                    wal.record_sql(sql)?;
-                }
-            }
-            return Ok(res);
-        }
-        let schemas = self.models.schemas();
-        let stmt = parse_dialect(sql, Some(&schemas)).map_err(DbError::from)?;
+        let stmt = self.parse(sql)?;
+        self.execute_parsed(tenant, sql, stmt)
+    }
+
+    /// Run a statement [`Session::parse`] already parsed from `sql` (a
+    /// server parses once, to classify the statement before admitting
+    /// it). Statements that change user tables are journaled to the WAL
+    /// as `sql`, verbatim.
+    pub fn execute_parsed(
+        &self,
+        tenant: Option<&str>,
+        sql: &str,
+        stmt: Statement,
+    ) -> Result<ExecResult, DbError> {
         match stmt {
-            DialectStatement::ShowModels => Ok(show_models(&self.models)),
-            DialectStatement::ShowDiagnostics => {
+            Statement::ShowModels => Ok(show_models(&self.models)),
+            Statement::ShowDiagnostics => {
                 let rows = self
                     .diagnostics()
                     .into_iter()
@@ -533,44 +553,24 @@ impl Session {
                     rows,
                 })
             }
-            DialectStatement::ExplainEstimate(spec) => {
-                let mut rng = self.child_rng();
-                let rows = explain_spec(
-                    &self.db,
-                    &self.models,
-                    &self.plans,
-                    self.store.as_ref(),
-                    Some(&self.scheduler),
-                    &spec,
-                    &mut rng,
-                )?;
-                Ok(ExecResult::Rows {
-                    columns: vec!["property".into(), "value".into()],
-                    rows: rows
-                        .into_iter()
-                        .map(|(k, v)| vec![Value::Text(k), Value::Text(v)])
-                        .collect(),
-                })
-            }
-            DialectStatement::ExplainRank(rank) => {
-                let mut rng = self.child_rng();
-                let rows = explain_rank(
-                    &self.db,
-                    &self.models,
-                    &self.plans,
-                    Some(&self.scheduler),
-                    &rank,
-                    &mut rng,
-                )?;
-                Ok(ExecResult::Rows {
-                    columns: vec!["property".into(), "value".into()],
-                    rows: rows
-                        .into_iter()
-                        .map(|(k, v)| vec![Value::Text(k), Value::Text(v)])
-                        .collect(),
-                })
-            }
-            DialectStatement::Rank(mut rank) => {
+            Statement::ExplainEstimate(spec) => Ok(property_rows(explain_spec(
+                &self.db,
+                &self.models,
+                &self.plans,
+                self.store.as_ref(),
+                Some(&self.scheduler),
+                &spec,
+                &mut self.child_rng(),
+            )?)),
+            Statement::ExplainRank(rank) => Ok(property_rows(explain_rank(
+                &self.db,
+                &self.models,
+                &self.plans,
+                Some(&self.scheduler),
+                &rank,
+                &mut self.child_rng(),
+            )?)),
+            Statement::Rank(mut rank) => {
                 // Tenant stamping mirrors the single-estimate path: the
                 // race itself is charged to the tenant's fair-share
                 // account, and every per-arm results row carries it.
@@ -615,7 +615,7 @@ impl Session {
                     }
                 }
             }
-            DialectStatement::Estimate(mut spec) => {
+            Statement::Estimate(mut spec) => {
                 spec.options.tenant = tenant.map(String::from);
                 let mut rng = self.child_rng();
                 match execute_spec(
@@ -673,6 +673,21 @@ impl Session {
                         })
                     }
                 }
+            }
+            plain => {
+                let journal = plain.is_mutation();
+                let res = execute_statement(&self.db, plain)?;
+                // Journal mutations so a recovered session restores user
+                // tables. Appended *after* the successful execute — a
+                // failed statement must not be replayed — which leaves an
+                // at-most-once-behind window for the very last statement
+                // (see `SessionWal::record_sql`).
+                if journal {
+                    if let Some(wal) = &self.wal {
+                        wal.record_sql(sql)?;
+                    }
+                }
+                Ok(res)
             }
         }
     }

@@ -1,24 +1,15 @@
-//! The declarative **ESTIMATE dialect**: a hand-rolled recursive-descent
-//! parser turning durability statements into the typed
-//! [`mlss_core::spec::QuerySpec`] IR, with byte-span error positions.
+//! The **ESTIMATE dialect** productions of the one `Parser`: durability
+//! statements parse into the typed [`mlss_core::spec::QuerySpec`] IR,
+//! with byte-span error positions.
 //!
-//! Grammar (keywords case-insensitive):
+//! The grammar of the one parser — plain SQL and the dialect — is
+//! written out once, in `docs/sql.md`. In short:
 //!
 //! ```text
-//! statement   := ESTIMATE estimate | EXPLAIN ESTIMATE estimate
-//!              | SHOW MODELS | SHOW DIAGNOSTICS
-//! estimate    := DURABILITY OF candidate {',' candidate} WITHIN integer
-//!                [USING method_ref] TARGET RE number ['%']
-//!                [RANK BY TOP integer ['(' assignments ')']]
-//!                [WITH '(' options ')'] [ASYNC | SYNC] [';']
-//! candidate   := model_ref [SWEEP ident FROM number TO number STEP number]
-//! model_ref   := ident ['(' assignments ')']     -- must include beta=…
-//! method_ref  := ident ['(' assignments ')']     -- srs|smlss|mlss|gmlss|auto, levels=…
-//! assignments := ident '=' number {',' ident '=' number}
-//! options     := ident '=' (number | AUTO) {',' ident '=' (number | AUTO)}
-//!                -- threads, batch_width, seed, priority;
-//!                -- AUTO is valid only for batch_width
-//! number      := ['-'] INT | FLOAT
+//! [EXPLAIN] ESTIMATE DURABILITY OF model(beta=…, param=…) [SWEEP …] {, …}
+//!     WITHIN horizon [USING method(levels=…)] TARGET RE r ['%']
+//!     [RANK BY TOP k (…)] [WITH (threads=…, batch_width=…|auto, seed=…, priority=…)]
+//!     [ASYNC | SYNC]
 //! ```
 //!
 //! A statement with more than one candidate (an explicit list and/or a
@@ -27,402 +18,103 @@
 //! `docs/ranking.md`). Ranking options: `confidence=` (0.5–1),
 //! `rounds=` (round cap), `round_budget=` (per-arm `g` budget per round).
 //!
-//! The parser optionally validates against a catalog of
-//! [`ModelSchema`]s, so unknown models, unknown parameters, and
-//! out-of-range values are reported with the span of the offending
-//! token; without a catalog those checks happen later in the dispatch
-//! layer (spanless). Every failure is a typed
-//! [`SpecError`] — the taxonomy the acceptance
-//! criteria require instead of stringly-typed procedure errors.
+//! With a catalog of [`mlss_core::spec::ModelSchema`]s the parser
+//! validates unknown models, unknown parameters, and out-of-range values
+//! with the span of the offending token; without one those checks happen
+//! later in the dispatch layer (spanless). Every failure is a typed
+//! [`SpecError`].
 
+use crate::sql::lexer::{syntax, Sym, TokenKind};
+use crate::sql::parser::{Parser, Statement, Word};
 use mlss_core::spec::{
-    ExecMode, ExecOptions, Method, ModelSchema, QuerySpec, RankSpec, Span, SpecError,
-    SpecErrorKind, DEFAULT_PLAN_LEVELS, MAX_RANK_ARMS,
+    ExecMode, ExecOptions, Method, QuerySpec, RankSpec, Span, SpecError, SpecErrorKind,
+    DEFAULT_PLAN_LEVELS, MAX_RANK_ARMS,
 };
 use std::collections::BTreeMap;
 
-/// A parsed dialect statement.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DialectStatement {
-    /// `ESTIMATE DURABILITY …` — run (or submit) the query.
-    Estimate(QuerySpec),
-    /// `EXPLAIN ESTIMATE DURABILITY …` — return the resolved plan as rows.
-    ExplainEstimate(QuerySpec),
-    /// `ESTIMATE DURABILITY … RANK BY TOP k` — race the candidate field.
-    Rank(RankSpec),
-    /// `EXPLAIN` over a ranking statement — the racing plan as rows.
-    ExplainRank(RankSpec),
-    /// `SHOW MODELS` — the model catalog with per-parameter schemas.
-    ShowModels,
-    /// `SHOW DIAGNOSTICS` — plan-cache, shard-store, and scheduler-pool
-    /// counters as `(component, counter, value)` rows.
-    ShowDiagnostics,
-}
-
-/// Does this statement text start with a dialect keyword (`ESTIMATE`,
-/// `EXPLAIN`, `SHOW`)? Used to route between the dialect parser and the
-/// plain-SQL parser without tokenizing twice.
-pub fn is_dialect(sql: &str) -> bool {
-    // Skip leading whitespace and `--` line comments — both lexers do.
-    let mut rest = sql.trim_start();
-    while let Some(comment) = rest.strip_prefix("--") {
-        rest = match comment.split_once('\n') {
-            Some((_, after)) => after.trim_start(),
-            None => "",
+impl<'a> Parser<'a> {
+    /// A numeric literal with an optional sign touching its digits (the
+    /// span covers the sign). The text comes back with the value, so
+    /// callers that need lossless integers — `seed` is a full u64 — can
+    /// re-read it.
+    fn number(&mut self, what: &str) -> Result<(f64, Word<'a>), SpecError> {
+        let sign = match self.peek() {
+            Some(t) if matches!(t.kind, TokenKind::Symbol(Sym::Minus | Sym::Plus)) => Some(t.span),
+            _ => None,
         };
-    }
-    let first: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_alphabetic())
-        .collect();
-    ["ESTIMATE", "EXPLAIN", "SHOW"]
-        .iter()
-        .any(|k| first.eq_ignore_ascii_case(k))
-}
-
-/// Parse one dialect statement. `catalog`, when given, validates model
-/// names, parameter names, and parameter ranges with spans.
-pub fn parse_dialect(
-    sql: &str,
-    catalog: Option<&[&ModelSchema]>,
-) -> Result<DialectStatement, SpecError> {
-    let tokens = lex(sql)?;
-    let mut p = DialectParser {
-        tokens,
-        pos: 0,
-        end: sql.len(),
-        catalog,
-    };
-    let stmt = p.statement()?;
-    p.eat_opt(TokKind::Semi);
-    if let Some(t) = p.peek() {
-        return Err(SpecError::at(
-            SpecErrorKind::Syntax {
-                message: format!("trailing input '{}'", t.text),
-            },
-            t.span,
-        ));
-    }
-    Ok(stmt)
-}
-
-// ---------------------------------------------------------------------
-// Spanned lexer
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum TokKind {
-    Ident,
-    Number(f64),
-    LParen,
-    RParen,
-    Comma,
-    Eq,
-    Percent,
-    Semi,
-}
-
-#[derive(Debug, Clone)]
-struct Tok {
-    kind: TokKind,
-    /// Original text (identifiers keep their case; keywords compare
-    /// case-insensitively).
-    text: String,
-    span: Span,
-}
-
-fn lex(input: &str) -> Result<Vec<Tok>, SpecError> {
-    let bytes = input.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        let start = i;
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                i += 1;
-                continue;
+        let signed = usize::from(sign.is_some());
+        match self.lookahead(signed) {
+            Some(t)
+                if t.kind == TokenKind::Number && sign.is_none_or(|s| s.end == t.span.start) =>
+            {
+                let span = Span::new(sign.map_or(t.span.start, |s| s.start), t.span.end);
+                let text = self.text(span);
+                self.advance(signed + 1);
+                let value = text.parse().expect("a lexed number, optionally signed");
+                Ok((value, Word { text, span }))
             }
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-                continue;
-            }
-            '(' | ')' | ',' | '=' | '%' | ';' => {
-                let kind = match c {
-                    '(' => TokKind::LParen,
-                    ')' => TokKind::RParen,
-                    ',' => TokKind::Comma,
-                    '=' => TokKind::Eq,
-                    '%' => TokKind::Percent,
-                    _ => TokKind::Semi,
-                };
-                i += 1;
-                out.push(Tok {
-                    kind,
-                    text: c.to_string(),
-                    span: Span::new(start, i),
-                });
-            }
-            '0'..='9' | '.' | '-' | '+' => {
-                i += 1;
-                let mut saw_dot = c == '.';
-                let mut saw_exp = false;
-                while i < bytes.len() {
-                    let b = bytes[i] as char;
-                    if b.is_ascii_digit() {
-                        i += 1;
-                    } else if b == '.' && !saw_dot && !saw_exp {
-                        saw_dot = true;
-                        i += 1;
-                    } else if (b == 'e' || b == 'E') && !saw_exp {
-                        saw_exp = true;
-                        i += 1;
-                        if matches!(bytes.get(i), Some(&b'+') | Some(&b'-')) {
-                            i += 1;
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                let text = &input[start..i];
-                let v: f64 = text.parse().map_err(|_| {
-                    SpecError::at(
-                        SpecErrorKind::Syntax {
-                            message: format!("bad number '{text}'"),
-                        },
-                        Span::new(start, i),
-                    )
-                })?;
-                out.push(Tok {
-                    kind: TokKind::Number(v),
-                    text: text.to_string(),
-                    span: Span::new(start, i),
-                });
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
-                    i += 1;
-                }
-                out.push(Tok {
-                    kind: TokKind::Ident,
-                    text: input[start..i].to_string(),
-                    span: Span::new(start, i),
-                });
-            }
-            _ => {
-                // Decode the real (possibly multi-byte) character so the
-                // message shows it faithfully and the span stays on a
-                // char boundary (consumers slice the statement by it).
-                let other = input[i..].chars().next().expect("in-bounds byte");
-                return Err(SpecError::at(
-                    SpecErrorKind::Syntax {
-                        message: format!("unexpected character '{other}'"),
-                    },
-                    Span::new(i, i + other.len_utf8()),
-                ));
-            }
-        }
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// Recursive-descent parser
-// ---------------------------------------------------------------------
-
-struct DialectParser<'a> {
-    tokens: Vec<Tok>,
-    pos: usize,
-    /// Byte length of the input (span for "expected more" errors).
-    end: usize,
-    catalog: Option<&'a [&'a ModelSchema]>,
-}
-
-impl DialectParser<'_> {
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos)
-    }
-
-    fn here(&self) -> Span {
-        self.peek().map_or(Span::at(self.end), |t| t.span)
-    }
-
-    fn syntax(&self, message: impl Into<String>, span: Span) -> SpecError {
-        SpecError::at(
-            SpecErrorKind::Syntax {
-                message: message.into(),
-            },
-            span,
-        )
-    }
-
-    fn peek_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(t) if t.kind == TokKind::Ident && t.text.eq_ignore_ascii_case(kw))
-    }
-
-    fn eat_kw_opt(&mut self, kw: &str) -> bool {
-        if self.peek_kw(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_kw(&mut self, kw: &str) -> Result<(), SpecError> {
-        if self.eat_kw_opt(kw) {
-            Ok(())
-        } else {
-            let found = self
-                .peek()
-                .map_or("end of statement".to_string(), |t| format!("'{}'", t.text));
-            Err(self.syntax(format!("expected {kw}, found {found}"), self.here()))
-        }
-    }
-
-    fn eat_opt(&mut self, kind: TokKind) -> bool {
-        if matches!(self.peek(), Some(t) if t.kind == kind) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat(&mut self, kind: TokKind, what: &str) -> Result<Tok, SpecError> {
-        match self.peek() {
-            Some(t) if t.kind == kind => {
-                let t = t.clone();
-                self.pos += 1;
-                Ok(t)
-            }
-            Some(t) => Err(self.syntax(format!("expected {what}, found '{}'", t.text), t.span)),
-            None => Err(self.syntax(format!("expected {what}"), Span::at(self.end))),
-        }
-    }
-
-    fn ident(&mut self, what: &str) -> Result<Tok, SpecError> {
-        self.eat(TokKind::Ident, what)
-    }
-
-    /// A (possibly negative) numeric literal; returns (value, span).
-    fn number(&mut self, what: &str) -> Result<(f64, Span), SpecError> {
-        match self.peek() {
-            Some(t) => {
-                if let TokKind::Number(v) = t.kind {
-                    let span = t.span;
-                    self.pos += 1;
-                    Ok((v, span))
-                } else {
-                    Err(self.syntax(format!("expected {what}, found '{}'", t.text), t.span))
-                }
-            }
-            None => Err(self.syntax(format!("expected {what}"), Span::at(self.end))),
-        }
-    }
-
-    fn statement(&mut self) -> Result<DialectStatement, SpecError> {
-        if self.eat_kw_opt("SHOW") {
-            if self.eat_kw_opt("DIAGNOSTICS") {
-                return Ok(DialectStatement::ShowDiagnostics);
-            }
-            self.eat_kw("MODELS")?;
-            return Ok(DialectStatement::ShowModels);
-        }
-        let explain = self.eat_kw_opt("EXPLAIN");
-        self.eat_kw("ESTIMATE")?;
-        Ok(match (self.estimate()?, explain) {
-            (ParsedEstimate::Single(spec), false) => DialectStatement::Estimate(spec),
-            (ParsedEstimate::Single(spec), true) => DialectStatement::ExplainEstimate(spec),
-            (ParsedEstimate::Rank(rank), false) => DialectStatement::Rank(rank),
-            (ParsedEstimate::Rank(rank), true) => DialectStatement::ExplainRank(rank),
-        })
-    }
-
-    /// The numeric value token itself (so callers that need lossless
-    /// integer parsing — `seed` is a full u64 — can reparse its text).
-    fn number_tok(&mut self, what: &str) -> Result<(f64, Tok), SpecError> {
-        match self.peek() {
-            Some(t) => {
-                if let TokKind::Number(v) = t.kind {
-                    let t = t.clone();
-                    self.pos += 1;
-                    Ok((v, t))
-                } else {
-                    Err(self.syntax(format!("expected {what}, found '{}'", t.text), t.span))
-                }
-            }
-            None => Err(self.syntax(format!("expected {what}"), Span::at(self.end))),
+            _ => Err(self.unexpected(what)),
         }
     }
 
     /// `name ['(' ident '=' number {',' …} ')']` — shared by the model
     /// ref, the method ref, and the WITH options (which have no name).
-    fn assignments(&mut self, what: &'static str) -> Result<Vec<(Tok, f64, Tok)>, SpecError> {
-        let mut out: Vec<(Tok, f64, Tok)> = Vec::new();
-        if !self.eat_opt(TokKind::LParen) {
+    fn assignments(
+        &mut self,
+        what: &'static str,
+    ) -> Result<Vec<(Word<'a>, f64, Word<'a>)>, SpecError> {
+        let mut out: Vec<(Word<'a>, f64, Word<'a>)> = Vec::new();
+        if !self.next_if_sym(Sym::LParen) {
             return Ok(out);
         }
         loop {
-            let name = self.ident(&format!("a {what} name"))?;
-            self.eat(TokKind::Eq, "'='")?;
+            let name = self.next_ident(&format!("a {what} name"))?;
+            self.next_expect_sym(Sym::Eq, "'='")?;
             // Execution options admit the keyword value `auto`
             // (today: `batch_width=auto`), carried as +∞ so the typed
             // option match below can tell it apart from every real
             // number. Model and method parameters stay numeric-only.
-            let auto = what == "execution option"
-                && matches!(
-                    self.peek(),
-                    Some(t) if t.kind == TokKind::Ident && t.text.eq_ignore_ascii_case("auto")
-                );
-            let (value, vtok) = if auto {
-                let t = self.peek().expect("peeked above").clone();
-                self.pos += 1;
-                (f64::INFINITY, t)
+            let (value, vtok) = if what == "execution option" && self.peek_kw("auto") {
+                (f64::INFINITY, self.next_ident("auto")?)
             } else {
-                self.number_tok(&format!("a value for '{}'", name.text))?
+                self.number(&format!("a value for '{}'", name.text))?
             };
             if out.iter().any(|(n, _, _)| n.text == name.text) {
                 return Err(SpecError::at(
                     SpecErrorKind::Duplicate {
                         what,
-                        name: name.text.clone(),
+                        name: name.text.to_string(),
                     },
                     name.span,
                 ));
             }
             out.push((name, value, vtok));
-            if !self.eat_opt(TokKind::Comma) {
+            if !self.next_if_sym(Sym::Comma) {
                 break;
             }
         }
-        self.eat(TokKind::RParen, "')'")?;
+        self.next_expect_sym(Sym::RParen, "')'")?;
         Ok(out)
     }
 
     /// One candidate of the `OF` list: a model ref plus an optional
     /// `SWEEP param FROM a TO b STEP s` expansion. Returns the expanded
     /// per-arm `(beta, params)` pairs (one entry when there is no sweep).
-    fn candidate(&mut self) -> Result<Cand, SpecError> {
+    fn candidate(&mut self) -> Result<Cand<'a>, SpecError> {
         // ---- model ref: name(beta=…, overrides…) ---------------------
-        let model = self.ident("a model name")?;
+        let model = self.next_ident("a model name")?;
         let schema = match self.catalog {
-            Some(catalog) => match catalog.iter().find(|s| s.name == model.text) {
-                Some(s) => Some(*s),
-                None => {
-                    return Err(SpecError::at(
-                        SpecErrorKind::UnknownModel {
-                            name: model.text.clone(),
-                            known: catalog.iter().map(|s| s.name.to_string()).collect(),
-                        },
-                        model.span,
-                    ))
-                }
-            },
+            Some(catalog) => {
+                let Some(schema) = catalog.iter().find(|s| s.name == model.text) else {
+                    let known = catalog.iter().map(|s| s.name.to_string()).collect();
+                    let kind = SpecErrorKind::UnknownModel {
+                        name: model.text.to_string(),
+                        known,
+                    };
+                    return Err(SpecError::at(kind, model.span));
+                };
+                Some(*schema)
+            }
             None => None,
         };
         let mut beta: Option<f64> = None;
@@ -433,100 +125,75 @@ impl DialectParser<'_> {
                 continue;
             }
             if let Some(schema) = schema {
-                let Some(p) = schema.param(&name.text) else {
-                    return Err(SpecError::at(
-                        SpecErrorKind::UnknownParam {
-                            model: model.text.clone(),
-                            name: name.text.clone(),
-                        },
-                        name.span,
-                    ));
-                };
+                let p = schema
+                    .param(name.text)
+                    .ok_or_else(|| unknown_param(model, name))?;
                 // The schema's own rules (range + int/bool shape), with
                 // the value token's span attached.
                 p.check(schema.name, value)
                     .map_err(|e| SpecError::at(e.kind, vtok.span))?;
             }
-            params.insert(name.text.clone(), value);
+            params.insert(name.text.to_string(), value);
         }
         let Some(beta) = beta else {
-            return Err(SpecError::at(
-                SpecErrorKind::MissingClause { clause: "beta" },
-                model.span,
-            ));
+            return Err(missing("beta", model.span));
         };
 
         // ---- SWEEP param FROM a TO b STEP s --------------------------
-        if !self.peek_kw("SWEEP") {
+        let kw_span = self.here();
+        if !self.next_if_kw("SWEEP") {
             return Ok(Cand {
                 model,
                 arms: vec![(beta, params)],
                 sweep_span: None,
             });
         }
-        let kw_span = self.here();
-        self.eat_kw("SWEEP")?;
-        let pname = self.ident("a parameter to sweep")?;
-        self.eat_kw("FROM")?;
-        let (from, fspan) = self.number("a sweep start")?;
-        self.eat_kw("TO")?;
-        let (to, tspan) = self.number("a sweep end")?;
-        self.eat_kw("STEP")?;
-        let (step, sspan) = self.number("a sweep step")?;
+        let pname = self.next_ident("a parameter to sweep")?;
+        self.next_expect_kw("FROM")?;
+        let (from, Word { span: fspan, .. }) = self.number("a sweep start")?;
+        self.next_expect_kw("TO")?;
+        let (to, Word { span: tspan, .. }) = self.number("a sweep end")?;
+        self.next_expect_kw("STEP")?;
+        let (step, Word { span: sspan, .. }) = self.number("a sweep step")?;
         if !(from.is_finite() && to.is_finite()) {
-            return Err(SpecError::at(
-                SpecErrorKind::InvalidValue {
-                    field: "sweep range",
-                    message: "endpoints must be finite".into(),
-                },
+            return Err(invalid(
+                "sweep range",
+                "endpoints must be finite".into(),
                 fspan,
             ));
         }
         if to < from {
-            return Err(SpecError::at(
-                SpecErrorKind::InvalidValue {
-                    field: "sweep range",
-                    message: format!("end {to} is below start {from}"),
-                },
+            return Err(invalid(
+                "sweep range",
+                format!("end {to} is below start {from}"),
                 tspan,
             ));
         }
         if !(step.is_finite() && step > 0.0) {
-            return Err(SpecError::at(
-                SpecErrorKind::InvalidValue {
-                    field: "sweep step",
-                    message: format!("must be positive, got {step}"),
-                },
+            return Err(invalid(
+                "sweep step",
+                format!("must be positive, got {step}"),
                 sspan,
             ));
         }
         // Count before materializing: a tiny step must fail cleanly, not
         // allocate.
-        let count = ((to - from) / step + 1e-9).floor() as usize + 1;
+        let count = (((to - from) / step + 1e-9).floor() as usize).saturating_add(1);
         if count > MAX_RANK_ARMS {
-            return Err(SpecError::at(
-                SpecErrorKind::InvalidValue {
-                    field: "sweep step",
-                    message: format!("sweep expands to {count} arms, cap is {MAX_RANK_ARMS}"),
-                },
+            return Err(invalid(
+                "sweep step",
+                format!("sweep expands to {count} arms, cap is {MAX_RANK_ARMS}"),
                 sspan,
             ));
         }
-        let schema_param = if pname.text == "beta" {
-            None
-        } else if let Some(schema) = schema {
-            let Some(p) = schema.param(&pname.text) else {
-                return Err(SpecError::at(
-                    SpecErrorKind::UnknownParam {
-                        model: model.text.clone(),
-                        name: pname.text.clone(),
-                    },
-                    pname.span,
-                ));
-            };
-            Some((schema.name, p))
-        } else {
-            None
+        let schema_param = match schema {
+            Some(schema) if pname.text != "beta" => {
+                let p = schema
+                    .param(pname.text)
+                    .ok_or_else(|| unknown_param(model, pname))?;
+                Some((schema.name, p))
+            }
+            _ => None,
         };
         let mut arms = Vec::with_capacity(count);
         for i in 0..count {
@@ -541,7 +208,7 @@ impl DialectParser<'_> {
                 arms.push((value, params.clone()));
             } else {
                 let mut params = params.clone();
-                params.insert(pname.text.clone(), value);
+                params.insert(pname.text.to_string(), value);
                 arms.push((beta, params));
             }
         }
@@ -552,36 +219,32 @@ impl DialectParser<'_> {
         })
     }
 
-    fn estimate(&mut self) -> Result<ParsedEstimate, SpecError> {
-        self.eat_kw("DURABILITY")?;
-        self.eat_kw("OF")?;
+    /// The body of `[EXPLAIN] ESTIMATE …`, after its keywords.
+    pub(super) fn estimate(&mut self, explain: bool) -> Result<Statement, SpecError> {
+        self.next_expect_kw("DURABILITY")?;
+        self.next_expect_kw("OF")?;
 
         // ---- candidate list ------------------------------------------
         let mut cands = vec![self.candidate()?];
         // The span that proves this is a multi-candidate statement (and
         // therefore needs RANK BY): the first comma or SWEEP keyword.
         let mut multi_span: Option<Span> = cands[0].sweep_span;
-        while matches!(self.peek(), Some(t) if t.kind == TokKind::Comma) {
+        while self.peek_sym() == Some(Sym::Comma) {
             let comma = self.here();
-            self.pos += 1;
+            self.advance(1);
             multi_span = multi_span.or(Some(comma));
             cands.push(self.candidate()?);
         }
 
         // ---- WITHIN horizon ------------------------------------------
-        if !self.eat_kw_opt("WITHIN") {
-            return Err(SpecError::at(
-                SpecErrorKind::MissingClause { clause: "WITHIN" },
-                self.here(),
-            ));
+        if !self.next_if_kw("WITHIN") {
+            return Err(missing("WITHIN", self.here()));
         }
-        let (horizon, hspan) = self.number("a horizon")?;
+        let (horizon, Word { span: hspan, .. }) = self.number("a horizon")?;
         if !(horizon.is_finite() && horizon >= 1.0 && horizon.fract() == 0.0) {
-            return Err(SpecError::at(
-                SpecErrorKind::InvalidValue {
-                    field: "horizon",
-                    message: format!("must be a positive integer, got {horizon}"),
-                },
+            return Err(invalid(
+                "horizon",
+                format!("must be a positive integer, got {horizon}"),
                 hspan,
             ));
         }
@@ -589,72 +252,44 @@ impl DialectParser<'_> {
         // ---- USING method(levels=…) ----------------------------------
         let mut method = Method::Auto;
         let mut levels = DEFAULT_PLAN_LEVELS;
-        if self.eat_kw_opt("USING") {
-            let name = self.ident("a method name")?;
+        if self.next_if_kw("USING") {
+            let name = self.next_ident("a method name")?;
             method = Method::parse(&name.text.to_ascii_lowercase())
                 .map_err(|e| SpecError::at(e.kind, name.span))?;
             for (opt, value, vtok) in self.assignments("method option")? {
-                match opt.text.as_str() {
-                    "levels" => {
-                        if !(value.fract() == 0.0 && (1.0..=64.0).contains(&value)) {
-                            return Err(SpecError::at(
-                                SpecErrorKind::InvalidValue {
-                                    field: "levels",
-                                    message: format!("must be an integer in 1..=64, got {value}"),
-                                },
-                                vtok.span,
-                            ));
-                        }
-                        levels = value as usize;
-                    }
-                    _ => {
-                        return Err(SpecError::at(
-                            SpecErrorKind::UnknownOption {
-                                name: opt.text.clone(),
-                            },
-                            opt.span,
-                        ))
-                    }
+                match opt.text {
+                    "levels" => levels = int_in("levels", value, 1.0, 64.0, vtok.span)? as usize,
+                    _ => return Err(unknown_option(opt)),
                 }
             }
         }
 
         // ---- TARGET RE number [%] ------------------------------------
-        if !self.eat_kw_opt("TARGET") {
-            return Err(SpecError::at(
-                SpecErrorKind::MissingClause {
-                    clause: "TARGET RE",
-                },
-                self.here(),
-            ));
+        if !self.next_if_kw("TARGET") {
+            return Err(missing("TARGET RE", self.here()));
         }
-        self.eat_kw("RE")?;
-        let (mut target_re, tspan) = self.number("a relative-error target")?;
-        if self.eat_opt(TokKind::Percent) {
+        self.next_expect_kw("RE")?;
+        let (mut target_re, Word { span: tspan, .. }) = self.number("a relative-error target")?;
+        if self.next_if_sym(Sym::Percent) {
             target_re /= 100.0;
         }
         if !(target_re.is_finite() && target_re > 0.0) {
-            return Err(SpecError::at(
-                SpecErrorKind::InvalidValue {
-                    field: "target_re",
-                    message: format!("must be positive, got {target_re}"),
-                },
+            return Err(invalid(
+                "target_re",
+                format!("must be positive, got {target_re}"),
                 tspan,
             ));
         }
 
         // ---- RANK BY TOP k [(confidence=…, rounds=…, round_budget=…)] -
-        let rank = if self.peek_kw("RANK") {
-            self.eat_kw("RANK")?;
-            self.eat_kw("BY")?;
-            self.eat_kw("TOP")?;
-            let (k, kspan) = self.number("a top-k count")?;
+        let rank = if self.next_if_kw("RANK") {
+            self.next_expect_kw("BY")?;
+            self.next_expect_kw("TOP")?;
+            let (k, Word { span: kspan, .. }) = self.number("a top-k count")?;
             if !(k.fract() == 0.0 && k >= 1.0) {
-                return Err(SpecError::at(
-                    SpecErrorKind::InvalidValue {
-                        field: "top_k",
-                        message: format!("must be a positive integer, got {k}"),
-                    },
+                return Err(invalid(
+                    "top_k",
+                    format!("must be a positive integer, got {k}"),
                     kspan,
                 ));
             }
@@ -662,53 +297,22 @@ impl DialectParser<'_> {
             let mut rounds = mlss_core::spec::DEFAULT_RANK_ROUNDS;
             let mut round_budget = mlss_core::spec::DEFAULT_RANK_ROUND_BUDGET;
             for (opt, value, vtok) in self.assignments("ranking option")? {
-                match opt.text.as_str() {
+                match opt.text {
                     "confidence" => {
                         if !(value > 0.5 && value < 1.0) {
-                            return Err(SpecError::at(
-                                SpecErrorKind::InvalidValue {
-                                    field: "confidence",
-                                    message: format!("must be in (0.5, 1), got {value}"),
-                                },
+                            return Err(invalid(
+                                "confidence",
+                                format!("must be in (0.5, 1), got {value}"),
                                 vtok.span,
                             ));
                         }
                         confidence = value;
                     }
-                    "rounds" => {
-                        if !(value.fract() == 0.0 && (1.0..=10_000.0).contains(&value)) {
-                            return Err(SpecError::at(
-                                SpecErrorKind::InvalidValue {
-                                    field: "rounds",
-                                    message: format!(
-                                        "must be an integer in 1..=10000, got {value}"
-                                    ),
-                                },
-                                vtok.span,
-                            ));
-                        }
-                        rounds = value as usize;
-                    }
+                    "rounds" => rounds = int_in("rounds", value, 1.0, 1e4, vtok.span)? as usize,
                     "round_budget" => {
-                        if !(value.fract() == 0.0 && (1.0..=1e12).contains(&value)) {
-                            return Err(SpecError::at(
-                                SpecErrorKind::InvalidValue {
-                                    field: "round_budget",
-                                    message: format!("must be an integer in 1..=1e12, got {value}"),
-                                },
-                                vtok.span,
-                            ));
-                        }
-                        round_budget = value as u64;
+                        round_budget = int_in("round_budget", value, 1.0, 1e12, vtok.span)? as u64
                     }
-                    _ => {
-                        return Err(SpecError::at(
-                            SpecErrorKind::UnknownOption {
-                                name: opt.text.clone(),
-                            },
-                            opt.span,
-                        ))
-                    }
+                    _ => return Err(unknown_option(opt)),
                 }
             }
             Some((k as usize, kspan, confidence, rounds, round_budget))
@@ -719,20 +323,16 @@ impl DialectParser<'_> {
             if let Some(span) = multi_span {
                 // A candidate field without a ranking question is
                 // ambiguous — which single estimate would it mean?
-                return Err(SpecError::at(
-                    SpecErrorKind::MissingClause { clause: "RANK BY" },
-                    span,
-                ));
+                return Err(missing("RANK BY", span));
             }
         }
 
         // ---- WITH (options) + ASYNC/SYNC -----------------------------
-        let mut options = ExecOptions::default();
-        self.exec_options(&mut options)?;
+        let options = self.exec_options()?;
 
         // ---- assemble ------------------------------------------------
-        let build_arm = |cand: &Tok, beta: f64, params: BTreeMap<String, f64>| {
-            let mut spec = QuerySpec::new(cand.text.clone(), beta, horizon as u64, target_re);
+        let build_arm = |cand: &Word<'_>, beta: f64, params: BTreeMap<String, f64>| {
+            let mut spec = QuerySpec::new(cand.text.to_string(), beta, horizon as u64, target_re);
             spec.params = params;
             spec.method = method;
             spec.levels = levels;
@@ -740,12 +340,15 @@ impl DialectParser<'_> {
             spec
         };
         let Some((top_k, kspan, confidence, max_rounds, round_budget)) = rank else {
-            let cand = cands.into_iter().next().expect("one candidate");
-            let model = cand.model;
-            let (beta, params) = cand.arms.into_iter().next().expect("one arm");
+            let Cand { model, arms, .. } = cands.into_iter().next().expect("one candidate");
+            let (beta, params) = arms.into_iter().next().expect("one arm");
             let spec = build_arm(&model, beta, params);
             spec.validate()?;
-            return Ok(ParsedEstimate::Single(spec));
+            return Ok(if explain {
+                Statement::ExplainEstimate(spec)
+            } else {
+                Statement::Estimate(spec)
+            });
         };
         let mut arms: Vec<QuerySpec> = Vec::new();
         for cand in cands {
@@ -754,14 +357,12 @@ impl DialectParser<'_> {
             }
         }
         if top_k > arms.len() {
-            return Err(SpecError::at(
-                SpecErrorKind::InvalidValue {
-                    field: "top_k",
-                    message: format!(
-                        "must be in 1..={} (the candidate field), got {top_k}",
-                        arms.len()
-                    ),
-                },
+            return Err(invalid(
+                "top_k",
+                format!(
+                    "must be in 1..={} (the candidate field), got {top_k}",
+                    arms.len()
+                ),
                 kspan,
             ));
         }
@@ -771,104 +372,107 @@ impl DialectParser<'_> {
         rank.round_budget = round_budget;
         rank.options = options;
         rank.validate()?;
-        Ok(ParsedEstimate::Rank(rank))
+        Ok(if explain {
+            Statement::ExplainRank(rank)
+        } else {
+            Statement::Rank(rank)
+        })
     }
 
-    /// `[WITH '(' options ')'] [ASYNC | SYNC]` into `options`.
-    fn exec_options(&mut self, options: &mut ExecOptions) -> Result<(), SpecError> {
-        if self.eat_kw_opt("WITH") {
-            if !matches!(self.peek(), Some(t) if t.kind == TokKind::LParen) {
-                return Err(self.syntax("expected '(' after WITH", self.here()));
+    /// `[WITH '(' options ')'] [ASYNC | SYNC]`.
+    fn exec_options(&mut self) -> Result<ExecOptions, SpecError> {
+        let mut options = ExecOptions::default();
+        if self.next_if_kw("WITH") {
+            if self.peek_sym() != Some(Sym::LParen) {
+                return Err(syntax("expected '(' after WITH".into(), self.here()));
             }
             for (opt, value, vtok) in self.assignments("execution option")? {
-                // `auto` reaches here as +∞ (see `assignments`); only
-                // `batch_width` accepts it, and its arm checks before
-                // the integer validation runs.
-                let int_in = |lo: f64, hi: f64| -> Result<f64, SpecError> {
-                    if value.fract() == 0.0 && (lo..=hi).contains(&value) {
-                        Ok(value)
-                    } else {
-                        let field = match opt.text.as_str() {
-                            "threads" => "threads",
-                            "batch_width" => "batch_width",
-                            "seed" => "seed",
-                            _ => "priority",
-                        };
-                        let message = if value.is_infinite() {
-                            "'auto' is only valid for batch_width".to_string()
-                        } else {
-                            format!("must be an integer in {lo}..={hi}, got {value}")
-                        };
-                        Err(SpecError::at(
-                            SpecErrorKind::InvalidValue { field, message },
-                            vtok.span,
-                        ))
+                let span = vtok.span;
+                match opt.text {
+                    "threads" => {
+                        options.threads = int_in("threads", value, 1.0, 4096.0, span)? as usize
                     }
-                };
-                match opt.text.as_str() {
-                    "threads" => options.threads = int_in(1.0, 4096.0)? as usize,
+                    // `auto` arrives as +∞ (see `assignments`).
                     "batch_width" if value.is_infinite() => {
                         options.batch_width = Some(mlss_core::width::AUTO_WIDTH)
                     }
                     "batch_width" if value < 1.0 => {
-                        return Err(SpecError::at(
-                            SpecErrorKind::InvalidValue {
-                                field: "batch_width",
-                                message: "must be ≥ 1 or auto".into(),
-                            },
-                            vtok.span,
-                        ))
+                        return Err(invalid("batch_width", "must be ≥ 1 or auto".into(), span))
                     }
-                    "batch_width" => options.batch_width = Some(int_in(1.0, 1_048_576.0)? as usize),
+                    "batch_width" => {
+                        let width = int_in("batch_width", value, 1.0, 1_048_576.0, span)?;
+                        options.batch_width = Some(width as usize)
+                    }
                     "seed" => {
                         // Reparse the token text: a seed is a full u64
                         // and must not round through f64.
-                        let seed: u64 = vtok.text.parse().map_err(|_| {
-                            SpecError::at(
-                                SpecErrorKind::InvalidValue {
-                                    field: "seed",
-                                    message: format!(
-                                        "must be an unsigned integer, got '{}'",
-                                        vtok.text
-                                    ),
-                                },
-                                vtok.span,
-                            )
+                        let seed = vtok.text.parse().map_err(|_| {
+                            let message =
+                                format!("must be an unsigned integer, got '{}'", vtok.text);
+                            invalid("seed", message, span)
                         })?;
                         options.seed = Some(seed);
                     }
-                    "priority" => options.priority = int_in(0.0, 255.0)? as u8,
-                    _ => {
-                        return Err(SpecError::at(
-                            SpecErrorKind::UnknownOption {
-                                name: opt.text.clone(),
-                            },
-                            opt.span,
-                        ))
+                    "priority" => {
+                        options.priority = int_in("priority", value, 0.0, 255.0, span)? as u8
                     }
+                    _ => return Err(unknown_option(opt)),
                 }
             }
         }
 
         // ---- ASYNC / SYNC --------------------------------------------
-        if self.eat_kw_opt("ASYNC") {
+        if self.next_if_kw("ASYNC") {
             options.mode = ExecMode::Async;
         } else {
-            self.eat_kw_opt("SYNC");
+            self.next_if_kw("SYNC");
         }
-        Ok(())
+        Ok(options)
     }
 }
 
-/// What `estimate()` produced: one spec, or a raced candidate field.
-enum ParsedEstimate {
-    Single(QuerySpec),
-    Rank(RankSpec),
+/// An `InvalidValue` error at `span`.
+fn invalid(field: &'static str, message: String, span: Span) -> SpecError {
+    SpecError::at(SpecErrorKind::InvalidValue { field, message }, span)
+}
+
+/// `value` if it is an integer in `lo..=hi`, else an `InvalidValue`.
+fn int_in(field: &'static str, value: f64, lo: f64, hi: f64, span: Span) -> Result<f64, SpecError> {
+    if value.fract() == 0.0 && (lo..=hi).contains(&value) {
+        return Ok(value);
+    }
+    // `auto` arrives as +∞ (see `assignments`): only batch_width takes it.
+    let message = if value.is_infinite() {
+        "'auto' is only valid for batch_width".to_string()
+    } else {
+        format!("must be an integer in {lo}..={hi}, got {value}")
+    };
+    Err(invalid(field, message, span))
+}
+
+fn unknown_option(opt: Word<'_>) -> SpecError {
+    let name = opt.text.to_string();
+    SpecError::at(SpecErrorKind::UnknownOption { name }, opt.span)
+}
+
+fn unknown_param(model: Word<'_>, name: Word<'_>) -> SpecError {
+    let (model, name_text) = (model.text.to_string(), name.text.to_string());
+    SpecError::at(
+        SpecErrorKind::UnknownParam {
+            model,
+            name: name_text,
+        },
+        name.span,
+    )
+}
+
+fn missing(clause: &'static str, span: Span) -> SpecError {
+    SpecError::at(SpecErrorKind::MissingClause { clause }, span)
 }
 
 /// One parsed `OF`-list candidate, already sweep-expanded.
-struct Cand {
-    model: Tok,
+struct Cand<'a> {
+    model: Word<'a>,
     /// Per-arm `(beta, params)` pairs (one entry when there is no sweep).
     arms: Vec<(f64, BTreeMap<String, f64>)>,
     /// Span of the `SWEEP` keyword, if the candidate swept.
@@ -879,13 +483,16 @@ struct Cand {
 mod tests {
     use super::*;
 
-    fn parse(sql: &str) -> Result<DialectStatement, SpecError> {
-        parse_dialect(sql, None)
+    use crate::sql::parse as parse_sql;
+    use mlss_core::spec::ModelSchema;
+
+    fn parse(sql: &str) -> Result<Statement, SpecError> {
+        parse_sql(sql, None)
     }
 
     fn spec_of(sql: &str) -> QuerySpec {
         match parse(sql).unwrap() {
-            DialectStatement::Estimate(s) => s,
+            Statement::Estimate(s) => s,
             other => panic!("expected Estimate, got {other:?}"),
         }
     }
@@ -935,17 +542,17 @@ mod tests {
     fn explain_and_show_models() {
         assert!(matches!(
             parse("EXPLAIN ESTIMATE DURABILITY OF walk(beta=5) WITHIN 50 TARGET RE 0.3").unwrap(),
-            DialectStatement::ExplainEstimate(_)
+            Statement::ExplainEstimate(_)
         ));
-        assert_eq!(parse("SHOW MODELS").unwrap(), DialectStatement::ShowModels);
-        assert_eq!(parse("show models;").unwrap(), DialectStatement::ShowModels);
+        assert_eq!(parse("SHOW MODELS").unwrap(), Statement::ShowModels);
+        assert_eq!(parse("show models;").unwrap(), Statement::ShowModels);
         assert_eq!(
             parse("SHOW DIAGNOSTICS").unwrap(),
-            DialectStatement::ShowDiagnostics
+            Statement::ShowDiagnostics
         );
         assert_eq!(
             parse("show diagnostics;").unwrap(),
-            DialectStatement::ShowDiagnostics
+            Statement::ShowDiagnostics
         );
     }
 
@@ -990,17 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn is_dialect_routes() {
-        assert!(is_dialect(
-            "ESTIMATE DURABILITY OF x(beta=1) WITHIN 1 TARGET RE 1"
-        ));
-        assert!(is_dialect("  explain estimate …"));
-        assert!(is_dialect("SHOW MODELS"));
-        assert!(!is_dialect("SELECT * FROM t"));
-        assert!(!is_dialect("INSERT INTO t VALUES (1)"));
-    }
-
-    #[test]
     fn spans_point_at_the_offender() {
         let sql = "ESTIMATE DURABILITY OF walk(beta=6) WITHIN 60 TARGET RE 0.25 WITH (bogus=1)";
         let err = parse(sql).unwrap_err();
@@ -1030,20 +626,20 @@ mod tests {
             vec![ParamSpec::float("up", 0.3, 0.0, 1.0, "up probability")],
         );
         let catalog = [&schema];
-        let err = parse_dialect(
+        let err = parse_sql(
             "ESTIMATE DURABILITY OF nope(beta=1) WITHIN 10 TARGET RE 0.5",
             Some(&catalog),
         )
         .unwrap_err();
         assert!(matches!(err.kind, SpecErrorKind::UnknownModel { .. }));
-        let err = parse_dialect(
+        let err = parse_sql(
             "ESTIMATE DURABILITY OF walk(beta=1, wat=2) WITHIN 10 TARGET RE 0.5",
             Some(&catalog),
         )
         .unwrap_err();
         assert!(matches!(err.kind, SpecErrorKind::UnknownParam { .. }));
         let sql = "ESTIMATE DURABILITY OF walk(beta=1, up=1.5) WITHIN 10 TARGET RE 0.5";
-        let err = parse_dialect(sql, Some(&catalog)).unwrap_err();
+        let err = parse_sql(sql, Some(&catalog)).unwrap_err();
         assert!(matches!(err.kind, SpecErrorKind::ParamOutOfRange { .. }));
         let span = err.span.unwrap();
         assert_eq!(&sql[span.start..span.end], "1.5");
@@ -1055,11 +651,11 @@ mod tests {
         );
         let catalog2 = [&int_schema];
         let sql = "ESTIMATE DURABILITY OF lattice(beta=1, start=1.5) WITHIN 10 TARGET RE 0.5";
-        let err = parse_dialect(sql, Some(&catalog2)).unwrap_err();
+        let err = parse_sql(sql, Some(&catalog2)).unwrap_err();
         assert!(matches!(err.kind, SpecErrorKind::ParamWrongType { .. }));
         let span = err.span.unwrap();
         assert_eq!(&sql[span.start..span.end], "1.5");
-        assert!(parse_dialect(
+        assert!(parse_sql(
             "ESTIMATE DURABILITY OF walk(beta=1, up=0.4) WITHIN 10 TARGET RE 0.5",
             Some(&catalog),
         )
@@ -1068,7 +664,7 @@ mod tests {
 
     fn rank_of(sql: &str) -> RankSpec {
         match parse(sql).unwrap() {
-            DialectStatement::Rank(r) => r,
+            Statement::Rank(r) => r,
             other => panic!("expected Rank, got {other:?}"),
         }
     }
@@ -1253,7 +849,7 @@ mod tests {
         // Unknown sweep parameter, spanned at its name.
         let sql = "ESTIMATE DURABILITY OF walk(beta=6) SWEEP wat FROM 0.1 TO 0.3 STEP 0.1 \
                    WITHIN 50 TARGET RE 0.5 RANK BY TOP 1";
-        let err = parse_dialect(sql, Some(&catalog)).unwrap_err();
+        let err = parse_sql(sql, Some(&catalog)).unwrap_err();
         assert!(matches!(err.kind, SpecErrorKind::UnknownParam { .. }));
         let span = err.span.unwrap();
         assert_eq!(&sql[span.start..span.end], "wat");
@@ -1261,12 +857,12 @@ mod tests {
         // sweep start (the offending value is generated, not written).
         let sql = "ESTIMATE DURABILITY OF walk(beta=6) SWEEP up FROM 0.8 TO 1.2 STEP 0.2 \
                    WITHIN 50 TARGET RE 0.5 RANK BY TOP 1";
-        let err = parse_dialect(sql, Some(&catalog)).unwrap_err();
+        let err = parse_sql(sql, Some(&catalog)).unwrap_err();
         assert!(matches!(err.kind, SpecErrorKind::ParamOutOfRange { .. }));
         let span = err.span.unwrap();
         assert_eq!(&sql[span.start..span.end], "0.8");
         // In range, the sweep expands cleanly.
-        assert!(parse_dialect(
+        assert!(parse_sql(
             "ESTIMATE DURABILITY OF walk(beta=6) SWEEP up FROM 0.2 TO 0.4 STEP 0.1 \
              WITHIN 50 TARGET RE 0.5 RANK BY TOP 1",
             Some(&catalog),
@@ -1282,7 +878,7 @@ mod tests {
                  WITHIN 50 TARGET RE 0.5 RANK BY TOP 1"
             )
             .unwrap(),
-            DialectStatement::ExplainRank(_)
+            Statement::ExplainRank(_)
         ));
     }
 }

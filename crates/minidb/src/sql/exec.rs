@@ -36,22 +36,17 @@ impl ExecResult {
     }
 }
 
-/// Parse and execute one SQL statement against the database.
+/// Parse and execute one plain SQL statement against the database.
 ///
 /// `ESTIMATE` dialect statements need an engine context (model registry,
-/// plan cache, scheduler, RNG) and are rejected here — run them through
+/// plan cache, scheduler, RNG) and are refused here — run them through
 /// [`crate::session::Session::execute`].
 pub fn execute(db: &Database, sql: &str) -> Result<ExecResult, DbError> {
-    if crate::sql::estimate::is_dialect(sql) {
-        return Err(DbError::Proc(
-            "ESTIMATE/EXPLAIN/SHOW statements require a session (use Session::execute)".into(),
-        ));
-    }
-    let stmt = parse(sql).map_err(|e| DbError::Proc(e.to_string()))?;
-    execute_statement(db, stmt)
+    execute_statement(db, parse(sql, None)?)
 }
 
-/// Execute a parsed statement.
+/// Execute a parsed plain SQL statement. A dialect statement is refused
+/// with [`DbError::NeedsSession`].
 pub fn execute_statement(db: &Database, stmt: Statement) -> Result<ExecResult, DbError> {
     match stmt {
         Statement::Select(s) => select(db, s),
@@ -76,19 +71,20 @@ pub fn execute_statement(db: &Database, stmt: Statement) -> Result<ExecResult, D
             Ok(ExecResult::Ok)
         }
         Statement::Delete { table, predicate } => {
-            let n = db.with_table_mut(&table, |t| match predicate {
-                Some(p) => t.delete_where(&p),
-                None => {
-                    let all = crate::expr::lit(true);
-                    t.delete_where(&all)
-                }
-            })??;
+            let predicate = predicate.unwrap_or_else(|| crate::expr::lit(true));
+            let n = db.with_table_mut(&table, |t| t.delete_where(&predicate))??;
             Ok(ExecResult::Affected(n))
         }
         Statement::DropTable { table } => {
             db.drop_table(&table)?;
             Ok(ExecResult::Ok)
         }
+        Statement::Estimate(_)
+        | Statement::ExplainEstimate(_)
+        | Statement::Rank(_)
+        | Statement::ExplainRank(_)
+        | Statement::ShowModels
+        | Statement::ShowDiagnostics => Err(DbError::NeedsSession),
     }
 }
 
@@ -238,6 +234,19 @@ mod tests {
         assert!(execute(&db, "INSERT INTO stocks VALUES ('x', NULL, 3.0)").is_err());
         assert!(execute(&db, "SELECT nope FROM stocks").is_err());
         assert!(execute(&db, "SELECT * FROM missing").is_err());
+    }
+
+    #[test]
+    fn dialect_statements_need_a_session() {
+        let db = db();
+        let res = execute(
+            &db,
+            "ESTIMATE DURABILITY OF walk(beta=6) WITHIN 50 TARGET RE 0.3",
+        );
+        assert!(matches!(res, Err(DbError::NeedsSession)));
+        // Syntax errors are spanned, plain SQL included.
+        let res = execute(&db, "SELECT * FROM stocks WHERE day = @");
+        assert!(matches!(res, Err(DbError::Spec(e)) if e.span.is_some()));
     }
 
     #[test]

@@ -1,15 +1,32 @@
-//! SQL tokenizer.
+//! The one SQL tokenizer, shared by plain SQL and the ESTIMATE dialect.
+//!
+//! Every token carries its byte [`Span`], always on char boundaries.
+//! Identifiers and numbers keep their source text through that span, so
+//! the parser can re-read a number losslessly (a `seed` is a full u64)
+//! or pick `Int`/`Float` for a SQL literal. `-` and `+` are always
+//! symbols: unary minus is the parser's, and so is the dialect's signed
+//! number rule.
 
-/// A lexical token.
+use mlss_core::spec::{Span, SpecError, SpecErrorKind};
+
+/// A lexical token: its kind and where it sits in the statement.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
-    /// Keyword (uppercased) or bare identifier (original case).
-    Ident(String),
-    /// Integer literal.
-    Int(i64),
-    /// Float literal.
-    Float(f64),
-    /// Single-quoted string literal (quotes stripped, '' unescaped).
+pub struct Token {
+    /// What the token is.
+    pub kind: TokenKind,
+    /// Its byte range in the input.
+    pub span: Span,
+}
+
+/// Token kinds.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TokenKind {
+    /// Keyword or bare identifier (the span's text, original case).
+    Ident,
+    /// Unsigned numeric literal — digits, `.`, exponent (the span's
+    /// text, already checked to parse as an `f64`).
+    Number,
+    /// Single-quoted string literal (quotes stripped, `''` unescaped).
     Str(String),
     /// Punctuation / operator.
     Symbol(Sym),
@@ -32,6 +49,8 @@ pub enum Sym {
     Minus,
     /// `/`
     Slash,
+    /// `%`
+    Percent,
     /// `=`
     Eq,
     /// `<>` or `!=`
@@ -48,182 +67,116 @@ pub enum Sym {
     Semi,
 }
 
-/// Tokenization error with byte offset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LexError {
-    /// Byte position in the input.
-    pub at: usize,
-    /// Human-readable message.
-    pub message: String,
+pub(super) fn syntax(message: String, span: Span) -> SpecError {
+    SpecError::at(SpecErrorKind::Syntax { message }, span)
 }
 
-impl std::fmt::Display for LexError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "lex error at byte {}: {}", self.at, self.message)
-    }
-}
-
-impl std::error::Error for LexError {}
-
-/// Tokenize SQL text.
-pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
+/// Tokenize a statement. Whitespace and `--` line comments are skipped.
+pub fn lex(input: &str) -> Result<Vec<Token>, SpecError> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\r' | '\n' => i += 1,
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
-                // Line comment.
+        let start = i;
+        let next = bytes.get(i + 1).copied();
+        let kind = match bytes[i] {
+            b' ' | b'\t' | b'\r' | b'\n' => {
+                i += 1;
+                continue;
+            }
+            b'-' if next == Some(b'-') => {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
+                continue;
             }
-            '(' => {
-                out.push(Token::Symbol(Sym::LParen));
-                i += 1;
-            }
-            ')' => {
-                out.push(Token::Symbol(Sym::RParen));
-                i += 1;
-            }
-            ',' => {
-                out.push(Token::Symbol(Sym::Comma));
-                i += 1;
-            }
-            '*' => {
-                out.push(Token::Symbol(Sym::Star));
-                i += 1;
-            }
-            '+' => {
-                out.push(Token::Symbol(Sym::Plus));
-                i += 1;
-            }
-            '-' => {
-                out.push(Token::Symbol(Sym::Minus));
-                i += 1;
-            }
-            '/' => {
-                out.push(Token::Symbol(Sym::Slash));
-                i += 1;
-            }
-            ';' => {
-                out.push(Token::Symbol(Sym::Semi));
-                i += 1;
-            }
-            '=' => {
-                out.push(Token::Symbol(Sym::Eq));
-                i += 1;
-            }
-            '!' if bytes.get(i + 1) == Some(&b'=') => {
-                out.push(Token::Symbol(Sym::Ne));
-                i += 2;
-            }
-            '<' => match bytes.get(i + 1) {
-                Some(&b'=') => {
-                    out.push(Token::Symbol(Sym::Le));
-                    i += 2;
-                }
-                Some(&b'>') => {
-                    out.push(Token::Symbol(Sym::Ne));
-                    i += 2;
-                }
-                _ => {
-                    out.push(Token::Symbol(Sym::Lt));
-                    i += 1;
-                }
-            },
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Symbol(Sym::Ge));
-                    i += 2;
-                } else {
-                    out.push(Token::Symbol(Sym::Gt));
-                    i += 1;
-                }
-            }
-            '\'' => {
-                // String literal with '' escaping.
-                let start = i;
-                i += 1;
+            b'\'' => {
+                // String literal with '' escaping. Quotes are ASCII, so
+                // every slice between them sits on char boundaries and
+                // multi-byte text is copied through unchanged.
                 let mut s = String::new();
+                i += 1;
                 loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(LexError {
-                                at: start,
-                                message: "unterminated string literal".into(),
-                            })
-                        }
-                        Some(&b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some(&b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                    let Some(off) = input[i..].find('\'') else {
+                        let span = Span::new(start, input.len());
+                        return Err(syntax("unterminated string literal".into(), span));
+                    };
+                    s.push_str(&input[i..i + off]);
+                    i += off + 1;
+                    if bytes.get(i) != Some(&b'\'') {
+                        break;
                     }
+                    s.push('\'');
+                    i += 1;
                 }
-                out.push(Token::Str(s));
+                TokenKind::Str(s)
             }
-            '0'..='9' | '.' => {
-                let start = i;
+            b'0'..=b'9' | b'.' => {
                 let mut saw_dot = false;
                 let mut saw_exp = false;
                 while i < bytes.len() {
-                    let b = bytes[i] as char;
-                    if b.is_ascii_digit() {
-                        i += 1;
-                    } else if b == '.' && !saw_dot && !saw_exp {
-                        saw_dot = true;
-                        i += 1;
-                    } else if (b == 'e' || b == 'E') && !saw_exp && i > start {
-                        saw_exp = true;
-                        i += 1;
-                        if matches!(bytes.get(i), Some(&b'+') | Some(&b'-')) {
+                    match bytes[i] {
+                        b'0'..=b'9' => i += 1,
+                        b'.' if !saw_dot && !saw_exp => {
+                            saw_dot = true;
                             i += 1;
                         }
-                    } else {
-                        break;
+                        b'e' | b'E' if !saw_exp => {
+                            saw_exp = true;
+                            i += 1;
+                            if matches!(bytes.get(i), Some(b'+' | b'-')) {
+                                i += 1;
+                            }
+                        }
+                        _ => break,
                     }
                 }
                 let text = &input[start..i];
-                if saw_dot || saw_exp {
-                    let v = text.parse::<f64>().map_err(|e| LexError {
-                        at: start,
-                        message: format!("bad float '{text}': {e}"),
-                    })?;
-                    out.push(Token::Float(v));
-                } else {
-                    let v = text.parse::<i64>().map_err(|e| LexError {
-                        at: start,
-                        message: format!("bad integer '{text}': {e}"),
-                    })?;
-                    out.push(Token::Int(v));
+                if text.parse::<f64>().is_err() {
+                    return Err(syntax(format!("bad number '{text}'"), Span::new(start, i)));
                 }
+                TokenKind::Number
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                out.push(Token::Ident(input[start..i].to_string()));
+                TokenKind::Ident
             }
-            other => {
-                return Err(LexError {
-                    at: i,
-                    message: format!("unexpected character '{other}'"),
-                })
+            c => {
+                let sym = match (c, next) {
+                    (b'!', Some(b'=')) | (b'<', Some(b'>')) => Sym::Ne,
+                    (b'<', Some(b'=')) => Sym::Le,
+                    (b'>', Some(b'=')) => Sym::Ge,
+                    (b'<', _) => Sym::Lt,
+                    (b'>', _) => Sym::Gt,
+                    (b'=', _) => Sym::Eq,
+                    (b'(', _) => Sym::LParen,
+                    (b')', _) => Sym::RParen,
+                    (b',', _) => Sym::Comma,
+                    (b'*', _) => Sym::Star,
+                    (b'+', _) => Sym::Plus,
+                    (b'-', _) => Sym::Minus,
+                    (b'/', _) => Sym::Slash,
+                    (b'%', _) => Sym::Percent,
+                    (b';', _) => Sym::Semi,
+                    _ => {
+                        // Decode the real (possibly multi-byte) character
+                        // so the message shows it faithfully and the span
+                        // stays on a char boundary.
+                        let other = input[i..].chars().next().expect("in-bounds byte");
+                        let span = Span::new(i, i + other.len_utf8());
+                        return Err(syntax(format!("unexpected character '{other}'"), span));
+                    }
+                };
+                i += 1 + usize::from(matches!(sym, Sym::Ne | Sym::Le | Sym::Ge));
+                TokenKind::Symbol(sym)
             }
-        }
+        };
+        out.push(Token {
+            kind,
+            span: Span::new(start, i),
+        });
     }
     Ok(out)
 }
@@ -232,58 +185,78 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
 mod tests {
     use super::*;
 
+    fn kinds(sql: &str) -> Vec<TokenKind> {
+        lex(sql).unwrap().into_iter().map(|t| t.kind).collect()
+    }
+
+    fn texts(sql: &str) -> Vec<&str> {
+        lex(sql)
+            .unwrap()
+            .into_iter()
+            .map(|t| &sql[t.span.start..t.span.end])
+            .collect()
+    }
+
     #[test]
     fn tokenizes_select() {
-        let toks = tokenize("SELECT a, b FROM t WHERE x >= 1.5;").unwrap();
-        assert_eq!(toks[0], Token::Ident("SELECT".into()));
-        assert!(toks.contains(&Token::Symbol(Sym::Ge)));
-        assert!(toks.contains(&Token::Float(1.5)));
-        assert_eq!(*toks.last().unwrap(), Token::Symbol(Sym::Semi));
+        let sql = "SELECT a, b FROM t WHERE x >= 1.5;";
+        let toks = kinds(sql);
+        assert_eq!(toks[0], TokenKind::Ident);
+        assert!(toks.contains(&TokenKind::Symbol(Sym::Ge)));
+        assert_eq!(texts(sql)[9], "1.5");
+        assert_eq!(*toks.last().unwrap(), TokenKind::Symbol(Sym::Semi));
     }
 
     #[test]
     fn string_escaping() {
-        let toks = tokenize("'it''s'").unwrap();
-        assert_eq!(toks, vec![Token::Str("it's".into())]);
+        assert_eq!(kinds("'it''s'"), vec![TokenKind::Str("it's".into())]);
+    }
+
+    #[test]
+    fn strings_and_messages_decode_utf8() {
+        let toks = lex("'café' '日本'").unwrap();
+        assert_eq!(toks[0].kind, TokenKind::Str("café".into()));
+        assert_eq!(toks[1].kind, TokenKind::Str("日本".into()));
+        let sql = "SELECT é";
+        let err = lex(sql).unwrap_err();
+        let span = err.span.unwrap();
+        assert_eq!(&sql[span.start..span.end], "é");
+        assert!(err.to_string().contains("unexpected character 'é'"));
     }
 
     #[test]
     fn comparison_operators() {
-        let toks = tokenize("< <= > >= = <> !=").unwrap();
         use Sym::*;
-        let syms: Vec<Sym> = toks
-            .iter()
-            .map(|t| match t {
-                Token::Symbol(s) => *s,
-                _ => panic!(),
-            })
-            .collect();
-        assert_eq!(syms, vec![Lt, Le, Gt, Ge, Eq, Ne, Ne]);
+        let expected = [Lt, Le, Gt, Ge, Eq, Ne, Ne].map(TokenKind::Symbol);
+        assert_eq!(kinds("< <= > >= = <> !="), expected);
     }
 
     #[test]
-    fn numbers() {
-        let toks = tokenize("42 -7 3.25 1e-4").unwrap();
-        assert_eq!(toks[0], Token::Int(42));
-        // Leading minus is a separate symbol (unary handled by parser).
-        assert_eq!(toks[1], Token::Symbol(Sym::Minus));
-        assert_eq!(toks[2], Token::Int(7));
-        assert_eq!(toks[3], Token::Float(3.25));
-        assert_eq!(toks[4], Token::Float(1e-4));
+    fn numbers_keep_their_text_and_signs_are_symbols() {
+        let sql = "42 -7 3.25 1e-4 +2 5%";
+        assert_eq!(
+            texts(sql),
+            vec!["42", "-", "7", "3.25", "1e-4", "+", "2", "5", "%"]
+        );
+        let toks = kinds(sql);
+        assert_eq!(toks[1], TokenKind::Symbol(Sym::Minus));
+        assert_eq!(toks[5], TokenKind::Symbol(Sym::Plus));
+        assert_eq!(toks[8], TokenKind::Symbol(Sym::Percent));
     }
 
     #[test]
     fn comments_are_skipped() {
-        let toks = tokenize("SELECT -- hidden\n1").unwrap();
-        assert_eq!(toks.len(), 2);
-        assert_eq!(toks[1], Token::Int(1));
+        assert_eq!(texts("SELECT -- hidden\n1"), vec!["SELECT", "1"]);
     }
 
     #[test]
     fn errors_carry_position() {
-        let err = tokenize("SELECT @").unwrap_err();
-        assert_eq!(err.at, 7);
-        let err = tokenize("'oops").unwrap_err();
-        assert!(err.message.contains("unterminated"));
+        let err = lex("SELECT @").unwrap_err();
+        assert_eq!(err.span, Some(Span::new(7, 8)));
+        let err = lex("'oops").unwrap_err();
+        assert!(err.to_string().contains("unterminated"));
+        assert_eq!(err.span, Some(Span::new(0, 5)));
+        let err = lex("1e").unwrap_err();
+        assert!(err.to_string().contains("bad number '1e'"));
     }
 }

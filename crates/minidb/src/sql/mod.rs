@@ -1,9 +1,12 @@
-//! A small SQL front end for the embedded engine: tokenizer, recursive-
-//! descent parser, and executor for `SELECT` (with `WHERE`, `ORDER BY`,
-//! `LIMIT`, aggregates), `INSERT`, `CREATE TABLE`, `DELETE`, and
-//! `DROP TABLE`, plus the declarative **ESTIMATE dialect** ([`estimate`]:
-//! `ESTIMATE DURABILITY …`, `EXPLAIN ESTIMATE …`, `SHOW MODELS`). Enough
-//! surface to drive the §6.4 pipeline the way the paper drove PostgreSQL.
+//! The SQL front end: one lexer ([`lexer`]), one recursive-descent
+//! parser ([`parser`], with the ESTIMATE dialect's productions in
+//! [`estimate`]) and one [`Statement`]. Plain SQL — `SELECT` (with
+//! `WHERE`, `ORDER BY`, `LIMIT`, aggregates), `INSERT`, `CREATE TABLE`,
+//! `DELETE`, `DROP TABLE` — and the dialect — `ESTIMATE DURABILITY …`,
+//! `EXPLAIN ESTIMATE …`, `SHOW MODELS`, `SHOW DIAGNOSTICS` — parse
+//! through the same entry point, [`parse`]; nothing routes a statement
+//! by its first word. Every parse failure is a spanned
+//! [`mlss_core::spec::SpecError`].
 //!
 //! Plain statements execute through [`execute`]; dialect statements need
 //! an engine context (model registry, plan cache, scheduler, RNG) and run
@@ -14,6 +17,5 @@ pub mod exec;
 pub mod lexer;
 pub mod parser;
 
-pub use estimate::{is_dialect, parse_dialect, DialectStatement};
 pub use exec::{execute, execute_statement, ExecResult};
-pub use parser::{parse, Statement};
+pub use parser::{parse, Statement, MAX_EXPR_DEPTH};

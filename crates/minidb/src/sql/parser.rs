@@ -1,12 +1,22 @@
-//! Recursive-descent SQL parser producing statement ASTs over the
-//! engine's [`Expr`](crate::expr::Expr) trees.
+//! The one recursive-descent parser: plain SQL and the ESTIMATE dialect
+//! parse into one [`Statement`] through one cursor. Plain-SQL
+//! productions (over the engine's [`Expr`] trees) live here; the dialect
+//! productions are a second `impl Parser` block in
+//! [`super::estimate`].
 
-use crate::expr::{ArithOp, CmpOp, Expr};
-use crate::sql::lexer::{tokenize, LexError, Sym, Token};
+use crate::expr::Expr;
+use crate::sql::lexer::{lex, syntax, Sym, Token, TokenKind};
 use crate::table::Aggregate;
 use crate::value::{DataType, Value};
+use mlss_core::spec::{ExecMode, ModelSchema, QuerySpec, RankSpec, Span, SpecError};
 
-/// A parsed SQL statement.
+/// Deepest expression tree the parser builds. Parentheses, `NOT`, unary
+/// `-` and every binary operator folded into a chain count one level
+/// each, so no statement can recurse the parser (or the evaluator)
+/// deep enough to overflow a thread's stack.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
+/// A parsed statement: plain SQL or the ESTIMATE dialect.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     /// `SELECT ...`
@@ -37,6 +47,43 @@ pub enum Statement {
         /// Table name.
         table: String,
     },
+    /// `ESTIMATE DURABILITY …` — run (or submit) the query.
+    Estimate(QuerySpec),
+    /// `EXPLAIN ESTIMATE DURABILITY …` — return the resolved plan as rows.
+    ExplainEstimate(QuerySpec),
+    /// `ESTIMATE DURABILITY … RANK BY TOP k` — race the candidate field.
+    Rank(RankSpec),
+    /// `EXPLAIN` over a ranking statement — the racing plan as rows.
+    ExplainRank(RankSpec),
+    /// `SHOW MODELS` — the model catalog with per-parameter schemas.
+    ShowModels,
+    /// `SHOW DIAGNOSTICS` — plan-cache, shard-store, and scheduler-pool
+    /// counters as `(component, counter, value)` rows.
+    ShowDiagnostics,
+}
+
+impl Statement {
+    /// Is this an `ASYNC` estimate or race — a statement that submits a
+    /// scheduler query and answers with its id?
+    pub fn is_async(&self) -> bool {
+        match self {
+            Statement::Estimate(spec) => spec.options.mode == ExecMode::Async,
+            Statement::Rank(rank) => rank.options.mode == ExecMode::Async,
+            _ => false,
+        }
+    }
+
+    /// Does this statement change user tables (and so belong in the
+    /// WAL's journal of plain SQL)?
+    pub fn is_mutation(&self) -> bool {
+        matches!(
+            self,
+            Statement::Insert { .. }
+                | Statement::CreateTable { .. }
+                | Statement::Delete { .. }
+                | Statement::DropTable { .. }
+        )
+    }
 }
 
 /// The projection of a SELECT.
@@ -65,163 +112,221 @@ pub struct SelectStmt {
     pub limit: Option<usize>,
 }
 
-/// Parse failure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParseError {
-    /// Message.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "parse error: {}", self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            message: e.to_string(),
-        }
-    }
-}
-
-/// Parse one SQL statement (a trailing `;` is allowed).
-pub fn parse(sql: &str) -> Result<Statement, ParseError> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+/// Parse one statement (a trailing `;` is allowed). `catalog`, when
+/// given, validates dialect model names, parameter names and parameter
+/// ranges with spans. Every failure is a [`SpecError`] with a byte span.
+pub fn parse(sql: &str, catalog: Option<&[&ModelSchema]>) -> Result<Statement, SpecError> {
+    let mut p = Parser {
+        src: sql,
+        tokens: lex(sql)?,
+        pos: 0,
+        depth: 0,
+        catalog,
+    };
     let stmt = p.statement()?;
-    p.eat_symbol_opt(Sym::Semi);
-    if p.pos != p.tokens.len() {
-        return Err(p.err(format!("trailing input at token {}", p.pos)));
+    p.next_if_sym(Sym::Semi);
+    if let Some(t) = p.peek() {
+        let text = p.text(t.span);
+        return Err(syntax(format!("trailing input '{text}'"), t.span));
     }
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// A token's source text and span.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Word<'a> {
+    pub(super) text: &'a str,
+    pub(super) span: Span,
 }
 
-impl Parser {
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            message: message.into(),
-        }
-    }
+pub(super) struct Parser<'a> {
+    src: &'a str,
+    tokens: Vec<Token>,
+    pos: usize,
+    /// Current expression depth (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
+    pub(super) catalog: Option<&'a [&'a ModelSchema]>,
+}
 
-    fn peek(&self) -> Option<&Token> {
+type Fold = fn(Expr, Expr) -> Expr;
+
+impl<'a> Parser<'a> {
+    // --- the cursor ---------------------------------------------------
+
+    pub(super) fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+    pub(super) fn peek_sym(&self) -> Option<Sym> {
+        match self.peek()?.kind {
+            TokenKind::Symbol(s) => Some(s),
+            _ => None,
         }
-        t
+    }
+
+    /// The token `ahead` places past the cursor.
+    pub(super) fn lookahead(&self, ahead: usize) -> Option<&Token> {
+        self.tokens.get(self.pos + ahead)
+    }
+
+    pub(super) fn advance(&mut self, n: usize) {
+        self.pos += n;
+    }
+
+    pub(super) fn text(&self, span: Span) -> &'a str {
+        &self.src[span.start..span.end]
+    }
+
+    /// Where the cursor is: the next token's span, or — once the input
+    /// has ended early — the statement's first token, so an incomplete
+    /// statement points at what it started.
+    pub(super) fn here(&self) -> Span {
+        match (self.peek(), self.tokens.first()) {
+            (Some(t), _) | (None, Some(t)) => t.span,
+            (None, None) => Span::at(self.src.len()),
+        }
+    }
+
+    /// `expected {what}, found …` at the cursor.
+    pub(super) fn unexpected(&self, what: &str) -> SpecError {
+        let found = self.peek().map_or("end of statement".to_string(), |t| {
+            format!("'{}'", self.text(t.span))
+        });
+        syntax(format!("expected {what}, found {found}"), self.here())
     }
 
     /// Is the next token the given (case-insensitive) keyword?
-    fn peek_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Token::Ident(s)) if s.eq_ignore_ascii_case(kw))
+    pub(super) fn peek_kw(&self, kw: &str) -> bool {
+        matches!(self.peek(), Some(t) if t.kind == TokenKind::Ident
+            && self.text(t.span).eq_ignore_ascii_case(kw))
     }
 
-    fn eat_kw(&mut self, kw: &str) -> Result<(), ParseError> {
-        if self.peek_kw(kw) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected keyword {kw}, found {:?}", self.peek())))
-        }
+    pub(super) fn next_if_kw(&mut self, kw: &str) -> bool {
+        let hit = self.peek_kw(kw);
+        self.pos += usize::from(hit);
+        hit
     }
 
-    fn eat_kw_opt(&mut self, kw: &str) -> bool {
-        if self.peek_kw(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    pub(super) fn next_expect_kw(&mut self, kw: &str) -> Result<(), SpecError> {
+        self.next_if_kw(kw)
+            .then_some(())
+            .ok_or_else(|| self.unexpected(kw))
     }
 
-    fn eat_symbol(&mut self, sym: Sym) -> Result<(), ParseError> {
+    pub(super) fn next_if_sym(&mut self, sym: Sym) -> bool {
+        let hit = self.peek_sym() == Some(sym);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    pub(super) fn next_expect_sym(&mut self, sym: Sym, what: &str) -> Result<(), SpecError> {
+        self.next_if_sym(sym)
+            .then_some(())
+            .ok_or_else(|| self.unexpected(what))
+    }
+
+    pub(super) fn next_ident(&mut self, what: &str) -> Result<Word<'a>, SpecError> {
         match self.peek() {
-            Some(Token::Symbol(s)) if *s == sym => {
+            Some(t) if t.kind == TokenKind::Ident => {
+                let span = t.span;
                 self.pos += 1;
-                Ok(())
+                Ok(Word {
+                    text: self.text(span),
+                    span,
+                })
             }
-            other => Err(self.err(format!("expected {sym:?}, found {other:?}"))),
+            _ => Err(self.unexpected(what)),
         }
     }
 
-    fn eat_symbol_opt(&mut self, sym: Sym) -> bool {
-        if matches!(self.peek(), Some(Token::Symbol(s)) if *s == sym) {
-            self.pos += 1;
-            true
-        } else {
-            false
+    /// `item {',' item}`.
+    fn comma_list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, SpecError>,
+    ) -> Result<Vec<T>, SpecError> {
+        let mut out = vec![item(self)?];
+        while self.next_if_sym(Sym::Comma) {
+            out.push(item(self)?);
         }
+        Ok(out)
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.next() {
-            Some(Token::Ident(s)) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
+    /// One level deeper into an expression, refused at
+    /// [`MAX_EXPR_DEPTH`] with the span of the token that went too deep.
+    /// A failed parse is never resumed, so only success paths restore
+    /// the depth.
+    fn deepen(&mut self) -> Result<(), SpecError> {
+        if self.depth >= MAX_EXPR_DEPTH {
+            return Err(syntax(
+                format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"),
+                self.here(),
+            ));
         }
+        self.depth += 1;
+        Ok(())
     }
 
-    fn statement(&mut self) -> Result<Statement, ParseError> {
-        if self.eat_kw_opt("SELECT") {
+    // --- statements ---------------------------------------------------
+
+    fn statement(&mut self) -> Result<Statement, SpecError> {
+        if self.next_if_kw("SELECT") {
             return self.select();
         }
-        if self.eat_kw_opt("INSERT") {
+        if self.next_if_kw("INSERT") {
             return self.insert();
         }
-        if self.eat_kw_opt("CREATE") {
+        if self.next_if_kw("CREATE") {
             return self.create_table();
         }
-        if self.eat_kw_opt("DELETE") {
+        if self.next_if_kw("DELETE") {
             return self.delete();
         }
-        if self.eat_kw_opt("DROP") {
-            self.eat_kw("TABLE")?;
+        if self.next_if_kw("DROP") {
+            self.next_expect_kw("TABLE")?;
             return Ok(Statement::DropTable {
-                table: self.ident()?,
+                table: self.next_ident("a table name")?.text.to_string(),
             });
         }
-        Err(self.err(format!("expected a statement, found {:?}", self.peek())))
+        if self.next_if_kw("SHOW") {
+            if self.next_if_kw("DIAGNOSTICS") {
+                return Ok(Statement::ShowDiagnostics);
+            }
+            self.next_expect_kw("MODELS")?;
+            return Ok(Statement::ShowModels);
+        }
+        let explain = self.next_if_kw("EXPLAIN");
+        if explain || self.peek_kw("ESTIMATE") {
+            self.next_expect_kw("ESTIMATE")?;
+            return self.estimate(explain);
+        }
+        Err(self.unexpected("a statement"))
     }
 
-    fn select(&mut self) -> Result<Statement, ParseError> {
+    fn select(&mut self) -> Result<Statement, SpecError> {
         let projection = self.projection()?;
-        self.eat_kw("FROM")?;
-        let table = self.ident()?;
-        let predicate = if self.eat_kw_opt("WHERE") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
-        let order_by = if self.eat_kw_opt("ORDER") {
-            self.eat_kw("BY")?;
-            let col = self.ident()?;
-            let desc = if self.eat_kw_opt("DESC") {
+        self.next_expect_kw("FROM")?;
+        let table = self.next_ident("a table name")?.text.to_string();
+        let predicate = self.where_clause()?;
+        let order_by = if self.next_if_kw("ORDER") {
+            self.next_expect_kw("BY")?;
+            let col = self.next_ident("a column name")?.text.to_string();
+            let desc = if self.next_if_kw("DESC") {
                 true
             } else {
-                self.eat_kw_opt("ASC");
+                self.next_if_kw("ASC");
                 false
             };
             Some((col, desc))
         } else {
             None
         };
-        let limit = if self.eat_kw_opt("LIMIT") {
-            match self.next() {
-                Some(Token::Int(n)) if n >= 0 => Some(n as usize),
-                other => return Err(self.err(format!("LIMIT needs an integer, got {other:?}"))),
-            }
+        let limit = if self.next_if_kw("LIMIT") {
+            let n = (self.peek())
+                .filter(|t| t.kind == TokenKind::Number)
+                .and_then(|t| self.text(t.span).parse().ok())
+                .ok_or_else(|| self.unexpected("a row count after LIMIT"))?;
+            self.pos += 1;
+            Some(n)
         } else {
             None
         };
@@ -234,210 +339,208 @@ impl Parser {
         }))
     }
 
-    fn projection(&mut self) -> Result<Projection, ParseError> {
-        if self.eat_symbol_opt(Sym::Star) {
+    fn projection(&mut self) -> Result<Projection, SpecError> {
+        if self.next_if_sym(Sym::Star) {
             return Ok(Projection::All);
         }
-        // Aggregate?
-        for (kw, make) in AGGREGATES {
-            if self.peek_kw(kw) {
-                // Lookahead: aggregate requires '(' right after.
-                if matches!(
-                    self.tokens.get(self.pos + 1),
-                    Some(Token::Symbol(Sym::LParen))
-                ) {
-                    self.pos += 1;
-                    self.eat_symbol(Sym::LParen)?;
-                    let agg = if self.eat_symbol_opt(Sym::Star) {
-                        if *kw != "COUNT" {
-                            return Err(self.err(format!("{kw}(*) is not valid")));
-                        }
-                        Aggregate::CountAll
-                    } else {
-                        make(self.ident()?)
-                    };
-                    self.eat_symbol(Sym::RParen)?;
-                    return Ok(Projection::Aggregate(agg));
+        // An aggregate is its keyword followed directly by '('.
+        let lparen = TokenKind::Symbol(Sym::LParen);
+        let paren_next = self.lookahead(1).is_some_and(|t| t.kind == lparen);
+        if let Some((kw, make)) = AGGREGATES
+            .iter()
+            .find(|(kw, _)| paren_next && self.peek_kw(kw))
+        {
+            self.pos += 2;
+            let agg = if self.peek_sym() == Some(Sym::Star) {
+                if *kw != "COUNT" {
+                    return Err(syntax(format!("{kw}(*) is not valid"), self.here()));
                 }
-            }
+                self.pos += 1;
+                Aggregate::CountAll
+            } else {
+                make(self.next_ident("a column name")?.text.to_string())
+            };
+            self.next_expect_sym(Sym::RParen, "')'")?;
+            return Ok(Projection::Aggregate(agg));
         }
-        let mut cols = vec![self.ident()?];
-        while self.eat_symbol_opt(Sym::Comma) {
-            cols.push(self.ident()?);
-        }
+        let cols = self.comma_list(|p| Ok(p.next_ident("a column name")?.text.to_string()))?;
         Ok(Projection::Columns(cols))
     }
 
-    fn insert(&mut self) -> Result<Statement, ParseError> {
-        self.eat_kw("INTO")?;
-        let table = self.ident()?;
-        self.eat_kw("VALUES")?;
-        let mut rows = Vec::new();
-        loop {
-            self.eat_symbol(Sym::LParen)?;
-            let mut row = Vec::new();
-            loop {
-                row.push(self.literal()?);
-                if !self.eat_symbol_opt(Sym::Comma) {
-                    break;
-                }
-            }
-            self.eat_symbol(Sym::RParen)?;
-            rows.push(row);
-            if !self.eat_symbol_opt(Sym::Comma) {
-                break;
-            }
-        }
+    fn insert(&mut self) -> Result<Statement, SpecError> {
+        self.next_expect_kw("INTO")?;
+        let table = self.next_ident("a table name")?.text.to_string();
+        self.next_expect_kw("VALUES")?;
+        let rows = self.comma_list(|p| {
+            p.next_expect_sym(Sym::LParen, "'('")?;
+            let row = p.comma_list(Self::literal)?;
+            p.next_expect_sym(Sym::RParen, "')'")?;
+            Ok(row)
+        })?;
         Ok(Statement::Insert { table, rows })
     }
 
-    fn create_table(&mut self) -> Result<Statement, ParseError> {
-        self.eat_kw("TABLE")?;
-        let table = self.ident()?;
-        self.eat_symbol(Sym::LParen)?;
-        let mut columns = Vec::new();
-        loop {
-            let name = self.ident()?;
-            let ty = self.ident()?;
-            let dtype = match ty.to_ascii_uppercase().as_str() {
+    fn create_table(&mut self) -> Result<Statement, SpecError> {
+        self.next_expect_kw("TABLE")?;
+        let table = self.next_ident("a table name")?.text.to_string();
+        self.next_expect_sym(Sym::LParen, "'('")?;
+        let columns = self.comma_list(|p| {
+            let name = p.next_ident("a column name")?.text.to_string();
+            let ty = p.next_ident("a column type")?;
+            let dtype = match ty.text.to_ascii_uppercase().as_str() {
                 "INT" | "INTEGER" | "BIGINT" => DataType::Int,
                 "FLOAT" | "REAL" | "DOUBLE" => DataType::Float,
                 "TEXT" | "VARCHAR" | "STRING" => DataType::Text,
                 "BOOL" | "BOOLEAN" => DataType::Bool,
-                other => return Err(self.err(format!("unknown type {other}"))),
+                _ => return Err(syntax(format!("unknown type {}", ty.text), ty.span)),
             };
-            let nullable = self.eat_kw_opt("NULL");
-            columns.push((name, dtype, nullable));
-            if !self.eat_symbol_opt(Sym::Comma) {
-                break;
-            }
-        }
-        self.eat_symbol(Sym::RParen)?;
+            Ok((name, dtype, p.next_if_kw("NULL")))
+        })?;
+        self.next_expect_sym(Sym::RParen, "')'")?;
         Ok(Statement::CreateTable { table, columns })
     }
 
-    fn delete(&mut self) -> Result<Statement, ParseError> {
-        self.eat_kw("FROM")?;
-        let table = self.ident()?;
-        let predicate = if self.eat_kw_opt("WHERE") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
+    fn delete(&mut self) -> Result<Statement, SpecError> {
+        self.next_expect_kw("FROM")?;
+        let table = self.next_ident("a table name")?.text.to_string();
+        let predicate = self.where_clause()?;
         Ok(Statement::Delete { table, predicate })
+    }
+
+    fn where_clause(&mut self) -> Result<Option<Expr>, SpecError> {
+        if self.next_if_kw("WHERE") {
+            self.expr().map(Some)
+        } else {
+            Ok(None)
+        }
     }
 
     // --- expression grammar: OR > AND > NOT > cmp > add > mul > unary ---
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_kw_opt("OR") {
-            lhs = lhs.or(self.and_expr()?);
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.not_expr()?;
-        while self.eat_kw_opt("AND") {
-            lhs = lhs.and(self.not_expr()?);
-        }
-        Ok(lhs)
-    }
-
-    fn not_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat_kw_opt("NOT") {
-            Ok(self.not_expr()?.not())
-        } else {
-            self.cmp_expr()
-        }
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            Some(Token::Symbol(Sym::Eq)) => Some(CmpOp::Eq),
-            Some(Token::Symbol(Sym::Ne)) => Some(CmpOp::Ne),
-            Some(Token::Symbol(Sym::Lt)) => Some(CmpOp::Lt),
-            Some(Token::Symbol(Sym::Le)) => Some(CmpOp::Le),
-            Some(Token::Symbol(Sym::Gt)) => Some(CmpOp::Gt),
-            Some(Token::Symbol(Sym::Ge)) => Some(CmpOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
+    /// A left-associative chain `operand {op operand}`; every fold is one
+    /// level deeper in the tree.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr, SpecError>,
+        op: fn(&Self) -> Option<Fold>,
+    ) -> Result<Expr, SpecError> {
+        let outer = self.depth;
+        let mut lhs = operand(self)?;
+        while let Some(fold) = op(self) {
+            self.deepen()?;
             self.pos += 1;
-            let rhs = self.add_expr()?;
-            Ok(Expr::Cmp(Box::new(lhs), op, Box::new(rhs)))
-        } else {
-            Ok(lhs)
+            lhs = fold(lhs, operand(self)?);
         }
+        self.depth = outer;
+        Ok(lhs)
     }
 
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            if self.eat_symbol_opt(Sym::Plus) {
-                lhs = Expr::Arith(Box::new(lhs), ArithOp::Add, Box::new(self.mul_expr()?));
-            } else if self.eat_symbol_opt(Sym::Minus) {
-                lhs = Expr::Arith(Box::new(lhs), ArithOp::Sub, Box::new(self.mul_expr()?));
-            } else {
-                return Ok(lhs);
-            }
-        }
+    fn expr(&mut self) -> Result<Expr, SpecError> {
+        self.chain(Self::and_expr, |p| p.peek_kw("OR").then_some(Expr::or))
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            if self.eat_symbol_opt(Sym::Star) {
-                lhs = Expr::Arith(Box::new(lhs), ArithOp::Mul, Box::new(self.unary_expr()?));
-            } else if self.eat_symbol_opt(Sym::Slash) {
-                lhs = Expr::Arith(Box::new(lhs), ArithOp::Div, Box::new(self.unary_expr()?));
-            } else {
-                return Ok(lhs);
-            }
-        }
+    fn and_expr(&mut self) -> Result<Expr, SpecError> {
+        self.chain(Self::not_expr, |p| p.peek_kw("AND").then_some(Expr::and))
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat_symbol_opt(Sym::Minus) {
+    /// Past the opening token (`NOT`, `-`, `(`), one level deeper.
+    fn nested(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<Expr, SpecError>,
+    ) -> Result<Expr, SpecError> {
+        self.deepen()?;
+        self.pos += 1;
+        let e = inner(self)?;
+        self.depth -= 1;
+        Ok(e)
+    }
+
+    fn not_expr(&mut self) -> Result<Expr, SpecError> {
+        if !self.peek_kw("NOT") {
+            return self.cmp_expr();
+        }
+        self.nested(|p| Ok(p.not_expr()?.not()))
+    }
+
+    fn cmp_expr(&mut self) -> Result<Expr, SpecError> {
+        let lhs = self.add_expr()?;
+        let fold: Fold = match self.peek_sym() {
+            Some(Sym::Eq) => Expr::eq,
+            Some(Sym::Ne) => Expr::ne,
+            Some(Sym::Lt) => Expr::lt,
+            Some(Sym::Le) => Expr::le,
+            Some(Sym::Gt) => Expr::gt,
+            Some(Sym::Ge) => Expr::ge,
+            _ => return Ok(lhs),
+        };
+        self.pos += 1;
+        Ok(fold(lhs, self.add_expr()?))
+    }
+
+    fn add_expr(&mut self) -> Result<Expr, SpecError> {
+        self.chain(Self::mul_expr, |p| match p.peek_sym() {
+            Some(Sym::Plus) => Some(Expr::add),
+            Some(Sym::Minus) => Some(Expr::sub),
+            _ => None,
+        })
+    }
+
+    fn mul_expr(&mut self) -> Result<Expr, SpecError> {
+        self.chain(Self::unary_expr, |p| match p.peek_sym() {
+            Some(Sym::Star) => Some(Expr::mul),
+            Some(Sym::Slash) => Some(Expr::div),
+            _ => None,
+        })
+    }
+
+    fn unary_expr(&mut self) -> Result<Expr, SpecError> {
+        let Some(Token { kind, span }) = self.peek().cloned() else {
+            return Err(self.unexpected("an expression"));
+        };
+        let e = match kind {
             // Unary minus: 0 - expr.
-            let inner = self.unary_expr()?;
-            return Ok(Expr::Arith(
-                Box::new(Expr::Lit(Value::Int(0))),
-                ArithOp::Sub,
-                Box::new(inner),
-            ));
-        }
-        if self.eat_symbol_opt(Sym::LParen) {
-            let e = self.expr()?;
-            self.eat_symbol(Sym::RParen)?;
-            return Ok(e);
-        }
-        match self.next() {
-            Some(Token::Int(v)) => Ok(Expr::Lit(Value::Int(v))),
-            Some(Token::Float(v)) => Ok(Expr::Lit(Value::Float(v))),
-            Some(Token::Str(s)) => Ok(Expr::Lit(Value::Text(s))),
-            Some(Token::Ident(s)) => {
-                if s.eq_ignore_ascii_case("TRUE") {
-                    Ok(Expr::Lit(Value::Bool(true)))
-                } else if s.eq_ignore_ascii_case("FALSE") {
-                    Ok(Expr::Lit(Value::Bool(false)))
-                } else if s.eq_ignore_ascii_case("NULL") {
-                    Ok(Expr::Lit(Value::Null))
+            TokenKind::Symbol(Sym::Minus) => {
+                return self.nested(|p| Ok(Expr::Lit(Value::Int(0)).sub(p.unary_expr()?)))
+            }
+            TokenKind::Symbol(Sym::LParen) => {
+                return self.nested(|p| {
+                    let e = p.expr()?;
+                    p.next_expect_sym(Sym::RParen, "')'")?;
+                    Ok(e)
+                })
+            }
+            TokenKind::Number => {
+                let text = self.text(span);
+                if text.contains(['.', 'e', 'E']) {
+                    Expr::Lit(Value::Float(text.parse().expect("lexed as a number")))
                 } else {
-                    Ok(Expr::Col(s))
+                    let v = text
+                        .parse()
+                        .map_err(|e| syntax(format!("bad integer '{text}': {e}"), span))?;
+                    Expr::Lit(Value::Int(v))
                 }
             }
-            other => Err(self.err(format!("expected expression, found {other:?}"))),
-        }
+            TokenKind::Str(s) => Expr::Lit(Value::Text(s)),
+            TokenKind::Ident => match self.text(span).to_ascii_uppercase().as_str() {
+                "TRUE" => Expr::Lit(Value::Bool(true)),
+                "FALSE" => Expr::Lit(Value::Bool(false)),
+                "NULL" => Expr::Lit(Value::Null),
+                _ => Expr::Col(self.text(span).to_string()),
+            },
+            TokenKind::Symbol(_) => return Err(self.unexpected("an expression")),
+        };
+        self.pos += 1;
+        Ok(e)
     }
 
-    fn literal(&mut self) -> Result<Value, ParseError> {
+    fn literal(&mut self) -> Result<Value, SpecError> {
         // Reuse the expression parser for literals so negative numbers and
         // arithmetic constants work; reject column references.
+        let start = self.here().start;
         let e = self.expr()?;
-        eval_const(&e).ok_or_else(|| self.err("VALUES entries must be literal"))
+        let end = self.tokens[self.pos - 1].span.end;
+        let message = "VALUES entries must be literal".to_string();
+        eval_const(&e).ok_or_else(|| syntax(message, Span::new(start, end)))
     }
 }
 
@@ -460,6 +563,11 @@ const AGGREGATES: &[(&str, AggMaker)] = &[
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
+    use mlss_core::spec::SpecErrorKind;
+
+    fn parse(sql: &str) -> Result<Statement, SpecError> {
+        super::parse(sql, None)
+    }
 
     #[test]
     fn parses_simple_select() {
@@ -563,5 +671,64 @@ mod tests {
         assert!(parse("SELECT * FROM t WHERE").is_err());
         assert!(parse("SELECT * FROM t extra").is_err());
         assert!(parse("SUM(*)").is_err());
+    }
+
+    #[test]
+    fn plain_sql_errors_are_spanned_syntax_errors() {
+        // (statement, text under the span)
+        let cases = [
+            ("SELECT * FROM t WHERE n = @", "@"),
+            ("INSERT INTO t VALUES (1", "INSERT"),
+            ("SELECT * FROM t LIMIT x", "x"),
+            ("SELECT * FROM t extra", "extra"),
+            ("INSERT INTO t VALUES (a + 1)", "a + 1"),
+            ("CREATE TABLE t (x BLOB)", "BLOB"),
+        ];
+        for (sql, at) in cases {
+            let err = parse(sql).unwrap_err();
+            assert!(
+                matches!(err.kind, SpecErrorKind::Syntax { .. }),
+                "{sql}: {err}"
+            );
+            let span = err.span.unwrap_or_else(|| panic!("{sql}: no span"));
+            assert_eq!(&sql[span.start..span.end], at, "{sql}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize, open: &str, close: &str| {
+            format!(
+                "SELECT * FROM t WHERE {}x{}",
+                open.repeat(n),
+                close.repeat(n)
+            )
+        };
+        for (open, close) in [("(", ")"), ("NOT ", ""), ("- ", "")] {
+            assert!(parse(&nest(MAX_EXPR_DEPTH - 1, open, close)).is_ok());
+            let sql = nest(10_000, open, close);
+            let err = parse(&sql).unwrap_err();
+            assert!(err.to_string().contains("nests deeper"), "{err}");
+            let span = err.span.unwrap();
+            assert_eq!(&sql[span.start..span.end], open.trim_end());
+        }
+        let chain = format!("SELECT * FROM t WHERE x{}", " + 1".repeat(10_000));
+        assert!(parse(&chain)
+            .unwrap_err()
+            .to_string()
+            .contains("nests deeper"));
+    }
+
+    #[test]
+    fn statements_know_their_kind() {
+        let async_est = "ESTIMATE DURABILITY OF walk(beta=6) WITHIN 50 TARGET RE 0.3 ASYNC";
+        assert!(parse(async_est).unwrap().is_async());
+        assert!(!parse(&async_est.replace(" ASYNC", "")).unwrap().is_async());
+        assert!(!parse(&format!("EXPLAIN {async_est}")).unwrap().is_async());
+        assert!(!parse("SELECT * FROM async").unwrap().is_async());
+        assert!(parse("INSERT INTO t VALUES (1)").unwrap().is_mutation());
+        assert!(parse("DROP TABLE t").unwrap().is_mutation());
+        assert!(!parse("SELECT * FROM t").unwrap().is_mutation());
+        assert!(!parse("SHOW MODELS").unwrap().is_mutation());
     }
 }

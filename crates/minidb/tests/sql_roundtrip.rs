@@ -128,3 +128,24 @@ fn order_by_sorts() {
         assert_eq!(got, ids);
     }
 }
+
+#[test]
+fn utf8_text_round_trips_byte_for_byte() {
+    let db = fresh_db();
+    for (id, tag) in [(1, "café"), (2, "日本")] {
+        execute(
+            &db,
+            &format!("INSERT INTO t VALUES ({id}, 0.0, {})", quote(tag)),
+        )
+        .unwrap();
+    }
+    let res = execute(&db, "SELECT tag FROM t ORDER BY id ASC").unwrap();
+    let got: Vec<&[u8]> = res
+        .rows()
+        .iter()
+        .map(|r| r[0].as_str().unwrap().as_bytes())
+        .collect();
+    assert_eq!(got, ["café".as_bytes(), "日本".as_bytes()]);
+    let hit = execute(&db, "SELECT id FROM t WHERE tag = 'café'").unwrap();
+    assert_eq!(hit.rows(), &[vec![Value::Int(1)]]);
+}

@@ -107,25 +107,26 @@ impl Admission {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Admit or shed one statement for `tenant`. `wants_async` requests
-    /// an ASYNC-quota slot too; `is_terminal` reports whether an
-    /// outstanding query id has reached a terminal state (quota slots
-    /// are reclaimed lazily here, so no completion callback is needed).
+    /// Admit or shed one statement for `tenant`. `is_async` (a parsed
+    /// ASYNC `ESTIMATE` or `RANK BY` statement) requests an ASYNC-quota
+    /// slot too; `is_terminal` reports whether an outstanding query id
+    /// has reached a terminal state (quota slots are reclaimed lazily
+    /// here, so no completion callback is needed).
     pub fn admit(
         self: &Arc<Self>,
         tenant: &str,
-        wants_async: bool,
+        is_async: bool,
         is_terminal: impl Fn(QueryId) -> bool,
     ) -> Decision {
         let mut st = self.lock();
         let global_inflight = st.inflight;
         let t = st.tenants.entry(tenant.to_string()).or_default();
-        if wants_async {
+        if is_async {
             t.asyncs.retain(|id| !is_terminal(*id));
         }
         let over_global = global_inflight >= self.cfg.global_inflight_cap;
         let over_tenant = t.inflight >= self.cfg.tenant_inflight_cap;
-        let over_quota = wants_async && t.asyncs.len() >= self.cfg.tenant_async_quota;
+        let over_quota = is_async && t.asyncs.len() >= self.cfg.tenant_async_quota;
         if over_global || over_tenant || over_quota {
             t.shed += 1;
             // Back off harder the further over cap the server is; quota

@@ -3,18 +3,19 @@
 //! Plain `std::net`: a bound [`std::net::TcpListener`], one accept
 //! thread, and one worker thread per connection (capped by
 //! [`ServeConfig::max_connections`]; excess connections are shed at
-//! accept time with a `SHED RETRY AFTER` line). Statements execute on
-//! the connection's own thread through
-//! [`mlss_db::Session::execute_as`], so scheduling fairness between
-//! tenants is the session scheduler's fair-share policy, and admission
-//! ([`crate::Admission`]) bounds how many connection threads execute at
-//! once.
+//! accept time with a `SHED RETRY AFTER` line). Each statement line is
+//! parsed once ([`mlss_db::Session::parse`]) — the parsed statement
+//! decides whether ASYNC quotas apply — and executes on the connection's
+//! own thread through [`mlss_db::Session::execute_parsed`], so
+//! scheduling fairness between tenants is the session scheduler's
+//! fair-share policy, and admission ([`crate::Admission`]) bounds how
+//! many connection threads execute at once.
 
 use crate::admission::{Admission, AdmissionConfig, Decision};
 use mlss_core::scheduler::{QueryId, QueryStatus};
 use mlss_db::session::Session;
 use mlss_db::sql::ExecResult;
-use mlss_db::DbError;
+use mlss_db::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -144,19 +145,9 @@ impl Drop for Server {
     }
 }
 
-/// Does this statement request ASYNC scheduling? The dialect keyword is
-/// statement-final (an optional `;` aside), so a suffix check suffices —
-/// the statement still parses through the one dialect parser; this only
-/// decides which admission caps apply *before* doing any work.
-fn wants_async(stmt: &str) -> bool {
-    stmt.trim_end_matches(';')
-        .trim_end()
-        .to_ascii_uppercase()
-        .ends_with(" ASYNC")
-}
-
-fn one_line(msg: &str) -> String {
-    msg.replace('\n', "; ")
+/// `ERR <message>`, folded onto one line.
+fn write_err(out: &mut TcpStream, e: &dyn std::fmt::Display) -> std::io::Result<()> {
+    write_line(out, &format!("ERR {}", e.to_string().replace('\n', "; ")))
 }
 
 fn write_line(out: &mut TcpStream, line: &str) -> std::io::Result<()> {
@@ -280,14 +271,22 @@ fn handle(
                             write_line(&mut out, &format!("ERR query ended {status:?}"))?
                         }
                         Some(Ok(None)) => write_line(&mut out, "ERR unknown query id")?,
-                        Some(Err(e)) => {
-                            write_line(&mut out, &format!("ERR {}", one_line(&e.to_string())))?
-                        }
+                        Some(Err(e)) => write_err(&mut out, &e)?,
                         None => write_line(&mut out, "ERR WAIT needs a numeric query id")?,
                     }
                     continue;
                 }
-                let is_async = wants_async(req);
+                // Parse once: a malformed line is answered before
+                // admission, and the parsed statement — not its text —
+                // says whether the ASYNC caps apply.
+                let stmt = match session.parse(req) {
+                    Ok(stmt) => stmt,
+                    Err(e) => {
+                        write_err(&mut out, &e)?;
+                        continue;
+                    }
+                };
+                let is_async = stmt.is_async();
                 let decision = admission.admit(tenant, is_async, |id| {
                     session.poll(id).is_none_or(|s| s.is_terminal())
                 });
@@ -296,32 +295,21 @@ fn handle(
                         write_line(&mut out, &format!("SHED RETRY AFTER {retry_after}"))?;
                     }
                     Decision::Admit(ticket) => {
-                        let res = session.execute_as(Some(tenant), req);
+                        let res = session.execute_parsed(Some(tenant), req, stmt);
                         drop(ticket);
                         match res {
                             Ok(res) => {
-                                // An ASYNC submission returns the single
-                                // `query_id` column: charge it against
-                                // the tenant's outstanding quota.
-                                if let ExecResult::Rows { columns, rows } = &res {
-                                    if columns.len() == 1 && columns[0] == "query_id" {
-                                        if let Some(id) = rows
-                                            .first()
-                                            .and_then(|r| r.first())
-                                            .and_then(|v| v.as_i64())
-                                        {
-                                            admission.note_async(tenant, id as QueryId);
-                                        }
+                                // An ASYNC submission answers with its
+                                // query id: charge it against the
+                                // tenant's outstanding quota.
+                                if is_async {
+                                    if let Some(id) = res.scalar().and_then(Value::as_i64) {
+                                        admission.note_async(tenant, id as QueryId);
                                     }
                                 }
                                 write_result(&mut out, &res)?;
                             }
-                            Err(DbError::Spec(e)) => {
-                                write_line(&mut out, &format!("ERR {}", one_line(&e.to_string())))?
-                            }
-                            Err(e) => {
-                                write_line(&mut out, &format!("ERR {}", one_line(&e.to_string())))?
-                            }
+                            Err(e) => write_err(&mut out, &e)?,
                         }
                     }
                 }

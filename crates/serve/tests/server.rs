@@ -142,6 +142,17 @@ fn async_quota_sheds_with_retry_after_and_recovers() {
         Response::Shed { retry_after } => assert!((1..=30).contains(&retry_after)),
         other => panic!("over-quota async must shed, got {other:?}"),
     }
+    // The statement, not its text, decides: a trailing comment does not
+    // hide an ASYNC…
+    match c.request(&format!("{long} -- note")).unwrap() {
+        Response::Shed { .. } => {}
+        other => panic!("commented over-quota async must shed, got {other:?}"),
+    }
+    // …a table named `async` is not one, and an EXPLAIN of an ASYNC
+    // statement submits nothing, so neither takes a quota slot.
+    assert!(c.request("CREATE TABLE async (x INT)").unwrap().is_ok());
+    assert!(c.request("SELECT * FROM async").unwrap().is_ok());
+    assert!(c.request(&format!("EXPLAIN {long}")).unwrap().is_ok());
     // Sync statements are not quota-bound.
     assert!(c.request("SELECT COUNT(*) FROM models").unwrap().is_ok());
     // Once the outstanding query is terminal, the quota slot frees.
@@ -293,10 +304,37 @@ fn overlong_request_line_is_refused_and_the_server_keeps_serving() {
         "connection closed"
     );
 
-    // A fresh connection is served as usual.
-    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
-    raw.write_all(b"PING\n").unwrap();
-    let mut line = String::new();
-    BufReader::new(raw).read_line(&mut line).unwrap();
-    assert_eq!(line.trim_end(), "OK pong");
+    // The process survived: a fresh connection is served as usual.
+    let mut fresh = Client::connect(&addr, "acme").unwrap();
+    assert!(matches!(fresh.request("PING").unwrap(), Response::Ok(t) if t == "pong"));
+}
+
+#[test]
+fn nesting_bomb_is_refused_and_the_server_keeps_serving() {
+    let s = session(1, 8_192);
+    let server = start(&s, ServeConfig::default());
+    let addr = server.addr().to_string();
+
+    // 2,000 nested parentheses once overflowed a connection thread's
+    // stack and aborted the process; a long operator chain did the same
+    // through the expression tree. Both are refused at parse time.
+    let mut c = Client::connect(&addr, "acme").unwrap();
+    let bombs = [
+        format!(
+            "SELECT * FROM results WHERE {}1{}",
+            "(".repeat(2_000),
+            ")".repeat(2_000)
+        ),
+        format!("SELECT * FROM results WHERE 1{} = 1", " + 1".repeat(10_000)),
+    ];
+    for bomb in &bombs {
+        match c.request(bomb).unwrap() {
+            Response::Err(e) => assert!(e.contains("nests deeper"), "{e}"),
+            other => panic!("nesting bomb must fail, got {other:?}"),
+        }
+    }
+
+    // The process survived: a fresh connection is served as usual.
+    let mut fresh = Client::connect(&addr, "acme").unwrap();
+    assert!(matches!(fresh.request("PING").unwrap(), Response::Ok(t) if t == "pong"));
 }

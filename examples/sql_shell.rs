@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Statements are one per line (a trailing `;` is allowed); lines
-//! starting with `--` are comments. Errors are printed (with their byte
-//! spans for dialect statements) and the shell continues — like any SQL
+//! starting with `--` are comments. Errors are printed (with a caret
+//! under their byte span) and the shell continues — like any SQL
 //! prompt — but the process exits nonzero if any statement failed, so CI
 //! catches regressions.
 //!
@@ -31,26 +31,23 @@ use mlss_db::{DbError, ExecResult, Session, SessionConfig};
 use mlss_serve::{Client, Response};
 use std::io::BufRead;
 
-fn print_result(res: &ExecResult) {
+/// An embedded result in the shape a server sends it, so both modes
+/// print through [`print_response`].
+fn to_response(res: &ExecResult) -> Response {
     match res {
-        ExecResult::Rows { columns, rows } => {
-            println!("{}", columns.join(" | "));
-            for row in rows {
-                let cells: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-                println!("{}", cells.join(" | "));
-            }
-            println!(
-                "({} row{})",
-                rows.len(),
-                if rows.len() == 1 { "" } else { "s" }
-            );
-        }
-        ExecResult::Affected(n) => println!("ok ({n} affected)"),
-        ExecResult::Ok => println!("ok"),
+        ExecResult::Rows { columns, rows } => Response::Rows {
+            columns: columns.clone(),
+            rows: rows
+                .iter()
+                .map(|row| row.iter().map(|v| format!("{v}")).collect())
+                .collect(),
+        },
+        ExecResult::Affected(n) => Response::Ok(format!("affected {n}")),
+        ExecResult::Ok => Response::Ok("done".into()),
     }
 }
 
-/// Print a remote response in exactly the embedded format.
+/// Print a response; `false` if the statement failed.
 fn print_response(res: &Response) -> bool {
     match res {
         Response::Rows { columns, rows } => {
@@ -83,31 +80,27 @@ fn print_response(res: &Response) -> bool {
     }
 }
 
-fn run_connected(addr: &str, tenant: &str) {
-    let mut client = Client::connect(addr, tenant).expect("connect to server");
-    let stdin = std::io::stdin();
+/// Run each stdin statement (one per line; blank and `--` lines are
+/// skipped) through `run`, echoing it first, and exit nonzero if any
+/// failed.
+fn drive(mut run: impl FnMut(&str) -> bool) -> u32 {
     let mut failures = 0u32;
-    for line in stdin.lock().lines() {
+    for line in std::io::stdin().lock().lines() {
         let line = line.expect("read stdin");
         let stmt = line.trim();
         if stmt.is_empty() || stmt.starts_with("--") {
             continue;
         }
         println!("> {stmt}");
-        match client.request(stmt) {
-            Ok(res) => {
-                if !print_response(&res) {
-                    failures += 1;
-                }
-            }
-            Err(e) => {
-                println!("error: {e}");
-                failures += 1;
-            }
+        if !run(stmt) {
+            failures += 1;
         }
         println!();
     }
-    let _ = client.quit();
+    failures
+}
+
+fn exit_on_failures(failures: u32) {
     if failures > 0 {
         eprintln!("{failures} statement(s) failed");
         std::process::exit(1);
@@ -131,7 +124,16 @@ fn main() {
         }
     }
     if let Some(addr) = connect {
-        return run_connected(&addr, &tenant);
+        let mut client = Client::connect(&addr, &tenant).expect("connect to server");
+        let failures = drive(|stmt| match client.request(stmt) {
+            Ok(res) => print_response(&res),
+            Err(e) => {
+                println!("error: {e}");
+                false
+            }
+        });
+        let _ = client.quit();
+        return exit_on_failures(failures);
     }
     let cfg = SessionConfig {
         seed: 42,
@@ -151,41 +153,24 @@ fn main() {
         println!("recovered query {id}: {status:?}");
     }
 
-    let stdin = std::io::stdin();
-    let mut failures = 0u32;
-    for line in stdin.lock().lines() {
-        let line = line.expect("read stdin");
-        let stmt = line.trim();
-        if stmt.is_empty() || stmt.starts_with("--") {
-            continue;
-        }
-        println!("> {stmt}");
-        match session.execute(stmt) {
-            Ok(res) => print_result(&res),
-            Err(DbError::Spec(e)) => {
-                // Spanned dialect errors: point at the offending bytes.
-                if let Some(span) = e.span {
-                    println!("error: {e}");
-                    println!("  {stmt}");
-                    println!(
-                        "  {}{}",
-                        " ".repeat(span.start),
-                        "^".repeat((span.end - span.start).max(1))
-                    );
-                } else {
-                    println!("error: {e}");
-                }
-                failures += 1;
+    exit_on_failures(drive(|stmt| match session.execute(stmt) {
+        Ok(res) => print_response(&to_response(&res)),
+        Err(e) => {
+            println!("error: {e}");
+            // Spanned errors: point at the offending characters.
+            if let DbError::Spec(mlss_core::spec::SpecError {
+                span: Some(span), ..
+            }) = &e
+            {
+                let width = |text: &str| text.chars().count();
+                println!("  {stmt}");
+                println!(
+                    "  {}{}",
+                    " ".repeat(width(&stmt[..span.start])),
+                    "^".repeat(width(&stmt[span.start..span.end]).max(1))
+                );
             }
-            Err(e) => {
-                println!("error: {e}");
-                failures += 1;
-            }
+            false
         }
-        println!();
-    }
-    if failures > 0 {
-        eprintln!("{failures} statement(s) failed");
-        std::process::exit(1);
-    }
+    }));
 }
