@@ -1,4 +1,6 @@
-//! Thread scaling of the parallel driver `mlss_core::parallel::run_parallel`.
+//! Thread scaling of intra-query fan-out: one g-MLSS run committed on the
+//! calling thread while workers of a `mlss_core::scheduler::Scheduler`
+//! run its root blocks (`Scheduler::run`).
 //!
 //! Runs one g-MLSS query to a relative-error target at 1, 2, 4, …
 //! threads and prints wall time and throughput per thread count. Every
@@ -8,10 +10,10 @@
 //!
 //! Usage: `cargo run --release -p mlss-bench --bin parallel_speedup
 //! [threads] [target_re]` (defaults: 8 threads, 1% RE, compound-Poisson
-//! surplus model).
+//! surplus model). The pool has `threads − 1` workers, so the widest row
+//! gets its full helper count.
 
 use mlss_bench::balanced_for;
-use mlss_core::parallel::{run_parallel, ParallelConfig};
 use mlss_core::prelude::*;
 use mlss_models::{surplus_score, CompoundPoisson};
 use std::time::Instant;
@@ -36,6 +38,7 @@ fn main() {
         check_every: 256,
         max_steps: 20_000_000_000,
     };
+    let pool = Scheduler::with_workers(threads.max(2) - 1);
 
     println!(
         "parallel_speedup: CPP surplus β=50 s=500, up to {threads} threads, RE target {:.2}%",
@@ -44,13 +47,10 @@ fn main() {
     let mut first: Option<(Estimate, f64)> = None;
     let mut n = 1;
     while n <= threads.max(1) {
-        let cfg = ParallelConfig {
-            threads: n,
-            seed: 7,
-            batch_width: 1,
-        };
+        let job =
+            EstimatorQuery::from_seed(model, vf, 500, base.clone(), control, 7).with_threads(n);
         let t0 = Instant::now();
-        let est = run_parallel(problem, &base, control, &cfg).estimate;
+        let est = pool.run(job, 0, None).estimate;
         let wall = t0.elapsed().as_secs_f64();
         let (reference, wall_1) = *first.get_or_insert((est, wall));
         let same = est.tau.to_bits() == reference.tau.to_bits() && est.steps == reference.steps;

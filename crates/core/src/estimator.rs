@@ -7,9 +7,9 @@
 //! mergeable [`Ledger`] shard in budgeted chunks of `g` invocations and
 //! can turn any shard into an [`Estimate`] at any time. Everything above
 //! this trait — the sequential driver [`run_sequential`] (which the
-//! `*Sampler::run` conveniences call), the parallel driver
-//! [`crate::parallel::run_parallel`], the scheduler, the `mlss-bench`
-//! experiment runners, and `mlss-db`'s `ESTIMATE` statements — is generic
+//! `*Sampler::run` conveniences call), the scheduler and its fanned-out
+//! runs, the `mlss-bench` experiment runners, and `mlss-db`'s `ESTIMATE`
+//! statements — is generic
 //! over it, so a new sampling strategy plugs into every layer by
 //! implementing one trait.
 //!
@@ -36,8 +36,9 @@
 //! index order, and evaluates its stopping rule at the chunk ends of
 //! [`RunControl::next_chunk`], quality check `i` on check stream `i`.
 //! Its committed prefix, checks and answer are therefore pure functions
-//! of `(key, problem, control)`: the sequential, parallel and scheduler
-//! drivers all produce the same bits, paused or not.
+//! of `(key, problem, control)`: the sequential driver, the scheduler's
+//! slices and its fanned-out runs all produce the same bits, paused or
+//! not.
 
 use crate::estimate::Estimate;
 use crate::model::SimulationModel;
@@ -100,8 +101,8 @@ impl Diagnostics {
 ///
 /// The trait is deliberately not sealed: downstream crates can add
 /// estimators (say, a quasi-Monte-Carlo or stratified sampler) and every
-/// driver in this workspace — sequential, parallel, bench harness, SQL
-/// procedure — accepts them unchanged.
+/// driver in this workspace — sequential, scheduler, bench harness, SQL
+/// statement — accepts them unchanged.
 pub trait Estimator<M, V>: Sync
 where
     M: SimulationModel,
@@ -272,7 +273,7 @@ impl RunCursor {
     }
 }
 
-/// Result of a trait-level run (sequential or parallel driver).
+/// Result of a trait-level run (sequential or fanned out).
 #[derive(Debug, Clone)]
 pub struct EstimatorRun<L> {
     /// Final estimate.
@@ -373,7 +374,8 @@ where
 /// The run loop every whole-run driver shares: open a chunk, `commit`
 /// its roots (until the shard's steps reach the chunk end), close it
 /// with a quality check; finish with the closing estimate. Drivers
-/// differ only in how `commit` spreads the roots over threads.
+/// differ only in how `commit` spreads the roots over threads (see
+/// [`crate::scheduler::Scheduler::run`]).
 pub(crate) fn drive<M, V, E>(
     estimator: &E,
     problem: Problem<'_, M, V>,

@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn a_bounded_cursor_commits_exactly_its_block() {
-        // Root blocks — what a parallel worker claims — merged in index
+        // Root blocks — what a pool helper claims — merged in index
         // order equal one unbounded chunk over the same roots.
         let model = JumpyWalk;
         let v = vf();

@@ -34,8 +34,8 @@
 //! The per-root simulation is one frontier kernel behind the chunked
 //! [`Estimator`] implementation on [`GMlssConfig`]; every driver runs it
 //! through that trait — [`GMlssSampler`] is [`run_sequential`] plus the
-//! [`GMlssResult`] reshape, and [`crate::parallel::run_parallel`] and
-//! the scheduler use the same chunks.
+//! [`GMlssResult`] reshape, and the scheduler's slices and fanned-out
+//! runs use the same chunks.
 
 use crate::bootstrap::{bootstrap_variance, RootLedger};
 use crate::estimate::Estimate;
@@ -173,7 +173,7 @@ impl From<EstimatorRun<GmlssShard>> for GMlssResult {
 /// Accumulated g-MLSS counters — the sampler's [`Ledger`] shard.
 ///
 /// Shards merge exactly (counter sums, moment merging, ledger
-/// concatenation), so per-worker shards reduced by the parallel driver
+/// concatenation), so the root blocks a fanned-out run's helpers park
 /// yield the same estimate a single sequential run over the union of
 /// roots would.
 #[derive(Debug, Clone)]

@@ -56,8 +56,7 @@
 //! | [`is`] | §2.2 | importance-sampling baseline for tiltable models |
 //! | [`variance`] | §3.1, §4.2, §5.1 | closed-form variance results |
 //! | [`partition`] | §5 | `eval(B)`, greedy search, balanced plans |
-//! | [`parallel`] | §3.1 | multi-threaded driver over any `Estimator`: root-index blocks committed in index order |
-//! | [`scheduler`] | §6.4 serving | concurrent query scheduler: slicing, pause/checkpoint/resume, panic isolation |
+//! | [`scheduler`] | §3.1, §6.4 serving | the one worker pool: query slicing, pause/checkpoint/resume, panic isolation, and intra-query fan-out over root-index blocks committed in index order |
 //! | [`plan_cache`] | §5, §6.4 | memoized partition plans keyed by model fingerprint (single-flight builds) |
 //! | [`shard_store`] | §6.4 serving | cross-query shard store: LRU-capped reusable checkpoints (shard + run cursor + achieved RE) |
 //! | [`planner`] | §6.4 serving | cost-based reuse planner: cold vs warm-start vs serve-from-store |
@@ -74,11 +73,11 @@
 //! driver runs a sampler to its stopping rule: the sequential driver
 //! [`estimator::run_sequential`], which `SrsSampler::run`,
 //! `SMlssSampler::run` and `GMlssSampler::run` call and reshape. The
-//! parallel driver [`parallel::run_parallel`], the scheduler, the
-//! `mlss-bench` experiment runners, and `mlss-db`'s `ESTIMATE` statements
-//! are all generic over the trait, so a new sampling strategy written
-//! against it plugs into every layer — SQL query → planner → parallel
-//! driver → sampler — unchanged.
+//! scheduler (whose worker pool also runs a query's root blocks in
+//! parallel, §3.1), the `mlss-bench` experiment runners, and `mlss-db`'s
+//! `ESTIMATE` statements are all generic over the trait, so a new
+//! sampling strategy written against it plugs into every layer — SQL
+//! query → planner → scheduler → sampler — unchanged.
 //!
 //! Underneath the trait, all four built-in estimators execute on one
 //! batched *frontier* engine: chunks advance a cohort of root paths per
@@ -88,8 +87,8 @@
 //! bit-identical at every frontier width, thread count and driver (see
 //! `docs/kernel.md`).
 //! [`estimator::run_sequential_batched`],
-//! `ParallelConfig::batch_width`, and `SchedulerConfig::batch_width`
-//! expose the width at each layer.
+//! [`scheduler::EstimatorQuery::with_batch_width`], and
+//! `SchedulerConfig::batch_width` expose the width at each layer.
 
 #![warn(missing_docs)]
 
@@ -102,7 +101,6 @@ pub mod gmlss;
 pub mod is;
 pub mod levels;
 pub mod model;
-pub mod parallel;
 pub mod partition;
 pub mod persist;
 pub mod plan_cache;
@@ -136,7 +134,6 @@ pub mod prelude {
     pub use crate::model::{
         simulate_path, SamplePath, ScalarAdapter, SimulationModel, StepCounter, Time,
     };
-    pub use crate::parallel::{run_parallel, run_parallel_from, ParallelConfig};
     pub use crate::partition::{balanced_plan, evaluate_plan, GreedyConfig, GreedyPartition};
     pub use crate::plan_cache::{fingerprint, CacheCounters, CachedPlan, Fingerprint, PlanCache};
     pub use crate::planner::{

@@ -148,7 +148,7 @@ impl<M: SimulationModel> SimulationModel for ScalarAdapter<M> {
 /// invocations of g").
 ///
 /// The counter is a relaxed atomic so metered models stay `Sync` and can
-/// be shared with the parallel driver; the count is exact because each
+/// be shared with pool helpers; the count is exact because each
 /// increment is independent. Batched stepping pays **one** atomic
 /// `add(k)` per batch call — a batch of `k` alive lanes counts exactly
 /// `k` invocations of `g`, with none of the per-step cache-line traffic

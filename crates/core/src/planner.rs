@@ -4,8 +4,8 @@
 //!
 //! * **cold** — simulate from scratch (the only option on a store miss);
 //! * **warm** — resume from the stored shard and its run cursor
-//!   through `run_sequential_from`, `run_parallel_from` or a scheduler
-//!   job, paying only the *marginal* roots between the stored RE and the
+//!   through `run_sequential_from` or a scheduler job (sliced or
+//!   fanned out), paying only the *marginal* roots between the stored RE and the
 //!   target;
 //! * **stored** — the stored shard already meets the target: answer
 //!   with its estimate and simulate nothing.
@@ -44,8 +44,8 @@
 //! ## Pinned seeds: the store-on/store-off guarantee
 //!
 //! A pinned-seed statement must be **bit-identical with or without a
-//! store** (see `docs/planner.md`). Every driver — sequential, parallel,
-//! scheduler — replays one trajectory per seed, and
+//! store** (see `docs/planner.md`). Every driver — sequential, sliced,
+//! fanned out — replays one trajectory per seed, and
 //! [`ShardStore::lookup`] only hands a pinned query entries of its own
 //! seed, so a stored entry is a prefix of the query's own cold run as
 //! long as that run would not have stopped earlier. The **target

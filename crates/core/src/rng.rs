@@ -89,7 +89,7 @@ pub struct RootCursor {
     /// Index of the next root to commit.
     pub next: u64,
     /// Exclusive bound on the roots a chunk may commit: `u64::MAX` for a
-    /// whole run, a block end for one parallel worker's claim.
+    /// whole run, a block end for one helper's claim.
     pub end: u64,
 }
 

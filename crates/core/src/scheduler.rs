@@ -1,10 +1,10 @@
 //! Concurrent query scheduler: many durability queries, one worker pool.
 //!
-//! The sequential and parallel drivers answer **one** query front to
-//! back. A serving engine (the paper's DBMS integration, §6.4) instead
-//! sees a stream of concurrent queries of wildly different costs: cheap
-//! SRS point lookups next to 0.1%-RE g-MLSS marathons. Running them FIFO
-//! lets one marathon head-of-line-block every cheap query behind it.
+//! The sequential driver answers **one** query front to back. A serving
+//! engine (the paper's DBMS integration, §6.4) instead sees a stream of
+//! concurrent queries of wildly different costs: cheap SRS point lookups
+//! next to 0.1%-RE g-MLSS marathons. Running them FIFO lets one marathon
+//! head-of-line-block every cheap query behind it.
 //!
 //! [`Scheduler`] time-slices instead. Every admitted query is a
 //! [`SliceableQuery`]: a self-contained job that advances its own
@@ -24,24 +24,40 @@
 //!   short queries finish fast);
 //! * **pause / checkpoint / resume** — a paused query is just a job whose
 //!   next slice hasn't been scheduled; a detached job *is* the
-//!   checkpoint (shard + run cursor), resumable in place or through
-//!   [`crate::estimator::run_sequential_from`] /
-//!   [`crate::parallel::run_parallel_from`];
+//!   checkpoint (shard + run cursor), resumable in place, on another
+//!   scheduler, or through [`crate::estimator::run_sequential_from`];
 //! * **failure isolation** — a panic inside a slice is caught by the
 //!   worker; the slice ran on scratch state (fresh shard, copied cursor), so
 //!   the query's committed state is untouched and the query is retried or
 //!   reported failed while every other query proceeds normally.
+//!
+//! ## Intra-query fan-out (§3.1 "Parallel Computations")
+//!
+//! Root `k` always draws stream `k` of the run key, so any thread can run
+//! any root. A job built [`EstimatorQuery::with_threads`]`(n)` has one
+//! **committer** — the worker running its slice, or the caller of
+//! [`Scheduler::run`] — and up to `n − 1` pool workers as **helpers**,
+//! which run root-index blocks ahead of it and park them. A block is not
+//! a query: no id, no slot, no durability record. The committer folds
+//! parked blocks in index order and runs the roots it lacks in place, so
+//! every thread count answers with the sequential driver's bits. Helper
+//! blocks are picked under the slices' rule and charged to the tenant.
+//! `docs/serving.md` has the contract.
 
 use crate::estimate::Estimate;
-use crate::estimator::{ChunkOutcome, Diagnostics, Estimator, Ledger, RunCursor};
+use crate::estimator::{
+    drive, run_sequential_from, ChunkOutcome, Diagnostics, Estimator, EstimatorRun, Ledger,
+    RunCursor,
+};
 use crate::model::SimulationModel;
-use crate::quality::{QualityTarget, RunControl};
+use crate::quality::{steps_per_root, QualityTarget, RunControl};
 use crate::query::{Problem, ValueFunction};
+use crate::rng::RootCursor;
 use crate::shard_store::{ShardKey, ShardStore, StoredShard};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// Identifier of a submitted query (unique per scheduler, monotonically
@@ -67,7 +83,9 @@ pub trait SliceableQuery: Send + Any {
 
     /// Advance by (at least) `budget` `g` invocations, or less if the
     /// query's own control is nearly satisfied. Must be transactional
-    /// under panics (see trait docs).
+    /// under panics (see trait docs). The outcome's `steps` are the `g`
+    /// invocations this thread ran — what the pool charges the query's
+    /// tenant (helper blocks are charged as they run).
     fn run_slice(&mut self, budget: u64) -> ChunkOutcome;
 
     /// Has the query's stopping rule been satisfied? May evaluate a
@@ -112,6 +130,13 @@ pub trait SliceableQuery: Send + Any {
     fn checkpoint(&mut self) -> Option<(&'static str, StoredShard)> {
         None
     }
+
+    /// The root-index blocks pool workers may run for this job while one
+    /// of its slices commits (`None`, the default: the job runs on one
+    /// thread). See the module docs on fan-out.
+    fn helpers(&self) -> Option<Helpers> {
+        None
+    }
 }
 
 /// The standard [`SliceableQuery`]: any [`Estimator`] over an owned model
@@ -129,15 +154,11 @@ where
     V: ValueFunction<M::State>,
     E: Estimator<M, V>,
 {
-    model: M,
-    value_fn: V,
-    horizon: u64,
-    estimator: E,
+    /// The problem, the estimator and the root blocks its helpers run.
+    fan: Arc<Fan<M, V, E>>,
     control: RunControl,
     shard: E::Shard,
     run: RunCursor,
-    /// Frontier width for slices (bit-identical across widths).
-    batch_width: usize,
     /// The pinned seed this job was built from (`None` when the caller
     /// handed over a raw cursor) — recorded in shard-store deposits.
     seed: Option<u64>,
@@ -178,15 +199,35 @@ where
         shard: E::Shard,
         run: RunCursor,
     ) -> Self {
-        Self {
+        let blocks = Blocks {
+            width: 1,
+            threads: 1,
+            claimed: 0,
+            aim: 0,
+            limit: 0,
+            running: BTreeMap::new(),
+            parked: BTreeMap::new(),
+            helping: 0,
+            pool: Weak::new(),
+        };
+        let fan = Fan {
             model,
             value_fn,
             horizon,
             estimator,
+            key: run.roots.key,
+            look_ahead: match control {
+                RunControl::Target { check_every, .. } => check_every.max(1),
+                RunControl::Budget(_) => 0,
+            },
+            blocks: Mutex::new(blocks),
+            arrivals: Condvar::new(),
+        };
+        Self {
+            fan: Arc::new(fan),
             control,
             shard,
             run,
-            batch_width: 1,
             seed: None,
             reuse_key: None,
         }
@@ -213,15 +254,24 @@ where
     /// safe at any slice boundary — including mid-query on a detached
     /// job (pause → detach → rewiden → resubmit), which changes
     /// throughput and nothing else.
-    pub fn with_batch_width(mut self, width: usize) -> Self {
-        self.batch_width = width;
+    pub fn with_batch_width(self, width: usize) -> Self {
+        self.fan.lock().width = width;
+        self
+    }
+
+    /// Let at most `threads` threads work on this job: its committer and
+    /// up to `threads − 1` pool workers running root blocks (see the
+    /// module docs). Block sizes follow the requested count; the answer
+    /// is bit-identical at every count.
+    pub fn with_threads(self, threads: usize) -> Self {
+        self.fan.lock().threads = threads.max(1) as u64;
         self
     }
 
     /// Build a query job on the run a pinned `seed` names
     /// ([`RunCursor::from_seed`]) — the run a sequential driver handed
-    /// `StreamFactory::new(seed).stream(0)`, a parallel run under
-    /// `seed`, and a pinned statement all execute.
+    /// `StreamFactory::new(seed).stream(0)` and a pinned statement
+    /// execute.
     pub fn from_seed(
         model: M,
         value_fn: V,
@@ -248,9 +298,23 @@ where
 
     /// Consume the job, returning the accumulated shard and the run
     /// cursor — everything needed to resume elsewhere (e.g. through
-    /// [`crate::parallel::run_parallel_from`]).
+    /// [`crate::estimator::run_sequential_from`]).
     pub fn into_parts(self) -> (E::Shard, RunCursor) {
         (self.shard, self.run)
+    }
+
+    /// Run the job to completion on the calling thread alone: the run
+    /// [`Scheduler::run`] shares with pool helpers, bit for bit.
+    pub fn run(self) -> EstimatorRun<E::Shard> {
+        let (fan, width) = (&self.fan, self.fan.lock().width);
+        run_sequential_from(
+            &fan.estimator,
+            fan.problem(),
+            self.control,
+            self.run,
+            self.shard,
+            width,
+        )
     }
 
     /// The RE target this job stops against (`NaN` in budget mode) —
@@ -275,14 +339,12 @@ where
     E::Shard: Send + Clone + 'static,
 {
     fn name(&self) -> &'static str {
-        self.estimator.name()
+        self.fan.estimator.name()
     }
 
     fn run_slice(&mut self, budget: u64) -> ChunkOutcome {
-        let Some(end) = self
-            .run
-            .open_chunk(&self.control, &self.shard, self.horizon)
-        else {
+        let fan = &*self.fan;
+        let Some(end) = self.run.open_chunk(&self.control, &self.shard, fan.horizon) else {
             return ChunkOutcome::default();
         };
         // Never past the open chunk's end: the stopping rule is evaluated
@@ -294,15 +356,23 @@ where
         // Transactional: simulate into scratch state, commit on success.
         // A panic inside the model unwinds before either commit below, so
         // the job can be retried (or inspected) with its state intact.
-        let problem = Problem::new(&self.model, &self.value_fn, self.horizon);
-        let mut pending = self.estimator.shard();
+        let mut pending = fan.estimator.shard();
         let mut roots = self.run.roots;
         // Defense in depth: an unresolved `batch_width=auto` sentinel
         // runs at the static fallback width, never a usize::MAX cohort.
-        let width = crate::width::effective(self.batch_width);
-        let outcome = self
-            .estimator
-            .run_chunk(problem, &mut pending, budget, &mut roots, width);
+        let (width, threads) = {
+            let b = fan.lock();
+            (crate::width::effective(b.width), b.threads)
+        };
+        let outcome = if threads > 1 {
+            let base = (self.shard.steps(), self.shard.n_roots());
+            let steps = fan.commit(&mut pending, base, &mut roots, end, base.0 + budget);
+            let roots = roots.next - self.run.roots.next;
+            ChunkOutcome { steps, roots }
+        } else {
+            let problem = fan.problem();
+            (fan.estimator).run_chunk(problem, &mut pending, budget, &mut roots, width)
+        };
         self.shard.merge(pending);
         self.run.roots = roots;
         outcome
@@ -316,17 +386,17 @@ where
         if chunk_done
             && self
                 .run
-                .close_chunk(&self.estimator, &self.control, &mut self.shard)
+                .close_chunk(&self.fan.estimator, &self.control, &mut self.shard)
         {
             return true;
         }
         self.run
-            .open_chunk(&self.control, &self.shard, self.horizon)
+            .open_chunk(&self.control, &self.shard, self.fan.horizon)
             .is_none()
     }
 
     fn estimate(&mut self) -> Estimate {
-        self.run.estimate(&self.estimator, &self.shard)
+        self.run.estimate(&self.fan.estimator, &self.shard)
     }
 
     fn steps(&self) -> u64 {
@@ -338,7 +408,7 @@ where
     }
 
     fn diagnostics(&self) -> Diagnostics {
-        self.estimator.diagnostics(&self.shard)
+        self.fan.estimator.diagnostics(&self.shard)
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -368,7 +438,262 @@ where
             hits: 0,
         };
         let entry = StoredShard::new(&self.shard, self.run, estimate, self.seed, self.target_re());
-        Some((self.estimator.name(), entry))
+        Some((self.fan.estimator.name(), entry))
+    }
+
+    fn helpers(&self) -> Option<Helpers> {
+        (self.fan.lock().threads > 1).then(|| Helpers(Arc::clone(&self.fan) as Arc<dyn BlockWork>))
+    }
+}
+
+/// Largest root block a helper claims at once.
+const MAX_BLOCK_ROOTS: u64 = 1024;
+
+/// A job's root blocks as the pool sees them: what
+/// [`SliceableQuery::helpers`] hands the scheduler (see the module docs).
+#[derive(Clone)]
+pub struct Helpers(Arc<dyn BlockWork>);
+
+/// The type-erased face of a [`Fan`].
+trait BlockWork: Send + Sync {
+    /// Is there room for one more helper, and a free block?
+    fn room(&self) -> bool;
+    /// If there is room, claim a free block and run it. Returns its steps
+    /// and the call that parks it: the pool charges the steps first, so a
+    /// block is paid for before the committer can fold it.
+    fn help(&self) -> Option<(u64, Box<dyn FnOnce() + '_>)>;
+    /// Wake `pool`'s idle workers whenever blocks become free.
+    fn attach(&self, pool: Weak<Shared>);
+    /// Drop the parked blocks (the committer reruns their roots).
+    fn reset(&self);
+}
+
+/// A job's problem and estimator, with the table of root blocks its
+/// helpers claim past the committed prefix, run into fresh shards and
+/// park for the committer to fold in index order ([`Fan::commit`]).
+struct Fan<M, V, E>
+where
+    M: SimulationModel,
+    V: ValueFunction<M::State>,
+    E: Estimator<M, V>,
+{
+    model: M,
+    value_fn: V,
+    horizon: u64,
+    estimator: E,
+    /// The run key: root `k` draws stream `k` of it.
+    key: u64,
+    /// Roots helpers may claim past a predicted chunk end: the next
+    /// chunk's worth in target mode, none past a budget.
+    look_ahead: u64,
+    blocks: Mutex<Blocks<E::Shard>>,
+    /// The committer waits here for a block a helper is running.
+    arrivals: Condvar,
+}
+
+struct Blocks<L> {
+    width: usize,
+    /// The requested thread count (block sizes follow it).
+    threads: u64,
+    /// First root not yet handed out.
+    claimed: u64,
+    /// Predicted crossing root of the open chunk.
+    aim: u64,
+    /// No claims at or past this root (`aim` plus the look-ahead).
+    limit: u64,
+    /// Blocks helpers are running: first root → roots.
+    running: BTreeMap<u64, u64>,
+    /// Finished blocks: first root → (roots, shard).
+    parked: BTreeMap<u64, (u64, L)>,
+    helping: u64,
+    pool: Weak<Shared>,
+}
+
+impl<M, V, E> Fan<M, V, E>
+where
+    M: SimulationModel,
+    V: ValueFunction<M::State>,
+    E: Estimator<M, V>,
+{
+    fn lock(&self) -> MutexGuard<'_, Blocks<E::Shard>> {
+        self.blocks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn problem(&self) -> Problem<'_, M, V> {
+        Problem::new(&self.model, &self.value_fn, self.horizon)
+    }
+
+    /// The next block's length: a `1/(2·threads)` share of the roots left
+    /// before the predicted crossing (or of the look-ahead past it).
+    fn share(&self, b: &Blocks<E::Shard>) -> u64 {
+        let aim = if b.claimed < b.aim { b.aim } else { b.limit };
+        (aim.saturating_sub(b.claimed) / (2 * b.threads)).clamp(1, MAX_BLOCK_ROOTS)
+    }
+
+    /// Claim a free block to run ahead of the committer: `(start, roots,
+    /// lanes)`.
+    fn claim(&self, b: &mut Blocks<E::Shard>) -> Option<(u64, u64, usize)> {
+        (b.claimed < b.limit).then(|| {
+            let (start, len) = (b.claimed, self.share(b));
+            b.claimed += len;
+            b.running.insert(start, len);
+            (
+                start,
+                len,
+                crate::width::effective(b.width).min(len as usize),
+            )
+        })
+    }
+
+    /// Run a claimed block into a fresh shard; returns its steps and a
+    /// call that parks it (a `helper` leaves as it does). A panic is
+    /// contained: the roots stay unparked, so the committer runs them in
+    /// place, where the panic reaches the run.
+    fn run_block(
+        &self,
+        (start, len, lanes): (u64, u64, usize),
+        helper: bool,
+    ) -> (u64, impl FnOnce() + '_) {
+        let block = catch_unwind(AssertUnwindSafe(|| {
+            let mut block = self.estimator.shard();
+            let end = start + len;
+            let mut cursor = RootCursor {
+                key: self.key,
+                next: start,
+                end,
+            };
+            (self.estimator).run_chunk(self.problem(), &mut block, u64::MAX, &mut cursor, lanes);
+            block
+        }));
+        let steps = block.as_ref().map_or(0, |block| block.steps());
+        let park = move || {
+            let mut b = self.lock();
+            b.helping -= u64::from(helper);
+            b.running.remove(&start);
+            if let Ok(block) = block {
+                b.parked.insert(start, (len, block));
+            }
+            drop(b);
+            self.arrivals.notify_all();
+        };
+        (steps, park)
+    }
+
+    /// Commit roots from `roots.next`, in index order, into `shard` until
+    /// the committed steps (`base.0` plus `shard`'s) reach `target`, in the
+    /// chunk ending at `end` (`target ≤ end`; `base` is the committed
+    /// `(steps, roots)` outside `shard`). Parked blocks that end before
+    /// the chunk end fold whole; the crossing block, blocks lost to a
+    /// panic or a reset, and unclaimed roots run here; while a helper runs
+    /// the next block, this thread runs a free one. Returns the steps it
+    /// ran.
+    fn commit(
+        &self,
+        shard: &mut E::Shard,
+        base: (u64, u64),
+        roots: &mut RootCursor,
+        end: u64,
+        target: u64,
+    ) -> u64 {
+        let (mut ran, width) = (0, crate::width::effective(self.lock().width));
+        loop {
+            let (steps, next) = (base.0 + shard.steps(), roots.next);
+            if steps >= target {
+                return ran;
+            }
+            // Re-aim the claims at the predicted crossing of the chunk.
+            let per_root = steps_per_root(steps, base.1 + shard.n_roots(), self.horizon);
+            let mut b = self.lock();
+            let closed = b.claimed >= b.limit;
+            b.claimed = b.claimed.max(next);
+            b.aim = next.saturating_add((end - steps).div_ceil(per_root));
+            b.limit = b.aim.saturating_add(self.look_ahead).max(next + 1);
+            if closed && b.claimed < b.limit {
+                // Blocks became free: wake idle workers. Taking the pool
+                // lock orders this after any pick that found none.
+                if let Some(shared) = b.pool.upgrade() {
+                    drop(b);
+                    drop(shared.lock());
+                    shared.work_cv.notify_all();
+                    b = self.lock();
+                }
+            }
+            match b.parked.remove(&next) {
+                Some((len, block)) if steps + block.steps() < end => {
+                    drop(b);
+                    shard.merge(block);
+                    roots.next += len;
+                    continue;
+                }
+                _ if b.running.contains_key(&next) => {
+                    match self.claim(&mut b) {
+                        Some(claim) => {
+                            drop(b);
+                            let (steps, park) = self.run_block(claim, false);
+                            park();
+                            ran += steps;
+                        }
+                        None => drop(
+                            self.arrivals
+                                .wait(b)
+                                .unwrap_or_else(PoisonError::into_inner),
+                        ),
+                    }
+                    continue;
+                }
+                _ => {}
+            }
+            if next == b.claimed {
+                b.claimed += self.share(&b);
+            }
+            let later = [
+                b.parked.range(next..).next().map(|(&start, _)| start),
+                b.running.range(next..).next().map(|(&start, _)| start),
+            ];
+            let gap_end = later.into_iter().flatten().fold(b.claimed, u64::min);
+            drop(b);
+            let mut cursor = RootCursor {
+                end: gap_end,
+                ..*roots
+            };
+            let before = shard.steps();
+            (self.estimator).run_chunk(self.problem(), shard, target - steps, &mut cursor, width);
+            ran += shard.steps() - before;
+            roots.next = cursor.next;
+        }
+    }
+}
+
+impl<M, V, E> BlockWork for Fan<M, V, E>
+where
+    M: SimulationModel + Send,
+    V: ValueFunction<M::State> + Send,
+    E: Estimator<M, V> + Send,
+{
+    fn room(&self) -> bool {
+        let b = self.lock();
+        b.helping + 1 < b.threads && b.claimed < b.limit
+    }
+
+    fn help(&self) -> Option<(u64, Box<dyn FnOnce() + '_>)> {
+        let claim = {
+            let mut b = self.lock();
+            let claim = (b.helping + 1 < b.threads)
+                .then(|| self.claim(&mut b))
+                .flatten();
+            b.helping += u64::from(claim.is_some());
+            claim
+        };
+        let (steps, park) = self.run_block(claim?, true);
+        Some((steps, Box::new(park)))
+    }
+
+    fn attach(&self, pool: Weak<Shared>) {
+        self.lock().pool = pool;
+    }
+
+    fn reset(&self) {
+        self.lock().parked.clear();
     }
 }
 
@@ -566,15 +891,34 @@ struct Slot {
     /// Fair-share tenant this query's attained service is charged to
     /// (`None` for tenantless submissions — the pre-tenancy behavior).
     tenant: Option<TenantId>,
+    /// Key of its helper blocks in [`State::offers`], while offered.
+    offer: Option<u64>,
+}
+
+/// A fanned-out run's helper blocks on offer to the pool — an `ASYNC`
+/// query's, or a synchronous run's ([`Scheduler::run`]). Not a query:
+/// it is picked like one, under its run's priority and tenant.
+struct Offer {
+    helpers: Helpers,
+    priority: u8,
+    tenant: Option<TenantId>,
+    /// `g` invocations its helpers ran.
+    steps: u64,
+}
+
+/// What a worker does next: a query's slice, or a block of an offer.
+enum Pick {
+    Slice(QueryId),
+    Help(u64),
 }
 
 /// Per-tenant fair-share accounting.
 struct TenantState {
     name: String,
     weight: f64,
-    /// `g` invocations charged to this tenant (slice deltas of its
-    /// queries; warm-start steps carried into a submission are not
-    /// charged — the tenant pays for work the pool actually ran).
+    /// `g` invocations charged to this tenant (what its queries' slices
+    /// and helper blocks ran; warm-start steps carried into a submission
+    /// are not charged — the tenant pays for work the pool actually ran).
     attained: u64,
     submitted: u64,
     completed: u64,
@@ -617,6 +961,9 @@ struct State {
     /// Registered tenants, indexed by [`TenantId`].
     tenants: Vec<TenantState>,
     tenant_ids: BTreeMap<String, TenantId>,
+    /// Helper blocks on offer, by key.
+    offers: BTreeMap<u64, Offer>,
+    next_offer: u64,
 }
 
 impl State {
@@ -637,6 +984,31 @@ impl State {
         });
         self.tenant_ids.insert(name.to_string(), id);
         id
+    }
+
+    /// Offer `helpers`' blocks to the pool, returning the offer's key.
+    fn offer(&mut self, helpers: Helpers, priority: u8, tenant: Option<TenantId>) -> u64 {
+        let tenant = tenant.filter(|&t| (t as usize) < self.tenants.len());
+        self.next_offer += 1;
+        let offer = Offer {
+            helpers,
+            priority,
+            tenant,
+            steps: 0,
+        };
+        self.offers.insert(self.next_offer, offer);
+        self.next_offer
+    }
+
+    /// Withdraw query `id`'s helper blocks and drop those parked (on
+    /// pause, detach and the end of the query: no committer is running,
+    /// and the blocks are recomputable bit for bit). The next slice
+    /// offers them again.
+    fn withdraw(&mut self, id: QueryId) {
+        let key = self.jobs.get_mut(&id).and_then(|s| s.offer.take());
+        if let Some(offer) = key.and_then(|key| self.offers.remove(&key)) {
+            offer.helpers.0.reset();
+        }
     }
 }
 
@@ -752,6 +1124,8 @@ impl Scheduler {
             stats: SchedulerStats::default(),
             tenants: Vec::new(),
             tenant_ids: BTreeMap::new(),
+            offers: BTreeMap::new(),
+            next_offer: 0,
         };
         for (name, weight) in &cfg.tenant_weights {
             state.ensure_tenant(name, Some(*weight));
@@ -887,6 +1261,7 @@ impl Scheduler {
                 submitted_at: Instant::now(),
                 finished_at: None,
                 tenant,
+                offer: None,
             },
         );
         st.stats.submitted += 1;
@@ -896,6 +1271,52 @@ impl Scheduler {
         drop(st);
         self.shared.work_cv.notify_one();
         id
+    }
+
+    /// Run `job` to completion on the calling thread, its committer, while
+    /// up to `threads − 1` of the pool's workers run root-index blocks of
+    /// it (see [`EstimatorQuery::with_threads`] and the module docs). The
+    /// run is not a query — no id, no slot, no durability hook — but its
+    /// blocks are picked under the slices' rule at `priority`, and their
+    /// steps are charged to `tenant`. The answer is bit-identical to
+    /// [`EstimatorQuery::run`]; a model panic propagates to the caller.
+    pub fn run<M, V, E>(
+        &self,
+        job: EstimatorQuery<M, V, E>,
+        priority: u8,
+        tenant: Option<TenantId>,
+    ) -> EstimatorRun<E::Shard>
+    where
+        M: SimulationModel + Send + 'static,
+        V: ValueFunction<M::State> + Send + 'static,
+        E: Estimator<M, V> + Send + 'static,
+    {
+        if job.fan.lock().threads == 1 {
+            return job.run();
+        }
+        let helpers = Helpers(Arc::clone(&job.fan) as Arc<dyn BlockWork>);
+        helpers.0.attach(Arc::downgrade(&self.shared));
+        let key = self.shared.lock().offer(helpers, priority, tenant);
+        /// Withdraws the run's blocks from the pool when it returns or
+        /// unwinds; blocks still running finish into the dropped table.
+        struct Withdraw<'a>(&'a Shared, u64);
+        impl Drop for Withdraw<'_> {
+            fn drop(&mut self) {
+                self.0.lock().offers.remove(&self.1);
+            }
+        }
+        let _withdraw = Withdraw(&self.shared, key);
+        let fan = &*job.fan;
+        drive(
+            &fan.estimator,
+            fan.problem(),
+            job.control,
+            job.run,
+            job.shard,
+            |shard, roots, end| {
+                fan.commit(shard, (0, 0), roots, end, end);
+            },
+        )
     }
 
     /// Register (or look up) a fair-share tenant by name, returning its
@@ -1004,6 +1425,7 @@ impl Scheduler {
             Some(slot) => match slot.state {
                 SlotState::Ready => {
                     slot.state = SlotState::Paused;
+                    st.withdraw(id);
                     true
                 }
                 SlotState::Running => {
@@ -1050,6 +1472,7 @@ impl Scheduler {
                     slot.job = None;
                     slot.state = SlotState::Cancelled;
                     slot.finished_at = Some(Instant::now());
+                    st.withdraw(id);
                     true
                 }
                 SlotState::Running => {
@@ -1082,8 +1505,9 @@ impl Scheduler {
     /// caller can resume it later via [`Scheduler::submit_query`] (same
     /// or another scheduler) or downcast with
     /// [`SliceableQuery::into_any`] and continue through
-    /// [`crate::parallel::run_parallel_from`]. Running or terminal
-    /// queries return `None` (pause first, then detach).
+    /// [`crate::estimator::run_sequential_from`]. Its parked helper
+    /// blocks are dropped. Running or terminal queries return `None`
+    /// (pause first, then detach).
     pub fn detach(&self, id: QueryId) -> Option<Box<dyn SliceableQuery>> {
         let job = {
             let mut st = self.shared.lock();
@@ -1092,6 +1516,7 @@ impl Scheduler {
                 return None;
             }
             let job = slot.job.take();
+            st.withdraw(id);
             st.jobs.remove(&id);
             job
         };
@@ -1166,38 +1591,49 @@ impl Drop for Scheduler {
 }
 
 /// The fair-share comparison key within a priority band. Tenant-charged
-/// slots compete on the *tenant's* weighted attained service
+/// work competes on the *tenant's* weighted attained service
 /// (`attained/weight`): the pool advances whichever tenant is furthest
 /// behind its share, and the per-query `steps` tiebreak below still
 /// sprints cheap queries past marathons *within* a tenant. Tenantless
-/// slots keep the pre-tenancy per-query key (`steps` as f64), so a
+/// work keeps the pre-tenancy per-query key (`steps` as f64), so a
 /// scheduler with no tenants registered behaves exactly as before.
-fn fair_key(st: &State, s: &Slot) -> f64 {
-    match s.tenant.map(|t| &st.tenants[t as usize]) {
+fn fair_key(st: &State, tenant: Option<TenantId>, steps: u64) -> f64 {
+    match tenant.map(|t| &st.tenants[t as usize]) {
         Some(t) => t.attained as f64 / t.weight,
-        None => s.steps as f64,
+        None => steps as f64,
     }
 }
 
-/// Pick the ready query the pool should advance next: least attained
-/// service within the best (lowest) priority — cheap queries sprint past
+/// Pick the work the pool should advance next: least attained service
+/// within the best (lowest) priority — cheap queries sprint past
 /// marathons, which is what wins p50 latency under mixed load. With
 /// tenants registered, "attained" is the submitting tenant's weighted
 /// total (see [`fair_key`]), which is what makes two tenants with equal
 /// weights attain equal service no matter how many queries each floods
-/// the pool with.
-fn pick_ready(st: &State) -> Option<QueryId> {
-    st.jobs
+/// the pool with. A ready query offers its next slice; a fanned-out query
+/// or synchronous run offers helper blocks to up to `threads − 1` workers
+/// beside its committer, keyed the same way (its "steps" are those its
+/// helpers ran).
+fn pick(st: &State) -> Option<Pick> {
+    let slices = st
+        .jobs
         .iter()
         .filter(|(_, s)| matches!(s.state, SlotState::Ready) && s.job.is_some())
-        .min_by(|(id_a, a), (id_b, b)| {
-            a.priority
-                .cmp(&b.priority)
-                .then_with(|| fair_key(st, a).total_cmp(&fair_key(st, b)))
-                .then_with(|| a.steps.cmp(&b.steps))
-                .then_with(|| id_a.cmp(id_b))
+        .map(|(&id, s)| ((s.priority, s.tenant, s.steps, id), Pick::Slice(id)));
+    let blocks = st
+        .offers
+        .iter()
+        .filter(|(_, o)| o.helpers.0.room())
+        .map(|(&key, o)| ((o.priority, o.tenant, o.steps, key), Pick::Help(key)));
+    slices
+        .chain(blocks)
+        .min_by(|((pa, ta, sa, ia), _), ((pb, tb, sb, ib), _)| {
+            pa.cmp(pb)
+                .then_with(|| fair_key(st, *ta, *sa).total_cmp(&fair_key(st, *tb, *sb)))
+                .then_with(|| sa.cmp(sb))
+                .then_with(|| ia.cmp(ib))
         })
-        .map(|(id, _)| *id)
+        .map(|(_, pick)| pick)
 }
 
 fn panic_message(payload: Box<dyn Any + Send>) -> String {
@@ -1210,25 +1646,53 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-fn worker_loop(shared: &Shared, slice_budget: u64, max_retries: u32) {
+fn worker_loop(shared: &Arc<Shared>, slice_budget: u64, max_retries: u32) {
     loop {
-        // ---- claim the next slice ------------------------------------
+        // ---- claim the next slice, helping fan-outs meanwhile ---------
         let (id, mut job) = {
             let mut st = shared.lock();
             loop {
                 if st.shutdown {
                     return;
                 }
-                if let Some(id) = pick_ready(&st) {
-                    let slot = st.jobs.get_mut(&id).expect("picked id exists");
-                    slot.state = SlotState::Running;
-                    let job = slot.job.take().expect("ready slot has a job");
-                    break (id, job);
+                match pick(&st) {
+                    Some(Pick::Slice(id)) => {
+                        let slot = st.jobs.get_mut(&id).expect("picked id exists");
+                        slot.state = SlotState::Running;
+                        let job = slot.job.take().expect("ready slot has a job");
+                        // Offer its blocks (a deferred job fans out once
+                        // its first slice has built it).
+                        let (offered, priority, tenant) = (slot.offer, slot.priority, slot.tenant);
+                        if let (None, Some(helpers)) = (offered, job.helpers()) {
+                            helpers.0.attach(Arc::downgrade(shared));
+                            let key = st.offer(helpers, priority, tenant);
+                            st.jobs.get_mut(&id).expect("picked id exists").offer = Some(key);
+                        }
+                        break (id, job);
+                    }
+                    Some(Pick::Help(key)) => {
+                        let offer = &st.offers[&key];
+                        let (helpers, tenant) = (offer.helpers.clone(), offer.tenant);
+                        drop(st);
+                        let helped = helpers.0.help();
+                        st = shared.lock();
+                        if let Some((steps, park)) = helped {
+                            if let Some(offer) = st.offers.get_mut(&key) {
+                                offer.steps += steps;
+                            }
+                            if let Some(t) = tenant {
+                                st.tenants[t as usize].attained += steps;
+                            }
+                            park();
+                        }
+                    }
+                    None => {
+                        st = shared
+                            .work_cv
+                            .wait(st)
+                            .unwrap_or_else(PoisonError::into_inner)
+                    }
                 }
-                st = shared
-                    .work_cv
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
 
@@ -1238,6 +1702,7 @@ fn worker_loop(shared: &Shared, slice_budget: u64, max_retries: u32) {
         // bootstrap variance, a custom SliceableQuery) must never kill
         // the worker thread, or the pool would silently stop serving.
         let sliced = catch_unwind(AssertUnwindSafe(|| job.run_slice(slice_budget)));
+        let ran = sliced.as_ref().map_or(0, |outcome| outcome.steps);
         // `finished`/`estimate` can be expensive (bootstrap); also keep
         // them outside the lock. They only run when the slice succeeded,
         // so the job state is committed and consistent.
@@ -1311,7 +1776,6 @@ fn worker_loop(shared: &Shared, slice_budget: u64, max_retries: u32) {
             continue; // slot vanished (not expected; drop the job)
         };
         let tenant = slot.tenant;
-        let steps_before = slot.steps;
         match outcome {
             SliceResult::Finished(est) => {
                 slot.slices += 1;
@@ -1376,13 +1840,15 @@ fn worker_loop(shared: &Shared, slice_budget: u64, max_retries: u32) {
         if terminal && slot.finished_at.is_none() {
             slot.finished_at = Some(Instant::now());
         }
-        // Fair-share accounting: charge this slice's newly committed
-        // steps to the submitting tenant (warm-start steps were already
-        // in `steps_before` at submission, so only pool work is billed).
+        if terminal || matches!(slot.state, SlotState::Paused) {
+            st.withdraw(id);
+        }
+        // Fair-share accounting: charge the steps this slice ran to the
+        // submitting tenant (warm-start steps carried in by the job are
+        // not pool work; helper blocks were charged as they ran).
         if let Some(t) = tenant {
-            let steps_after = st.jobs.get(&id).map_or(steps_before, |s| s.steps);
             let ts = &mut st.tenants[t as usize];
-            ts.attained += steps_after.saturating_sub(steps_before);
+            ts.attained += ran;
             ts.completed += delta.completed;
         }
         st.stats.completed += delta.completed;
@@ -1410,6 +1876,7 @@ enum SliceResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gmlss::GMlssConfig;
     use crate::levels::PartitionPlan;
     use crate::model::Time;
     use crate::query::RatioValue;
@@ -1599,19 +2066,12 @@ mod tests {
     }
 
     #[test]
-    fn detached_checkpoint_resumes_on_the_parallel_driver() {
-        // A checkpoint taken from the scheduler continues on
-        // run_parallel_from to exactly the uninterrupted run.
+    fn detached_checkpoint_resumes_on_a_fanned_run() {
+        // A checkpoint taken from the scheduler continues as a
+        // synchronous fanned-out run to exactly the uninterrupted run.
         let sched = small_sched(1);
-        let id = sched.submit(
-            Walk { up: 0.48 },
-            vf(),
-            100,
-            SrsEstimator,
-            RunControl::budget(1_000_000),
-            9,
-            0,
-        );
+        let control = RunControl::budget(1_000_000);
+        let id = sched.submit(Walk { up: 0.48 }, vf(), 100, SrsEstimator, control, 9, 0);
         loop {
             let p = sched.progress(id).unwrap();
             if p.steps > 0 {
@@ -1634,27 +2094,200 @@ mod tests {
         let (shard, cursor) = query.into_parts();
         assert!(shard.steps() > 0);
 
-        let model = Walk { up: 0.48 };
-        let v = vf();
-        let problem = Problem::new(&model, &v, 100);
-        let control = RunControl::budget(1_000_000);
-        let cfg = crate::parallel::ParallelConfig {
-            threads: 2,
-            seed: 9,
-            batch_width: 1,
-        };
-        let resumed = crate::parallel::run_parallel_from(
-            problem,
-            &SrsEstimator,
+        let pool = small_sched(2);
+        let resumed = EstimatorQuery::from_parts(
+            Walk { up: 0.48 },
+            vf(),
+            100,
+            SrsEstimator,
             control,
-            &cfg,
             shard,
             cursor,
-        );
-        let whole = crate::parallel::run_parallel(problem, &SrsEstimator, control, &cfg);
+        )
+        .with_threads(2);
+        let resumed = pool.run(resumed, 0, None);
+        let whole = fanned(&pool, SrsEstimator, 100, control, 9, 2, 1);
         assert_eq!(resumed.estimate.steps, whole.estimate.steps);
         assert_eq!(resumed.estimate.hits, whole.estimate.hits);
         assert_eq!(resumed.cursor, whole.cursor);
+    }
+
+    fn re_target(target: f64) -> RunControl {
+        RunControl::Target {
+            target: QualityTarget::RelativeError {
+                target,
+                reference: None,
+            },
+            check_every: 64,
+            max_steps: 50_000_000,
+        }
+    }
+
+    /// A synchronous run of `estimator` on `pool`, keyed by `seed`, with
+    /// at most `threads` threads at `width`.
+    fn fanned<E>(
+        pool: &Scheduler,
+        estimator: E,
+        horizon: u64,
+        control: RunControl,
+        seed: u64,
+        threads: usize,
+        width: usize,
+    ) -> EstimatorRun<E::Shard>
+    where
+        E: Estimator<Walk, Vf> + Send + 'static,
+    {
+        let job =
+            EstimatorQuery::from_seed(Walk { up: 0.48 }, vf(), horizon, estimator, control, seed)
+                .with_batch_width(width)
+                .with_threads(threads);
+        pool.run(job, 0, None)
+    }
+
+    fn assert_same(what: &str, a: &Estimate, b: &Estimate) {
+        assert_eq!(a.steps, b.steps, "{what}: steps");
+        assert_eq!(a.n_roots, b.n_roots, "{what}: roots");
+        assert_eq!(a.hits, b.hits, "{what}: hits");
+        assert_eq!(a.tau.to_bits(), b.tau.to_bits(), "{what}: tau");
+        assert_eq!(
+            a.variance.to_bits(),
+            b.variance.to_bits(),
+            "{what}: variance"
+        );
+    }
+
+    fn check_threads<E>(estimator: E, control: RunControl, seed: u64)
+    where
+        E: Estimator<Walk, Vf> + Clone + Send + 'static,
+        E::Shard: Clone + 'static,
+    {
+        let model = Walk { up: 0.48 };
+        let v = vf();
+        let problem = Problem::new(&model, &v, 60);
+        let mut stream = StreamFactory::new(seed).stream(0);
+        let seq = crate::estimator::run_sequential(&estimator, problem, control, &mut stream);
+        for workers in [1, 2] {
+            let pool = small_sched(workers);
+            for (threads, width) in [(1, 1), (2, 1), (3, 16), (4, 5)] {
+                let what = format!("{workers} workers, {threads} threads x {width}");
+                let run = fanned(&pool, estimator.clone(), 60, control, seed, threads, width);
+                assert_same(&what, &seq.estimate, &run.estimate);
+                assert_eq!(seq.cursor, run.cursor, "{what}: cursor");
+                let job = EstimatorQuery::from_seed(
+                    model.clone(),
+                    v,
+                    60,
+                    estimator.clone(),
+                    control,
+                    seed,
+                )
+                .with_batch_width(width)
+                .with_threads(threads);
+                let id = pool.submit_query(Box::new(job), 0);
+                let est = *pool.wait(id).unwrap().estimate().unwrap();
+                assert_same(&format!("{what} ASYNC"), &seq.estimate, &est);
+            }
+        }
+    }
+
+    #[test]
+    fn every_thread_count_is_bit_identical_to_sequential() {
+        let plan = PartitionPlan::new(vec![0.4, 0.7]).unwrap();
+        let gmlss = GMlssConfig::new(plan, RunControl::budget(1));
+        check_threads(SrsEstimator, RunControl::budget(150_000), 9);
+        check_threads(SrsEstimator, re_target(0.2), 10);
+        check_threads(gmlss.clone(), RunControl::budget(150_000), 11);
+        check_threads(gmlss, re_target(0.2), 12);
+    }
+
+    #[test]
+    fn fanned_budget_run_keeps_the_merged_ledger() {
+        let mut base = GMlssConfig::new(
+            PartitionPlan::new(vec![0.4, 0.7]).unwrap(),
+            RunControl::budget(1), // superseded by the run's control
+        );
+        base.keep_ledger = true;
+        let res = fanned(
+            &small_sched(2),
+            base,
+            100,
+            RunControl::budget(400_000),
+            7,
+            4,
+            1,
+        );
+        assert!(res.estimate.steps >= 400_000);
+        assert!(
+            res.estimate.steps < 400_000 + 100,
+            "one-root overshoot only"
+        );
+        assert_eq!(res.shard.ledger.n_roots() as u64, res.estimate.n_roots);
+        assert!(res.estimate.tau > 0.0, "walk does hit sometimes");
+        assert!(res.estimate.variance.is_finite());
+    }
+
+    #[test]
+    fn a_resumed_run_continues_the_same_trajectory() {
+        // A checkpoint cut mid-chunk (as a scheduler slice cuts one) and
+        // finished on three threads equals the uninterrupted run.
+        let model = Walk { up: 0.48 };
+        let v = vf();
+        let problem = Problem::new(&model, &v, 60);
+        let control = re_target(0.15);
+        let pool = small_sched(2);
+        let whole = fanned(&pool, SrsEstimator, 60, control, 21, 2, 8);
+        let mut cursor = RunCursor::from_seed(21);
+        let mut shard = crate::srs::SrsShard::default();
+        let end = cursor.open_chunk(&control, &shard, 60).unwrap();
+        SrsEstimator.run_chunk(problem, &mut shard, end / 2, &mut cursor.roots, 1);
+        assert!(shard.steps < end);
+        let job = EstimatorQuery::from_parts(model, v, 60, SrsEstimator, control, shard, cursor)
+            .with_batch_width(4)
+            .with_threads(3);
+        let resumed = pool.run(job, 0, None);
+        assert_same("resumed", &whole.estimate, &resumed.estimate);
+        assert_eq!(whole.cursor, resumed.cursor);
+    }
+
+    /// A walk whose model fails on one step in ten thousand.
+    #[derive(Clone)]
+    struct Bomb;
+
+    impl SimulationModel for Bomb {
+        type State = f64;
+        fn initial_state(&self) -> f64 {
+            0.0
+        }
+        fn step(&self, s: &f64, _t: Time, rng: &mut SimRng) -> f64 {
+            assert!(rng.random::<f64>() > 1e-4, "injected model failure");
+            *s
+        }
+    }
+
+    #[test]
+    fn a_panicking_helper_ends_the_run_instead_of_hanging_it() {
+        quiet_injected_panics();
+        let pool = small_sched(2);
+        let control = RunControl::budget(10_000_000);
+        let job = || {
+            EstimatorQuery::from_seed(Bomb, vf(), 50, SrsEstimator, control, 1)
+                .with_batch_width(4)
+                .with_threads(3)
+        };
+        let run = catch_unwind(AssertUnwindSafe(|| pool.run(job(), 0, None)));
+        assert!(run.is_err(), "the model failure reaches the caller");
+        let id = pool.submit_query(Box::new(job()), 0);
+        assert!(matches!(pool.wait(id), Some(QueryStatus::Failed(_))));
+    }
+
+    #[test]
+    fn fanned_target_mode_stops_on_quality() {
+        let base = GMlssConfig::new(
+            PartitionPlan::new(vec![0.5]).unwrap(),
+            RunControl::budget(1),
+        );
+        let res = fanned(&small_sched(2), base, 60, re_target(0.25), 13, 2, 1);
+        assert!(res.estimate.self_relative_error() <= 0.25);
     }
 
     #[test]
@@ -1859,6 +2492,16 @@ mod tests {
 
     /// Submit a long walk query charged to `tenant` and return its id.
     fn submit_for(sched: &Scheduler, tenant: TenantId, budget: u64) -> QueryId {
+        submit_fanned_for(sched, tenant, budget, 1)
+    }
+
+    /// [`submit_for`] with at most `threads` threads on the query.
+    fn submit_fanned_for(
+        sched: &Scheduler,
+        tenant: TenantId,
+        budget: u64,
+        threads: usize,
+    ) -> QueryId {
         let job = EstimatorQuery::from_seed(
             Walk { up: 0.48 },
             vf(),
@@ -1866,7 +2509,8 @@ mod tests {
             SrsEstimator,
             RunControl::budget(budget),
             tenant as u64 + 1,
-        );
+        )
+        .with_threads(threads);
         sched.submit_query_as(Box::new(job), 0, Some(tenant))
     }
 
@@ -1875,29 +2519,46 @@ mod tests {
         // Tenant A floods four queries, tenant B submits one. Per-query
         // least-attained would give A ~4x the service; per-tenant
         // fair-share must keep the split near 1:1 while both are active.
-        let sched = Scheduler::new(SchedulerConfig {
-            workers: 1,
-            slice_budget: 5_000,
-            max_retries: 0,
-            batch_width: 1,
-            tenant_weights: vec![("alpha".into(), 1.0), ("beta".into(), 1.0)],
-        });
-        let a = sched.ensure_tenant("alpha");
-        let b = sched.ensure_tenant("beta");
-        let b_id = submit_for(&sched, b, 300_000);
-        for _ in 0..4 {
-            submit_for(&sched, a, 5_000_000);
+        // Flooding with `threads=2` must not change that: a fanned-out
+        // committer is charged the steps it runs, as any slice is.
+        for threads in [1, 2] {
+            let sched = Scheduler::new(SchedulerConfig {
+                workers: 1,
+                slice_budget: 5_000,
+                max_retries: 0,
+                batch_width: 1,
+                tenant_weights: vec![("alpha".into(), 1.0), ("beta".into(), 1.0)],
+            });
+            let a = sched.ensure_tenant("alpha");
+            let b = sched.ensure_tenant("beta");
+            let b_id = submit_for(&sched, b, 300_000);
+            for _ in 0..4 {
+                submit_fanned_for(&sched, a, 5_000_000, threads);
+            }
+            sched.wait(b_id).unwrap();
+            let stats = sched.tenant_stats();
+            let att_a = stats[a as usize].attained_steps as f64;
+            let att_b = stats[b as usize].attained_steps as f64;
+            assert!(att_b >= 300_000.0);
+            let ratio = att_a.max(att_b) / att_a.min(att_b).max(1.0);
+            assert!(
+                ratio <= 1.5,
+                "threads={threads}: equal weights must attain service within 1.5x: \
+                 A={att_a} B={att_b}"
+            );
         }
-        sched.wait(b_id).unwrap();
-        let stats = sched.tenant_stats();
-        let att_a = stats[a as usize].attained_steps as f64;
-        let att_b = stats[b as usize].attained_steps as f64;
-        assert!(att_b >= 300_000.0);
-        let ratio = att_a.max(att_b) / att_a.min(att_b).max(1.0);
-        assert!(
-            ratio <= 1.5,
-            "equal weights must attain service within 1.5x: A={att_a} B={att_b}"
-        );
+    }
+
+    #[test]
+    fn helper_steps_are_charged_to_the_tenant() {
+        // Every committed step was run — in place by the committer or in a
+        // helper's block — and charged as it ran; discarded look-ahead is
+        // charged too, so the tenant pays at least the committed steps.
+        let sched = small_sched(2);
+        let tenant = sched.ensure_tenant("alpha");
+        let id = submit_fanned_for(&sched, tenant, 400_000, 2);
+        let est = *sched.wait(id).unwrap().estimate().unwrap();
+        assert!(sched.tenant_stats()[tenant as usize].attained_steps >= est.steps);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! * **serve** straight from the store when the stored shard already
 //!   meets its relative-error target (zero simulation), or
 //! * **warm-start** from the stored shard plus its run cursor through
-//!   the `run_sequential_from` / `run_parallel_from` / scheduler resume
-//!   machinery, paying only the marginal roots between the stored RE and
+//!   the `run_sequential_from` / scheduler resume machinery, paying only the marginal roots between the stored RE and
 //!   the target.
 //!
 //! [`crate::planner`] makes that choice with a cost model; this module is
@@ -35,8 +34,8 @@
 //! [`ShardStore::lookup`] only answers it with an entry produced from
 //! the same pinned seed. Every driver replays one trajectory per seed
 //! (root streams and quality checks are index-addressed by the run key
-//! the cursor carries), so any such entry — sequential, parallel or
-//! scheduler, finished or paused — is a prefix of the pinned query's own
+//! the cursor carries), so any such entry — sequential, sliced or
+//! fanned out, finished or paused — is a prefix of the pinned query's own
 //! run. [`crate::planner`] layers two further pinned rules on top: the
 //! consuming query's target must be at least as tight as the entry's
 //! producing target ([`StoredShard::target_re`]), and only an entry cut

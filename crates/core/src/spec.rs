@@ -306,7 +306,9 @@ pub enum ExecMode {
 /// Execution options (`WITH (…)` plus the `ASYNC` suffix).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecOptions {
-    /// Worker threads for the synchronous path (1 = sequential driver).
+    /// At most this many threads work on the query, sync or `ASYNC`: its
+    /// committer (the calling thread, or the worker running its slice)
+    /// plus helpers from the session's worker pool (1 = no helpers).
     pub threads: usize,
     /// Frontier batch width. `None` inherits the layer default (1 for
     /// the sync driver, the scheduler's configured width for async);
@@ -918,8 +920,8 @@ pub fn resolve_method(method: Method, lookup: Option<&PlanLookup>) -> ResolvedMe
 }
 
 /// Box a resolved method as a scheduler job: an [`EstimatorQuery`] over
-/// the concrete estimator, on the run `seed` names and running its
-/// slices at `batch_width`. With `reuse_fingerprint`, the
+/// the concrete estimator, on the run `seed` names, running its slices
+/// at `batch_width` with at most `threads` threads. With `reuse_fingerprint`, the
 /// job is tagged with its shard-store key so a store-attached scheduler
 /// deposits its checkpoints for cross-query reuse.
 #[allow(clippy::too_many_arguments)]
@@ -932,6 +934,7 @@ pub fn estimator_job<M, Z>(
     control: RunControl,
     seed: u64,
     batch_width: usize,
+    threads: usize,
     reuse_fingerprint: Option<u64>,
 ) -> Box<dyn SliceableQuery>
 where
@@ -961,14 +964,16 @@ where
     match resolved {
         ResolvedMethod::Srs => tag(
             EstimatorQuery::from_seed(model, vf, horizon, SrsEstimator, control, seed)
-                .with_batch_width(batch_width),
+                .with_batch_width(batch_width)
+                .with_threads(threads),
             key,
         ),
         ResolvedMethod::SMlss(plan) => {
             let cfg = SMlssConfig::new(plan.clone(), control);
             tag(
                 EstimatorQuery::from_seed(model, vf, horizon, cfg, control, seed)
-                    .with_batch_width(batch_width),
+                    .with_batch_width(batch_width)
+                    .with_threads(threads),
                 key,
             )
         }
@@ -976,7 +981,8 @@ where
             let cfg = GMlssConfig::new(plan.clone(), control);
             tag(
                 EstimatorQuery::from_seed(model, vf, horizon, cfg, control, seed)
-                    .with_batch_width(batch_width),
+                    .with_batch_width(batch_width)
+                    .with_threads(threads),
                 key,
             )
         }
@@ -1001,6 +1007,7 @@ pub fn warm_estimator_job<M, Z>(
     entry: &StoredShard,
     seed: u64,
     batch_width: usize,
+    threads: usize,
     fingerprint: u64,
 ) -> (Box<dyn SliceableQuery>, bool)
 where
@@ -1025,6 +1032,7 @@ where
                             entry.cursor,
                         )
                         .with_batch_width(batch_width)
+                        .with_threads(threads)
                         .with_reuse_key(key),
                     ) as Box<dyn SliceableQuery>,
                     true,
@@ -1039,6 +1047,7 @@ where
                         control,
                         seed,
                         batch_width,
+                        threads,
                         Some(fingerprint),
                     ),
                     false,
@@ -1119,6 +1128,7 @@ struct Pending<M, Z> {
     control: RunControl,
     seed: u64,
     batch_width: usize,
+    threads: usize,
     plans: Arc<PlanCache>,
     fingerprint: u64,
 }
@@ -1142,6 +1152,7 @@ where
         control: RunControl,
         seed: u64,
         batch_width: usize,
+        threads: usize,
         plans: Arc<PlanCache>,
         fingerprint: u64,
     ) -> Self {
@@ -1157,6 +1168,7 @@ where
                 control,
                 seed,
                 batch_width,
+                threads,
                 plans,
                 fingerprint,
             }),
@@ -1192,6 +1204,7 @@ where
             p.control,
             p.seed,
             p.batch_width,
+            p.threads,
             Some(p.fingerprint),
         ));
     }
@@ -1260,6 +1273,10 @@ where
         // Pre-activation there is no shard yet; recovery re-derives the
         // plan from the pinned pilot seed, which is deterministic.
         self.inner.as_deref_mut().and_then(|i| i.checkpoint())
+    }
+
+    fn helpers(&self) -> Option<crate::scheduler::Helpers> {
+        self.inner.as_deref().and_then(|i| i.helpers())
     }
 }
 
@@ -1424,7 +1441,7 @@ mod tests {
             })
         };
         let resolved = resolve_method(Method::GMlss, Some(&lookup));
-        let inline = estimator_job(Walk, sf, 1.0, 80, &resolved, control, seed, 0, None);
+        let inline = estimator_job(Walk, sf, 1.0, 80, &resolved, control, seed, 0, 1, None);
 
         // Deferred: plan derivation is the first slice.
         let plans_b = Arc::new(PlanCache::new());
@@ -1438,6 +1455,7 @@ mod tests {
             control,
             seed,
             0,
+            1,
             Arc::clone(&plans_b),
             fp,
         ));

@@ -79,8 +79,8 @@ impl RunningMoments {
 /// [`HitMoments::merge`] are associative and commutative **bit-for-bit** —
 /// merging shards in any permutation yields the identical variance, which
 /// the Welford accumulator above cannot guarantee (its float merge is
-/// order-sensitive in the last ulp). This is what makes the parallel
-/// driver's block merges and the scheduler's slice merging produce
+/// order-sensitive in the last ulp). This is what makes a fanned-out
+/// run's block merges and the scheduler's slice merging produce
 /// estimates independent of merge order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HitMoments {

@@ -36,7 +36,7 @@ use std::time::Instant;
 
 /// Sentinel width meaning "resolve adaptively" (`batch_width=auto` in
 /// SQL). Carried by `ExecOptions::batch_width`, `SchedulerConfig`,
-/// `ParallelConfig`, and `SessionConfig`; resolved to a concrete width
+/// `EstimatorQuery`, and `SessionConfig`; resolved to a concrete width
 /// before any frontier launches.
 pub const AUTO_WIDTH: usize = usize::MAX;
 
@@ -93,7 +93,7 @@ pub fn static_width(class: KernelClass, horizon: u64) -> usize {
 }
 
 /// Map a possibly-sentinel width to one the drivers can launch. Every
-/// dispatch point (`scheduler`, `parallel`, the sequential driver) runs
+/// dispatch point (scheduler slices, helper blocks, the sequential driver) runs
 /// its configured width through this, so an [`AUTO_WIDTH`] that escaped
 /// resolution degrades to [`FALLBACK_WIDTH`] instead of an allocation
 /// of `usize::MAX` lanes.

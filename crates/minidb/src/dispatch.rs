@@ -4,9 +4,10 @@
 //! [`crate::session::Session::execute`] compile into a [`QuerySpec`] and
 //! call [`execute_spec`]: the spec is validated against the model's
 //! schema, the model is built from its effective parameters, and the
-//! query runs on the driver its options select — the sequential or
-//! parallel driver for `Sync`, the shared scheduler for `Async` (with
-//! plan derivation deferred to the query's first slice on a cold cache).
+//! query runs where its options say — on the calling thread for `Sync`,
+//! on the shared scheduler for `Async` (with plan derivation deferred to
+//! the query's first slice on a cold cache). Either way `WITH
+//! (threads=N)` lets up to `N − 1` of the scheduler's workers help.
 //! Synchronous executions append the standard `results` row here.
 //!
 //! [`explain_spec`] resolves the same spec without running it — the
@@ -63,8 +64,8 @@ pub enum SpecOutcome {
 
 /// Execute a validated spec through the single dispatch path. `scheduler`
 /// is required for `ASYNC` specs; synchronous specs run on the calling
-/// thread (sequential, batched, or parallel driver per the options) and
-/// record their `results` row before returning. `store` enables the
+/// thread (with `scheduler` helpers under `WITH (threads=N)`) and record
+/// their `results` row before returning. `store` enables the
 /// cross-query reuse planner (serve-from-store / warm-start / cold with
 /// checkpoint deposit). With `wal`, synchronous rows are journaled
 /// before they become visible and ASYNC submissions are journaled with
@@ -94,7 +95,7 @@ pub fn execute_spec(
                 fingerprint: fp,
                 store: store.map(Arc::clone),
             };
-            let est = runner.estimate(spec, &ctx, seed)?;
+            let est = runner.estimate(spec, &ctx, seed, scheduler)?;
             let millis = started.elapsed().as_millis() as i64;
             record_estimate_row(db, spec, &est, millis, wal)?;
             Ok(SpecOutcome::Estimated { est, millis })
@@ -275,17 +276,33 @@ pub fn explain_spec(
         _ => 1,
     };
     let width = spec.options.batch_width.unwrap_or(default_width);
+    // The helper cap: at most `threads` threads, one of them the
+    // committer — the caller (sync) or a pool worker (ASYNC).
+    let threads = spec.options.threads;
+    let helpers = |committers_from_pool: usize| match scheduler {
+        Some(s) => (threads - 1).min(s.config().workers - committers_from_pool),
+        None => 0,
+    };
+    let helped = |h: usize| {
+        format!(
+            "{h} helper{} (threads={threads})",
+            if h == 1 { "" } else { "s" }
+        )
+    };
     push(
         "driver",
-        if asynchronous {
-            match scheduler {
-                Some(s) => format!("scheduler(workers={})", s.config().workers),
-                None => "scheduler (no session pool attached)".into(),
+        match (asynchronous, scheduler) {
+            (true, None) => "scheduler (no session pool attached)".into(),
+            (true, Some(s)) if helpers(1) > 0 => {
+                format!(
+                    "scheduler(workers={}) + {}",
+                    s.config().workers,
+                    helped(helpers(1))
+                )
             }
-        } else if spec.options.threads > 1 {
-            format!("parallel(threads={})", spec.options.threads)
-        } else {
-            "sequential".into()
+            (true, Some(s)) => format!("scheduler(workers={})", s.config().workers),
+            (false, _) if helpers(0) > 0 => format!("caller + {}", helped(helpers(0))),
+            (false, _) => "sequential".into(),
         },
     );
     push(

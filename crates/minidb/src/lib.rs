@@ -48,7 +48,7 @@ pub use dispatch::{
 pub use durability::{Durability, SessionWal, WalSessionConfig};
 pub use engine::{Database, DbError};
 pub use expr::{col, lit, Expr};
-pub use proc::{seed_default_models, Method, ModelRegistry, ProcRegistry, StoredProcedure};
+pub use proc::{materialize_paths, seed_default_models, Method, ModelRegistry};
 pub use schema::{ColumnDef, Schema};
 pub use session::{DiagnosticsSource, Session, SessionConfig};
 pub use sql::{execute, ExecResult};

@@ -12,9 +12,10 @@
 //! [`crate::dispatch::execute_spec`]. This module holds what that path
 //! builds on — the model registry with its per-model parameter schemas,
 //! the type-erased [`ModelRunner`] bridge to the estimator spine, and the
-//! table schemas — plus the one remaining stored procedure:
+//! table schemas — plus the one remaining stored procedure, a plain
+//! function that [`crate::session::Session::call`] calls by name:
 //!
-//! * `materialize_paths(model, horizon, n_paths, dest [, batch_width])`
+//! * [`materialize_paths`]`(model, horizon, n_paths, dest [, batch_width])`
 //!   — simulate and store sample paths as `(path_id, t, value)` rows on
 //!   the batched frontier kernel (one RNG stream per path, so the rows
 //!   are bit-identical at every width).
@@ -23,9 +24,8 @@ use crate::engine::{Database, DbError};
 use crate::schema::{ColumnDef, Schema};
 use crate::table::Aggregate;
 use crate::value::{DataType, Value};
-use mlss_core::estimator::{run_sequential_from, Estimator, RunCursor};
+use mlss_core::estimator::{Estimator, RunCursor};
 use mlss_core::model::SimulationModel;
-use mlss_core::parallel::{run_parallel_from, ParallelConfig};
 use mlss_core::partition::balanced_plan;
 use mlss_core::plan_cache::{fingerprint, PlanCache, PlanLookup};
 use mlss_core::planner::{plan_reuse, ReusePlan};
@@ -34,7 +34,9 @@ use mlss_core::prelude::{
 };
 use mlss_core::quality::RunControl;
 use mlss_core::rng::{rng_from_seed, split_rng, RootCursor};
-use mlss_core::scheduler::{CompletedQuery, QueryId, Scheduler, SliceableQuery, TenantId};
+use mlss_core::scheduler::{
+    CompletedQuery, EstimatorQuery, QueryId, Scheduler, SliceableQuery, TenantId,
+};
 use mlss_core::shard_store::{shard_key, ShardStore, StoredShard};
 use mlss_core::spec::{
     estimator_job, resolve_method, target_control, warm_estimator_job, DeferredPlanQuery,
@@ -52,86 +54,6 @@ use std::sync::Arc;
 /// The SQL-facing method enum — re-exported from the spec IR so the
 /// dialect parser and the dispatch layer agree on one type.
 pub use mlss_core::spec::Method;
-
-/// A stored procedure.
-pub trait StoredProcedure: Sync + Send {
-    /// Procedure name used in `call`.
-    fn name(&self) -> &str;
-    /// Accepted argument-count range `(min, max)`, inclusive. The
-    /// registry rejects calls outside the range with
-    /// [`DbError::ProcArity`] before `execute` runs. The permissive
-    /// default keeps hand-rolled procedures compiling unchanged.
-    fn arity(&self) -> (usize, usize) {
-        (0, usize::MAX)
-    }
-    /// Execute with positional arguments.
-    fn execute(&self, db: &Database, args: &[Value], rng: &mut SimRng) -> Result<Value, DbError>;
-}
-
-/// Registry of stored procedures.
-pub struct ProcRegistry {
-    procs: BTreeMap<String, Box<dyn StoredProcedure>>,
-}
-
-impl ProcRegistry {
-    /// Registry preloaded with the built-in procedure
-    /// (`materialize_paths`), resolving model names through `models`.
-    pub fn with_builtins(models: Arc<ModelRegistry>) -> Self {
-        let mut r = Self {
-            procs: BTreeMap::new(),
-        };
-        r.register(Box::new(MaterializePaths { models }));
-        r
-    }
-
-    /// Register a procedure (replacing any previous one of the same name).
-    pub fn register(&mut self, proc_: Box<dyn StoredProcedure>) {
-        self.procs.insert(proc_.name().to_string(), proc_);
-    }
-
-    /// Registered names.
-    pub fn names(&self) -> Vec<&str> {
-        self.procs.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Call a procedure by name.
-    ///
-    /// The failure modes before the procedure body runs are distinct
-    /// error variants so callers can react precisely: an unknown name is
-    /// [`DbError::UnknownProc`], a wrong argument count is
-    /// [`DbError::ProcArity`], a wrong argument type (reported by the
-    /// procedure's argument readers) is [`DbError::ProcArgType`], and a
-    /// malformed model reference is [`DbError::Spec`] with the full
-    /// [`SpecError`] taxonomy.
-    pub fn call(
-        &self,
-        db: &Database,
-        name: &str,
-        args: &[Value],
-        rng: &mut SimRng,
-    ) -> Result<Value, DbError> {
-        let p = self
-            .procs
-            .get(name)
-            .ok_or_else(|| DbError::UnknownProc(name.to_string()))?;
-        let (min, max) = p.arity();
-        if args.len() < min || args.len() > max {
-            let expected = if min == max {
-                format!("{min}")
-            } else if max == usize::MAX {
-                format!("at least {min}")
-            } else {
-                format!("{min}..={max}")
-            };
-            return Err(DbError::ProcArity {
-                proc: name.to_string(),
-                expected,
-                got: args.len(),
-            });
-        }
-        p.execute(db, args, rng)
-    }
-}
 
 /// Schema of the `models` parameter table.
 pub fn models_schema() -> Schema {
@@ -320,14 +242,16 @@ pub struct PlanResolution {
 /// the dynamically named SQL world to the statically typed estimator
 /// spine. Every entry point hands it the same [`QuerySpec`] IR.
 pub trait ModelRunner: Send + Sync {
-    /// Answer the spec synchronously (sequential, batched, or parallel
-    /// driver per its execution options) on the run `seed` names,
-    /// memoizing derived partition plans through `plans`.
+    /// Answer the spec synchronously on the calling thread, on the run
+    /// `seed` names, memoizing derived partition plans through `plans`.
+    /// With `WITH (threads=N)`, up to `N − 1` of `pool`'s workers help
+    /// (see [`Scheduler::run`]); without a pool the run is sequential.
     fn estimate(
-        &self,
+        self: Box<Self>,
         spec: &QuerySpec,
         plans: &PlanContext,
         seed: u64,
+        pool: Option<&Scheduler>,
     ) -> Result<ProcEstimate, DbError>;
 
     /// Submit the spec to a [`Scheduler`] instead of running it
@@ -453,9 +377,10 @@ fn observe_regime(plans: &PlanContext, steps: u64, n_roots: u64) {
     }
 }
 
-struct Runner<M, Z> {
-    model: M,
-    score: Z,
+/// The [`ModelRunner`] over one model and its score.
+pub(crate) struct Runner<M, Z> {
+    pub(crate) model: M,
+    pub(crate) score: Z,
 }
 
 impl<M, Z> Runner<M, Z>
@@ -464,31 +389,31 @@ where
     M::State: Send,
     Z: StateScore<M::State> + Copy + Send + Sync,
 {
-    /// Drive any estimator through the sequential, batched-sequential,
-    /// or parallel spine per the spec's execution options, consulting
-    /// the shard store first: a stored entry that already meets the
-    /// target is served outright, a looser one warm-starts the run, and
-    /// every run deposits its final shard (plus its run cursor) back for
-    /// the next query over the same key.
+    /// Run `est` over the model on the calling thread (with pool helpers
+    /// under `WITH (threads=N)`), consulting the shard store first: a
+    /// stored entry that already meets the target is served outright, a
+    /// looser one warm-starts the run, and every run deposits its final
+    /// shard (plus its run cursor) back for the next query over the same
+    /// key.
     fn drive_reused<E>(
-        &self,
-        est: &E,
+        self,
+        est: E,
         spec: &QuerySpec,
         plans: &PlanContext,
         resolved: &ResolvedMethod,
         seed: u64,
+        pool: Option<&Scheduler>,
     ) -> ProcEstimate
     where
-        E: Estimator<M, RatioValue<Z>> + Sync,
-        E::Shard: Send + Clone + 'static,
+        M: 'static,
+        Z: 'static,
+        E: Estimator<M, RatioValue<Z>> + Send + 'static,
+        E::Shard: Clone + 'static,
     {
-        let control = target_control(spec.target_re);
         // `batch_width=auto` resolves here — per model, memoized per
-        // fingerprint — before any driver launches.
+        // fingerprint — before the run launches.
         let (width, _) = self.width_for(spec, plans, 1);
-        let vf = RatioValue::new(self.score, spec.beta);
-        let problem = Problem::new(&self.model, &vf, spec.horizon);
-
+        let control = target_control(spec.target_re);
         let store = plans.store.as_deref();
         let key = store.map(|_| shard_key(plans.fingerprint, resolved.name(), resolved.plan()));
         let plan = match (store, &key) {
@@ -511,7 +436,7 @@ where
 
         // Warm-start: continue the stored checkpoint's run, the exact
         // trajectory a longer cold run takes (bit-identical under a
-        // pinned seed, on every driver).
+        // pinned seed, at every thread count).
         let warm = match &plan {
             ReusePlan::Warm { entry, .. } => entry
                 .shard_as::<E::Shard>()
@@ -526,15 +451,17 @@ where
             "none"
         };
         let (initial, cursor) = warm.unwrap_or_else(|| (est.shard(), RunCursor::from_seed(seed)));
-        let run = if spec.options.threads > 1 {
-            let cfg = ParallelConfig {
-                threads: spec.options.threads,
-                seed,
-                batch_width: width,
-            };
-            run_parallel_from(problem, est, control, &cfg, initial, cursor)
-        } else {
-            run_sequential_from(est, problem, control, cursor, initial, width)
+        let Runner { model, score } = self;
+        let vf = RatioValue::new(score, spec.beta);
+        let job =
+            EstimatorQuery::from_parts(model, vf, spec.horizon, est, control, initial, cursor)
+                .with_batch_width(width)
+                .with_threads(spec.options.threads);
+        let run = match pool {
+            Some(pool) if spec.options.threads > 1 => {
+                pool.run(job, spec.options.priority, tenant_of(pool, spec))
+            }
+            _ => job.run(),
         };
         if let (Some(s), Some(k)) = (store, key) {
             s.deposit(
@@ -658,23 +585,27 @@ where
     Z: StateScore<M::State> + Copy + Send + Sync + 'static,
 {
     fn estimate(
-        &self,
+        self: Box<Self>,
         spec: &QuerySpec,
         plans: &PlanContext,
         seed: u64,
+        pool: Option<&Scheduler>,
     ) -> Result<ProcEstimate, DbError> {
         let resolution = self.resolve_plan(spec, plans, seed)?;
         let control = target_control(spec.target_re);
         let resolved = &resolution.resolved;
+        let runner = *self;
         let mut est = match resolved {
-            ResolvedMethod::Srs => self.drive_reused(&SrsEstimator, spec, plans, resolved, seed),
+            ResolvedMethod::Srs => {
+                runner.drive_reused(SrsEstimator, spec, plans, resolved, seed, pool)
+            }
             ResolvedMethod::SMlss(plan) => {
                 let cfg = SMlssConfig::new(plan.clone(), control);
-                self.drive_reused(&cfg, spec, plans, resolved, seed)
+                runner.drive_reused(cfg, spec, plans, resolved, seed, pool)
             }
             ResolvedMethod::GMlss(plan) => {
                 let cfg = GMlssConfig::new(plan.clone(), control);
-                self.drive_reused(&cfg, spec, plans, resolved, seed)
+                runner.drive_reused(cfg, spec, plans, resolved, seed, pool)
             }
         };
         est.plan_source = resolution.plan_source;
@@ -721,6 +652,7 @@ where
                     control,
                     seed,
                     width,
+                    spec.options.threads,
                     None,
                 );
                 return (job, "none");
@@ -742,6 +674,7 @@ where
                         &entry,
                         seed,
                         width,
+                        spec.options.threads,
                         fp,
                     );
                     (job, if warmed { "warm" } else { "cold" })
@@ -756,6 +689,7 @@ where
                         control,
                         seed,
                         width,
+                        spec.options.threads,
                         Some(fp),
                     );
                     (job, "cold")
@@ -821,6 +755,7 @@ where
                     control,
                     seed,
                     width,
+                    spec.options.threads,
                     Arc::clone(&plans.cache),
                     fp,
                 ));
@@ -856,6 +791,7 @@ where
                 control,
                 seed,
                 width,
+                1,
                 None,
             );
             return Ok((job, "none"));
@@ -875,6 +811,7 @@ where
                     control,
                     seed,
                     width,
+                    1,
                     None,
                 );
                 Ok((job, "hit"))
@@ -890,6 +827,7 @@ where
                     control,
                     seed,
                     width,
+                    1,
                     Arc::clone(&plans.cache),
                     fp,
                 ));
@@ -942,6 +880,7 @@ where
             entry,
             seed,
             width,
+            spec.options.threads,
             plans.fingerprint,
         );
         Ok(SubmitOutcome {
@@ -1337,11 +1276,6 @@ impl ModelRegistry {
     }
 }
 
-/// `materialize_paths(model, horizon, n_paths, dest [, batch_width])`.
-struct MaterializePaths {
-    models: Arc<ModelRegistry>,
-}
-
 /// Default cohort width for `materialize_paths` (rows are bit-identical
 /// at every width; this is a throughput default).
 const MATERIALIZE_BATCH_WIDTH: usize = 64;
@@ -1364,45 +1298,53 @@ const WIDTH_PROBE_SEED_SALT: u64 = 0x5749_4454_4841_5554;
 /// and vice versa.
 const WIDTH_REGIME_DRIFT: f64 = 2.0;
 
-impl StoredProcedure for MaterializePaths {
-    fn name(&self) -> &str {
-        "materialize_paths"
+/// `materialize_paths(model, horizon, n_paths, dest [, batch_width])`:
+/// simulate `n_paths` of the registered `model` and store them in `dest`
+/// as `(path_id, t, value)` rows, returning the row count. A wrong
+/// argument count is [`DbError::ProcArity`], a wrong argument type
+/// [`DbError::ProcArgType`], and a malformed model reference
+/// [`DbError::Spec`].
+pub fn materialize_paths(
+    db: &Database,
+    models: &ModelRegistry,
+    args: &[Value],
+    rng: &mut SimRng,
+) -> Result<Value, DbError> {
+    let proc_ = "materialize_paths";
+    if !(4..=5).contains(&args.len()) {
+        return Err(DbError::ProcArity {
+            proc: proc_.to_string(),
+            expected: "4..=5".to_string(),
+            got: args.len(),
+        });
     }
-
-    fn arity(&self) -> (usize, usize) {
-        (4, 5)
-    }
-
-    fn execute(&self, db: &Database, args: &[Value], rng: &mut SimRng) -> Result<Value, DbError> {
-        let proc_ = self.name();
-        let model_name = arg_text(proc_, args, 0)?.to_string();
-        let horizon = arg_i64(proc_, args, 1)?.max(1) as u64;
-        let n_paths = arg_i64(proc_, args, 2)?.max(1) as u64;
-        let dest = arg_text(proc_, args, 3)?.to_string();
-        let width = match args.get(4) {
-            None => MATERIALIZE_BATCH_WIDTH,
-            Some(_) => {
-                let w = arg_i64(proc_, args, 4)?;
-                if w < 1 {
-                    return Err(DbError::Proc("batch_width must be ≥ 1".into()));
-                }
-                w as usize
+    let model_name = arg_text(proc_, args, 0)?.to_string();
+    let horizon = arg_i64(proc_, args, 1)?.max(1) as u64;
+    let n_paths = arg_i64(proc_, args, 2)?.max(1) as u64;
+    let dest = arg_text(proc_, args, 3)?.to_string();
+    let width = match args.get(4) {
+        None => MATERIALIZE_BATCH_WIDTH,
+        Some(_) => {
+            let w = arg_i64(proc_, args, 4)?;
+            if w < 1 {
+                return Err(DbError::Proc("batch_width must be ≥ 1".into()));
             }
-        };
+            w as usize
+        }
+    };
 
-        let schema = Schema::new(vec![
-            ColumnDef::new("path_id", DataType::Int),
-            ColumnDef::new("t", DataType::Int),
-            ColumnDef::new("value", DataType::Float),
-        ])
-        .expect("static schema");
-        db.create_or_replace_table(dest.clone(), schema);
+    let schema = Schema::new(vec![
+        ColumnDef::new("path_id", DataType::Int),
+        ColumnDef::new("t", DataType::Int),
+        ColumnDef::new("value", DataType::Float),
+    ])
+    .expect("static schema");
+    db.create_or_replace_table(dest.clone(), schema);
 
-        let spec = QuerySpec::new(model_name, 0.0, horizon, 1.0);
-        let (runner, _, _) = self.models.build_spec(db, &spec)?;
-        let total = runner.materialize(db, &dest, horizon, n_paths, width, rng)?;
-        Ok(Value::Int(total))
-    }
+    let spec = QuerySpec::new(model_name, 0.0, horizon, 1.0);
+    let (runner, _, _) = models.build_spec(db, &spec)?;
+    let total = runner.materialize(db, &dest, horizon, n_paths, width, rng)?;
+    Ok(Value::Int(total))
 }
 
 /// Convenience: count rows in `results` (used by tests/examples).
@@ -1424,15 +1366,6 @@ mod tests {
         let db = Database::new();
         seed_default_models(&db).unwrap();
         db
-    }
-
-    fn registry() -> ProcRegistry {
-        ProcRegistry::with_builtins(Arc::new(ModelRegistry::with_builtins()))
-    }
-
-    #[test]
-    fn registry_lists_builtins() {
-        assert_eq!(registry().names(), vec!["materialize_paths"]);
     }
 
     #[test]
@@ -1503,10 +1436,8 @@ mod tests {
 
     #[test]
     fn unknown_proc_is_a_distinct_error() {
-        let db = db();
-        let r = registry();
-        let mut rng = rng_from_seed(1);
-        match r.call(&db, "no_such_proc", &[], &mut rng) {
+        let s = Session::new(SessionConfig::default()).unwrap();
+        match s.call("no_such_proc", &[]) {
             Err(DbError::UnknownProc(name)) => assert_eq!(name, "no_such_proc"),
             other => panic!("expected UnknownProc, got {other:?}"),
         }
@@ -1515,7 +1446,7 @@ mod tests {
     #[test]
     fn bad_arity_is_a_distinct_error() {
         let db = db();
-        let r = registry();
+        let m = ModelRegistry::with_builtins();
         let mut rng = rng_from_seed(1);
         // Too many arguments for materialize_paths (needs 4..=5).
         let too_many: Vec<Value> = vec![
@@ -1526,7 +1457,7 @@ mod tests {
             Value::Int(8),
             Value::Int(99),
         ];
-        match r.call(&db, "materialize_paths", &too_many, &mut rng) {
+        match materialize_paths(&db, &m, &too_many, &mut rng) {
             Err(DbError::ProcArity {
                 proc,
                 expected,
@@ -1543,18 +1474,13 @@ mod tests {
     #[test]
     fn bad_arg_type_is_a_distinct_error() {
         let db = db();
-        let r = registry();
+        let m = ModelRegistry::with_builtins();
         let mut rng = rng_from_seed(1);
         let args = |model: Value, horizon: Value| -> Vec<Value> {
             vec![model, horizon, Value::Int(2), "t".into()]
         };
         // Argument 0 must be text, not an integer.
-        match r.call(
-            &db,
-            "materialize_paths",
-            &args(Value::Int(1), Value::Int(10)),
-            &mut rng,
-        ) {
+        match materialize_paths(&db, &m, &args(Value::Int(1), Value::Int(10)), &mut rng) {
             Err(DbError::ProcArgType {
                 proc,
                 index,
@@ -1567,12 +1493,7 @@ mod tests {
             other => panic!("expected ProcArgType, got {other:?}"),
         }
         // Argument 1 (horizon) must be an integer, not text.
-        match r.call(
-            &db,
-            "materialize_paths",
-            &args("cpp".into(), "soon".into()),
-            &mut rng,
-        ) {
+        match materialize_paths(&db, &m, &args("cpp".into(), "soon".into()), &mut rng) {
             Err(DbError::ProcArgType { index: 1, .. }) => {}
             other => panic!("expected ProcArgType at index 1, got {other:?}"),
         }
@@ -1606,7 +1527,7 @@ mod tests {
     #[test]
     fn materialize_paths_writes_rows() {
         let db = db();
-        let r = registry();
+        let m = ModelRegistry::with_builtins();
         let mut rng = rng_from_seed(9);
         let args: Vec<Value> = vec![
             "cpp".into(),
@@ -1614,8 +1535,7 @@ mod tests {
             Value::Int(3),
             "cpp_paths".into(),
         ];
-        let n = r
-            .call(&db, "materialize_paths", &args, &mut rng)
+        let n = materialize_paths(&db, &m, &args, &mut rng)
             .unwrap()
             .as_i64()
             .unwrap();
@@ -1627,7 +1547,7 @@ mod tests {
     #[test]
     fn materialize_paths_supports_registry_models() {
         let db = db();
-        let r = registry();
+        let m = ModelRegistry::with_builtins();
         let mut rng = rng_from_seed(10);
         for model in ["walk", "gbm", "markov"] {
             let args: Vec<Value> = vec![
@@ -1636,8 +1556,7 @@ mod tests {
                 Value::Int(2),
                 format!("{model}_paths").into(),
             ];
-            let n = r
-                .call(&db, "materialize_paths", &args, &mut rng)
+            let n = materialize_paths(&db, &m, &args, &mut rng)
                 .unwrap()
                 .as_i64()
                 .unwrap();
@@ -1650,7 +1569,7 @@ mod tests {
         // One RNG stream per path, split in path order ⇒ the materialized
         // rows are a function of the path id alone, never of the cohort
         // width. Widths 1, 3, and 64 must write identical tables.
-        let r = registry();
+        let m = ModelRegistry::with_builtins();
         let mut tables: Vec<Vec<Vec<Value>>> = Vec::new();
         for width in [1i64, 3, 64] {
             let db = db();
@@ -1662,8 +1581,7 @@ mod tests {
                 "paths".into(),
                 Value::Int(width),
             ];
-            let n = r
-                .call(&db, "materialize_paths", &args, &mut rng)
+            let n = materialize_paths(&db, &m, &args, &mut rng)
                 .unwrap()
                 .as_i64()
                 .unwrap();
@@ -1685,7 +1603,7 @@ mod tests {
             "p".into(),
             Value::Int(0),
         ];
-        assert!(r.call(&db, "materialize_paths", &bad, &mut rng).is_err());
+        assert!(materialize_paths(&db, &m, &bad, &mut rng).is_err());
     }
 
     #[test]

@@ -46,7 +46,9 @@ use crate::durability::{
     intern_provenance, rebuild_spec, Durability, SessionWal, WalSessionConfig,
 };
 use crate::engine::{Database, DbError};
-use crate::proc::{results_schema, seed_default_models, ModelRegistry, PlanContext, ProcRegistry};
+use crate::proc::{
+    materialize_paths, results_schema, seed_default_models, ModelRegistry, PlanContext,
+};
 use crate::sql::{execute_statement, ExecResult, Statement};
 use crate::value::Value;
 use mlss_core::estimator::Diagnostics;
@@ -194,14 +196,13 @@ fn record_submit_meta(
 }
 
 /// A serving session: an embedded database plus a shared scheduler, plan
-/// cache, model registry, and procedure registry.
+/// cache, and model registry.
 pub struct Session {
     db: Arc<Database>,
     scheduler: Arc<Scheduler>,
     plans: Arc<PlanCache>,
     store: Option<Arc<ShardStore>>,
     models: Arc<ModelRegistry>,
-    registry: ProcRegistry,
     meta: MetaMap,
     rank_meta: RankMap,
     rng: Mutex<SimRng>,
@@ -359,7 +360,6 @@ impl Session {
         }
 
         let meta: MetaMap = Mutex::new(BTreeMap::new());
-        let registry = ProcRegistry::with_builtins(Arc::clone(&models));
 
         // Resubmit interrupted ASYNC queries in durable-id order: warm
         // from their last checkpoint when one survived, cold from their
@@ -408,7 +408,6 @@ impl Session {
             plans,
             store,
             models,
-            registry,
             meta,
             rank_meta: Mutex::new(BTreeMap::new()),
             rng: Mutex::new(rng_from_seed(cfg.seed)),
@@ -478,10 +477,16 @@ impl Session {
         split_rng(&mut parent)
     }
 
-    /// Call a stored procedure through the session registry.
+    /// Call a stored procedure by name: `materialize_paths` is the one
+    /// there is ([`materialize_paths`]); any other name is
+    /// [`DbError::UnknownProc`].
     pub fn call(&self, proc_: &str, args: &[Value]) -> Result<Value, DbError> {
-        let mut rng = self.child_rng();
-        self.registry.call(&self.db, proc_, args, &mut rng)
+        match proc_ {
+            "materialize_paths" => {
+                materialize_paths(&self.db, &self.models, args, &mut self.child_rng())
+            }
+            _ => Err(DbError::UnknownProc(proc_.to_string())),
+        }
     }
 
     /// Execute one statement: plain SQL or the ESTIMATE dialect.
@@ -1033,7 +1038,6 @@ mod tests {
                 other => panic!("{name}: expected UnknownProc, got {other:?}"),
             }
         }
-        assert_eq!(s.registry.names(), vec!["materialize_paths"]);
     }
 
     #[test]
@@ -1367,5 +1371,128 @@ mod tests {
         );
         assert_eq!(props["batch_width"], "1");
         assert_eq!(props["width"], "1 (default)");
+        // The driver row shows the helper cap on this 2-worker session:
+        // a sync committer is the caller, an ASYNC one a worker, and race
+        // arms never fan out.
+        let driver =
+            |sql: &str| props_of(s.execute(&format!("EXPLAIN {sql}")).unwrap())["driver"].clone();
+        let walk = estimate("walk", "srs", 6.0, 50, 0.3);
+        let race = "ESTIMATE DURABILITY OF walk(beta=6) SWEEP up FROM 0.30 TO 0.42 STEP 0.04 \
+             WITHIN 50 USING srs TARGET RE 0.5 RANK BY TOP 2 (rounds=5, round_budget=4000)";
+        for (sql, row) in [
+            (walk.clone(), "sequential"),
+            (
+                format!("{walk} WITH (threads=4)"),
+                "caller + 2 helpers (threads=4)",
+            ),
+            (
+                format!("{walk} WITH (threads=4) ASYNC"),
+                "scheduler(workers=2) + 1 helper (threads=4)",
+            ),
+            (
+                format!("{race} WITH (threads=4)"),
+                "sequential race loop (same slice order as the scheduler)",
+            ),
+        ] {
+            assert_eq!(driver(&sql), row, "{sql}");
+        }
+    }
+
+    /// Threads that ran a step of [`Tracked`] since the last
+    /// [`Tracked::start`].
+    static TRACKED: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
+    static TRACKED_GEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+
+    /// The walk, recording every thread that steps it.
+    struct Tracked(mlss_models::RandomWalk);
+
+    impl Tracked {
+        /// Forget the threads seen so far.
+        fn start() {
+            TRACKED_GEN.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            TRACKED.lock().unwrap().clear();
+        }
+
+        /// Distinct threads that stepped the model since [`Tracked::start`].
+        fn threads() -> usize {
+            TRACKED.lock().unwrap().len()
+        }
+    }
+
+    impl mlss_core::model::SimulationModel for Tracked {
+        type State = i64;
+
+        fn initial_state(&self) -> i64 {
+            self.0.initial_state()
+        }
+
+        fn step(&self, s: &i64, t: mlss_core::model::Time, rng: &mut SimRng) -> i64 {
+            thread_local!(static SEEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
+            let generation = TRACKED_GEN.load(std::sync::atomic::Ordering::SeqCst);
+            if SEEN.get() != generation {
+                SEEN.set(generation);
+                TRACKED.lock().unwrap().push(std::thread::current().id());
+            }
+            self.0.step(s, t, rng)
+        }
+    }
+
+    /// A 2-worker session without a shard store (so repeats simulate) that
+    /// also knows the `tracked` model.
+    fn tracked_session() -> Session {
+        let mut s = Session::new(SessionConfig {
+            workers: 2,
+            slice_budget: 8_192,
+            shard_store_capacity: 0,
+            ..SessionConfig::default()
+        })
+        .unwrap();
+        let mut models = ModelRegistry::with_builtins();
+        models.register(
+            mlss_core::spec::ModelSchema::new("tracked", "walk recording its threads", vec![]),
+            |_, _| {
+                Ok(Box::new(crate::proc::Runner {
+                    model: Tracked(mlss_models::RandomWalk::new(0.4, 0.3, 0).reflected()),
+                    score: mlss_models::position_score,
+                }))
+            },
+        );
+        s.models = Arc::new(models);
+        s
+    }
+
+    #[test]
+    fn threads_never_exceed_the_pool_and_never_change_the_answer() {
+        let s = tracked_session();
+        let sql = |with: &str| {
+            format!(
+                "ESTIMATE DURABILITY OF tracked(beta=8) WITHIN 50 USING srs TARGET RE 5% \
+                 WITH (seed=7{with})"
+            )
+        };
+        // τ̂, variance, steps and n_roots of the statement's results row.
+        let answer = |row: Vec<Value>| row[4..8].to_vec();
+        let last_row = || {
+            s.db()
+                .with_table("results", |t| t.scan().last().unwrap().to_vec())
+                .unwrap()
+        };
+        Tracked::start();
+        s.execute(&sql("")).unwrap();
+        let sequential = answer(last_row());
+        assert_eq!(Tracked::threads(), 1, "threads=1 runs on the caller alone");
+
+        // The caller commits; at most the pool's two workers help.
+        Tracked::start();
+        s.execute(&sql(", threads=64")).unwrap();
+        assert!(Tracked::threads() <= 3, "{} threads", Tracked::threads());
+        assert_eq!(answer(last_row()), sequential, "sync threads=64");
+
+        // A pool worker commits; at most the other one helps.
+        Tracked::start();
+        let id = submit(&s, &sql(", threads=4"));
+        assert!(matches!(s.wait(id).unwrap(), Some(QueryStatus::Done(_))));
+        assert!(Tracked::threads() <= 2, "{} threads", Tracked::threads());
+        assert_eq!(answer(last_row()), sequential, "ASYNC threads=4");
     }
 }

@@ -50,25 +50,23 @@ fn main() {
         srs.estimate.steps as f64 / mlss.estimate.steps as f64
     );
 
-    // 3c. Same, parallel across 4 threads (§3.1), keeping the merged
-    //     per-root ledger.
+    // 3c. Same, fanned out over 4 threads (§3.1): the calling thread
+    //     commits while three pool workers run root blocks, keeping the
+    //     merged per-root ledger.
     let mut base = GMlssConfig::new(
         PartitionPlan::uniform(5),
-        RunControl::budget(1), // replaced by the parallel control
+        RunControl::budget(1), // replaced by the run's control
     );
     base.keep_ledger = true;
-    let cfg = ParallelConfig {
-        threads: 4,
-        seed: 3,
-        batch_width: 1,
-    };
-    let par = run_parallel(problem, &base, RunControl::until(target), &cfg);
+    let threads = 4;
+    let job = EstimatorQuery::from_seed(model, value_fn, 500, base, RunControl::until(target), 3)
+        .with_threads(threads);
+    let par = Scheduler::with_workers(threads - 1).run(job, 0, None);
     println!(
-        "MLSS∥ : tau = {:.4e}  ({} g-invocations, {} ledger roots on {} threads, {:.2}s)",
+        "MLSS∥ : tau = {:.4e}  ({} g-invocations, {} ledger roots on {threads} threads, {:.2}s)",
         par.estimate.tau,
         par.estimate.steps,
         par.shard.ledger.n_roots(),
-        cfg.threads,
         par.sim_elapsed.as_secs_f64()
     );
 

@@ -14,9 +14,10 @@
 //!
 //! 1. the sequential driver `run_sequential` (width 1);
 //! 2. `run_sequential_batched` at width 7;
-//! 3. the parallel driver `run_parallel` at 1, 2 and 4 threads;
+//! 3. synchronous runs fanned out over a pool of 1 and 2 workers
+//!    (`Scheduler::run`) at 1, 2 and 4 threads;
 //! 4. the scheduler with 1 and 2 workers (slices of a few thousand
-//!    steps);
+//!    steps), its `ASYNC` queries at 1 and 2 threads;
 //! 5. a scheduler run paused mid-query, detached, and resubmitted.
 //!
 //! In budget and target mode alike, every path must agree with the
@@ -193,17 +194,24 @@ where
             "sequential@7".to_string(),
             run_sequential_batched(&estimator, problem, control, &mut stream(), 7).estimate,
         )];
-        for threads in [1, 2, 4] {
-            let cfg = ParallelConfig {
-                threads,
-                seed,
-                batch_width: 16,
-            };
-            let est = run_parallel(problem, &estimator, control, &cfg).estimate;
-            paths.push((format!("parallel@{threads}"), est));
-        }
         for workers in [1, 2] {
             let sched = scheduler(workers, 16);
+            let job = |threads| {
+                EstimatorQuery::from_seed(
+                    model.clone(),
+                    v,
+                    HORIZON,
+                    estimator.clone(),
+                    control,
+                    seed,
+                )
+                .with_batch_width(16)
+                .with_threads(threads)
+            };
+            for threads in [1, 2, 4] {
+                let est = sched.run(job(threads), 0, None).estimate;
+                paths.push((format!("sync@{threads} on {workers} workers"), est));
+            }
             let id = sched.submit(
                 model.clone(),
                 v,
@@ -215,6 +223,9 @@ where
             );
             let est = *sched.wait(id).unwrap().estimate().unwrap();
             paths.push((format!("scheduler@{workers}"), est));
+            let id = sched.submit_query(Box::new(job(2)), 0);
+            let est = *sched.wait(id).unwrap().estimate().unwrap();
+            paths.push((format!("async@2 on {workers} workers"), est));
         }
         paths.push((
             "scheduler paused+detached".to_string(),

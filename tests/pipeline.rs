@@ -1,5 +1,5 @@
 //! End-to-end pipeline tests spanning crates: DB-hosted estimation, the
-//! RNN black box under MLSS, and parallel-vs-sequential consistency.
+//! RNN black box under MLSS, and fanned-out-vs-sequential consistency.
 
 use mlss_core::prelude::*;
 use mlss_db::{Session, SessionConfig};
@@ -77,16 +77,16 @@ fn parallel_driver_matches_sequential_on_queue() {
     let seq = GMlssSampler::new(seq_cfg).run(problem, &mut StreamFactory::new(22).stream(0));
 
     let base = GMlssConfig::new(plan, RunControl::budget(1));
-    let par = run_parallel(
-        problem,
-        &base,
+    let job = EstimatorQuery::from_seed(
+        model,
+        RatioValue::new(queue2_score, 30.0),
+        200,
+        base,
         RunControl::budget(600_000),
-        &ParallelConfig {
-            threads: 4,
-            seed: 22,
-            batch_width: 1,
-        },
-    );
+        22,
+    )
+    .with_threads(4);
+    let par = Scheduler::with_workers(3).run(job, 0, None);
 
     // One trajectory per seed: four threads answer with the sequential
     // run's bits.

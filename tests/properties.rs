@@ -51,7 +51,9 @@ impl TiltableModel for ClampWalk {
     }
 }
 
-fn clamp_vf() -> RatioValue<fn(&f64) -> f64> {
+type ClampVf = RatioValue<fn(&f64) -> f64>;
+
+fn clamp_vf() -> ClampVf {
     fn score(s: &f64) -> f64 {
         *s
     }
@@ -60,8 +62,8 @@ fn clamp_vf() -> RatioValue<fn(&f64) -> f64> {
 
 /// Shard merging is associative and order-insensitive: merging N shards
 /// in any permutation (and any grouping) yields **bit-identical**
-/// estimates. This is the contract the parallel driver's sharded
-/// reduction and the scheduler's slice merging rely on — without it,
+/// estimates. This is the contract a fanned-out run's block merges and
+/// the scheduler's slice merging rely on — without it,
 /// thread scheduling would leak into reported variances. It holds
 /// exactly because shard statistics are integer counters, integer-exact
 /// `HitMoments`, or full-precision `ExactSum` accumulators (see
@@ -242,20 +244,24 @@ fn all_four_estimators_agree_with_srs_within_5_rse() {
     }
 }
 
-/// All four estimators also run through the *parallel* driver and still
+/// All four estimators also run fanned out over a worker pool and still
 /// agree with the sequential SRS reference.
 #[test]
-fn all_four_estimators_run_through_run_parallel() {
+fn all_four_estimators_run_fanned_out_over_the_pool() {
+    let pool = Scheduler::with_workers(2);
+    let control = RunControl::budget(200_000);
+    fn fanned<E>(pool: &Scheduler, estimator: E, control: RunControl) -> Estimate
+    where
+        E: Estimator<ClampWalk, ClampVf> + Send + 'static,
+    {
+        let model = ClampWalk { up: 0.48 };
+        let job = EstimatorQuery::from_seed(model, clamp_vf(), 120, estimator, control, 77);
+        pool.run(job.with_threads(2), 0, None).estimate
+    }
+
     let model = ClampWalk { up: 0.48 };
     let vf = clamp_vf();
     let problem = Problem::new(&model, &vf, 120);
-    let cfg = ParallelConfig {
-        threads: 2,
-        seed: 77,
-        batch_width: 1,
-    };
-    let control = RunControl::budget(200_000);
-
     let reference = run_sequential(
         &SrsEstimator,
         problem,
@@ -270,36 +276,24 @@ fn all_four_estimators_run_through_run_parallel() {
         let tol = 5.0 * (est.variance.max(0.0) + reference.variance.max(0.0)).sqrt();
         assert!(
             diff <= tol.max(5e-3),
-            "{name} through run_parallel: τ̂={} vs SRS {}",
+            "{name} fanned out: τ̂={} vs SRS {}",
             est.tau,
             reference.tau
         );
     };
 
-    check(
-        "srs",
-        run_parallel(problem, &SrsEstimator, control, &cfg).estimate,
-    );
+    check("srs", fanned(&pool, SrsEstimator, control));
     let smlss = SMlssConfig::new(
         PartitionPlan::new(vec![0.4, 0.7]).unwrap(),
         RunControl::budget(1),
     );
-    check(
-        "smlss",
-        run_parallel(problem, &smlss, control, &cfg).estimate,
-    );
+    check("smlss", fanned(&pool, smlss, control));
     let gmlss = GMlssConfig::new(
         PartitionPlan::new(vec![0.4, 0.7]).unwrap(),
         RunControl::budget(1),
     );
-    check(
-        "gmlss",
-        run_parallel(problem, &gmlss, control, &cfg).estimate,
-    );
-    check(
-        "is",
-        run_parallel(problem, &IsEstimator::new(0.02), control, &cfg).estimate,
-    );
+    check("gmlss", fanned(&pool, gmlss, control));
+    check("is", fanned(&pool, IsEstimator::new(0.02), control));
 }
 
 /// Any valid plan yields a probability estimate and consistent counters
