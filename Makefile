@@ -2,25 +2,18 @@
 #
 #   make verify     — the tier-1 gate: release build + full test suite
 #   make ci         — everything CI runs: fmt, build, test, clippy, mt-tests
-#   make bench      — criterion micro-benchmarks (shimmed harness)
 #   make bench-build — build the perfbench benchmark (its own workspace)
 #   make speedup    — intra-query fan-out thread scaling (identical answers per row)
 #   make test-mt    — release tests with 4 test threads (scheduler jobs)
 #   make test-scalar — full release suite with the SIMD backend forced off
-#   make sched-bench — FIFO vs concurrent-serving latency benchmark
-#   make kernel-bench — scalar-adapter vs native-batch stepping throughput
-#   make width-bench — batch_width=auto vs static-64 on a mixed workload
-#   make wal-bench  — WAL fsync group-commit vs lone-appender throughput
-#   make reuse-bench — cross-query shard reuse vs store-disabled baseline
 #   make sql-demo   — pipe a demo script through the sql_shell example
 #   make test-durability — crash-recovery suites + the kill -9 shell smoke
-#   make serve-smoke — mlss_serve + 2-tenant load_bench + shell parity diff + nesting bomb
-#   make load-bench — overload (capped) + fairness profiles vs a live server
-#   make rank-bench — raced RANK BY vs exhaustive per-arm estimation + socket smoke
+#   make serve-smoke — shell parity diff + nesting bomb vs a live mlss_serve
+#   make rank-smoke — a RANK BY statement through a live mlss_serve
 
 CARGO ?= cargo
 
-.PHONY: verify ci fmt clippy test build bench bench-build speedup test-mt test-scalar sched-bench kernel-bench width-bench wal-bench reuse-bench sql-demo test-durability serve-smoke load-bench rank-bench
+.PHONY: verify ci fmt clippy test build bench-build speedup test-mt test-scalar sql-demo test-durability serve-smoke rank-smoke
 
 verify: build test
 
@@ -41,24 +34,6 @@ test-mt:
 
 test-scalar:
 	MLSS_SIMD=scalar $(CARGO) test --release --workspace
-
-sched-bench:
-	$(CARGO) run --release -p mlss-bench --bin scheduler_bench -- --full
-
-kernel-bench:
-	$(CARGO) run --release -p mlss-bench --bin kernel_bench -- --full
-
-# Mirror of the width-policy rows inside the CI kernel bench: the mixed
-# workload driven at batch_width=auto vs a static 64, with the
-# speculation-discard ledger.
-width-bench:
-	$(CARGO) run --release -p mlss-bench --bin kernel_bench -- --width
-
-wal-bench:
-	$(CARGO) run --release -p mlss-bench --bin wal_bench -- --full
-
-reuse-bench:
-	$(CARGO) run --release -p mlss-bench --bin reuse_bench -- --full
 
 sql-demo:
 	printf '%s\n' \
@@ -89,23 +64,14 @@ test-durability:
 	grep -q "walk | gmlss" target/wal-smoke/reopen.txt
 	rm -rf target/wal-smoke
 
-# The server front-end gate (mirrors the CI `serve` job): start
-# mlss_serve with tight admission caps, drive a 2-tenant open-loop load,
-# and demand per-tenant report rows plus at least one shed response;
-# then diff the sql_shell's embedded vs connected output row-for-row
-# against a fresh, uncapped server (only the inline estimate's
-# wall-clock millis cell is masked).
+# The live-server half of the CI `serve` job (its tests — shed under
+# tight caps, the fair-share split over sockets, the protocol fuzz —
+# run in `test-mt`): diff the sql_shell's embedded vs connected output
+# row-for-row against a live mlss_serve (only the inline estimate's
+# wall-clock millis cell is masked) and send it a nesting bomb it must
+# refuse while it keeps serving.
 serve-smoke: build
 	rm -rf target/serve-smoke && mkdir -p target/serve-smoke
-	set -e; \
-	./target/release/mlss_serve --listen 127.0.0.1:7878 --tenant alpha --tenant beta \
-	  --global-cap 2 --tenant-cap 2 > target/serve-smoke/server.log & pid=$$!; \
-	trap "kill $$pid 2>/dev/null || true" EXIT; \
-	for i in $$(seq 50); do echo | ./target/release/examples/sql_shell --connect 127.0.0.1:7878 >/dev/null 2>&1 && break; sleep 0.2; done; \
-	./target/release/load_bench --connect 127.0.0.1:7878 --smoke | tee target/serve-smoke/smoke.txt; \
-	grep -E "^tenant=alpha " target/serve-smoke/smoke.txt; \
-	grep -E "^tenant=beta " target/serve-smoke/smoke.txt; \
-	grep -E "^shed_response RETRY AFTER" target/serve-smoke/smoke.txt
 	set -e; \
 	./target/release/mlss_serve --listen 127.0.0.1:7879 > target/serve-smoke/parity-server.log & pid=$$!; \
 	trap "kill $$pid 2>/dev/null || true" EXIT; \
@@ -125,48 +91,25 @@ serve-smoke: build
 	awk -F' \| ' 'BEGIN{OFS=" | "} NF>=7{$$7="_"} {print}' target/serve-smoke/connected.txt > target/serve-smoke/connected.masked; \
 	diff target/serve-smoke/embedded.masked target/serve-smoke/connected.masked
 
-# The overload table + the fairness split, against live servers (this
-# is how the PR 9 numbers in CHANGES.md were produced).
-load-bench: build
+# The live-server half of the CI `ranking` job (its gate — raced RANK
+# BY picks exhaustive's winner on at most half the `g` invocations —
+# is tests/ranking.rs, run in `test` and `test-mt`): a RANK BY
+# statement through a live mlss_serve must come back with a standings
+# row for the winning arm.
+rank-smoke: build
+	rm -rf target/rank-smoke && mkdir -p target/rank-smoke
 	set -e; \
-	./target/release/mlss_serve --listen 127.0.0.1:7878 --tenant alpha --tenant beta \
-	  --global-cap 4 --tenant-cap 4 >/dev/null & pid=$$!; \
-	trap "kill $$pid 2>/dev/null || true" EXIT; \
-	for i in $$(seq 50); do echo | ./target/release/examples/sql_shell --connect 127.0.0.1:7878 >/dev/null 2>&1 && break; sleep 0.2; done; \
-	./target/release/load_bench --connect 127.0.0.1:7878 --clients 24 --rate 50 --duration 8 --re 2%
-	set -e; \
-	./target/release/mlss_serve --listen 127.0.0.1:7879 --workers 1 \
-	  --tenant alpha --tenant beta >/dev/null & pid=$$!; \
-	trap "kill $$pid 2>/dev/null || true" EXIT; \
-	for i in $$(seq 50); do echo | ./target/release/examples/sql_shell --connect 127.0.0.1:7879 >/dev/null 2>&1 && break; sleep 0.2; done; \
-	./target/release/load_bench --connect 127.0.0.1:7879 --profile fairness --duration 5 --re 1%
-
-# The ranking gate (mirrors the CI `rank-bench` step): the raced
-# RANK BY path must pick the same winner as exhaustive per-arm
-# estimation while spending at most half the `g` invocations (the
-# binary exits nonzero if either gate fails), then a socket smoke —
-# the same RANK BY statement through a live mlss_serve must come back
-# with a standings row for the winning arm.
-rank-bench: build
-	rm -rf target/rank-bench && mkdir -p target/rank-bench
-	./target/release/rank_bench > target/rank-bench/summary.txt || { cat target/rank-bench/summary.txt; exit 1; }
-	cat target/rank-bench/summary.txt
-	grep -q "rank_bench PASS" target/rank-bench/summary.txt
-	set -e; \
-	./target/release/mlss_serve --listen 127.0.0.1:7880 > target/rank-bench/server.log & pid=$$!; \
+	./target/release/mlss_serve --listen 127.0.0.1:7880 > target/rank-smoke/server.log & pid=$$!; \
 	trap "kill $$pid 2>/dev/null || true" EXIT; \
 	for i in $$(seq 50); do echo | ./target/release/examples/sql_shell --connect 127.0.0.1:7880 >/dev/null 2>&1 && break; sleep 0.2; done; \
 	printf '%s\n' \
 	  "ESTIMATE DURABILITY OF walk(beta=6) SWEEP up FROM 0.30 TO 0.42 STEP 0.04 WITHIN 50 USING srs TARGET RE 0.5 RANK BY TOP 2 (rounds=5, round_budget=4000) WITH (seed=7)" \
 	  "SELECT * FROM rankings" \
 	  | ./target/release/examples/sql_shell --connect 127.0.0.1:7880 \
-	  | tee target/rank-bench/socket-smoke.txt; \
-	grep -E "up=0\.42" target/rank-bench/socket-smoke.txt | grep -qE "\| (in|out|definitive|resolved|budget) \|"
+	  | tee target/rank-smoke/socket-smoke.txt; \
+	grep -E "up=0\.42" target/rank-smoke/socket-smoke.txt | grep -qE "\| (in|out|definitive|resolved|budget) \|"
 
-ci: fmt build bench-build test clippy test-mt test-durability rank-bench
-
-bench:
-	$(CARGO) bench -p mlss-bench
+ci: fmt build bench-build test clippy test-mt test-durability serve-smoke rank-smoke
 
 bench-build:
 	$(CARGO) build --release --offline --manifest-path perfbench/Cargo.toml

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
 //! `src/bin/`), shared settings ([`settings`]), drivers ([`runners`]),
-//! and reporting ([`report`]). Criterion micro-benchmarks live in
-//! `benches/`.
+//! and reporting ([`report`]). Timing lives in perfbench
+//! (`perfbench/README.md`), not here.
 //!
 //! Every binary accepts `--full` for paper-scale quality targets and
 //! repetitions; the default `Quick` profile regenerates each artifact in

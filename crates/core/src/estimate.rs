@@ -2,11 +2,10 @@
 //! Metric").
 
 use crate::stats::z_critical;
-use serde::{Deserialize, Serialize};
 
 /// An unbiased estimate `τ̂` of a durability query answer together with an
 /// estimated variance and the cost spent producing it.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Estimate {
     /// The point estimate `τ̂`.
     pub tau: f64,

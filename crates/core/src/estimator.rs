@@ -42,7 +42,7 @@
 
 use crate::estimate::Estimate;
 use crate::model::SimulationModel;
-use crate::quality::{steps_per_root, RunControl};
+use crate::quality::RunControl;
 use crate::query::{Problem, ValueFunction};
 use crate::rng::{RootCursor, SimRng, StreamFactory};
 use rand::RngExt;
@@ -358,15 +358,7 @@ where
         run,
         shard,
         |shard, roots, end| {
-            let budget = end - shard.steps();
-            // Budget-boundary shrink: the frontier launches a full cohort up
-            // front, but lanes past the chunk's commit target are
-            // speculation that gets discarded. When the remaining budget only
-            // pays for fewer roots than the configured width, narrow the
-            // chunk — bit-identity across widths makes this invisible.
-            let per_root = steps_per_root(shard.steps(), shard.n_roots(), problem.horizon);
-            let roots_in_budget = usize::try_from(budget.div_ceil(per_root)).unwrap_or(usize::MAX);
-            estimator.run_chunk(problem, shard, budget, roots, width.min(roots_in_budget));
+            estimator.run_chunk(problem, shard, end - shard.steps(), roots, width);
         },
     )
 }

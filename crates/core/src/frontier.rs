@@ -50,6 +50,7 @@
 
 use crate::estimator::{ChunkOutcome, Ledger};
 use crate::model::{SimulationModel, Time};
+use crate::quality::steps_per_root;
 use crate::query::{Problem, ValueFunction};
 use crate::rng::{RootCursor, SimRng};
 use std::collections::BTreeMap;
@@ -180,11 +181,24 @@ where
     // Steps taken by alive lanes plus retired-but-uncommitted roots;
     // bounds speculation in the launch gate below.
     let mut inflight_steps: u64 = 0;
+    // The alive roots' projected remaining cost, summed by the step loop:
+    // each root at least the rest of its current segment, and at least
+    // its shortfall from the observed cost per committed root.
+    let mut reserved: u64 = 0;
+    let mut per_root = horizon;
 
     'outer: loop {
-        // ---- launch: keep lanes busy while known work is below target --
+        // ---- launch: keep lanes busy while projected work is below target
+        // A root launches only while the committed steps, the steps the
+        // uncommitted roots took and their reserve stay below target, so
+        // the last cohort of a step-bounded chunk runs no root the budget
+        // cannot pay for (none at all for single-segment roots).
+        if !free.is_empty() || lanes.len() < width {
+            per_root = steps_per_root(shard.steps(), shard.n_roots(), horizon);
+        }
+        let mut projected = (shard.steps() + inflight_steps).saturating_add(reserved);
         while (!free.is_empty() || lanes.len() < width)
-            && shard.steps().saturating_add(inflight_steps) < target
+            && projected < target
             && next_root < roots.end
         {
             let slot = match free.pop() {
@@ -204,6 +218,7 @@ where
             rngs[slot] = roots.stream(next_root);
             let (state, t0) = kernel.begin_root(problem, &mut scratches[slot]);
             debug_assert!(t0 < horizon, "roots must have at least one step");
+            projected = projected.saturating_add(per_root.max(horizon - t0));
             lanes[slot] = state;
             ts[slot] = t0;
             root_of[slot] = next_root;
@@ -213,6 +228,7 @@ where
         }
 
         // ---- step the cohort ------------------------------------------
+        reserved = 0;
         if !alive.is_empty() {
             for &i in &alive {
                 ts[i] += 1; // target time of the state being produced
@@ -244,6 +260,8 @@ where
                         continue;
                     }
                 }
+                let rest = per_root.saturating_sub(steps_of[i]).max(horizon - ts[i]);
+                reserved = reserved.saturating_add(rest);
                 k += 1;
             }
         }
@@ -270,8 +288,9 @@ where
     // ---- speculation ledger ---------------------------------------------
     // Roots launched past the last committed one are discarded work —
     // the cost of running a frontier wider than the chunk's remaining
-    // commit target. The width policy's boundary shrink exists to drive
-    // this to zero; the counters let tests and SHOW DIAGNOSTICS see it.
+    // commit target. The launch gate above keeps it at zero for
+    // single-segment roots; the counters let tests and SHOW DIAGNOSTICS
+    // see it.
     crate::width::record_frontier(width, next_root - first, next_commit - first);
     roots.next = next_commit;
     chunk

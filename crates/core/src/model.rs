@@ -123,9 +123,8 @@ impl<M: SimulationModel> SimulationModel for &M {
 /// Forces the scalar→batch adapter: wraps a model and *hides* its native
 /// `step_batch` override, so `step_batch` always loops the scalar `step`.
 ///
-/// Two uses: benchmarking a native batch kernel against the adapter
-/// (`kernel_bench`), and property-testing that a native kernel is
-/// per-lane bit-identical to scalar stepping.
+/// The identity tests use it to pin that a native kernel is per-lane
+/// bit-identical to scalar stepping.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalarAdapter<M>(pub M);
 

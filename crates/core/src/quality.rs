@@ -6,10 +6,9 @@
 //! expressed here as a [`RunControl`] consumed by every sampler.
 
 use crate::estimate::Estimate;
-use serde::{Deserialize, Serialize};
 
 /// A quality target for an estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QualityTarget {
     /// Stop when the normal-approximation CI half-width at `confidence`
     /// drops to `rel_width × reference` (the paper's "1% CI with 95%
@@ -80,7 +79,7 @@ impl QualityTarget {
 }
 
 /// How long a sampler runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RunControl {
     /// Run until (at least) this many `g` invocations have been spent.
     /// The paper's fixed-budget mode.

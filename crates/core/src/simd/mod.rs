@@ -3,11 +3,11 @@
 //!
 //! The closed-form simulation models (`cpp`, `gbm`, `walk`) are RNG- and
 //! transcendental-bound: after the batched SoA frontier (PR 3) their
-//! native kernels sat at ~1x in `kernel_bench` because every lane still
-//! paid a scalar ChaCha block and scalar `exp`/`ln`/`cos` per step. This
-//! module is the ROADMAP follow-up: a pipeline that computes **K lanes'
-//! next ChaCha blocks in one vectorized pass** and evaluates the
-//! transcendental transforms **4–8 lanes at a time**, while preserving
+//! native kernels ran at ~1x the scalar adapter's steps/s because every
+//! lane still paid a scalar ChaCha block and scalar `exp`/`ln`/`cos` per
+//! step. This module is the ROADMAP follow-up: a pipeline that computes
+//! **K lanes' next ChaCha blocks in one vectorized pass** and evaluates
+//! the transcendental transforms **4–8 lanes at a time**, while preserving
 //! the workspace's defining invariant — *per-lane draw-identity*. Every
 //! lane keeps its own independent stream and its own bit-exact values;
 //! vectorization changes wall-clock, never results.
@@ -245,6 +245,21 @@ mod tests {
     use super::*;
 
     #[test]
+    fn pipeline_engaged_iff_simd_backend_and_full_cohort() {
+        // Guards against a silent scalar fallback: on any SIMD backend
+        // every cohort of at least MIN_SIMD_COHORT lanes must engage.
+        let simd = Backend::active() > Backend::Scalar;
+        for n in 0..=4 * MIN_SIMD_COHORT {
+            assert_eq!(
+                pipeline_engaged(n),
+                simd && n >= MIN_SIMD_COHORT,
+                "cohort {n} on backend {}",
+                Backend::active()
+            );
+        }
+    }
+
+    #[test]
     fn detect_is_stable_and_available_contains_scalar() {
         assert_eq!(Backend::detect(), Backend::detect());
         let av = Backend::available();
@@ -258,7 +273,16 @@ mod tests {
 
     #[test]
     fn active_is_at_most_detected() {
-        assert!(Backend::active() <= Backend::detect());
+        // The active backend is exactly the detected one capped by the
+        // `MLSS_SIMD` request: a CI leg that asks for a SIMD backend the
+        // runner has must not silently run scalar.
+        let cap = match std::env::var("MLSS_SIMD").ok().as_deref() {
+            Some("scalar") => Backend::Scalar,
+            Some("sse2") => Backend::Sse2,
+            Some("avx2") => Backend::Avx2,
+            _ => Backend::Avx512,
+        };
+        assert_eq!(Backend::active(), Backend::detect().min(cap));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   reports the effective width a session actually ran at.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Sentinel width meaning "resolve adaptively" (`batch_width=auto` in
 /// SQL). Carried by `ExecOptions::batch_width`, `SchedulerConfig`,
@@ -106,31 +106,44 @@ pub fn effective(width: usize) -> usize {
     }
 }
 
-/// Time `bench(width)` once per candidate and return the fastest width.
-/// `bench` must do a fixed amount of *work* per call (same step budget
+/// A probed width must be this much faster than the pick so far to
+/// replace it. Widths whose kernels run equally fast time a few percent
+/// apart from run to run; without a margin the memoized pick (and with
+/// it `EXPLAIN` and the width a run reports) would follow that noise.
+const PROBE_MARGIN: f64 = 0.10;
+
+/// Interleaved timing rounds per candidate. Interference only ever slows
+/// a timing down, so a candidate's fastest round is its cost.
+const PROBE_ROUNDS: usize = 3;
+
+/// Time `bench(width)` for every candidate and return the fastest width.
+/// `bench` must do a fixed amount of *work* per call (the same roots
 /// at every width) on throwaway state — a probe must never consume
 /// draws from a query's committed stream, or `auto` would stop being
 /// bit-identical to the resolved width.
 ///
-/// Candidates are probed narrow-to-wide with one warm-up call (the
-/// first timing otherwise charges lazy scratch growth to the narrowest
-/// width). Ties break narrow: equal speed at half the speculation
-/// exposure is strictly better near budget boundaries.
+/// One warm-up call runs first (the first timing otherwise charges lazy
+/// scratch growth to the narrowest width), then [`PROBE_ROUNDS`] rounds
+/// over the candidates, narrow-to-wide. Near-ties break narrow: a
+/// candidate wins only by beating the pick so far by [`PROBE_MARGIN`].
 pub fn calibrate(candidates: &[usize], mut bench: impl FnMut(usize)) -> usize {
     debug_assert!(!candidates.is_empty());
-    let mut best = candidates[0];
-    let mut best_elapsed = None;
     bench(candidates[0]); // warm scratch/caches off the clock
-    for &w in candidates {
-        let t0 = Instant::now();
-        bench(w);
-        let elapsed = t0.elapsed();
-        if best_elapsed.is_none_or(|b| elapsed < b) {
-            best = w;
-            best_elapsed = Some(elapsed);
+    let mut fastest = vec![Duration::MAX; candidates.len()];
+    for _ in 0..PROBE_ROUNDS {
+        for (f, &w) in fastest.iter_mut().zip(candidates) {
+            let t0 = Instant::now();
+            bench(w);
+            *f = (*f).min(t0.elapsed());
         }
     }
-    best
+    let mut best = 0;
+    for i in 1..candidates.len() {
+        if fastest[i] < fastest[best].mul_f64(1.0 - PROBE_MARGIN) {
+            best = i;
+        }
+    }
+    candidates[best]
 }
 
 /// One frontier chunk's speculation ledger.

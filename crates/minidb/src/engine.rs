@@ -3,8 +3,8 @@
 use crate::schema::Schema;
 use crate::table::{Table, TableError};
 use crate::value::Value;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Engine-level errors.
 #[derive(Debug)]
@@ -111,10 +111,18 @@ impl Database {
         Self::default()
     }
 
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<String, Table>> {
+        self.tables.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Table>> {
+        self.tables.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Create a table.
     pub fn create_table(&self, name: impl Into<String>, schema: Schema) -> Result<(), DbError> {
         let name = name.into();
-        let mut tables = self.tables.write();
+        let mut tables = self.write();
         if tables.contains_key(&name) {
             return Err(DbError::TableExists(name));
         }
@@ -127,7 +135,7 @@ impl Database {
     /// never race each other into [`DbError::TableExists`]. Returns
     /// whether this call created the table.
     pub fn ensure_table(&self, name: &str, schema: Schema) -> bool {
-        let mut tables = self.tables.write();
+        let mut tables = self.write();
         if tables.contains_key(name) {
             return false;
         }
@@ -137,13 +145,12 @@ impl Database {
 
     /// Create a table, replacing any existing one with the same name.
     pub fn create_or_replace_table(&self, name: impl Into<String>, schema: Schema) {
-        self.tables.write().insert(name.into(), Table::new(schema));
+        self.write().insert(name.into(), Table::new(schema));
     }
 
     /// Drop a table.
     pub fn drop_table(&self, name: &str) -> Result<(), DbError> {
-        self.tables
-            .write()
+        self.write()
             .remove(name)
             .map(|_| ())
             .ok_or_else(|| DbError::NoSuchTable(name.into()))
@@ -151,17 +158,17 @@ impl Database {
 
     /// Does a table exist?
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.read().contains_key(name)
+        self.read().contains_key(name)
     }
 
     /// Names of all tables.
     pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().keys().cloned().collect()
+        self.read().keys().cloned().collect()
     }
 
     /// Insert a row.
     pub fn insert(&self, table: &str, row: Vec<Value>) -> Result<(), DbError> {
-        let mut tables = self.tables.write();
+        let mut tables = self.write();
         let t = tables
             .get_mut(table)
             .ok_or_else(|| DbError::NoSuchTable(table.into()))?;
@@ -175,7 +182,7 @@ impl Database {
         table: &str,
         rows: impl IntoIterator<Item = Vec<Value>>,
     ) -> Result<usize, DbError> {
-        let mut tables = self.tables.write();
+        let mut tables = self.write();
         let t = tables
             .get_mut(table)
             .ok_or_else(|| DbError::NoSuchTable(table.into()))?;
@@ -184,7 +191,7 @@ impl Database {
 
     /// Run a read-only closure against a table.
     pub fn with_table<R>(&self, name: &str, f: impl FnOnce(&Table) -> R) -> Result<R, DbError> {
-        let tables = self.tables.read();
+        let tables = self.read();
         let t = tables
             .get(name)
             .ok_or_else(|| DbError::NoSuchTable(name.into()))?;
@@ -197,7 +204,7 @@ impl Database {
         name: &str,
         f: impl FnOnce(&mut Table) -> R,
     ) -> Result<R, DbError> {
-        let mut tables = self.tables.write();
+        let mut tables = self.write();
         let t = tables
             .get_mut(name)
             .ok_or_else(|| DbError::NoSuchTable(name.into()))?;

@@ -41,7 +41,7 @@ use mlss_core::shard_store::{shard_key, ShardStore, StoredShard};
 use mlss_core::spec::{
     estimator_job, resolve_method, target_control, warm_estimator_job, DeferredPlanQuery,
     ModelSchema, ParamSpec, QuerySpec, ResolvedMethod, SpecError, SpecErrorKind, BALANCED_PLAN_KEY,
-    PILOT_PATHS, PILOT_SEED_SALT, TARGET_MAX_STEPS,
+    PILOT_PATHS, PILOT_SEED_SALT, TARGET_CHECK_EVERY, TARGET_MAX_STEPS,
 };
 use mlss_models::{
     ar_value_score, last_station_score, position_score, price_score, queue2_score, surplus_score,
@@ -377,10 +377,13 @@ fn observe_regime(plans: &PlanContext, steps: u64, n_roots: u64) {
     }
 }
 
-/// The [`ModelRunner`] over one model and its score.
-pub(crate) struct Runner<M, Z> {
-    pub(crate) model: M,
-    pub(crate) score: Z,
+/// The [`ModelRunner`] over one model and its score: what a
+/// [`ModelRegistry`] builder returns.
+pub struct Runner<M, Z> {
+    /// The simulation model (`g`).
+    pub model: M,
+    /// The score function the value function thresholds.
+    pub score: Z,
 }
 
 impl<M, Z> Runner<M, Z>
@@ -552,10 +555,12 @@ where
                 "static",
             );
         }
-        // Micro-calibration: time a fixed step burst per candidate width
-        // on a throwaway run keyed by the fingerprint. Every candidate
-        // replays the identical paths (the cursor restarts per call), so
-        // the comparison isolates width. The winner is
+        // Micro-calibration: time one check cadence's roots per candidate
+        // width on a throwaway run keyed by the fingerprint. That fills
+        // the widest cohort, which a small step budget would not: the
+        // launch gate runs only the roots a budget pays for. Every
+        // candidate replays the identical paths (the cursor restarts per
+        // call), so the comparison isolates width. The winner is
         // memoized in the plan cache — repeats of this query family
         // resolve as "cached-probe" without ever probing again.
         let vf = RatioValue::new(self.score, spec.beta);
@@ -563,8 +568,9 @@ where
         let est = SrsEstimator;
         let picked = mlss_core::width::calibrate(class.probe_candidates(), |w| {
             let mut roots = RootCursor::new(plans.fingerprint ^ WIDTH_PROBE_SEED_SALT);
+            roots.end = TARGET_CHECK_EVERY;
             let mut shard = <SrsEstimator as Estimator<M, RatioValue<Z>>>::shard(&est);
-            est.run_chunk(problem, &mut shard, WIDTH_PROBE_BUDGET, &mut roots, w);
+            est.run_chunk(problem, &mut shard, u64::MAX, &mut roots, w);
         });
         plans
             .cache
@@ -969,12 +975,15 @@ where
     }
 }
 
-type ModelBuilder = fn(&BTreeMap<String, f64>, u64) -> Result<Box<dyn ModelRunner>, DbError>;
+/// Builds a model's runner from its effective parameters and the
+/// query horizon.
+pub type ModelBuilder = fn(&BTreeMap<String, f64>, u64) -> Result<Box<dyn ModelRunner>, DbError>;
 
 /// Registry mapping model names to their named-parameter [`ModelSchema`]
 /// plus a builder over the effective parameter map — the SQL layer's
 /// pluggable catalog of stochastic substrates. The schema drives
 /// override validation, `SHOW MODELS`, and `seed_default_models`.
+#[derive(Clone)]
 pub struct ModelRegistry {
     entries: BTreeMap<&'static str, (ModelSchema, ModelBuilder)>,
 }
@@ -1279,12 +1288,6 @@ impl ModelRegistry {
 /// Default cohort width for `materialize_paths` (rows are bit-identical
 /// at every width; this is a throughput default).
 const MATERIALIZE_BATCH_WIDTH: usize = 64;
-
-/// `g` invocations per candidate in a `batch_width=auto` micro-probe:
-/// enough steps to fill and recycle several cohorts at the widest
-/// candidate, small enough that the one-time calibration stays in the
-/// low milliseconds.
-const WIDTH_PROBE_BUDGET: u64 = 4096;
 
 /// Salt XORed into the query fingerprint to seed probe streams, so the
 /// throwaway calibration draws can never collide with any stream a real

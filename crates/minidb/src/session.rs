@@ -47,7 +47,8 @@ use crate::durability::{
 };
 use crate::engine::{Database, DbError};
 use crate::proc::{
-    materialize_paths, results_schema, seed_default_models, ModelRegistry, PlanContext,
+    materialize_paths, results_schema, seed_default_models, ModelBuilder, ModelRegistry,
+    PlanContext,
 };
 use crate::sql::{execute_statement, ExecResult, Statement};
 use crate::value::Value;
@@ -58,7 +59,7 @@ use mlss_core::ranking::RaceOutcome;
 use mlss_core::rng::{rng_from_seed, split_rng};
 use mlss_core::scheduler::{DurabilityHook, QueryId, QueryStatus, Scheduler, SchedulerConfig};
 use mlss_core::shard_store::ShardStore;
-use mlss_core::spec::{QuerySpec, RankSpec, SpecError};
+use mlss_core::spec::{ModelSchema, QuerySpec, RankSpec, SpecError};
 use mlss_store::{Record, ResultRow};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -441,6 +442,32 @@ impl Session {
     /// The session's model registry (parameter schemas, `SHOW MODELS`).
     pub fn models(&self) -> &ModelRegistry {
         &self.models
+    }
+
+    /// Register an application's own model next to the built-ins.
+    /// Add-only: a name the registry already knows is refused, because
+    /// cached plans and stored shards are keyed by model name. A
+    /// journaled session refuses too: its journal replays at open, before
+    /// any model is registered, so a query over this one could not be
+    /// rebuilt there.
+    pub fn register_model(
+        &mut self,
+        schema: ModelSchema,
+        build: ModelBuilder,
+    ) -> Result<(), DbError> {
+        let name = schema.name;
+        if self.wal.is_some() {
+            return Err(DbError::Proc(format!(
+                "model '{name}' cannot be registered on a journaled session"
+            )));
+        }
+        if self.models.schema(name).is_some() {
+            return Err(DbError::Proc(format!(
+                "model '{name}' is already registered"
+            )));
+        }
+        Arc::make_mut(&mut self.models).register(schema, build);
+        Ok(())
     }
 
     /// The session's journal (`None` for [`Durability::Off`]).
@@ -1447,8 +1474,7 @@ mod tests {
             ..SessionConfig::default()
         })
         .unwrap();
-        let mut models = ModelRegistry::with_builtins();
-        models.register(
+        s.register_model(
             mlss_core::spec::ModelSchema::new("tracked", "walk recording its threads", vec![]),
             |_, _| {
                 Ok(Box::new(crate::proc::Runner {
@@ -1456,8 +1482,8 @@ mod tests {
                     score: mlss_models::position_score,
                 }))
             },
-        );
-        s.models = Arc::new(models);
+        )
+        .unwrap();
         s
     }
 

@@ -8,10 +8,9 @@ use mlss_core::is::TiltableModel;
 use mlss_core::model::{SimulationModel, Time};
 use mlss_core::rng::SimRng;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 /// AR(m) state: the last `m` values, most recent first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArState {
     /// Recent values, `history[0]` being `v_{t-1}`.
     pub history: Vec<f64>,
@@ -25,7 +24,7 @@ impl ArState {
 }
 
 /// The AR(m) simulation model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArModel {
     /// Coefficients `φ_1..φ_m`.
     pub coefficients: Vec<f64>,

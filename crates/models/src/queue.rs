@@ -22,11 +22,10 @@
 use mlss_core::model::{SimulationModel, Time};
 use mlss_core::rng::SimRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// State of the tandem system: queue lengths including in-service
 /// customers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueState {
     /// Customers in Queue 1 (waiting + in service).
     pub q1: u32,
@@ -35,7 +34,7 @@ pub struct QueueState {
 }
 
 /// The tandem queue simulation model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TandemQueue {
     /// Poisson arrival rate λ into Queue 1 (events per unit time).
     pub arrival_rate: f64,

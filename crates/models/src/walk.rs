@@ -10,10 +10,9 @@ use mlss_core::model::{SimulationModel, Time};
 use mlss_core::rng::SimRng;
 use mlss_core::simd::{self, chacha, vmath};
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// A lazy integer random walk.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomWalk {
     /// Probability of a +1 step.
     pub up: f64,
@@ -215,6 +214,34 @@ mod tests {
     use super::*;
     use mlss_core::model::simulate_path;
     use mlss_core::rng::rng_from_seed;
+
+    #[test]
+    fn full_cohorts_take_the_draw_pipeline_on_simd_backends() {
+        // The walk kernel stages its draws in the thread's kernel scratch
+        // exactly when the pipeline engages, so an empty scratch after a
+        // full cohort on a SIMD backend is a silent scalar fallback. Each
+        // cohort runs on a fresh thread, whose scratch starts empty.
+        let n = simd::MIN_SIMD_COHORT;
+        for cohort in [n - 1, n, 4 * n] {
+            let staged = std::thread::spawn(move || {
+                let walk = RandomWalk::new(0.3, 0.3, 0);
+                let mut lanes = vec![0i64; cohort];
+                let ts = vec![1; cohort];
+                let mut rngs: Vec<SimRng> = (0..cohort as u64).map(rng_from_seed).collect();
+                let alive: Vec<usize> = (0..cohort).collect();
+                walk.step_batch(&mut lanes, &ts, &mut rngs, &alive);
+                simd::with_scratch(|sc| sc.words.len())
+            })
+            .join()
+            .unwrap();
+            assert_eq!(
+                staged > 0,
+                simd::Backend::active() > simd::Backend::Scalar && cohort >= n,
+                "cohort {cohort} on backend {}",
+                simd::Backend::active()
+            );
+        }
+    }
 
     #[test]
     fn symmetric_walk_has_zero_drift() {

@@ -16,10 +16,9 @@
 use crate::tensor::{sigmoid, Matrix};
 use mlss_core::rng::SimRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// LSTM cell parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LstmCell {
     /// Input weights, `4H × I`.
     pub wx: Matrix,

@@ -10,14 +10,13 @@ use crate::tensor::{softmax, Matrix};
 use mlss_core::rng::SimRng;
 use rand::RngExt;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 /// Clamp for log-σ to keep sampling numerically sane.
 const LOG_SIGMA_MIN: f64 = -7.0;
 const LOG_SIGMA_MAX: f64 = 3.0;
 
 /// The MDN head parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MdnHead {
     /// Projection, `3K × H`.
     pub w: Matrix,

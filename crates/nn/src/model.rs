@@ -18,10 +18,9 @@ use crate::lstm::{LstmCell, LstmGrads};
 use crate::mdn::{MdnGrads, MdnHead};
 use mlss_core::model::{SimulationModel, Time};
 use mlss_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Network and training hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
     /// LSTM hidden units.
     pub hidden: usize,
@@ -51,7 +50,7 @@ impl Default for NetConfig {
 }
 
 /// LSTM + MDN network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LstmMdn {
     /// Recurrent cell.
     pub cell: LstmCell,
@@ -60,7 +59,7 @@ pub struct LstmMdn {
 }
 
 /// Per-epoch training diagnostics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingReport {
     /// Mean NLL per epoch.
     pub epoch_nll: Vec<f64>,
@@ -220,7 +219,7 @@ pub struct RnnState {
 }
 
 /// The trained LSTM-MDN as a black-box price simulator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RnnStockModel {
     /// The trained network.
     pub net: LstmMdn,

@@ -5,10 +5,9 @@
 
 use crate::lstm::{LstmCache, LstmCell, LstmGrads};
 use mlss_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A stack of LSTM layers; layer `l`'s hidden state feeds layer `l+1`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StackedLstm {
     /// The layers, bottom first.
     pub layers: Vec<LstmCell>,

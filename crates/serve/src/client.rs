@@ -1,5 +1,5 @@
-//! A minimal blocking protocol client, shared by the `load_bench`
-//! harness and `sql_shell --connect`.
+//! A minimal blocking protocol client, shared by `sql_shell --connect`,
+//! the serve crate's socket tests and perfbench's served workload.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

@@ -14,6 +14,8 @@
 //!
 //! Every request is one line, every response a short run of lines ending
 //! in a terminator line. Terminators start with `OK`, `ERR`, or `SHED`.
+//! Blank lines are skipped; any other line, malformed or not UTF-8,
+//! gets its response and the connection keeps serving.
 //!
 //! ```text
 //! C: HELLO alpha                          # handshake: tenant identity
@@ -60,8 +62,9 @@
 //! a global in-flight cap, a per-tenant in-flight cap, and a per-tenant
 //! quota on outstanding `ASYNC` queries each turn an excess request into
 //! a one-line `SHED RETRY AFTER <seconds>` response ([`admission`]).
-//! Shedding keeps accepted-request latency bounded — the `load_bench`
-//! harness in `mlss-bench` measures exactly that.
+//! Shedding keeps accepted-request latency bounded: the
+//! `overloaded_server_sheds_instead_of_queueing` test pins the shed, and
+//! perfbench's `served_small` workload reports `serve.shed_frac`.
 
 pub mod admission;
 pub mod client;

@@ -197,8 +197,10 @@ fn handle(
             )?;
             return Ok(());
         }
-        let line = std::str::from_utf8(&buf)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            write_line(&mut out, "ERR request is not valid UTF-8")?;
+            continue;
+        };
         let req = line.trim();
         if req.is_empty() {
             continue;

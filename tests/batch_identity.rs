@@ -381,20 +381,21 @@ fn scheduler_batched_slices_match_sequential_and_survive_detach() {
 
 #[test]
 fn budget_boundary_clamps_the_final_cohort_width() {
-    // Satellite: when the remaining budget pays for fewer roots than the
-    // configured width, the batched sequential driver narrows the cohort
-    // instead of launching a full frontier of doomed speculation. The
-    // StepCounter meters all launched work (committed + discarded); the
-    // clamp must cut the discarded share without perturbing the
-    // committed shard — results stay bit-identical across widths.
+    // The frontier launches a root only while the projected cost of the
+    // uncommitted ones leaves room under the chunk's budget, so near the
+    // boundary the cohort narrows instead of running doomed speculation.
+    // The StepCounter meters all launched work (committed + discarded):
+    // on this SRS budget it must equal the committed work exactly, for a
+    // raw width-64 chunk and through the driver alike, without
+    // perturbing the committed shard.
     let budget = 2_000u64;
     let width = 64usize;
     let counted = StepCounter::new(CompoundPoisson::zero_drift_default());
     let v = cpp_vf(40.0);
     let problem = Problem::new(&counted, &v, 80);
 
-    // Unclamped baseline: a raw chunk at width 64 launches the full
-    // cohort even though the budget pays for ~25 roots of horizon 80.
+    // A raw chunk at width 64, although the budget pays for ~25 roots
+    // of horizon 80.
     let mut raw =
         <SrsEstimator as Estimator<StepCounter<CompoundPoisson>, CppVf>>::shard(&SrsEstimator);
     SrsEstimator.run_chunk(
@@ -406,7 +407,6 @@ fn budget_boundary_clamps_the_final_cohort_width() {
     );
     let raw_speculation = counted.steps() - raw.steps();
 
-    // The driver clamps the launch width to ⌈budget / per_root⌉.
     counted.reset();
     let driven = run_sequential_batched(
         &SrsEstimator,
@@ -420,14 +420,15 @@ fn budget_boundary_clamps_the_final_cohort_width() {
     assert_eq!(
         driven.shard.steps(),
         raw.steps(),
-        "clamp must not change committed work"
+        "the driver must commit what the raw chunk commits"
     );
-    assert!(
-        driven_speculation < raw_speculation,
-        "clamped cohort must speculate less: {driven_speculation} vs {raw_speculation}"
+    assert_eq!(
+        (raw_speculation, driven_speculation),
+        (0, 0),
+        "the final cohort must run no step past the budget"
     );
 
-    // And the clamped run stays bit-identical to the width-1 run.
+    // And the wide run stays bit-identical to the width-1 run.
     let model = CompoundPoisson::zero_drift_default();
     let plain = Problem::new(&model, &v, 80);
     let narrow = run_sequential_batched(

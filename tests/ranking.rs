@@ -7,6 +7,10 @@
 //! loop runs inline (`SYNC`) or under the scheduler (`ASYNC`) — pinned
 //! seeds must therefore give bit-identical standings on both paths, and
 //! across fresh sessions.
+//!
+//! Racing also has to pay for itself: on a spread field it must pick the
+//! exhaustive argmax while spending at most half the `g` invocations of
+//! estimating every arm to the same target.
 
 use mlss_db::{ExecResult, Session, SessionConfig, Value};
 
@@ -228,4 +232,77 @@ fn show_diagnostics_exposes_the_ranking_ledger() {
     assert!(counter("races") >= 1.0);
     assert!(counter("arms") >= 4.0);
     assert!(counter("steps") > 0.0);
+}
+
+fn number(v: &Value) -> f64 {
+    match v {
+        Value::Float(f) => *f,
+        Value::Int(i) => *i as f64,
+        other => panic!("expected a number, got {other:?}"),
+    }
+}
+
+#[test]
+fn racing_finds_the_exhaustive_winner_on_half_the_steps() {
+    // Six walk arms, up = 0.36 … 0.56, all held to a 1% relative error.
+    // Neither session reuses shards, so both paths pay full price.
+    let (from, to, step, re, seed) = (0.36f64, 0.56, 0.04, 0.01, 7u64);
+    let session = || {
+        Session::new(SessionConfig {
+            workers: 1,
+            seed: 4242,
+            shard_store_capacity: 0,
+            ..SessionConfig::default()
+        })
+        .unwrap()
+    };
+
+    let (_, standings) = rows_of(
+        session()
+            .execute(&format!(
+                "ESTIMATE DURABILITY OF walk(beta=6) SWEEP up FROM {from} TO {to} STEP {step} \
+                 WITHIN 50 USING srs TARGET RE {re} \
+                 RANK BY TOP 1 (rounds=60, round_budget=5000) WITH (seed={seed})"
+            ))
+            .unwrap(),
+    );
+    let raced_winner = standings[0][1].to_string();
+    let raced_steps: f64 = standings.iter().map(|r| number(&r[7])).sum();
+
+    // Exhaustive: one sync estimate per arm, on the seed its race arm
+    // draws from, over the values the SWEEP expansion produces.
+    let exhaustive = session();
+    let arms = ((to - from) / step + 1e-9).floor() as usize + 1;
+    let mut exhaustive_steps = 0.0;
+    let mut best = (f64::NEG_INFINITY, from);
+    for i in 0..arms {
+        let up = from + step * i as f64;
+        let (_, rows) = rows_of(
+            exhaustive
+                .execute(&format!(
+                    "ESTIMATE DURABILITY OF walk(beta=6, up={up}) WITHIN 50 USING srs \
+                     TARGET RE {re} WITH (seed={})",
+                    mlss_db::arm_seed(seed, i)
+                ))
+                .unwrap(),
+        );
+        // Sync estimate row: model, method, tau, variance, steps, …
+        let tau = number(&rows[0][2]);
+        exhaustive_steps += number(&rows[0][4]);
+        if tau > best.0 {
+            best = (tau, up);
+        }
+    }
+
+    // `up` is the ref's last parameter: anchoring on the closing paren
+    // keeps `up=0.4` from matching an `up=0.48` label.
+    let winner_tag = format!("up={})", best.1);
+    assert!(
+        raced_winner.contains(&winner_tag),
+        "raced winner {raced_winner} is not the exhaustive argmax {winner_tag}"
+    );
+    assert!(
+        raced_steps <= 0.5 * exhaustive_steps,
+        "raced {raced_steps} steps vs exhaustive {exhaustive_steps}: racing must halve the cost"
+    );
 }

@@ -27,9 +27,12 @@
 //!   paused ASYNC query left inside a chunk is warm-started to the chunk
 //!   end, never served;
 //! * `EXPLAIN` previews the reuse verdict without counted lookups (no
-//!   hit/miss counter or LRU perturbation).
+//!   hit/miss counter or LRU perturbation);
+//! * reuse pays: counted in `g` invocations, a repeated statement costs
+//!   at most a fifth and a tightening ladder at most two thirds of what
+//!   the same statements cost without a store.
 
-use durability_mlss::models::{surplus_score, CompoundPoisson};
+use durability_mlss::models::{ar_value_score, surplus_score, ArModel, ArState, CompoundPoisson};
 use mlss_core::estimator::{run_sequential_batched, run_sequential_from};
 use mlss_core::is::IsEstimator;
 use mlss_core::planner::{plan_reuse, ReusePlan, MIN_REUSE_ROOTS};
@@ -37,11 +40,13 @@ use mlss_core::prelude::*;
 use mlss_core::scheduler::DurabilityHook;
 use mlss_core::shard_store::{shard_key, ShardStore, StoredShard};
 use mlss_core::smlss::SMlssConfig;
-use mlss_core::spec::{ExecMode, Method, QuerySpec};
-use mlss_db::{Session, SessionConfig, Value};
+use mlss_core::spec::{ExecMode, Method, ModelSchema, QuerySpec};
+use mlss_db::proc::{ModelRunner, Runner};
+use mlss_db::{DbError, Session, SessionConfig, Value};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 use std::time::Duration;
 
 type CppVf = RatioValue<fn(&f64) -> f64>;
@@ -528,6 +533,70 @@ fn repeated_statement_is_served_from_the_store() {
             (x, y) => assert_eq!(x, y, "col {c}"),
         }
     }
+}
+
+/// The `ar` model at its registry defaults, metering every `g`
+/// invocation a session makes through it. A `stored` row copies its
+/// source's `steps` column, so only a counter sees what reuse saved.
+static COUNTED_AR: LazyLock<StepCounter<ArModel>> =
+    LazyLock::new(|| StepCounter::new(ArModel::ar1(0.7, 1.0, 0.0)));
+
+/// The registry builder serving [`COUNTED_AR`].
+fn counted_ar(_: &BTreeMap<String, f64>, _: u64) -> Result<Box<dyn ModelRunner>, DbError> {
+    Ok(Box::new(Runner {
+        model: &*COUNTED_AR,
+        score: ar_value_score as fn(&ArState) -> f64,
+    }))
+}
+
+/// `g` invocations a fresh session with the given store capacity spends
+/// on `statements`, all over `counted_ar`: the `ar` schema, served by
+/// [`COUNTED_AR`].
+fn simulated_steps(capacity: usize, statements: &[String]) -> u64 {
+    let mut s = session(capacity);
+    let ar = s.models().schema("ar").unwrap();
+    let schema = ModelSchema::new("counted_ar", ar.doc, ar.params.clone());
+    s.register_model(schema, counted_ar).unwrap();
+    COUNTED_AR.reset();
+    for sql in statements {
+        s.execute(sql).unwrap();
+    }
+    COUNTED_AR.steps()
+}
+
+#[test]
+fn reuse_cuts_simulated_steps_of_repeated_and_tightening_queries() {
+    // A dashboard re-issuing one statement: every repeat is served.
+    let repeated = vec![estimate_sql("counted_ar", Method::Srs, 0.01, 99); 8];
+    let (on, off) = (
+        simulated_steps(64, &repeated),
+        simulated_steps(0, &repeated),
+    );
+    assert!(
+        5 * on <= off,
+        "repeated: {on} steps with the store vs {off} without (must be ≤ 1/5)"
+    );
+
+    // An analyst tightening 2% → 0.5%: each rung pays only its margin.
+    let ladder: Vec<String> = [0.02, 0.014, 0.01, 0.007, 0.005]
+        .iter()
+        .map(|&re| estimate_sql("counted_ar", Method::Srs, re, 99))
+        .collect();
+    let (on, off) = (simulated_steps(64, &ladder), simulated_steps(0, &ladder));
+    assert!(
+        3 * on <= 2 * off,
+        "tightening: {on} steps with the store vs {off} without (must be ≤ 1/1.5)"
+    );
+}
+
+#[test]
+fn registered_models_are_add_only() {
+    // Plans and stored shards are keyed by model name, so a name that
+    // is already registered must not be rebound to another model.
+    let mut s = session(64);
+    let ar = s.models().schema("ar").unwrap().clone();
+    let err = s.register_model(ar, counted_ar).unwrap_err();
+    assert!(err.to_string().contains("already registered"), "{err}");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! `batch_width=auto` picks a launch width per query — a static table
 //! for cheap kernels, a one-off micro-probe (memoized in the plan
-//! cache) for everything else — and the budget-boundary clamp narrows
+//! cache) for everything else — and the frontier's launch gate narrows
 //! the final cohort so speculation never runs past the budget. None of
 //! that may perturb results: the committed shard is a pure function of
 //! the run key, the root cursor and the budget, independent of width.
@@ -15,13 +15,15 @@
 //!   (`cached-probe`) — with the same winner;
 //! * a pause / detach / `with_batch_width` / resubmit cycle — a width
 //!   change mid-query — stays bit-identical to one uninterrupted run;
-//! * the boundary clamp launches **zero** doomed speculation when the
-//!   budget is an exact multiple of the per-root cost, while a raw
-//!   full-width chunk on the same budget discards a whole cohort's
-//!   worth;
+//! * the frontier's launch gate runs **zero** doomed speculation when
+//!   the budget is an exact multiple of the per-root cost, at every
+//!   width, and no probe candidate discards more than static width 64
+//!   on the mixed workload the policy is tuned on;
 //! * `SHOW DIAGNOSTICS` surfaces the speculation ledger.
 
-use durability_mlss::models::{surplus_score, CompoundPoisson, RandomWalk};
+use durability_mlss::models::{
+    price_score, surplus_score, CompoundPoisson, GeometricBrownian, MarkovChain, RandomWalk,
+};
 use mlss_core::estimator::run_sequential_batched;
 use mlss_core::prelude::*;
 use mlss_core::spec::{ExecMode, Method, QuerySpec};
@@ -207,12 +209,10 @@ fn mid_run_width_change_preserves_bit_identity() {
 fn boundary_shrink_launches_zero_doomed_speculation() {
     // With an unreachable threshold, every random-walk root runs
     // exactly `horizon` steps, so a budget that is an exact multiple of
-    // the horizon pays for a whole number of roots — and the driver's
-    // first-chunk assumption (one horizon per root) is exact. The clamp
-    // must then launch exactly the roots the budget pays for — zero
-    // discarded speculation in the frontier ledger — while a raw
-    // full-width chunk on the same budget launches a 64-lane cohort and
-    // throws most of it away.
+    // the horizon pays for a whole number of roots. The launch gate
+    // must launch exactly those roots — zero discarded speculation in
+    // the frontier ledger — at every width, in a raw chunk and through
+    // the driver alike, and commit what a width-1 chunk commits.
     let model = RandomWalk::new(0.3, 0.3, 0);
     type WalkVf = RatioValue<fn(&i64) -> f64>;
     fn walk_score(s: &i64) -> f64 {
@@ -222,44 +222,96 @@ fn boundary_shrink_launches_zero_doomed_speculation() {
     let problem = Problem::new(&model, &v, 80);
     let budget = 25 * 80u64; // exactly 25 roots
 
-    // Raw chunk at width 64: the unclamped baseline speculates.
-    width::take_thread_stats();
-    let mut raw = <SrsEstimator as Estimator<RandomWalk, WalkVf>>::shard(&SrsEstimator);
-    SrsEstimator.run_chunk(
-        problem,
-        &mut raw,
-        budget,
-        &mut RootCursor::from_rng(&mut rng_from_seed(7)),
-        64,
-    );
-    let unclamped = width::take_thread_stats();
-    assert!(
-        unclamped.discarded() > 0,
-        "a raw width-64 chunk on a 25-root budget must discard speculation"
+    for width in [1usize, 16, 64, 256] {
+        width::take_thread_stats();
+        let mut raw = <SrsEstimator as Estimator<RandomWalk, WalkVf>>::shard(&SrsEstimator);
+        let mut roots = RootCursor::from_rng(&mut rng_from_seed(7));
+        SrsEstimator.run_chunk(problem, &mut raw, budget, &mut roots, width);
+        let chunk = width::take_thread_stats();
+
+        let control = RunControl::budget(budget);
+        let driven = run_sequential_batched(
+            &SrsEstimator,
+            problem,
+            control,
+            &mut rng_from_seed(7),
+            width,
+        );
+        let run = width::take_thread_stats();
+
+        for (what, stats) in [("raw chunk", chunk), ("driver", run)] {
+            assert_eq!(
+                (stats.launched, stats.committed),
+                (25, 25),
+                "width {width}, {what}: the budget pays for exactly 25 roots \
+                 and the gate must launch no more"
+            );
+        }
+        assert_eq!(driven.shard.steps(), raw.steps());
+        assert_eq!((raw.n_roots(), raw.steps()), (25, budget));
+    }
+}
+
+/// Every width the `auto` probe may pick for this problem's kernel
+/// class must discard no more speculation than the static width 64 in a
+/// budget-mode SRS run. The probe is timed, so the check covers all of
+/// its candidates.
+fn assert_probe_candidates_discard_at_most_static_64<M, V>(
+    name: &str,
+    problem: Problem<'_, M, V>,
+    budget: u64,
+) where
+    M: SimulationModel,
+    V: ValueFunction<M::State>,
+{
+    let discarded = |w| {
+        width::take_thread_stats();
+        let control = RunControl::budget(budget);
+        run_sequential_batched(&SrsEstimator, problem, control, &mut rng_from_seed(9), w);
+        width::take_thread_stats().discarded()
+    };
+    let d64 = discarded(64);
+    for &w in problem.model.kernel_class().probe_candidates() {
+        let dw = discarded(w);
+        assert!(
+            dw <= d64,
+            "{name}: width {w} discards {dw} roots vs {d64} at 64"
+        );
+    }
+}
+
+#[test]
+fn probe_candidates_discard_no_more_speculation_than_static_64() {
+    // The mixed workload the width policy is tuned on: a cheap lookup
+    // kernel on a tight budget, and two SIMD-hot long runs whose probe
+    // candidates go up to 256 lanes.
+    let markov = MarkovChain::birth_death(32, 0.3, 0.3, 0);
+    fn markov_score(s: &usize) -> f64 {
+        *s as f64
+    }
+    let mv: RatioValue<fn(&usize) -> f64> =
+        RatioValue::new(markov_score as fn(&usize) -> f64, 31.0);
+    assert_probe_candidates_discard_at_most_static_64(
+        "markov, tight budget",
+        Problem::new(&markov, &mv, 50),
+        30_000,
     );
 
-    // The driver's clamp: same budget, zero discard.
-    let driven = run_sequential_batched(
-        &SrsEstimator,
-        problem,
-        RunControl::budget(budget),
-        &mut rng_from_seed(7),
-        64,
+    let cpp = CompoundPoisson::paper_default();
+    let cv = cpp_vf(40.0);
+    assert_probe_candidates_discard_at_most_static_64(
+        "cpp, long run",
+        Problem::new(&cpp, &cv, 80),
+        400_000,
     );
-    let clamped = width::take_thread_stats();
-    assert_eq!(
-        clamped.discarded(),
-        0,
-        "the clamp must launch zero past-budget speculation \
-         (launched {} committed {})",
-        clamped.launched,
-        clamped.committed
-    );
-    assert_eq!(clamped.committed, 25, "budget pays for exactly 25 roots");
 
-    // And clamping changed nothing about the committed result.
-    assert_eq!(driven.shard.steps(), raw.steps());
-    assert_eq!(driven.shard.n_roots(), raw.n_roots());
+    let gbm = GeometricBrownian::goog_like();
+    let gv: RatioValue<fn(&f64) -> f64> = RatioValue::new(price_score as fn(&f64) -> f64, 560.0);
+    assert_probe_candidates_discard_at_most_static_64(
+        "gbm, long run",
+        Problem::new(&gbm, &gv, 200),
+        400_000,
+    );
 }
 
 #[test]
