@@ -3,6 +3,7 @@
 #   make verify     — the tier-1 gate: release build + full test suite
 #   make ci         — everything CI runs: fmt, build, test, clippy, mt-tests
 #   make bench-build — build the perfbench benchmark (its own workspace)
+#   make bench-diff A=… B=… — per-metric ratios between two BENCH_*.json files
 #   make speedup    — intra-query fan-out thread scaling (identical answers per row)
 #   make test-mt    — release tests with 4 test threads (scheduler jobs)
 #   make test-scalar — full release suite with the SIMD backend forced off
@@ -13,7 +14,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify ci fmt clippy test build bench-build speedup test-mt test-scalar sql-demo test-durability serve-smoke rank-smoke
+.PHONY: verify ci fmt clippy test build bench-build bench-diff speedup test-mt test-scalar sql-demo test-durability serve-smoke rank-smoke
 
 verify: build test
 
@@ -113,6 +114,11 @@ ci: fmt build bench-build test clippy test-mt test-durability serve-smoke rank-s
 
 bench-build:
 	$(CARGO) build --release --offline --manifest-path perfbench/Cargo.toml
+
+# Flags (exit 1) any end-to-end metric B worsens past its BENCHMARK.json bound.
+A ?= BENCH_baseline.json
+bench-diff:
+	python3 tools/bench_diff.py $(A) $(B)
 
 speedup:
 	$(CARGO) run --release -p mlss-bench --bin parallel_speedup 4 0.02

@@ -38,6 +38,20 @@
 //! driver and session runs its chunks here, width 1 included, so a
 //! statement's answer never depends on the width it ran at.
 //!
+//! Two mechanisms keep the per-lane cost of a step near the kernel's:
+//!
+//! * **watch values** — each lane carries the value at or above which
+//!   its current segment can end ([`RootKernel::watch`]: the next
+//!   boundary for the MLSS samplers, 1.0 for SRS and IS). The step loop
+//!   computes the lane's value once and consults the kernel only at or
+//!   above the watch, so a step that changes nothing costs one compare.
+//!   The filter is exact: no kernel acts below its watch.
+//! * **the commit ring** — finished roots wait for their in-order commit
+//!   in a ring indexed by `root − next_commit` whose slots, outcome
+//!   buffers included, are reused, so once it has grown committing
+//!   allocates nothing. A long root at the head only grows the ring (to
+//!   the roots that finish behind it); it never reorders a commit.
+//!
 //! The engine itself is width-policy only: the per-step SIMD work —
 //! multi-stream ChaCha refills, vectorized `exp`/`ln`/normal transforms
 //! — lives in the models' native `step_batch`/`step_tilted_batch`
@@ -53,7 +67,7 @@ use crate::model::{SimulationModel, Time};
 use crate::quality::steps_per_root;
 use crate::query::{Problem, ValueFunction};
 use crate::rng::{RootCursor, SimRng};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Verdict of [`RootKernel::on_step`] for the lane's current segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,6 +91,13 @@ pub(crate) enum SegmentStatus {
 /// Equivalence contract: driving a kernel through the engine must be
 /// bit-identical to the estimator's scalar reference loop run root by
 /// root, root `k` on stream `k` of the run key — same draws, same shard.
+///
+/// Watch contract: [`RootKernel::watch`] names the value at or above
+/// which the current segment can end. For every value `v` with
+/// `!(v >= watch)` (NaN included), `on_step` must return
+/// [`SegmentStatus::Running`] and leave the scratch untouched, so the
+/// engine skips the call. The watch may change only when a segment
+/// begins ([`RootKernel::begin_root`], [`RootKernel::next_segment`]).
 pub(crate) trait RootKernel<M, V>
 where
     M: SimulationModel,
@@ -84,8 +105,10 @@ where
 {
     /// Per-root scratch (splitting stack, weight accumulators, …).
     type Scratch;
-    /// Everything one finished root contributes to the shard.
-    type Outcome;
+    /// Everything one finished root contributes to the shard. Slots of
+    /// the commit ring are reused across roots, so an outcome's buffers
+    /// are allocated once per slot, not once per root.
+    type Outcome: Default;
     /// The estimator's shard type.
     type Shard: Ledger;
 
@@ -99,6 +122,10 @@ where
         problem: &Problem<'_, M, V>,
         scratch: &mut Self::Scratch,
     ) -> (M::State, Time);
+
+    /// The value at or above which the current segment needs
+    /// [`RootKernel::on_step`] (see the watch contract above).
+    fn watch(&self, scratch: &Self::Scratch) -> f64;
 
     /// Advance every alive lane one step. The default delegates to the
     /// model's (possibly native) batch kernel; estimators with their own
@@ -117,24 +144,68 @@ where
     }
 
     /// Inspect a lane after one step (`state` is the freshly produced
-    /// state at time `t`); record estimator bookkeeping in `scratch`.
+    /// state at time `t`, `v` its value); record estimator bookkeeping
+    /// in `scratch`. The engine calls it only when `v >= watch`.
     fn on_step(
         &self,
-        problem: &Problem<'_, M, V>,
         scratch: &mut Self::Scratch,
         state: &M::State,
+        v: f64,
         t: Time,
     ) -> SegmentStatus;
 
     /// The root's next pending segment, or `None` when the root is done.
     fn next_segment(&self, scratch: &mut Self::Scratch) -> Option<(M::State, Time)>;
 
-    /// Package the finished root; `steps` is its total `g` invocations.
-    fn finish_root(&self, scratch: &mut Self::Scratch, steps: u64) -> Self::Outcome;
+    /// Package the finished root into `out` (a recycled ring slot);
+    /// `steps` is its total `g` invocations.
+    fn finish_root(&self, scratch: &mut Self::Scratch, steps: u64, out: &mut Self::Outcome);
 
     /// Fold a committed root into the shard. Called strictly in root
     /// index order; must add the root's steps to the shard's step count.
-    fn commit(&self, shard: &mut Self::Shard, outcome: Self::Outcome);
+    fn commit(&self, shard: &mut Self::Shard, outcome: &Self::Outcome);
+}
+
+/// Finished roots awaiting their in-order commit: slot `j` holds root
+/// `next_commit + j`. Committing the head rotates its slot to the back,
+/// so the ring grows only to the widest commit window a chunk sees (the
+/// roots that finish while an earlier root still runs) and its outcome
+/// buffers are reused from then on.
+struct CommitRing<O> {
+    /// `(outcome, steps)`; `steps` is `None` while the root is in flight.
+    slots: VecDeque<(O, Option<u64>)>,
+}
+
+impl<O: Default> CommitRing<O> {
+    fn new() -> Self {
+        Self {
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// The slot of the root `offset` places after the commit head.
+    fn slot(&mut self, offset: usize) -> &mut (O, Option<u64>) {
+        while self.slots.len() <= offset {
+            self.slots.push_back((O::default(), None));
+        }
+        &mut self.slots[offset]
+    }
+
+    /// The head root's outcome and steps, if it has finished.
+    fn head(&self) -> Option<(&O, u64)> {
+        let (out, steps) = self.slots.front()?;
+        Some((out, (*steps)?))
+    }
+
+    /// Retire the head slot: the next root becomes the head.
+    fn advance(&mut self) {
+        let mut slot = self
+            .slots
+            .pop_front()
+            .expect("advance past a committed head");
+        slot.1 = None;
+        self.slots.push_back(slot);
+    }
 }
 
 /// Run the kernel until at least `budget` additional `g` invocations have
@@ -167,6 +238,7 @@ where
     // Lane-parallel storage (allocated up to `width` slots, recycled).
     let mut lanes: Vec<M::State> = Vec::with_capacity(width);
     let mut ts: Vec<Time> = Vec::with_capacity(width);
+    let mut watch: Vec<f64> = Vec::with_capacity(width);
     let mut rngs: Vec<SimRng> = Vec::with_capacity(width);
     let mut scratches: Vec<K::Scratch> = Vec::with_capacity(width);
     let mut root_of: Vec<u64> = Vec::with_capacity(width);
@@ -177,14 +249,11 @@ where
     let first = roots.next;
     let mut next_root = first; // next root index to launch
     let mut next_commit = first; // next root index to fold into the shard
-    let mut pending: BTreeMap<u64, (K::Outcome, u64)> = BTreeMap::new();
+    let mut ring: CommitRing<K::Outcome> = CommitRing::new();
     // Steps taken by alive lanes plus retired-but-uncommitted roots;
     // bounds speculation in the launch gate below.
     let mut inflight_steps: u64 = 0;
-    // The alive roots' projected remaining cost, summed by the step loop:
-    // each root at least the rest of its current segment, and at least
-    // its shortfall from the observed cost per committed root.
-    let mut reserved: u64 = 0;
+    // The observed cost per committed root, as of the last launch.
     let mut per_root = horizon;
 
     'outer: loop {
@@ -192,55 +261,68 @@ where
         // A root launches only while the committed steps, the steps the
         // uncommitted roots took and their reserve stay below target, so
         // the last cohort of a step-bounded chunk runs no root the budget
-        // cannot pay for (none at all for single-segment roots).
-        if !free.is_empty() || lanes.len() < width {
+        // cannot pay for (none at all for single-segment roots). The
+        // reserve is each alive root's projected remaining cost: at least
+        // the rest of its current segment, and at least its shortfall
+        // from the cost per root the previous launch saw.
+        if (!free.is_empty() || lanes.len() < width) && next_root < roots.end {
+            let reserved = alive.iter().fold(0u64, |sum, &i| {
+                let rest = per_root.saturating_sub(steps_of[i]).max(horizon - ts[i]);
+                sum.saturating_add(rest)
+            });
             per_root = steps_per_root(shard.steps(), shard.n_roots(), horizon);
-        }
-        let mut projected = (shard.steps() + inflight_steps).saturating_add(reserved);
-        while (!free.is_empty() || lanes.len() < width)
-            && projected < target
-            && next_root < roots.end
-        {
-            let slot = match free.pop() {
-                Some(s) => s,
-                None => {
-                    let s = lanes.len();
-                    scratches.push(kernel.new_scratch());
-                    // Placeholder values; overwritten below.
-                    lanes.push(problem.model.initial_state());
-                    ts.push(0);
-                    rngs.push(roots.stream(next_root));
-                    root_of.push(0);
-                    steps_of.push(0);
-                    s
-                }
-            };
-            rngs[slot] = roots.stream(next_root);
-            let (state, t0) = kernel.begin_root(problem, &mut scratches[slot]);
-            debug_assert!(t0 < horizon, "roots must have at least one step");
-            projected = projected.saturating_add(per_root.max(horizon - t0));
-            lanes[slot] = state;
-            ts[slot] = t0;
-            root_of[slot] = next_root;
-            steps_of[slot] = 0;
-            next_root += 1;
-            alive.push(slot);
+            let mut projected = (shard.steps() + inflight_steps).saturating_add(reserved);
+            while (!free.is_empty() || lanes.len() < width)
+                && projected < target
+                && next_root < roots.end
+            {
+                let slot = match free.pop() {
+                    Some(s) => s,
+                    None => {
+                        let s = lanes.len();
+                        scratches.push(kernel.new_scratch());
+                        // Placeholder values; overwritten below.
+                        lanes.push(problem.model.initial_state());
+                        ts.push(0);
+                        watch.push(0.0);
+                        rngs.push(roots.stream(next_root));
+                        root_of.push(0);
+                        steps_of.push(0);
+                        s
+                    }
+                };
+                rngs[slot] = roots.stream(next_root);
+                let (state, t0) = kernel.begin_root(problem, &mut scratches[slot]);
+                debug_assert!(t0 < horizon, "roots must have at least one step");
+                projected = projected.saturating_add(per_root.max(horizon - t0));
+                lanes[slot] = state;
+                ts[slot] = t0;
+                watch[slot] = kernel.watch(&scratches[slot]);
+                root_of[slot] = next_root;
+                steps_of[slot] = 0;
+                next_root += 1;
+                alive.push(slot);
+            }
         }
 
         // ---- step the cohort ------------------------------------------
-        reserved = 0;
         if !alive.is_empty() {
             for &i in &alive {
                 ts[i] += 1; // target time of the state being produced
             }
             kernel.step_lanes(problem, &mut lanes, &ts, &mut rngs, &alive, &mut scratches);
+            inflight_steps += alive.len() as u64;
             let mut k = 0;
             while k < alive.len() {
                 let i = alive[k];
                 steps_of[i] += 1;
-                inflight_steps += 1;
-                let status = kernel.on_step(problem, &mut scratches[i], &lanes[i], ts[i]);
-                if status == SegmentStatus::SegmentDone || ts[i] >= horizon {
+                // One compare per lane-step: below its watch a segment
+                // keeps running, so the kernel is not consulted.
+                let v = problem.value(&lanes[i]);
+                let done = v >= watch[i]
+                    && kernel.on_step(&mut scratches[i], &lanes[i], v, ts[i])
+                        == SegmentStatus::SegmentDone;
+                if done || ts[i] >= horizon {
                     // Install the next runnable segment (segments born at
                     // or past the horizon run zero steps — skip them).
                     let mut retired = true;
@@ -253,21 +335,21 @@ where
                         }
                     }
                     if retired {
-                        let out = kernel.finish_root(&mut scratches[i], steps_of[i]);
-                        pending.insert(root_of[i], (out, steps_of[i]));
+                        let slot = ring.slot((root_of[i] - next_commit) as usize);
+                        kernel.finish_root(&mut scratches[i], steps_of[i], &mut slot.0);
+                        slot.1 = Some(steps_of[i]);
                         free.push(i);
                         alive.swap_remove(k);
                         continue;
                     }
+                    watch[i] = kernel.watch(&scratches[i]);
                 }
-                let rest = per_root.saturating_sub(steps_of[i]).max(horizon - ts[i]);
-                reserved = reserved.saturating_add(rest);
                 k += 1;
             }
         }
 
         // ---- commit in root order -------------------------------------
-        while let Some((out, steps)) = pending.remove(&next_commit) {
+        while let Some((out, steps)) = ring.head() {
             if shard.steps() >= target {
                 // The scalar rule would never have launched this root —
                 // discard it (and, transitively, everything after it).
@@ -279,6 +361,7 @@ where
             chunk.steps += shard.steps() - before;
             chunk.roots += 1;
             next_commit += 1;
+            ring.advance();
         }
         if shard.steps() >= target || next_commit == roots.end {
             break;
@@ -427,6 +510,271 @@ mod tests {
             SrsEstimator.run_chunk(problem, &mut shard, 10_000, &mut RootCursor::new(3), width);
             assert!(shard.steps >= 10_000);
             assert!(shard.steps < 10_000 + 50, "width {width}: {}", shard.steps);
+        }
+    }
+
+    /// A process parked at a fixed value: `begin_root` places a root at
+    /// the level its start value names, and `on_step` is fed values
+    /// directly, so no step is ever simulated.
+    struct Parked(f64);
+
+    impl SimulationModel for Parked {
+        type State = f64;
+
+        fn initial_state(&self) -> f64 {
+            self.0
+        }
+
+        fn step(&self, s: &f64, _t: Time, _rng: &mut SimRng) -> f64 {
+            *s
+        }
+    }
+
+    impl crate::is::TiltableModel for Parked {
+        fn step_tilted(&self, s: &f64, _t: Time, _theta: f64, _rng: &mut SimRng) -> (f64, f64) {
+            (*s, 0.0)
+        }
+    }
+
+    /// `f(x) = x`, unclamped, so the probe values reach `on_step` as is.
+    struct Identity;
+
+    impl ValueFunction<f64> for Identity {
+        fn value(&self, s: &f64) -> f64 {
+            *s
+        }
+    }
+
+    /// Feed each value to a fresh root's `on_step` and check the watch
+    /// contract: below the watch the segment keeps running and the
+    /// scratch is left as it was (same outcome, same pending segments as
+    /// a root that saw no value). With `tight`, every value at or above
+    /// the watch must end the segment. Returns the root's watch.
+    fn check_watch<K>(kernel: &K, start: f64, values: &[f64], tight: bool, what: &str) -> f64
+    where
+        K: RootKernel<Parked, Identity>,
+        K::Outcome: PartialEq + std::fmt::Debug,
+    {
+        let model = Parked(start);
+        let problem = Problem::new(&model, &Identity, 10);
+        let settle = |scratch: &mut K::Scratch| {
+            let mut pending = 0;
+            while kernel.next_segment(scratch).is_some() {
+                pending += 1;
+            }
+            let mut out = K::Outcome::default();
+            kernel.finish_root(scratch, 1, &mut out);
+            (pending, out)
+        };
+        let mut untouched = kernel.new_scratch();
+        let (state, _) = kernel.begin_root(&problem, &mut untouched);
+        let watch = kernel.watch(&untouched);
+        let reference = settle(&mut untouched);
+        for &v in values {
+            let mut scratch = kernel.new_scratch();
+            kernel.begin_root(&problem, &mut scratch);
+            let status = kernel.on_step(&mut scratch, &state, v, 1);
+            if v >= watch {
+                if tight {
+                    assert_eq!(
+                        status,
+                        SegmentStatus::SegmentDone,
+                        "{what}: v = {v} ≥ watch {watch}"
+                    );
+                }
+            } else {
+                assert_eq!(
+                    status,
+                    SegmentStatus::Running,
+                    "{what}: v = {v} < watch {watch}"
+                );
+                assert_eq!(
+                    settle(&mut scratch),
+                    reference,
+                    "{what}: v = {v} touched the scratch"
+                );
+            }
+        }
+        watch
+    }
+
+    #[test]
+    fn no_kernel_acts_below_its_watch() {
+        let plans = [
+            ("trivial", PartitionPlan::trivial()),
+            ("uniform", PartitionPlan::uniform(4)),
+            ("geometric", PartitionPlan::geometric(5, 0.5)),
+            (
+                "near-1",
+                PartitionPlan::new(vec![0.5, 1.0f64.next_down()]).unwrap(),
+            ),
+        ];
+        for (name, plan) in &plans {
+            let m = plan.num_levels();
+            let mut values = vec![f64::NAN, f64::NEG_INFINITY, 1.0, 1.5, f64::INFINITY];
+            for i in 0..=m {
+                let b = plan.boundary(i);
+                values.extend([b, b.next_up(), b.next_down()]);
+            }
+            for level in 0..m {
+                let start = plan.boundary(level);
+                let gmlss = crate::gmlss::GMlssKernel {
+                    plan,
+                    ratio: 2,
+                    track_ledger: true,
+                };
+                let what = format!("gmlss/{name} from level {level}");
+                let watch = check_watch(&gmlss, start, &values, true, &what);
+                assert_eq!(watch, plan.boundary(level + 1), "{what}");
+                let smlss = crate::smlss::SMlssKernel { plan, ratio: 2 };
+                let what = format!("smlss/{name} from level {level}");
+                let watch = check_watch(&smlss, start, &values, false, &what);
+                assert_eq!(watch, plan.boundary(level + 1), "{what}");
+            }
+            let srs = crate::srs::SrsKernel;
+            assert_eq!(check_watch(&srs, 0.0, &values, true, "srs"), 1.0);
+            let is = crate::is::IsKernel { theta: 0.3 };
+            assert_eq!(check_watch(&is, 0.0, &values, true, "is"), 1.0);
+        }
+    }
+
+    /// A kernel with scripted root lifetimes: the first root it begins
+    /// lives `long` steps, every later one 1–9 steps. Roots begin in
+    /// index order at every width, so root `first + n` is the `n`-th
+    /// `begin_root`. Each outcome records the root's index, steps and
+    /// last value, so the shard's commit log shows order and streams.
+    struct Scripted {
+        long: Time,
+        begun: std::cell::Cell<u64>,
+        /// Roots finished before the long root finished.
+        overtaken: std::cell::Cell<Option<u64>>,
+        finished: std::cell::Cell<u64>,
+    }
+
+    #[derive(Default)]
+    struct Life {
+        root: u64,
+        life: Time,
+        last: f64,
+    }
+
+    /// A committed root: `(index, steps, last value bits)`.
+    type Commit = (u64, u64, u64);
+
+    #[derive(Default)]
+    struct LogShard {
+        log: Vec<Commit>,
+        steps: u64,
+    }
+
+    impl Ledger for LogShard {
+        fn merge(&mut self, other: Self) {
+            self.log.extend(other.log);
+            self.steps += other.steps;
+        }
+
+        fn n_roots(&self) -> u64 {
+            self.log.len() as u64
+        }
+
+        fn steps(&self) -> u64 {
+            self.steps
+        }
+    }
+
+    impl RootKernel<JumpyWalk, Vf> for Scripted {
+        type Scratch = Life;
+        type Outcome = Commit;
+        type Shard = LogShard;
+
+        fn new_scratch(&self) -> Life {
+            Life::default()
+        }
+
+        fn begin_root(
+            &self,
+            _problem: &Problem<'_, JumpyWalk, Vf>,
+            life: &mut Life,
+        ) -> (f64, Time) {
+            let n = self.begun.get();
+            self.begun.set(n + 1);
+            life.root = n;
+            life.life = if n == 0 { self.long } else { 1 + n * 7919 % 9 };
+            (0.0, 0)
+        }
+
+        fn watch(&self, _life: &Life) -> f64 {
+            f64::NEG_INFINITY
+        }
+
+        fn on_step(&self, life: &mut Life, _state: &f64, v: f64, t: Time) -> SegmentStatus {
+            life.last = v;
+            if t >= life.life {
+                SegmentStatus::SegmentDone
+            } else {
+                SegmentStatus::Running
+            }
+        }
+
+        fn next_segment(&self, _life: &mut Life) -> Option<(f64, Time)> {
+            None
+        }
+
+        fn finish_root(&self, life: &mut Life, steps: u64, out: &mut Commit) {
+            if life.root == 0 {
+                self.overtaken.set(Some(self.finished.get()));
+            }
+            self.finished.set(self.finished.get() + 1);
+            *out = (life.root, steps, life.last.to_bits());
+        }
+
+        fn commit(&self, shard: &mut LogShard, out: &Commit) {
+            shard.log.push(*out);
+            shard.steps += out.1;
+        }
+    }
+
+    #[test]
+    fn the_commit_ring_absorbs_head_of_line_blocking() {
+        // Root 0 runs 4,000 steps while later roots finish in 1–9; they
+        // wait in the ring until root 0 commits. In the root-bounded
+        // chunk all 1,999 later roots overtake root 0 at every width
+        // above 1; in the step-bounded one the launch gate's reserve for
+        // root 0 holds speculation back while it runs, and the budget
+        // ends the chunk after it commits. Both must commit the same log
+        // and leave the same cursor at every width.
+        let model = JumpyWalk;
+        let v = vf();
+        let problem = Problem::new(&model, &v, 5_000);
+        for (budget, end) in [(u64::MAX, 2_000), (6_000, u64::MAX)] {
+            let mut reference: Option<(Vec<Commit>, RootCursor)> = None;
+            for width in [1usize, 7, 64, 256] {
+                let kernel = Scripted {
+                    long: 4_000,
+                    begun: Default::default(),
+                    overtaken: Default::default(),
+                    finished: Default::default(),
+                };
+                let mut roots = RootCursor::new(9);
+                roots.end = end;
+                let mut shard = LogShard::default();
+                run_frontier(&kernel, &problem, &mut shard, budget, &mut roots, width);
+                assert!(shard.log.iter().enumerate().all(|(k, r)| r.0 == k as u64));
+                if width > 1 && budget == u64::MAX {
+                    let overtaken = kernel.overtaken.get().expect("root 0 finished");
+                    assert!(
+                        overtaken >= 3 * width as u64,
+                        "width {width}: only {overtaken} roots overtook root 0"
+                    );
+                }
+                match &reference {
+                    None => reference = Some((shard.log, roots)),
+                    Some((log, cursor)) => {
+                        assert_eq!(*log, shard.log, "budget {budget}, width {width}");
+                        assert_eq!(*cursor, roots, "budget {budget}, width {width}");
+                    }
+                }
+            }
         }
     }
 }

@@ -442,9 +442,9 @@ struct SplitEvent {
 /// deltas and the ledger record are buffered in scratch and folded into
 /// the shard in root order at commit time.
 pub(crate) struct GMlssKernel<'a> {
-    plan: &'a PartitionPlan,
-    ratio: u32,
-    track_ledger: bool,
+    pub(crate) plan: &'a PartitionPlan,
+    pub(crate) ratio: u32,
+    pub(crate) track_ledger: bool,
 }
 
 /// Per-root scratch for the g-MLSS kernel.
@@ -465,6 +465,7 @@ pub(crate) struct GMlssScratch<S> {
 }
 
 /// Everything one finished g-MLSS root commits.
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct GMlssRoot {
     landings: Vec<u64>,
     crossings: Vec<u64>,
@@ -472,7 +473,8 @@ pub(crate) struct GMlssRoot {
     skip_events: u64,
     hits: u32,
     steps: u64,
-    rec: Option<Vec<u32>>,
+    /// The ledger record; empty when the shard tracks no ledger.
+    rec: Vec<u32>,
 }
 
 impl<'a, M, V> RootKernel<M, V> for GMlssKernel<'a>
@@ -574,15 +576,21 @@ where
         (init, 0)
     }
 
+    /// A segment ends on its first crossing above `crossed_max`, i.e. at
+    /// the first value at or above `β_{crossed_max + 1}`.
+    fn watch(&self, scratch: &Self::Scratch) -> f64 {
+        self.plan.boundary(scratch.crossed_max + 1)
+    }
+
     fn on_step(
         &self,
-        problem: &Problem<'_, M, V>,
         scratch: &mut Self::Scratch,
         state: &M::State,
+        v: f64,
         t: Time,
     ) -> SegmentStatus {
         let m = self.plan.num_levels();
-        let lvl = self.plan.level_of(problem.value(state));
+        let lvl = self.plan.level_of(v);
         if lvl <= scratch.crossed_max {
             return SegmentStatus::Running;
         }
@@ -630,31 +638,31 @@ where
         Some((seg.state, seg.t))
     }
 
-    fn finish_root(&self, scratch: &mut Self::Scratch, steps: u64) -> GMlssRoot {
+    fn finish_root(&self, scratch: &mut Self::Scratch, steps: u64, out: &mut GMlssRoot) {
         let m = self.plan.num_levels();
-        let mut crossings = vec![0u64; m];
+        out.crossings.clear();
+        out.crossings.resize(m, 0);
         for ev in &scratch.events {
             if self.track_ledger {
                 scratch.rec[m + ev.level] += ev.crossed;
             }
-            crossings[ev.level] += ev.crossed as u64;
+            out.crossings[ev.level] += ev.crossed as u64;
         }
-        let rec = self.track_ledger.then(|| {
+        out.rec.clear();
+        if self.track_ledger {
             scratch.rec[3 * m] = scratch.hits;
-            std::mem::take(&mut scratch.rec)
-        });
-        GMlssRoot {
-            landings: std::mem::take(&mut scratch.landings),
-            crossings,
-            skips: std::mem::take(&mut scratch.skips),
-            skip_events: scratch.skip_events,
-            hits: scratch.hits,
-            steps,
-            rec,
+            out.rec.extend_from_slice(&scratch.rec);
         }
+        out.landings.clear();
+        out.landings.extend_from_slice(&scratch.landings);
+        out.skips.clear();
+        out.skips.extend_from_slice(&scratch.skips);
+        out.skip_events = scratch.skip_events;
+        out.hits = scratch.hits;
+        out.steps = steps;
     }
 
-    fn commit(&self, shard: &mut GmlssShard, out: GMlssRoot) {
+    fn commit(&self, shard: &mut GmlssShard, out: &GMlssRoot) {
         for (a, b) in shard.landings.iter_mut().zip(&out.landings) {
             *a += b;
         }
@@ -667,10 +675,8 @@ where
         shard.skip_events += out.skip_events;
         shard.hits += out.hits as u64;
         shard.steps += out.steps;
-        if let Some(rec) = out.rec {
-            if shard.track_ledger {
-                shard.ledger.push_record(&rec);
-            }
+        if shard.track_ledger {
+            shard.ledger.push_record(&out.rec);
         }
         shard.moments.push(out.hits);
         shard.n_roots += 1;

@@ -246,7 +246,7 @@ impl Ledger for IsShard {
 /// through the model's tilted proposal rather than `step_batch`, with the
 /// log-weight accumulated per lane.
 pub(crate) struct IsKernel {
-    theta: f64,
+    pub(crate) theta: f64,
 }
 
 /// Per-root scratch: running log-weight and the weight at the hit.
@@ -298,14 +298,19 @@ where
         }
     }
 
+    /// A root ends on its first query-satisfying state, `f = 1`.
+    fn watch(&self, _scratch: &IsScratch) -> f64 {
+        1.0
+    }
+
     fn on_step(
         &self,
-        problem: &Problem<'_, M, V>,
         scratch: &mut IsScratch,
-        state: &M::State,
+        _state: &M::State,
+        v: f64,
         _t: Time,
     ) -> SegmentStatus {
-        if problem.satisfied(state) {
+        if v >= 1.0 {
             scratch.hit_w = Some(scratch.log_w.exp());
             SegmentStatus::SegmentDone
         } else {
@@ -317,11 +322,11 @@ where
         None
     }
 
-    fn finish_root(&self, scratch: &mut IsScratch, steps: u64) -> (Option<f64>, u64) {
-        (scratch.hit_w, steps)
+    fn finish_root(&self, scratch: &mut IsScratch, steps: u64, out: &mut (Option<f64>, u64)) {
+        *out = (scratch.hit_w, steps);
     }
 
-    fn commit(&self, shard: &mut IsShard, (hit_w, steps): (Option<f64>, u64)) {
+    fn commit(&self, shard: &mut IsShard, &(hit_w, steps): &(Option<f64>, u64)) {
         shard.steps += steps;
         if let Some(w) = hit_w {
             shard.hits += 1;

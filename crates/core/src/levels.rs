@@ -105,6 +105,7 @@ impl PartitionPlan {
 
     /// Index of the level containing value `v`: the largest `i` with
     /// `β_i ≤ v` (values ≥ 1 map to the target level `m`).
+    #[inline]
     pub fn level_of(&self, v: f64) -> usize {
         if v >= 1.0 {
             return self.num_levels();

@@ -32,7 +32,9 @@ pub trait ValueFunction<S>: Sync {
     /// Value of the state, guaranteed to lie in `(0, 1]`.
     fn value(&self, state: &S) -> f64;
 
-    /// The query condition: by construction `q(x) = 1 ⇔ f(x) = 1`.
+    /// The query condition: by construction `q(x) = 1 ⇔ f(x) = 1`. The
+    /// frontier tests `value(x) >= 1.0` itself, so an override must agree
+    /// with it.
     fn satisfied(&self, state: &S) -> bool {
         self.value(state) >= 1.0
     }

@@ -272,20 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn active_is_at_most_detected() {
-        // The active backend is exactly the detected one capped by the
-        // `MLSS_SIMD` request: a CI leg that asks for a SIMD backend the
-        // runner has must not silently run scalar.
-        let cap = match std::env::var("MLSS_SIMD").ok().as_deref() {
-            Some("scalar") => Backend::Scalar,
-            Some("sse2") => Backend::Sse2,
-            Some("avx2") => Backend::Avx2,
-            _ => Backend::Avx512,
-        };
-        assert_eq!(Backend::active(), Backend::detect().min(cap));
-    }
-
-    #[test]
     fn scratch_nesting_does_not_panic() {
         let out = with_scratch(|outer| {
             outer.words.push(1);

@@ -198,8 +198,8 @@ impl Ledger for SMlssShard {
 /// segment-by-segment within one lane on a LIFO stack of pending
 /// segments.
 pub(crate) struct SMlssKernel<'a> {
-    plan: &'a PartitionPlan,
-    ratio: u32,
+    pub(crate) plan: &'a PartitionPlan,
+    pub(crate) ratio: u32,
 }
 
 /// Per-root scratch for the s-MLSS kernel.
@@ -214,6 +214,7 @@ pub(crate) struct SMlssScratch<S> {
 }
 
 /// Everything one finished s-MLSS root commits.
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct SMlssRoot {
     entries: Vec<u64>,
     hits: u32,
@@ -275,16 +276,21 @@ where
         (init, 0)
     }
 
+    /// A segment ends on entering exactly its watch level, which needs a
+    /// value at or above that level's lower boundary.
+    fn watch(&self, scratch: &Self::Scratch) -> f64 {
+        self.plan.boundary(scratch.watch)
+    }
+
     fn on_step(
         &self,
-        problem: &Problem<'_, M, V>,
         scratch: &mut Self::Scratch,
         state: &M::State,
+        v: f64,
         t: Time,
     ) -> SegmentStatus {
         let m = self.plan.num_levels();
-        let f = problem.value(state);
-        if self.plan.level_of(f) != scratch.watch {
+        if self.plan.level_of(v) != scratch.watch {
             return SegmentStatus::Running;
         }
         if scratch.watch == m {
@@ -308,15 +314,14 @@ where
         Some((seg.state, seg.t))
     }
 
-    fn finish_root(&self, scratch: &mut Self::Scratch, steps: u64) -> SMlssRoot {
-        SMlssRoot {
-            entries: std::mem::take(&mut scratch.entries),
-            hits: scratch.hits,
-            steps,
-        }
+    fn finish_root(&self, scratch: &mut Self::Scratch, steps: u64, out: &mut SMlssRoot) {
+        out.entries.clear();
+        out.entries.extend_from_slice(&scratch.entries);
+        out.hits = scratch.hits;
+        out.steps = steps;
     }
 
-    fn commit(&self, shard: &mut SMlssShard, out: SMlssRoot) {
+    fn commit(&self, shard: &mut SMlssShard, out: &SMlssRoot) {
         let m = shard.m;
         for (a, b) in shard.level_entries.iter_mut().zip(&out.entries) {
             *a += b;

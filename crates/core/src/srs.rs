@@ -90,14 +90,19 @@ where
         (problem.model.initial_state(), 0)
     }
 
+    /// A root ends on its first query-satisfying state, `f = 1`.
+    fn watch(&self, _scratch: &SrsScratch) -> f64 {
+        1.0
+    }
+
     fn on_step(
         &self,
-        problem: &Problem<'_, M, V>,
         scratch: &mut SrsScratch,
-        state: &M::State,
+        _state: &M::State,
+        v: f64,
         _t: Time,
     ) -> SegmentStatus {
-        if problem.satisfied(state) {
+        if v >= 1.0 {
             scratch.hit = true;
             SegmentStatus::SegmentDone
         } else {
@@ -109,11 +114,11 @@ where
         None
     }
 
-    fn finish_root(&self, scratch: &mut SrsScratch, steps: u64) -> (bool, u64) {
-        (scratch.hit, steps)
+    fn finish_root(&self, scratch: &mut SrsScratch, steps: u64, out: &mut (bool, u64)) {
+        *out = (scratch.hit, steps);
     }
 
-    fn commit(&self, shard: &mut SrsShard, (hit, steps): (bool, u64)) {
+    fn commit(&self, shard: &mut SrsShard, &(hit, steps): &(bool, u64)) {
         shard.n += 1;
         shard.steps += steps;
         shard.hits += hit as u64;

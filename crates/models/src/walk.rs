@@ -47,6 +47,25 @@ impl RandomWalk {
     pub fn drift(&self) -> f64 {
         self.up - self.down
     }
+
+    /// The lowest position the walk may take: 0 when reflecting.
+    fn floor(&self) -> i64 {
+        if self.reflect_at_zero {
+            0
+        } else {
+            i64::MIN
+        }
+    }
+
+    /// One step from `s` on the uniform draw `u`, branch-free: +1 below
+    /// `up`, −1 below `stay = up + down`, 0 otherwise, then clamped to
+    /// `floor`. As `up ≤ stay`, `2·[u < up] − [u < stay]` is that
+    /// three-way choice.
+    #[inline(always)]
+    fn advance(&self, s: i64, u: f64, stay: f64, floor: i64) -> i64 {
+        let delta = 2 * (u < self.up) as i64 - (u < stay) as i64;
+        (s + delta).max(floor)
+    }
 }
 
 impl SimulationModel for RandomWalk {
@@ -57,26 +76,20 @@ impl SimulationModel for RandomWalk {
     }
 
     fn step(&self, state: &i64, _t: Time, rng: &mut SimRng) -> i64 {
-        let u = rng.random::<f64>();
-        let mut next = if u < self.up {
-            state + 1
-        } else if u < self.up + self.down {
-            state - 1
-        } else {
-            *state
-        };
-        if self.reflect_at_zero && next < 0 {
-            next = 0;
-        }
-        next
+        self.advance(
+            *state,
+            rng.random::<f64>(),
+            self.up + self.down,
+            self.floor(),
+        )
     }
 
     /// Native batch kernel on the vectorized draw pipeline: one raw
     /// ChaCha word per lane, with all block refills for the cohort
     /// computed in one multi-stream SIMD pass; the threshold compare and
-    /// integer update stay per lane. Per-lane draws are bit-identical to
-    /// the scalar `step` (the walk is pure RNG cost — the draw gather
-    /// *is* the kernel).
+    /// integer update stay per lane, branch-free. Per-lane draws are
+    /// bit-identical to the scalar `step` (the walk is pure RNG cost —
+    /// the draw gather *is* the kernel).
     fn step_batch(&self, lanes: &mut [i64], ts: &[Time], rngs: &mut [SimRng], alive: &[usize]) {
         if !simd::pipeline_engaged(alive.len()) {
             for &i in alive {
@@ -84,26 +97,14 @@ impl SimulationModel for RandomWalk {
             }
             return;
         }
-        let stay = self.up + self.down;
+        let (stay, floor) = (self.up + self.down, self.floor());
         simd::with_scratch(|sc| {
             chacha::gather_u64(rngs, alive, 1, sc);
             sc.f1.clear();
             sc.f1.resize(alive.len(), 0.0);
             vmath::u01_slice(&sc.words, &mut sc.f1);
-            for (j, &i) in alive.iter().enumerate() {
-                let u = sc.f1[j];
-                let s = lanes[i];
-                let mut next = if u < self.up {
-                    s + 1
-                } else if u < stay {
-                    s - 1
-                } else {
-                    s
-                };
-                if self.reflect_at_zero && next < 0 {
-                    next = 0;
-                }
-                lanes[i] = next;
+            for (&i, &u) in alive.iter().zip(&sc.f1) {
+                lanes[i] = self.advance(lanes[i], u, stay, floor);
             }
         })
     }
@@ -216,30 +217,47 @@ mod tests {
     use mlss_core::rng::rng_from_seed;
 
     #[test]
-    fn full_cohorts_take_the_draw_pipeline_on_simd_backends() {
-        // The walk kernel stages its draws in the thread's kernel scratch
-        // exactly when the pipeline engages, so an empty scratch after a
-        // full cohort on a SIMD backend is a silent scalar fallback. Each
-        // cohort runs on a fresh thread, whose scratch starts empty.
-        let n = simd::MIN_SIMD_COHORT;
-        for cohort in [n - 1, n, 4 * n] {
-            let staged = std::thread::spawn(move || {
-                let walk = RandomWalk::new(0.3, 0.3, 0);
-                let mut lanes = vec![0i64; cohort];
-                let ts = vec![1; cohort];
-                let mut rngs: Vec<SimRng> = (0..cohort as u64).map(rng_from_seed).collect();
-                let alive: Vec<usize> = (0..cohort).collect();
-                walk.step_batch(&mut lanes, &ts, &mut rngs, &alive);
-                simd::with_scratch(|sc| sc.words.len())
-            })
-            .join()
-            .unwrap();
-            assert_eq!(
-                staged > 0,
-                simd::Backend::active() > simd::Backend::Scalar && cohort >= n,
-                "cohort {cohort} on backend {}",
-                simd::Backend::active()
-            );
+    fn branch_free_step_matches_the_three_way_rule_at_its_edges() {
+        fn reference(w: &RandomWalk, s: i64, u: f64) -> i64 {
+            let next = if u < w.up {
+                s + 1
+            } else if u < w.up + w.down {
+                s - 1
+            } else {
+                s
+            };
+            if w.reflect_at_zero && next < 0 {
+                0
+            } else {
+                next
+            }
+        }
+        for (up, down) in [
+            (0.3, 0.3),
+            (0.5, 0.5),
+            (0.0, 0.4),
+            (0.4, 0.0),
+            (1.0, 0.0),
+            (0.2, 0.7),
+        ] {
+            for reflect in [false, true] {
+                let mut w = RandomWalk::new(up, down, 0);
+                w.reflect_at_zero = reflect;
+                let stay = up + down;
+                let mut us = vec![0.0, 0.5, 1.0f64.next_down()];
+                for edge in [up, stay] {
+                    us.extend([edge, edge.next_down(), edge.next_up()]);
+                }
+                for s in [0i64, 1, 7, -1, -5] {
+                    for &u in us.iter().filter(|u| (0.0..1.0).contains(*u)) {
+                        assert_eq!(
+                            w.advance(s, u, stay, w.floor()),
+                            reference(&w, s, u),
+                            "up {up}, down {down}, reflect {reflect}, s {s}, u {u}"
+                        );
+                    }
+                }
+            }
         }
     }
 

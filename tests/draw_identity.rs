@@ -21,6 +21,10 @@
 //! * **ChaCha stream equivalence** — the multi-stream block generator
 //!   equals N independent scalar `ChaCha12` streams word for word,
 //!   across block boundaries and `split_rng` seeds.
+//! * **Pipeline engagement** — the active backend is the detected one
+//!   capped by `MLSS_SIMD`, and the walk's `step_batch` stages its draws
+//!   through the pipeline exactly at full cohorts on SIMD backends, so
+//!   no backend leg passes on a silent scalar fallback.
 //!
 //! CI runs this suite (with the rest of the workspace) under
 //! `MLSS_SIMD=scalar` and `MLSS_SIMD=sse2` (the backend-matrix job) and
@@ -33,7 +37,7 @@ use durability_mlss::models::{
 };
 use mlss_core::is::{IsEstimator, TiltableModel};
 use mlss_core::prelude::*;
-use mlss_core::simd::{chacha, vmath, Backend, KernelScratch};
+use mlss_core::simd::{self, chacha, vmath, Backend, KernelScratch};
 use mlss_core::smlss::SMlssConfig;
 use rand::RngExt;
 use std::fmt::Debug;
@@ -137,6 +141,45 @@ fn cpp_kernels_are_bit_identical_under_masks() {
     });
     check_step_tilted_batch_identity("cpp", CompoundPoisson::zero_drift_default, 0.3);
     check_step_tilted_batch_identity("cpp-neg-tilt", CompoundPoisson::paper_default, -0.2);
+}
+
+#[test]
+fn the_active_backend_is_the_detected_one_capped_by_mlss_simd() {
+    let cap = match std::env::var("MLSS_SIMD").ok().as_deref() {
+        Some("scalar") => Backend::Scalar,
+        Some("sse2") => Backend::Sse2,
+        Some("avx2") => Backend::Avx2,
+        _ => Backend::Avx512,
+    };
+    assert_eq!(Backend::active(), Backend::detect().min(cap));
+}
+
+#[test]
+fn walk_step_batch_takes_the_simd_pipeline_at_full_cohorts() {
+    // The walk kernel stages its draws in the thread's kernel scratch
+    // exactly when the pipeline engages; each cohort runs on a fresh
+    // thread, whose scratch starts empty, so an empty scratch after a
+    // full cohort on a SIMD backend is a silent scalar fallback.
+    let n = simd::MIN_SIMD_COHORT;
+    for cohort in [1, n - 1, n, 64] {
+        let staged = std::thread::spawn(move || {
+            let walk = RandomWalk::new(0.3, 0.3, 0);
+            let mut lanes = vec![0i64; cohort];
+            let ts = vec![1; cohort];
+            let mut rngs: Vec<SimRng> = (0..cohort as u64).map(rng_from_seed).collect();
+            let alive: Vec<usize> = (0..cohort).collect();
+            walk.step_batch(&mut lanes, &ts, &mut rngs, &alive);
+            simd::with_scratch(|sc| sc.words.len())
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            staged > 0,
+            Backend::active() > Backend::Scalar && cohort >= n,
+            "cohort {cohort} on backend {}",
+            Backend::active()
+        );
+    }
 }
 
 #[test]
