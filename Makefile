@@ -49,14 +49,15 @@ sql-demo:
 # The durability gate (mirrors the CI `durability` job): the WAL
 # corruption suite, the crash-point recovery sweep, write-ahead
 # ordering, and a real kill -9 against the sql_shell — submit an ASYNC
-# query, die mid-run, reopen the log, and demand the recovered row.
+# fan-out query (threads=2), die mid-run, reopen the log, and demand the
+# recovered row.
 test-durability:
 	$(CARGO) test --release -p mlss-store
 	$(CARGO) test --release --test recovery_identity
 	$(CARGO) test --release --test failure_injection
 	$(CARGO) build --release --example sql_shell
 	rm -rf target/wal-smoke && mkdir -p target/wal-smoke
-	( printf '%s\n' "ESTIMATE DURABILITY OF walk(beta=6) WITHIN 50 USING gmlss(levels=3) TARGET RE 15% WITH (seed=4242) ASYNC"; sleep 3 ) \
+	( printf '%s\n' "ESTIMATE DURABILITY OF walk(beta=6) WITHIN 50 USING gmlss(levels=3) TARGET RE 15% WITH (seed=4242, threads=2) ASYNC"; sleep 3 ) \
 	  | MLSS_WAL_DIR=target/wal-smoke ./target/release/examples/sql_shell & \
 	sleep 1; kill -9 $$! 2>/dev/null || true; sleep 1
 	printf '%s\n' "SELECT model, method, tau FROM results" \

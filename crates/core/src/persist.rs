@@ -11,8 +11,8 @@
 //! The [`Persist`] impls for shard types live next to their struct
 //! definitions (they serialize private fields); this module holds the
 //! trait, the byte [`Reader`], the little-endian `put_*` helpers, and the
-//! type-erased [`StoredShard`] codec used by the WAL's shard-deposit and
-//! checkpoint records.
+//! type-erased [`StoredShard`] codec used by the WAL's checkpoint
+//! record.
 //!
 //! Framing, CRCs, and record kinds are the WAL's concern, not this
 //! module's: a `Persist` payload is only ever decoded after the WAL has

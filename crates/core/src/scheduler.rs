@@ -119,15 +119,15 @@ pub trait SliceableQuery: Send + Any {
     }
 
     /// Capture the job's committed `(shard, cursor)` state for a durability
-    /// checkpoint, plus the resolved estimator name a recovering session
-    /// needs to rebuild the job. Unlike [`SliceableQuery::reuse_snapshot`]
+    /// checkpoint, under the shard-store key a recovering session checks
+    /// its rebuilt job against. Unlike [`SliceableQuery::reuse_snapshot`]
     /// this must be cheap — it runs at the checkpoint cadence on the
     /// worker's slice path — so implementations return counters-only
     /// placeholder estimates rather than evaluating one (recovery resumes
     /// the run; it never serves a checkpoint's estimate). Must not
     /// disturb committed state (snapshot on clones). Jobs that cannot be
     /// resumed from serialized state (the default) return `None`.
-    fn checkpoint(&mut self) -> Option<(&'static str, StoredShard)> {
+    fn checkpoint(&mut self) -> Option<(ShardKey, StoredShard)> {
         None
     }
 
@@ -162,7 +162,8 @@ where
     /// The pinned seed this job was built from (`None` when the caller
     /// handed over a raw cursor) — recorded in shard-store deposits.
     seed: Option<u64>,
-    /// Shard-store identity; `Some` opts the job into reuse deposits.
+    /// Shard-store identity; `Some` opts the job into reuse deposits
+    /// and durability checkpoints.
     reuse_key: Option<ShardKey>,
 }
 
@@ -235,7 +236,8 @@ where
 
     /// Tag this job with its shard-store identity so the scheduler
     /// deposits its checkpoints (on completion, pause, and detach) as
-    /// warm-start candidates for later queries.
+    /// warm-start candidates for later queries, and its durability
+    /// checkpoints name the problem they answer.
     pub fn with_reuse_key(mut self, key: ShardKey) -> Self {
         self.reuse_key = Some(key);
         self
@@ -425,7 +427,8 @@ where
         Some((key, entry))
     }
 
-    fn checkpoint(&mut self) -> Option<(&'static str, StoredShard)> {
+    fn checkpoint(&mut self) -> Option<(ShardKey, StoredShard)> {
+        let key = self.reuse_key.clone()?;
         // Counters-only placeholder estimate: evaluating a real one here
         // could run a bootstrap on every checkpoint. Recovery resumes the
         // run from (shard, cursor); it never reads tau/variance out of a
@@ -438,7 +441,7 @@ where
             hits: 0,
         };
         let entry = StoredShard::new(&self.shard, self.run, estimate, self.seed, self.target_re());
-        Some((self.fan.estimator.name(), entry))
+        Some((key, entry))
     }
 
     fn helpers(&self) -> Option<Helpers> {

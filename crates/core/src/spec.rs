@@ -457,9 +457,10 @@ impl QuerySpec {
     /// rendered text yields a spec equal to `self` (with spans erased),
     /// and re-rendering that spec yields the identical string. Canonical
     /// choices: `beta` leads the model parameter list and overrides
-    /// follow in sorted order, the method clause always spells its level
-    /// count, the RE target is a raw fraction, and `WITH` lists only
-    /// non-default options in alphabetical order.
+    /// follow in sorted order, a planned method always spells its level
+    /// count (a planless one only when it is not the default), the RE
+    /// target is a raw fraction, and `WITH` lists only non-default
+    /// options in alphabetical order.
     pub fn render(&self) -> String {
         let mut s = String::new();
         s.push_str("ESTIMATE DURABILITY OF ");
@@ -471,7 +472,7 @@ impl QuerySpec {
         s.push(')');
         s.push_str(&format!(" WITHIN {}", self.horizon));
         s.push_str(&format!(" USING {}", self.method.name()));
-        if self.method.needs_plan() {
+        if self.method.needs_plan() || self.levels != DEFAULT_PLAN_LEVELS {
             s.push_str(&format!("(levels={})", self.levels));
         }
         s.push_str(&format!(" TARGET RE {}", self.target_re));
@@ -655,7 +656,7 @@ impl RankSpec {
         let mut s = format!("ESTIMATE DURABILITY OF {}", refs.join(", "));
         s.push_str(&format!(" WITHIN {}", first.horizon));
         s.push_str(&format!(" USING {}", first.method.name()));
-        if first.method.needs_plan() {
+        if first.method.needs_plan() || first.levels != DEFAULT_PLAN_LEVELS {
             s.push_str(&format!("(levels={})", first.levels));
         }
         s.push_str(&format!(" TARGET RE {}", first.target_re));
@@ -921,9 +922,10 @@ pub fn resolve_method(method: Method, lookup: Option<&PlanLookup>) -> ResolvedMe
 
 /// Box a resolved method as a scheduler job: an [`EstimatorQuery`] over
 /// the concrete estimator, on the run `seed` names, running its slices
-/// at `batch_width` with at most `threads` threads. With `reuse_fingerprint`, the
-/// job is tagged with its shard-store key so a store-attached scheduler
-/// deposits its checkpoints for cross-query reuse.
+/// at `batch_width` with at most `threads` threads. The job is tagged
+/// with its shard-store key over `fingerprint`, so a store-attached
+/// scheduler deposits its checkpoints for cross-query reuse and its
+/// durability checkpoints name the problem they answer.
 #[allow(clippy::too_many_arguments)]
 pub fn estimator_job<M, Z>(
     model: M,
@@ -935,57 +937,29 @@ pub fn estimator_job<M, Z>(
     seed: u64,
     batch_width: usize,
     threads: usize,
-    reuse_fingerprint: Option<u64>,
+    fingerprint: u64,
 ) -> Box<dyn SliceableQuery>
 where
     M: SimulationModel + Send + 'static,
     M::State: Send,
     Z: StateScore<M::State> + Copy + Send + Sync + 'static,
 {
-    fn tag<M, V, E>(
-        query: EstimatorQuery<M, V, E>,
-        key: Option<ShardKey>,
-    ) -> Box<dyn SliceableQuery>
-    where
-        M: SimulationModel + Send + 'static,
-        M::State: Send,
-        V: crate::query::ValueFunction<M::State> + Send + 'static,
-        E: crate::estimator::Estimator<M, V> + Send + 'static,
-        E::Shard: Send + Clone + 'static,
-    {
-        match key {
-            Some(key) => Box::new(query.with_reuse_key(key)),
-            None => Box::new(query),
-        }
-    }
-
-    let key = reuse_fingerprint.map(|fp| shard_key(fp, resolved.name(), resolved.plan()));
+    let key = shard_key(fingerprint, resolved.name(), resolved.plan());
     let vf = RatioValue::new(score, beta);
+    macro_rules! job {
+        ($estimator:expr) => {
+            Box::new(
+                EstimatorQuery::from_seed(model, vf, horizon, $estimator, control, seed)
+                    .with_batch_width(batch_width)
+                    .with_threads(threads)
+                    .with_reuse_key(key),
+            ) as Box<dyn SliceableQuery>
+        };
+    }
     match resolved {
-        ResolvedMethod::Srs => tag(
-            EstimatorQuery::from_seed(model, vf, horizon, SrsEstimator, control, seed)
-                .with_batch_width(batch_width)
-                .with_threads(threads),
-            key,
-        ),
-        ResolvedMethod::SMlss(plan) => {
-            let cfg = SMlssConfig::new(plan.clone(), control);
-            tag(
-                EstimatorQuery::from_seed(model, vf, horizon, cfg, control, seed)
-                    .with_batch_width(batch_width)
-                    .with_threads(threads),
-                key,
-            )
-        }
-        ResolvedMethod::GMlss(plan) => {
-            let cfg = GMlssConfig::new(plan.clone(), control);
-            tag(
-                EstimatorQuery::from_seed(model, vf, horizon, cfg, control, seed)
-                    .with_batch_width(batch_width)
-                    .with_threads(threads),
-                key,
-            )
-        }
+        ResolvedMethod::Srs => job!(SrsEstimator),
+        ResolvedMethod::SMlss(plan) => job!(SMlssConfig::new(plan.clone(), control)),
+        ResolvedMethod::GMlss(plan) => job!(GMlssConfig::new(plan.clone(), control)),
     }
 }
 
@@ -1048,7 +1022,7 @@ where
                         seed,
                         batch_width,
                         threads,
-                        Some(fingerprint),
+                        fingerprint,
                     ),
                     false,
                 ),
@@ -1205,7 +1179,7 @@ where
             p.seed,
             p.batch_width,
             p.threads,
-            Some(p.fingerprint),
+            p.fingerprint,
         ));
     }
 
@@ -1269,7 +1243,7 @@ where
         self.inner.as_deref_mut().and_then(|i| i.reuse_snapshot())
     }
 
-    fn checkpoint(&mut self) -> Option<(&'static str, StoredShard)> {
+    fn checkpoint(&mut self) -> Option<(ShardKey, StoredShard)> {
         // Pre-activation there is no shard yet; recovery re-derives the
         // plan from the pinned pilot seed, which is deterministic.
         self.inner.as_deref_mut().and_then(|i| i.checkpoint())
@@ -1441,7 +1415,7 @@ mod tests {
             })
         };
         let resolved = resolve_method(Method::GMlss, Some(&lookup));
-        let inline = estimator_job(Walk, sf, 1.0, 80, &resolved, control, seed, 0, 1, None);
+        let inline = estimator_job(Walk, sf, 1.0, 80, &resolved, control, seed, 0, 1, fp);
 
         // Deferred: plan derivation is the first slice.
         let plans_b = Arc::new(PlanCache::new());

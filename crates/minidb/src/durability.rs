@@ -5,6 +5,9 @@
 //! visible event — `results` rows, plan-cache builds, shard-store
 //! deposits, and the ASYNC query lifecycle (submit → periodic
 //! checkpoints → done | end) — through one append-only, CRC-framed log.
+//! A submission journals its statement's canonical text
+//! ([`QuerySpec::render`]), which replay parses back with the one SQL
+//! parser; deposits and query checkpoints are one `Checkpoint` record.
 //! On reopen the log is replayed: completed queries are served from
 //! durable state, and interrupted ASYNC queries are **resubmitted** —
 //! warm from their last durable checkpoint when one exists, cold from
@@ -34,20 +37,20 @@
 //! What is deliberately **not** durable: `PAUSE` state (a paused query
 //! recovers as running), in-flight slices past the last checkpoint
 //! (recovery re-runs them bit-identically), wall-clock `millis`
-//! (latency is a measurement, not a result), and plain SQL
-//! `INSERT INTO results` rows issued outside the estimation paths.
+//! (latency is a measurement, not a result), plain SQL
+//! `INSERT INTO results` rows issued outside the estimation paths, and
+//! ASYNC `RANK BY` races (nothing is journaled at their submit, so a
+//! crash loses an in-flight race).
 
 use crate::engine::DbError;
-use crate::proc::Method;
+use crate::sql::Statement;
 use mlss_core::estimate::Estimate;
 use mlss_core::estimator::Diagnostics;
 use mlss_core::plan_cache::CachedPlan;
 use mlss_core::scheduler::{DurabilityHook, QueryId, SliceableQuery};
 use mlss_core::shard_store::{ShardKey, StoredShard};
-use mlss_core::spec::{ExecMode, QuerySpec};
-use mlss_store::{
-    CrashPlan, FsyncPolicy, Record, ResultRow, SubmitSpec, Wal, WalOptions, WalStats,
-};
+use mlss_core::spec::{ModelSchema, QuerySpec};
+use mlss_store::{CrashPlan, FsyncPolicy, Record, ResultRow, Wal, WalOptions, WalStats};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
@@ -116,14 +119,17 @@ impl WalSessionConfig {
 pub(crate) struct RecoveredQuery {
     /// Durable query id (for re-registering with the new log).
     pub qid: u64,
-    /// The recorded submission identity.
-    pub spec: SubmitSpec,
+    /// The spec parsed back from the journaled statement, its tenant
+    /// restored.
+    pub spec: QuerySpec,
+    /// The stream seed the query runs under.
+    pub seed: u64,
     /// Plan provenance at original submit time.
     pub plan_source: String,
     /// Shard-reuse provenance at original submit time.
     pub shard_reuse: String,
-    /// Latest durable checkpoint: (resolved method, slices, state).
-    pub checkpoint: Option<(String, u64, StoredShard)>,
+    /// Latest durable checkpoint: its store key and state.
+    pub checkpoint: Option<(ShardKey, StoredShard)>,
 }
 
 /// Everything replay reconstructed, ready for the session to seed its
@@ -148,22 +154,21 @@ pub(crate) struct RecoveredState {
     pub replayed_records: u64,
 }
 
-/// In-flight replay bookkeeping for one ASYNC query.
-struct PendingQuery {
-    spec: SubmitSpec,
-    plan_source: String,
-    shard_reuse: String,
-    checkpoint: Option<(String, u64, StoredShard)>,
-    done: Option<(Estimate, i64)>,
-}
-
-fn parse_records(records: Vec<Record>) -> RecoveredState {
+/// Replay the log's records into the state a session seeds itself
+/// from. Journaled statements are parsed against `catalog`, the
+/// session's model schemas; one that no longer parses as an ESTIMATE
+/// fails the replay.
+fn parse_records(
+    records: Vec<Record>,
+    catalog: &[&ModelSchema],
+) -> Result<RecoveredState, DbError> {
     let replayed_records = records.len() as u64;
     let mut rows = Vec::new();
     let mut sql = Vec::new();
     let mut plans = Vec::new();
     let mut deposits = Vec::new();
-    let mut pending: BTreeMap<u64, PendingQuery> = BTreeMap::new();
+    // Each ASYNC query seen so far, with its `AsyncDone` once journaled.
+    let mut pending: BTreeMap<u64, (RecoveredQuery, Option<(Estimate, i64)>)> = BTreeMap::new();
     let mut next_qid = 1u64;
     for rec in records {
         match rec {
@@ -175,42 +180,52 @@ fn parse_records(records: Vec<Record>) -> RecoveredState {
                 tau_hint,
                 plan,
             } => plans.push((fingerprint, method, levels, tau_hint, plan)),
-            Record::ShardDeposit { key, entry } => deposits.push((key, entry)),
+            Record::Checkpoint {
+                qid: None,
+                key,
+                entry,
+            } => deposits.push((key, entry)),
+            Record::Checkpoint {
+                qid: Some(qid),
+                key,
+                entry,
+            } => {
+                if let Some((q, _)) = pending.get_mut(&qid) {
+                    q.checkpoint = Some((key, entry));
+                }
+            }
             Record::AsyncSubmit {
                 qid,
-                spec,
+                sql: text,
+                seed,
+                tenant,
                 plan_source,
                 shard_reuse,
             } => {
                 next_qid = next_qid.max(qid + 1);
-                pending.insert(
+                let Statement::Estimate(mut spec) = crate::sql::parse(&text, Some(catalog))? else {
+                    return Err(DbError::Proc(format!(
+                        "wal: query {qid} journals a statement that is not an ESTIMATE: {text}"
+                    )));
+                };
+                spec.options.tenant = tenant;
+                let q = RecoveredQuery {
                     qid,
-                    PendingQuery {
-                        spec,
-                        plan_source,
-                        shard_reuse,
-                        checkpoint: None,
-                        done: None,
-                    },
-                );
-            }
-            Record::AsyncCheckpoint {
-                qid,
-                method,
-                slices,
-                entry,
-            } => {
-                if let Some(p) = pending.get_mut(&qid) {
-                    p.checkpoint = Some((method, slices, entry));
-                }
+                    spec,
+                    seed,
+                    plan_source,
+                    shard_reuse,
+                    checkpoint: None,
+                };
+                pending.insert(qid, (q, None));
             }
             Record::AsyncDone {
                 qid,
                 estimate,
                 millis,
             } => {
-                if let Some(p) = pending.get_mut(&qid) {
-                    p.done = Some((estimate, millis));
+                if let Some((_, done)) = pending.get_mut(&qid) {
+                    *done = Some((estimate, millis));
                 }
             }
             // Last-wins: an end record suppresses the query entirely,
@@ -222,32 +237,26 @@ fn parse_records(records: Vec<Record>) -> RecoveredState {
         }
     }
     let mut resubmit = Vec::new();
-    for (qid, p) in pending {
-        match p.done {
+    for (q, done) in pending.into_values() {
+        match done {
             Some((est, millis)) => rows.push(ResultRow {
-                model: p.spec.model.clone(),
-                method: p.spec.method.clone(),
-                beta: p.spec.beta,
-                horizon: p.spec.horizon as i64,
+                model: q.spec.model,
+                method: q.spec.method.name().to_string(),
+                beta: q.spec.beta,
+                horizon: q.spec.horizon as i64,
                 tau: est.tau,
                 variance: est.variance,
                 steps: est.steps as i64,
                 n_roots: est.n_roots as i64,
                 millis,
-                plan_source: p.plan_source.clone(),
-                shard_reuse: p.shard_reuse.clone(),
-                tenant: p.spec.tenant.clone().unwrap_or_else(|| "-".into()),
+                plan_source: q.plan_source,
+                shard_reuse: q.shard_reuse,
+                tenant: q.spec.options.tenant.unwrap_or_else(|| "-".into()),
             }),
-            None => resubmit.push(RecoveredQuery {
-                qid,
-                spec: p.spec,
-                plan_source: p.plan_source,
-                shard_reuse: p.shard_reuse,
-                checkpoint: p.checkpoint,
-            }),
+            None => resubmit.push(q),
         }
     }
-    RecoveredState {
+    Ok(RecoveredState {
         rows,
         sql,
         plans,
@@ -255,25 +264,7 @@ fn parse_records(records: Vec<Record>) -> RecoveredState {
         resubmit,
         next_qid,
         replayed_records,
-    }
-}
-
-/// Rebuild the [`QuerySpec`] an ASYNC submission ran under from its
-/// durable identity. Pinned-ness is preserved exactly — reuse routing
-/// depends on it.
-pub(crate) fn rebuild_spec(sub: &SubmitSpec) -> Result<QuerySpec, DbError> {
-    let mut spec = QuerySpec::new(sub.model.clone(), sub.beta, sub.horizon, sub.target_re);
-    spec.method = Method::parse(&sub.method).map_err(DbError::from)?;
-    spec.levels = sub.levels as usize;
-    spec.params = sub.params.iter().cloned().collect();
-    spec.options.priority = sub.priority;
-    // Width 0 (the retired scalar mode) in logs written before width 1
-    // became the default replays at the default width.
-    spec.options.batch_width = sub.batch_width.filter(|&w| w != 0).map(|w| w as usize);
-    spec.options.seed = sub.pinned_seed;
-    spec.options.mode = ExecMode::Async;
-    spec.options.tenant = sub.tenant.clone();
-    Ok(spec)
+    })
 }
 
 /// Intern a recorded provenance string back to the `&'static str` set
@@ -292,14 +283,8 @@ pub(crate) fn intern_provenance(s: &str) -> &'static str {
 /// A worker-side event that arrived before its query's `AsyncSubmit`
 /// was journaled; replayed in order once the mapping registers.
 enum Orphan {
-    Checkpoint {
-        method: String,
-        slices: u64,
-        entry: StoredShard,
-    },
-    Finished {
-        est: Estimate,
-    },
+    Checkpoint { key: ShardKey, entry: StoredShard },
+    Finished { est: Estimate },
     Discarded,
 }
 
@@ -358,20 +343,25 @@ impl std::fmt::Debug for SessionWal {
 }
 
 impl SessionWal {
-    /// Open (or create) the log and replay it. Returns the journal and
-    /// the reconstructed state the session must seed itself from;
+    /// Open (or create) the log and replay it, parsing journaled
+    /// statements against `catalog`. Returns the journal and the
+    /// reconstructed state the session must seed itself from;
     /// `replayed_rows`/`resumed` counters are finalized by
     /// [`SessionWal::note_replayed`] once the session has done so.
-    pub(crate) fn open(cfg: &WalSessionConfig) -> std::io::Result<(Self, RecoveredState)> {
+    pub(crate) fn open(
+        cfg: &WalSessionConfig,
+        catalog: &[&ModelSchema],
+    ) -> Result<(Self, RecoveredState), DbError> {
         let (wal, replay) = Wal::open(
             &cfg.dir,
             WalOptions {
                 fsync: cfg.fsync,
                 crash: cfg.crash,
             },
-        )?;
+        )
+        .map_err(|e| DbError::Proc(format!("wal open failed: {e}")))?;
         let truncated = replay.truncated;
-        let state = parse_records(replay.records);
+        let state = parse_records(replay.records, catalog)?;
         let sw = Self {
             wal,
             checkpoint_every: cfg.checkpoint_every,
@@ -422,20 +412,9 @@ impl SessionWal {
         st.next_qid += 1;
         self.append(&Record::AsyncSubmit {
             qid,
-            spec: SubmitSpec {
-                model: spec.model.clone(),
-                params: spec.params.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-                method: spec.method.name().to_string(),
-                levels: spec.levels as u64,
-                beta: spec.beta,
-                horizon: spec.horizon,
-                target_re: spec.target_re,
-                priority: spec.options.priority,
-                batch_width: spec.options.batch_width.map(|w| w as u64),
-                pinned_seed: spec.options.seed,
-                seed,
-                tenant: spec.options.tenant.clone(),
-            },
+            sql: spec.render(),
+            seed,
+            tenant: spec.options.tenant.clone(),
             plan_source: plan_source.to_string(),
             shard_reuse: shard_reuse.to_string(),
         });
@@ -463,14 +442,9 @@ impl SessionWal {
         if let Some(orphans) = st.orphans.remove(&sched_id) {
             for o in orphans {
                 match o {
-                    Orphan::Checkpoint {
-                        method,
-                        slices,
-                        entry,
-                    } => self.append(&Record::AsyncCheckpoint {
-                        qid,
-                        method,
-                        slices,
+                    Orphan::Checkpoint { key, entry } => self.append(&Record::Checkpoint {
+                        qid: Some(qid),
+                        key,
                         entry,
                     }),
                     Orphan::Finished { est } => self.finish_locked(st, sched_id, &est),
@@ -565,7 +539,8 @@ impl SessionWal {
 
     /// Journal an accepted shard-store deposit (observer callback).
     pub(crate) fn record_deposit(&self, key: &ShardKey, entry: &StoredShard) {
-        self.append(&Record::ShardDeposit {
+        self.append(&Record::Checkpoint {
+            qid: None,
             key: key.clone(),
             entry: entry.clone(),
         });
@@ -611,26 +586,17 @@ impl DurabilityHook for SessionWal {
         if self.checkpoint_every == 0 || !slices.is_multiple_of(self.checkpoint_every) {
             return;
         }
-        let Some((method, entry)) = job.checkpoint() else {
+        let Some((key, entry)) = job.checkpoint() else {
             return;
         };
         let mut st = self.lock();
         match st.by_sched.get(&id).copied() {
-            Some(qid) => self.append(&Record::AsyncCheckpoint {
-                qid,
-                method: method.to_string(),
-                slices,
+            Some(qid) => self.append(&Record::Checkpoint {
+                qid: Some(qid),
+                key,
                 entry,
             }),
-            None => self.orphan(
-                &mut st,
-                id,
-                Orphan::Checkpoint {
-                    method: method.to_string(),
-                    slices,
-                    entry,
-                },
-            ),
+            None => self.orphan(&mut st, id, Orphan::Checkpoint { key, entry }),
         }
     }
 
@@ -656,22 +622,25 @@ impl DurabilityHook for SessionWal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proc::ModelRegistry;
 
-    fn submit_spec(seed: u64) -> SubmitSpec {
-        SubmitSpec {
-            model: "walk".into(),
-            params: vec![],
-            method: "srs".into(),
-            levels: 4,
-            beta: 6.0,
-            horizon: 50,
-            target_re: 0.3,
-            priority: 0,
-            batch_width: None,
-            pinned_seed: Some(seed),
+    fn submit(qid: u64, seed: u64) -> Record {
+        Record::AsyncSubmit {
+            qid,
+            sql: format!(
+                "ESTIMATE DURABILITY OF walk(beta=6) WITHIN 50 USING srs TARGET RE 0.3 \
+                 WITH (seed={seed}) ASYNC"
+            ),
             seed,
             tenant: None,
+            plan_source: "none".into(),
+            shard_reuse: "cold".into(),
         }
+    }
+
+    fn replay(records: Vec<Record>) -> RecoveredState {
+        let models = ModelRegistry::with_builtins();
+        parse_records(records, &models.schemas()).expect("replay")
     }
 
     #[test]
@@ -684,24 +653,21 @@ mod tests {
             hits: 25,
         };
         let records = vec![
-            Record::AsyncSubmit {
-                qid: 1,
-                spec: submit_spec(7),
-                plan_source: "none".into(),
-                shard_reuse: "cold".into(),
-            },
+            submit(1, 7),
             Record::AsyncDone {
                 qid: 1,
                 estimate: est,
                 millis: 12,
             },
         ];
-        let state = parse_records(records);
+        let state = replay(records);
         assert_eq!(state.rows.len(), 1);
         assert!(state.resubmit.is_empty());
         assert_eq!(state.next_qid, 2);
         let row = &state.rows[0];
         assert_eq!(row.tau.to_bits(), 0.25f64.to_bits());
+        assert_eq!((row.model.as_str(), row.method.as_str()), ("walk", "srs"));
+        assert_eq!((row.beta, row.horizon), (6.0, 50));
         assert_eq!(row.shard_reuse, "cold");
     }
 
@@ -715,12 +681,7 @@ mod tests {
             hits: 5,
         };
         let records = vec![
-            Record::AsyncSubmit {
-                qid: 3,
-                spec: submit_spec(1),
-                plan_source: "none".into(),
-                shard_reuse: "none".into(),
-            },
+            submit(3, 1),
             Record::AsyncDone {
                 qid: 3,
                 estimate: est,
@@ -728,46 +689,66 @@ mod tests {
             },
             Record::AsyncEnd { qid: 3 },
         ];
-        let state = parse_records(records);
+        let state = replay(records);
         assert!(state.rows.is_empty(), "cancel overrides the finish");
         assert!(state.resubmit.is_empty());
         assert_eq!(state.next_qid, 4);
     }
 
+    /// Whatever an ASYNC submission carries comes back out of the
+    /// journal: the spec (every method, overrides, levels, priority,
+    /// numeric and `auto` widths, pinned and drawn seeds, `threads`),
+    /// the seed the run uses, and the tenant.
     #[test]
-    fn replay_keeps_interrupted_queries_for_resubmission() {
-        let records = vec![Record::AsyncSubmit {
-            qid: 9,
-            spec: submit_spec(42),
-            plan_source: "miss".into(),
-            shard_reuse: "cold".into(),
-        }];
-        let state = parse_records(records);
-        assert!(state.rows.is_empty());
-        assert_eq!(state.resubmit.len(), 1);
-        let q = &state.resubmit[0];
-        assert_eq!(q.qid, 9);
-        assert!(q.checkpoint.is_none());
-        let spec = rebuild_spec(&q.spec).unwrap();
-        assert_eq!(spec.options.seed, Some(42));
-        assert_eq!(spec.options.mode, ExecMode::Async);
-    }
+    fn async_submits_round_trip_through_the_journal() {
+        let statements = [
+            "ESTIMATE DURABILITY OF walk(beta=6) WITHIN 50 USING srs TARGET RE 30%",
+            "ESTIMATE DURABILITY OF walk(beta=6, up=0.45, down=0.35) WITHIN 50 \
+             USING smlss(levels=3) TARGET RE 0.2 WITH (priority=3, threads=4)",
+            "ESTIMATE DURABILITY OF cpp(beta=50, premium=0.7) WITHIN 500 \
+             USING gmlss(levels=6) TARGET RE 5% WITH (batch_width=16, seed=4242, threads=1)",
+            "ESTIMATE DURABILITY OF ar(beta=3) WITHIN 40 USING auto TARGET RE 0.5 \
+             WITH (batch_width=auto, threads=4)",
+            "ESTIMATE DURABILITY OF gbm(beta=1.5, drift=0.05) WITHIN 200 USING gmlss \
+             TARGET RE 0.1 WITH (priority=250, seed=18446744073709551615, threads=4)",
+        ];
+        let dir = std::env::temp_dir().join(format!("mlss-journal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = WalSessionConfig::new(&dir);
+        let models = ModelRegistry::with_builtins();
+        let catalog = models.schemas();
 
-    #[test]
-    fn replay_maps_a_journaled_scalar_width_to_the_default() {
-        let mut spec = submit_spec(5);
-        spec.batch_width = Some(0);
-        let records = vec![Record::AsyncSubmit {
-            qid: 2,
-            spec,
-            plan_source: "none".into(),
-            shard_reuse: "cold".into(),
-        }];
-        let state = parse_records(records);
-        assert_eq!(state.resubmit.len(), 1);
-        let spec = rebuild_spec(&state.resubmit[0].spec).unwrap();
-        assert_eq!(spec.options.batch_width, None);
-        assert!(spec.validate().is_ok());
+        let (sw, _) = SessionWal::open(&cfg, &catalog).expect("open");
+        let mut submitted = Vec::new();
+        for (i, sql) in statements.iter().enumerate() {
+            let Ok(Statement::Estimate(mut spec)) =
+                crate::sql::parse(&format!("{sql} ASYNC"), Some(&catalog))
+            else {
+                panic!("{sql} parses as an ESTIMATE");
+            };
+            spec.options.tenant = (i % 2 == 1).then(|| format!("tenant-{i}"));
+            // Unpinned statements journal the seed the session drew.
+            let seed = spec.options.seed.unwrap_or(0xD1A7_0000 + i as u64);
+            let qid = sw.record_async_submit(i as QueryId, &spec, seed, "miss", "cold");
+            submitted.push((qid, spec, seed));
+        }
+        drop(sw);
+
+        let (_, state) = SessionWal::open(&cfg, &catalog).expect("reopen");
+        assert!(state.rows.is_empty());
+        assert_eq!(state.resubmit.len(), submitted.len());
+        for (q, (qid, spec, seed)) in state.resubmit.iter().zip(&submitted) {
+            assert_eq!(q.qid, *qid);
+            assert_eq!(q.spec, *spec, "query {qid}: {}", spec.render());
+            assert_eq!(q.seed, *seed, "query {qid}");
+            assert_eq!(q.spec.options.tenant, spec.options.tenant, "query {qid}");
+            assert_eq!(
+                (q.plan_source.as_str(), q.shard_reuse.as_str()),
+                ("miss", "cold")
+            );
+            assert!(q.checkpoint.is_none());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

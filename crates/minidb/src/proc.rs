@@ -37,7 +37,7 @@ use mlss_core::rng::{rng_from_seed, split_rng, RootCursor};
 use mlss_core::scheduler::{
     CompletedQuery, EstimatorQuery, QueryId, Scheduler, SliceableQuery, TenantId,
 };
-use mlss_core::shard_store::{shard_key, ShardStore, StoredShard};
+use mlss_core::shard_store::{shard_key, ShardKey, ShardStore, StoredShard};
 use mlss_core::spec::{
     estimator_job, resolve_method, target_control, warm_estimator_job, DeferredPlanQuery,
     ModelSchema, ParamSpec, QuerySpec, ResolvedMethod, SpecError, SpecErrorKind, BALANCED_PLAN_KEY,
@@ -289,25 +289,25 @@ pub trait ModelRunner: Send + Sync {
         default_width: usize,
     ) -> Result<(Box<dyn SliceableQuery>, &'static str), DbError>;
 
-    /// Resubmit a recovered ASYNC query from a durable checkpoint:
-    /// `method` is the resolved estimator the checkpoint was cut under
-    /// and `entry` its shard + run cursor at a slice boundary. Warm-starts
-    /// when the plan and shard type line up; any mismatch (plan not in
-    /// the cache, foreign shard, non-SQL estimator) falls back to
-    /// [`ModelRunner::submit`] — a cold rerun from `seed`, which under
-    /// a pinned seed replays the identical run and is therefore
-    /// still bit-exact, just slower. The default implementation is
-    /// that fallback.
+    /// Resubmit a recovered ASYNC query from a durable checkpoint: `key`
+    /// names the problem the checkpoint was cut under and `entry` is its
+    /// shard + run cursor at a slice boundary. Warm-starts only when the
+    /// replayed plan's shard key equals `key`; any mismatch (plan not in
+    /// the cache or rebuilt differently, foreign shard, non-SQL
+    /// estimator) falls back to [`ModelRunner::submit`] — a cold rerun
+    /// from `seed`, which under a pinned seed replays the identical run
+    /// and is therefore still bit-exact, just slower. The default
+    /// implementation is that fallback.
     fn resume(
         self: Box<Self>,
         scheduler: &Scheduler,
         spec: &QuerySpec,
         seed: u64,
         plans: &PlanContext,
-        method: &str,
+        key: &ShardKey,
         entry: &StoredShard,
     ) -> Result<SubmitOutcome, DbError> {
-        let _ = (method, entry);
+        let _ = (key, entry);
         self.submit(scheduler, spec, seed, plans)
     }
 
@@ -659,7 +659,7 @@ where
                     seed,
                     width,
                     spec.options.threads,
-                    None,
+                    fp,
                 );
                 return (job, "none");
             };
@@ -696,7 +696,7 @@ where
                         seed,
                         width,
                         spec.options.threads,
-                        Some(fp),
+                        fp,
                     );
                     (job, "cold")
                 }
@@ -798,7 +798,7 @@ where
                 seed,
                 width,
                 1,
-                None,
+                fp,
             );
             return Ok((job, "none"));
         }
@@ -818,7 +818,7 @@ where
                     seed,
                     width,
                     1,
-                    None,
+                    fp,
                 );
                 Ok((job, "hit"))
             }
@@ -848,21 +848,21 @@ where
         spec: &QuerySpec,
         seed: u64,
         plans: &PlanContext,
-        method: &str,
+        key: &ShardKey,
         entry: &StoredShard,
     ) -> Result<SubmitOutcome, DbError> {
         let control = target_control(spec.target_re);
         let (width, _) = self.width_for(spec, plans, scheduler.config().batch_width);
         // Rebuild the resolved method the checkpoint was cut under. The
-        // plan must come from the (replay-seeded) cache: deriving a
-        // fresh one could shift level boundaries and desync the shard.
-        let resolved = match method {
+        // plan must come from the (replay-seeded) cache and hash to the
+        // recorded key: any other plan would desync the shard.
+        let resolved = match key.method.as_str() {
             "srs" => Some(ResolvedMethod::Srs),
             "smlss" | "gmlss" => plans
                 .cache
                 .lookup_traced(plans.fingerprint, BALANCED_PLAN_KEY, spec.levels)
                 .map(|l| {
-                    if method == "smlss" {
+                    if key.method == "smlss" {
                         ResolvedMethod::SMlss(l.plan)
                     } else {
                         ResolvedMethod::GMlss(l.plan)
@@ -870,9 +870,11 @@ where
                 }),
             _ => None,
         };
-        let Some(resolved) = resolved else {
-            // Plan lost with the log tail (or a non-SQL estimator):
-            // cold rerun from the recorded seed.
+        let Some(resolved) =
+            resolved.filter(|r| shard_key(plans.fingerprint, r.name(), r.plan()) == *key)
+        else {
+            // Plan lost with the log tail or rebuilt differently (or a
+            // non-SQL estimator): cold rerun from the recorded seed.
             return self.submit(scheduler, spec, seed, plans);
         };
         let Runner { model, score } = *self;

@@ -42,9 +42,7 @@ use crate::dispatch::{
     execute_rank, execute_spec, explain_rank, explain_spec, record_rank_rows, show_models,
     standings_rows, RankOutcome, SpecOutcome,
 };
-use crate::durability::{
-    intern_provenance, rebuild_spec, Durability, SessionWal, WalSessionConfig,
-};
+use crate::durability::{intern_provenance, Durability, SessionWal, WalSessionConfig};
 use crate::engine::{Database, DbError};
 use crate::proc::{
     materialize_paths, results_schema, seed_default_models, ModelBuilder, ModelRegistry,
@@ -238,16 +236,15 @@ impl Session {
         // Open + replay the journal before anything else: the replayed
         // state seeds the caches below, and only then do observers and
         // the scheduler hook attach (replay must not re-journal itself).
+        let models = Arc::new(ModelRegistry::with_builtins());
         let (mut session_wal, wal_state) = match &cfg.durability {
             Durability::Off => (None, None),
             Durability::Wal(wcfg) => {
-                let (sw, state) = SessionWal::open(wcfg)
-                    .map_err(|e| DbError::Proc(format!("wal open failed: {e}")))?;
+                let (sw, state) = SessionWal::open(wcfg, &models.schemas())?;
                 (Some(sw), Some(state))
             }
         };
         let plans = Arc::new(PlanCache::new());
-        let models = Arc::new(ModelRegistry::with_builtins());
         let scheduler = Arc::new(Scheduler::new(SchedulerConfig {
             workers: cfg.workers,
             slice_budget: cfg.slice_budget,
@@ -327,21 +324,26 @@ impl Session {
             }
             if let Some(store) = &store {
                 for (key, entry) in store.entries() {
-                    records.push(Record::ShardDeposit { key, entry });
+                    records.push(Record::Checkpoint {
+                        qid: None,
+                        key,
+                        entry,
+                    });
                 }
             }
             for q in &state.resubmit {
                 records.push(Record::AsyncSubmit {
                     qid: q.qid,
-                    spec: q.spec.clone(),
+                    sql: q.spec.render(),
+                    seed: q.seed,
+                    tenant: q.spec.options.tenant.clone(),
                     plan_source: q.plan_source.clone(),
                     shard_reuse: q.shard_reuse.clone(),
                 });
-                if let Some((method, slices, entry)) = &q.checkpoint {
-                    records.push(Record::AsyncCheckpoint {
-                        qid: q.qid,
-                        method: method.clone(),
-                        slices: *slices,
+                if let Some((key, entry)) = &q.checkpoint {
+                    records.push(Record::Checkpoint {
+                        qid: Some(q.qid),
+                        key: key.clone(),
                         entry: entry.clone(),
                     });
                 }
@@ -369,7 +371,7 @@ impl Session {
         let mut recovered = Vec::new();
         if let (Some(sw), Some(state)) = (&wal, wal_state) {
             for q in state.resubmit {
-                let spec = rebuild_spec(&q.spec)?;
+                let spec = q.spec;
                 let (runner, fp, _) = models.build_spec(&db, &spec)?;
                 let ctx = PlanContext {
                     cache: Arc::clone(&plans),
@@ -377,10 +379,10 @@ impl Session {
                     store: store.clone(),
                 };
                 let out = match &q.checkpoint {
-                    Some((method, _, entry)) => {
-                        runner.resume(&scheduler, &spec, q.spec.seed, &ctx, method, entry)?
+                    Some((key, entry)) => {
+                        runner.resume(&scheduler, &spec, q.seed, &ctx, key, entry)?
                     }
-                    None => runner.submit(&scheduler, &spec, q.spec.seed, &ctx)?,
+                    None => runner.submit(&scheduler, &spec, q.seed, &ctx)?,
                 };
                 sw.register_recovered(out.id, q.qid);
                 meta.lock().unwrap_or_else(PoisonError::into_inner).insert(

@@ -31,9 +31,7 @@ fn random_spec(rng: &mut SimRng) -> QuerySpec {
     let mut spec = QuerySpec::new(model, beta, horizon, target_re);
     spec.method = [Method::Srs, Method::SMlss, Method::GMlss, Method::Auto]
         [rng.random_range(0u32..4) as usize];
-    if spec.method.needs_plan() {
-        spec.levels = rng.random_range(1u64..9) as usize;
-    }
+    spec.levels = rng.random_range(1u64..9) as usize;
     for p in params {
         if rng.random::<f64>() < 0.5 {
             // Strictly inside every chosen parameter's schema range.

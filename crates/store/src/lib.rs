@@ -2,8 +2,8 @@
 //! write-ahead log plus snapshot/compaction.
 //!
 //! The engine's whole durable state — `results` rows, plan-cache
-//! entries, shard-store deposits, and in-flight ASYNC query checkpoints
-//! — is a sequence of self-describing [`Record`]s. This crate frames
+//! entries, and checkpoints (shard-store deposits and in-flight ASYNC
+//! queries' resume points) — is a sequence of self-describing [`Record`]s. This crate frames
 //! them on disk, replays them on open (stopping cleanly at the first
 //! torn or corrupt record), and compacts the log into a snapshot that is
 //! *itself* a log in the same format, so "snapshot + tail" replay is the
@@ -27,5 +27,5 @@ mod record;
 mod wal;
 
 pub use crc::crc32;
-pub use record::{Record, ResultRow, SubmitSpec};
+pub use record::{Record, ResultRow};
 pub use wal::{CrashPlan, FormatError, FsyncPolicy, Replay, Wal, WalOptions, WalStats};

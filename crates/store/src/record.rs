@@ -10,8 +10,8 @@
 use mlss_core::estimate::Estimate;
 use mlss_core::levels::PartitionPlan;
 use mlss_core::persist::{
-    decode_stored_shard, encode_stored_shard, put_f64, put_i64, put_str, put_u32, put_u64, put_u8,
-    Persist, PersistError, Reader,
+    decode_stored_shard, encode_stored_shard, put_f64, put_i64, put_str, put_u64, put_u8, Persist,
+    PersistError, Reader,
 };
 use mlss_core::shard_store::{ShardKey, StoredShard};
 
@@ -45,41 +45,11 @@ pub struct ResultRow {
     pub tenant: String,
 }
 
-/// The identity of an ASYNC submission — everything recovery needs to
-/// rebuild and resubmit the query spec exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubmitSpec {
-    /// Model name.
-    pub model: String,
-    /// Explicit parameter overrides, in sorted order.
-    pub params: Vec<(String, f64)>,
-    /// Requested method name.
-    pub method: String,
-    /// Requested level count.
-    pub levels: u64,
-    /// Durability threshold β.
-    pub beta: f64,
-    /// Query horizon.
-    pub horizon: u64,
-    /// Target relative error.
-    pub target_re: f64,
-    /// Scheduler priority.
-    pub priority: u8,
-    /// Explicit batch-width override, when the spec had one.
-    pub batch_width: Option<u64>,
-    /// The seed the spec *pinned*, when it pinned one. Reuse routing
-    /// depends on pinned-ness, so recovery must preserve it.
-    pub pinned_seed: Option<u64>,
-    /// The effective stream seed the query runs under (pinned or drawn
-    /// at original submit time).
-    pub seed: u64,
-    /// Fair-share tenant the submission was charged to.
-    pub tenant: Option<String>,
-}
-
-/// A durable event. Kinds 1–3 snapshot serving state; kinds 4–7 are the
-/// ASYNC query lifecycle (submit → checkpoints → done | end); kind 8
-/// journals plain SQL DDL/DML so user tables survive restarts.
+/// A durable event. `ResultRow`, `PlanEntry` and deposit `Checkpoint`s
+/// snapshot serving state; `AsyncSubmit`, query `Checkpoint`s,
+/// `AsyncDone` and `AsyncEnd` are the ASYNC query lifecycle (submit →
+/// checkpoints → done | end); `SqlStatement` journals plain SQL DDL/DML
+/// so user tables survive restarts.
 #[derive(Debug)]
 pub enum Record {
     /// A `results` row became visible.
@@ -97,11 +67,16 @@ pub enum Record {
         /// The derived partition plan.
         plan: PartitionPlan,
     },
-    /// A shard-store deposit was accepted.
-    ShardDeposit {
-        /// The store key.
+    /// A run's resumable state: a shard plus its run cursor, under the
+    /// shard-store key of the problem it answers. `qid: None` is a
+    /// shard-store deposit; `Some(qid)` is ASYNC query `qid`'s latest
+    /// resume point, cut at a slice boundary.
+    Checkpoint {
+        /// Durable query id of the running query, `None` for a deposit.
+        qid: Option<u64>,
+        /// The store key (fingerprint, resolved method, plan digest).
         key: ShardKey,
-        /// The stored checkpoint (shard + run cursor + provenance).
+        /// The checkpoint itself (shard + run cursor + provenance).
         entry: StoredShard,
     },
     /// An ASYNC query was submitted. `qid` is the durable query id —
@@ -109,24 +84,19 @@ pub enum Record {
     AsyncSubmit {
         /// Durable query id.
         qid: u64,
-        /// The full submission identity.
-        spec: SubmitSpec,
+        /// The canonical statement (`QuerySpec::render`); replay parses
+        /// it back with the one SQL parser.
+        sql: String,
+        /// The stream seed the query runs under (pinned or drawn at
+        /// submit time).
+        seed: u64,
+        /// Fair-share tenant the submission was charged to (not part of
+        /// the statement language).
+        tenant: Option<String>,
         /// Plan provenance at original submit time.
         plan_source: String,
         /// Shard-reuse provenance at original submit time.
         shard_reuse: String,
-    },
-    /// A periodic checkpoint of a running ASYNC query: its committed
-    /// shard + run cursor at a slice boundary.
-    AsyncCheckpoint {
-        /// Durable query id.
-        qid: u64,
-        /// Resolved estimator name (`srs`/`smlss`/`gmlss`/`is`).
-        method: String,
-        /// Committed slices at capture time (diagnostic only).
-        slices: u64,
-        /// The resumable state.
-        entry: StoredShard,
     },
     /// An ASYNC query finished; written *before* the scheduler publishes
     /// the `Done` status (write-ahead ordering).
@@ -155,48 +125,13 @@ pub enum Record {
 
 const KIND_RESULT_ROW: u8 = 1;
 const KIND_PLAN_ENTRY: u8 = 2;
-const KIND_SHARD_DEPOSIT: u8 = 3;
+// Kinds 3 and 5 (the two checkpoint records `Checkpoint` replaced) are
+// retired and decode as unknown.
 const KIND_ASYNC_SUBMIT: u8 = 4;
-const KIND_ASYNC_CHECKPOINT: u8 = 5;
 const KIND_ASYNC_DONE: u8 = 6;
 const KIND_ASYNC_END: u8 = 7;
 const KIND_SQL_STATEMENT: u8 = 8;
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            put_u8(out, 1);
-            put_u64(out, v);
-        }
-        None => put_u8(out, 0),
-    }
-}
-
-fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, PersistError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64()?)),
-        _ => Err(PersistError::Malformed("option tag")),
-    }
-}
-
-fn put_opt_str(out: &mut Vec<u8>, v: Option<&str>) {
-    match v {
-        Some(v) => {
-            put_u8(out, 1);
-            put_str(out, v);
-        }
-        None => put_u8(out, 0),
-    }
-}
-
-fn get_opt_str(r: &mut Reader<'_>) -> Result<Option<String>, PersistError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.str()?)),
-        _ => Err(PersistError::Malformed("option tag")),
-    }
-}
+const KIND_CHECKPOINT: u8 = 9;
 
 impl Record {
     /// Encode the record payload (kind byte + body). Fails only for a
@@ -233,8 +168,15 @@ impl Record {
                 put_f64(out, *tau_hint);
                 plan.persist(out);
             }
-            Record::ShardDeposit { key, entry } => {
-                put_u8(out, KIND_SHARD_DEPOSIT);
+            Record::Checkpoint { qid, key, entry } => {
+                put_u8(out, KIND_CHECKPOINT);
+                match qid {
+                    Some(qid) => {
+                        put_u8(out, 1);
+                        put_u64(out, *qid);
+                    }
+                    None => put_u8(out, 0),
+                }
                 put_u64(out, key.fingerprint);
                 put_str(out, &key.method);
                 put_u64(out, key.plan_digest);
@@ -242,42 +184,25 @@ impl Record {
             }
             Record::AsyncSubmit {
                 qid,
-                spec,
+                sql,
+                seed,
+                tenant,
                 plan_source,
                 shard_reuse,
             } => {
                 put_u8(out, KIND_ASYNC_SUBMIT);
                 put_u64(out, *qid);
-                put_str(out, &spec.model);
-                put_u32(out, spec.params.len() as u32);
-                for (name, value) in &spec.params {
-                    put_str(out, name);
-                    put_f64(out, *value);
+                put_str(out, sql);
+                put_u64(out, *seed);
+                match tenant {
+                    Some(tenant) => {
+                        put_u8(out, 1);
+                        put_str(out, tenant);
+                    }
+                    None => put_u8(out, 0),
                 }
-                put_str(out, &spec.method);
-                put_u64(out, spec.levels);
-                put_f64(out, spec.beta);
-                put_u64(out, spec.horizon);
-                put_f64(out, spec.target_re);
-                put_u8(out, spec.priority);
-                put_opt_u64(out, spec.batch_width);
-                put_opt_u64(out, spec.pinned_seed);
-                put_u64(out, spec.seed);
-                put_opt_str(out, spec.tenant.as_deref());
                 put_str(out, plan_source);
                 put_str(out, shard_reuse);
-            }
-            Record::AsyncCheckpoint {
-                qid,
-                method,
-                slices,
-                entry,
-            } => {
-                put_u8(out, KIND_ASYNC_CHECKPOINT);
-                put_u64(out, *qid);
-                put_str(out, method);
-                put_u64(out, *slices);
-                encode_stored_shard(entry, out)?;
             }
             Record::AsyncDone {
                 qid,
@@ -336,7 +261,12 @@ impl Record {
                 tau_hint: r.f64()?,
                 plan: PartitionPlan::restore(r)?,
             }),
-            KIND_SHARD_DEPOSIT => Ok(Record::ShardDeposit {
+            KIND_CHECKPOINT => Ok(Record::Checkpoint {
+                qid: match r.u8()? {
+                    0 => None,
+                    1 => Some(r.u64()?),
+                    _ => return Err(PersistError::Malformed("checkpoint qid tag")),
+                },
                 key: ShardKey {
                     fingerprint: r.u64()?,
                     method: r.str()?,
@@ -344,41 +274,17 @@ impl Record {
                 },
                 entry: decode_stored_shard(r)?,
             }),
-            KIND_ASYNC_SUBMIT => {
-                let qid = r.u64()?;
-                let model = r.str()?;
-                let n_params = r.u32()? as usize;
-                let mut params = Vec::with_capacity(n_params.min(64));
-                for _ in 0..n_params {
-                    let name = r.str()?;
-                    let value = r.f64()?;
-                    params.push((name, value));
-                }
-                Ok(Record::AsyncSubmit {
-                    qid,
-                    spec: SubmitSpec {
-                        model,
-                        params,
-                        method: r.str()?,
-                        levels: r.u64()?,
-                        beta: r.f64()?,
-                        horizon: r.u64()?,
-                        target_re: r.f64()?,
-                        priority: r.u8()?,
-                        batch_width: get_opt_u64(r)?,
-                        pinned_seed: get_opt_u64(r)?,
-                        seed: r.u64()?,
-                        tenant: get_opt_str(r)?,
-                    },
-                    plan_source: r.str()?,
-                    shard_reuse: r.str()?,
-                })
-            }
-            KIND_ASYNC_CHECKPOINT => Ok(Record::AsyncCheckpoint {
+            KIND_ASYNC_SUBMIT => Ok(Record::AsyncSubmit {
                 qid: r.u64()?,
-                method: r.str()?,
-                slices: r.u64()?,
-                entry: decode_stored_shard(r)?,
+                sql: r.str()?,
+                seed: r.u64()?,
+                tenant: match r.u8()? {
+                    0 => None,
+                    1 => Some(r.str()?),
+                    _ => return Err(PersistError::Malformed("submit tenant tag")),
+                },
+                plan_source: r.str()?,
+                shard_reuse: r.str()?,
             }),
             KIND_ASYNC_DONE => Ok(Record::AsyncDone {
                 qid: r.u64()?,
@@ -425,42 +331,35 @@ mod tests {
     }
 
     #[test]
-    fn submit_roundtrip_preserves_pinnedness() {
-        let rec = Record::AsyncSubmit {
-            qid: 9,
-            spec: SubmitSpec {
-                model: "walk".into(),
-                params: vec![("drift".into(), -0.25), ("sigma".into(), 1.0)],
-                method: "auto".into(),
-                levels: 4,
-                beta: 6.0,
-                horizon: 60,
-                target_re: 0.2,
-                priority: 3,
-                batch_width: Some(8),
-                pinned_seed: None,
+    fn submit_roundtrip_keeps_text_seed_and_tenant() {
+        for tenant in [None, Some("acme".to_string())] {
+            let rec = Record::AsyncSubmit {
+                qid: 9,
+                sql: "ESTIMATE DURABILITY OF walk(beta=6) WITHIN 60 USING srs TARGET RE 0.2 ASYNC"
+                    .into(),
                 seed: 0xDEAD_BEEF,
-                tenant: Some("acme".into()),
-            },
-            plan_source: "miss".into(),
-            shard_reuse: "cold".into(),
-        };
-        match roundtrip(&rec) {
-            Record::AsyncSubmit {
+                tenant: tenant.clone(),
+                plan_source: "miss".into(),
+                shard_reuse: "cold".into(),
+            };
+            let Record::AsyncSubmit {
                 qid,
-                spec,
+                sql,
+                seed,
+                tenant: got,
                 plan_source,
                 shard_reuse,
-            } => {
-                assert_eq!(qid, 9);
-                assert_eq!(spec.pinned_seed, None);
-                assert_eq!(spec.seed, 0xDEAD_BEEF);
-                assert_eq!(spec.params.len(), 2);
-                assert_eq!(plan_source, "miss");
-                assert_eq!(shard_reuse, "cold");
-                assert_eq!(spec.tenant.as_deref(), Some("acme"));
-            }
-            other => panic!("wrong kind: {other:?}"),
+            } = roundtrip(&rec)
+            else {
+                panic!("wrong kind");
+            };
+            assert_eq!((qid, seed), (9, 0xDEAD_BEEF));
+            assert!(sql.starts_with("ESTIMATE DURABILITY OF walk(beta=6)"));
+            assert_eq!(got, tenant);
+            assert_eq!(
+                (plan_source.as_str(), shard_reuse.as_str()),
+                ("miss", "cold")
+            );
         }
     }
 

@@ -8,7 +8,7 @@
 //! tail.wal       append-only suffix of records since the last compaction
 //! ```
 //!
-//! Each file is an 8-byte magic (`MLSSWAL2`) followed by frames:
+//! Each file is an 8-byte magic (`MLSSWAL3`) followed by frames:
 //!
 //! ```text
 //! [len: u32 LE][crc32(payload): u32 LE][payload: len bytes]
@@ -39,7 +39,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 
-const MAGIC: &[u8; 8] = b"MLSSWAL2";
+const MAGIC: &[u8; 8] = b"MLSSWAL3";
 /// The magic's version-independent prefix: a header starting with it
 /// but not equal to [`MAGIC`] is another version's log.
 const MAGIC_FAMILY: &[u8] = b"MLSSWAL";
@@ -568,27 +568,31 @@ mod tests {
 
     #[test]
     fn an_old_format_log_is_refused_and_left_untouched() {
-        let dir = tempdir("old_format");
-        // A hand-written previous-version log: its magic and one frame.
-        let mut old = b"MLSSWAL1".to_vec();
-        let payload = [0x2a_u8; 12];
-        old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        old.extend_from_slice(&crc32(&payload).to_le_bytes());
-        old.extend_from_slice(&payload);
-        std::fs::create_dir_all(&dir).unwrap();
-        let snapshot = b"MLSSWAL1 stale snapshot bytes".to_vec();
-        std::fs::write(dir.join(TAIL), &old).unwrap();
-        std::fs::write(dir.join(SNAPSHOT), &snapshot).unwrap();
+        for old_magic in [b"MLSSWAL1", b"MLSSWAL2"] {
+            let dir = tempdir(&format!("old_format_{}", old_magic[7] as char));
+            // A hand-written previous-version log: its magic and one frame.
+            let mut old = old_magic.to_vec();
+            let payload = [0x2a_u8; 12];
+            old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            old.extend_from_slice(&crc32(&payload).to_le_bytes());
+            old.extend_from_slice(&payload);
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut snapshot = old_magic.to_vec();
+            snapshot.extend_from_slice(b" stale snapshot bytes");
+            std::fs::write(dir.join(TAIL), &old).unwrap();
+            std::fs::write(dir.join(SNAPSHOT), &snapshot).unwrap();
 
-        let err = Wal::open(&dir, WalOptions::default())
-            .err()
-            .expect("refused");
-        assert!(matches!(
-            format_error(&err),
-            FormatError::ForeignVersion { magic, .. } if magic == b"MLSSWAL1"
-        ));
-        assert_eq!(std::fs::read(dir.join(TAIL)).unwrap(), old);
-        assert_eq!(std::fs::read(dir.join(SNAPSHOT)).unwrap(), snapshot);
+            let err = Wal::open(&dir, WalOptions::default())
+                .err()
+                .expect("refused");
+            assert!(matches!(
+                format_error(&err),
+                FormatError::ForeignVersion { magic, .. } if magic == old_magic
+            ));
+            assert_eq!(std::fs::read(dir.join(TAIL)).unwrap(), old);
+            assert_eq!(std::fs::read(dir.join(SNAPSHOT)).unwrap(), snapshot);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

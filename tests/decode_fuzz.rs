@@ -2,17 +2,20 @@
 //! codecs under it: whatever bytes a log holds, `Record::decode` returns
 //! `Ok` or `Err` and never panics.
 //!
-//! The corpus is real records: shard deposits and ASYNC checkpoints
-//! carrying SRS, s-MLSS and g-MLSS shards (the g-MLSS one with its
-//! per-root ledger), plus a plan entry, an ASYNC submission and a
-//! journaled SQL statement. Each record is fed truncated at every length
-//! and with 1–3 bytes overwritten under a pinned seed, so a failure names
-//! a reproducible input.
+//! The corpus is real records: checkpoints in both forms (a store
+//! deposit and an ASYNC query's resume point) carrying SRS, s-MLSS and
+//! g-MLSS shards (the g-MLSS one with its per-root ledger), plus a plan
+//! entry, an ASYNC submission's statement text and a journaled SQL
+//! statement. Each record is fed truncated at every length and with 1–3
+//! bytes overwritten under a pinned seed, so a failure names a
+//! reproducible input; the retired checkpoint kinds must decode as
+//! malformed.
 
 use mlss_core::estimator::run_sequential;
+use mlss_core::persist::PersistError;
 use mlss_core::prelude::*;
 use mlss_models::{position_score, RandomWalk};
-use mlss_store::{Record, SubmitSpec};
+use mlss_store::Record;
 use rand::RngExt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -49,18 +52,19 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
     ];
     let mut records = Vec::new();
     for (method, entry) in shards {
-        records.push(Record::ShardDeposit {
-            key: ShardKey {
-                fingerprint: 0xfeed,
-                method: method.into(),
-                plan_digest: 7,
-            },
+        let key = ShardKey {
+            fingerprint: 0xfeed,
+            method: method.into(),
+            plan_digest: 7,
+        };
+        records.push(Record::Checkpoint {
+            qid: None,
+            key: key.clone(),
             entry: entry.clone(),
         });
-        records.push(Record::AsyncCheckpoint {
-            qid: 9,
-            method: method.into(),
-            slices: 4,
+        records.push(Record::Checkpoint {
+            qid: Some(9),
+            key,
             entry,
         });
     }
@@ -73,20 +77,12 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
     });
     records.push(Record::AsyncSubmit {
         qid: 9,
-        spec: SubmitSpec {
-            model: "walk".into(),
-            params: vec![("up".into(), 0.4), ("down".into(), 0.3)],
-            method: "gmlss".into(),
-            levels: 4,
-            beta: 6.0,
-            horizon: 50,
-            target_re: 0.05,
-            priority: 2,
-            batch_width: Some(16),
-            pinned_seed: Some(7),
-            seed: 7,
-            tenant: Some("café".into()),
-        },
+        sql: "ESTIMATE DURABILITY OF walk(beta=6, down=0.3, up=0.4) WITHIN 50 \
+              USING gmlss(levels=4) TARGET RE 0.05 \
+              WITH (batch_width=16, priority=2, seed=7, threads=4) ASYNC"
+            .into(),
+        seed: 7,
+        tenant: Some("café".into()),
         plan_source: "miss".into(),
         shard_reuse: "cold".into(),
     });
@@ -138,6 +134,23 @@ fn overwritten_bytes_never_panic_the_decoder() {
                 input[at] = rng.random::<u8>();
             }
             must_not_panic(&format!("{name} mutation {case}"), &input);
+        }
+    }
+}
+
+/// Kinds 3 and 5, the two checkpoint records `Checkpoint` replaced, are
+/// retired: any body under them decodes as malformed.
+#[test]
+fn retired_checkpoint_kinds_decode_as_malformed() {
+    for (name, bytes) in corpus() {
+        for kind in [3u8, 5] {
+            let mut input = bytes.clone();
+            input[0] = kind;
+            must_not_panic(&format!("{name} as kind {kind}"), &input);
+            assert!(
+                matches!(Record::decode(&input), Err(PersistError::Malformed(_))),
+                "{name} as retired kind {kind} must be malformed"
+            );
         }
     }
 }

@@ -121,9 +121,9 @@ fn record_kind(r: &Record) -> &'static str {
     match r {
         Record::ResultRow(_) => "row",
         Record::PlanEntry { .. } => "plan",
-        Record::ShardDeposit { .. } => "deposit",
+        Record::Checkpoint { qid: None, .. } => "deposit",
+        Record::Checkpoint { qid: Some(_), .. } => "checkpoint",
         Record::AsyncSubmit { .. } => "submit",
-        Record::AsyncCheckpoint { .. } => "checkpoint",
         Record::AsyncDone { .. } => "done",
         Record::AsyncEnd { .. } => "end",
         Record::SqlStatement { .. } => "sql",
@@ -161,7 +161,7 @@ fn reference_run(method: &str) -> Reference {
         "{method}: reference log must journal the submission"
     );
     assert!(
-        has(|r| matches!(r, Record::AsyncCheckpoint { .. })),
+        has(|r| matches!(r, Record::Checkpoint { qid: Some(_), .. })),
         "{method}: checkpoint_every=1 must journal checkpoints"
     );
     assert!(
@@ -169,7 +169,7 @@ fn reference_run(method: &str) -> Reference {
         "{method}: reference log must journal completion"
     );
     assert!(
-        has(|r| matches!(r, Record::ShardDeposit { .. })),
+        has(|r| matches!(r, Record::Checkpoint { qid: None, .. })),
         "{method}: completion must deposit into the shard store — \
          the sweep needs a crash-during-deposit boundary"
     );
@@ -295,6 +295,7 @@ fn is_checkpoint_roundtrips_through_the_wal_bit_exactly() {
     use mlss_core::is::{IsEstimator, IsShard, TiltableModel};
     use mlss_core::prelude::*;
     use mlss_core::scheduler::{EstimatorQuery, SliceableQuery};
+    use mlss_core::shard_store::shard_key;
     use rand::RngExt;
 
     /// ±1 walk with the classical exponential tilt.
@@ -360,23 +361,23 @@ fn is_checkpoint_roundtrips_through_the_wal_bit_exactly() {
     assert!(reference.n_roots > 0);
 
     // "Crashed" run: advance a few slices, capture the durability
-    // checkpoint, push it through the real WAL, abandon the job.
-    let mut interrupted = job(None);
+    // checkpoint, push it through the real WAL, abandon the job. Only a
+    // job that knows its shard key is checkpointable.
+    let mut interrupted = job(None).with_reuse_key(shard_key(0x15, "is", None));
     for _ in 0..3 {
         interrupted.run_slice(2_048);
     }
-    let (method, entry) = interrupted
+    let (key, entry) = interrupted
         .checkpoint()
-        .expect("estimator jobs are checkpointable");
-    assert_eq!(method, "is");
+        .expect("keyed estimator jobs are checkpointable");
+    assert_eq!(key.method, "is");
     let dir = fresh_dir("is-roundtrip");
     {
         let (wal, _) = Wal::open(&dir, WalOptions::default()).expect("wal open");
         let appended = wal
-            .append(&Record::AsyncCheckpoint {
-                qid: 1,
-                method: method.to_string(),
-                slices: 3,
+            .append(&Record::Checkpoint {
+                qid: Some(1),
+                key,
                 entry,
             })
             .expect("append checkpoint");
@@ -386,7 +387,7 @@ fn is_checkpoint_roundtrips_through_the_wal_bit_exactly() {
 
     // Recovery: decode the checkpoint from disk and resume from it.
     let records = durable_records(&dir);
-    let Some(Record::AsyncCheckpoint { entry, .. }) = records.into_iter().next() else {
+    let Some(Record::Checkpoint { entry, .. }) = records.into_iter().next() else {
         panic!("the checkpoint record must replay");
     };
     let shard = entry
@@ -401,6 +402,71 @@ fn is_checkpoint_roundtrips_through_the_wal_bit_exactly() {
     assert_eq!(reference.n_roots, resumed.n_roots);
     assert_eq!(reference.hits, resumed.hits);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journaled query checkpoint warm-starts only onto the plan it was
+/// cut under. A g-MLSS log cut just before its done record recovers
+/// twice: as journaled, and with every query checkpoint's key carrying
+/// a foreign plan digest. The genuine log resumes near the end; the
+/// foreign one must ignore its checkpoints and rerun cold from the
+/// pinned seed — more slices — and both serve the uncrashed row's bits.
+#[test]
+fn a_checkpoint_under_a_foreign_plan_digest_resumes_cold() {
+    let source = fresh_dir("digest-source");
+    let reference_row = {
+        let session = Session::new(wal_config(&source, None)).expect("session");
+        submit_and_wait(&session, "gmlss");
+        result_fingerprints(&session).remove(0)
+    };
+    let recover = |tamper: bool| -> (Vec<String>, u64) {
+        let dir = fresh_dir(if tamper {
+            "digest-foreign"
+        } else {
+            "digest-genuine"
+        });
+        {
+            let (wal, _) = Wal::open(&dir, WalOptions::default()).expect("wal open");
+            let mut checkpoints = 0;
+            for mut rec in durable_records(&source) {
+                match &mut rec {
+                    Record::AsyncDone { .. } => break,
+                    // No store deposits: recovery can only resume or rerun.
+                    Record::Checkpoint { qid: None, .. } => continue,
+                    Record::Checkpoint { key, .. } => {
+                        checkpoints += 1;
+                        if tamper {
+                            key.plan_digest ^= 1;
+                        }
+                    }
+                    _ => {}
+                }
+                wal.append(&rec).expect("append");
+            }
+            assert!(checkpoints > 0, "the cut log keeps its query checkpoints");
+        }
+        let session = Session::new(wal_config(&dir, None)).expect("recovery session");
+        assert_eq!(session.wait_recovered().expect("recover").len(), 1);
+        let slices = session.scheduler().stats().slices;
+        let row = result_fingerprints(&session).remove(0);
+        drop(session);
+        let _ = std::fs::remove_dir_all(&dir);
+        (row, slices)
+    };
+    let (genuine_row, genuine_slices) = recover(false);
+    let (foreign_row, foreign_slices) = recover(true);
+    assert_eq!(
+        genuine_row, reference_row,
+        "warm resume serves the reference bits"
+    );
+    assert_eq!(
+        foreign_row, reference_row,
+        "cold rerun serves the reference bits"
+    );
+    assert!(
+        foreign_slices > genuine_slices,
+        "a foreign digest must not warm-start: {foreign_slices} vs {genuine_slices} slices"
+    );
+    let _ = std::fs::remove_dir_all(&source);
 }
 
 /// Plain SQL DDL/DML is journaled **write-behind** (executed first,
