@@ -16,7 +16,8 @@
 
 use crate::durability::SessionWal;
 use crate::engine::{Database, DbError};
-use crate::proc::{rankings_schema, results_schema, ModelRegistry, PlanContext, ProcEstimate};
+use crate::proc::{rankings_schema, results_schema, PlanContext, ProcEstimate};
+use crate::registry::ModelRegistry;
 use crate::sql::exec::ExecResult;
 use crate::value::Value;
 use mlss_core::plan_cache::PlanCache;

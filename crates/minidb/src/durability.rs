@@ -622,7 +622,7 @@ impl DurabilityHook for SessionWal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proc::ModelRegistry;
+    use crate::registry::ModelRegistry;
 
     fn submit(qid: u64, seed: u64) -> Record {
         Record::AsyncSubmit {

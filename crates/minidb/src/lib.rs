@@ -15,8 +15,9 @@
 //!   format: journaled SQL mutations, results, plan-cache entries, shard
 //!   deposits, and crash-recoverable ASYNC queries ([`Session::open`]
 //!   replays the log);
-//! * [`proc`] — the model registry with per-model parameter schemas and
-//!   the `materialize_paths` stored procedure;
+//! * [`registry`] — the model registry with per-model parameter schemas;
+//! * [`proc`] — the model-runner bridge to the estimators and the
+//!   `materialize_paths` stored procedure;
 //! * [`dispatch`] — the one compile-and-dispatch path every estimate
 //!   flows through ([`dispatch::execute_spec`],
 //!   [`dispatch::explain_spec`], [`dispatch::show_models`]);
@@ -35,6 +36,7 @@ pub mod durability;
 pub mod engine;
 pub mod expr;
 pub mod proc;
+pub mod registry;
 pub mod schema;
 pub mod session;
 pub mod sql;
@@ -48,7 +50,8 @@ pub use dispatch::{
 pub use durability::{Durability, SessionWal, WalSessionConfig};
 pub use engine::{Database, DbError};
 pub use expr::{col, lit, Expr};
-pub use proc::{materialize_paths, seed_default_models, Method, ModelRegistry};
+pub use proc::{materialize_paths, seed_default_models, Method};
+pub use registry::ModelRegistry;
 pub use schema::{ColumnDef, Schema};
 pub use session::{DiagnosticsSource, Session, SessionConfig};
 pub use sql::{execute, ExecResult};

@@ -44,10 +44,8 @@ use crate::dispatch::{
 };
 use crate::durability::{intern_provenance, Durability, SessionWal, WalSessionConfig};
 use crate::engine::{Database, DbError};
-use crate::proc::{
-    materialize_paths, results_schema, seed_default_models, ModelBuilder, ModelRegistry,
-    PlanContext,
-};
+use crate::proc::{materialize_paths, results_schema, seed_default_models, PlanContext};
+use crate::registry::{ModelBuilder, ModelRegistry};
 use crate::sql::{execute_statement, ExecResult, Statement};
 use crate::value::Value;
 use mlss_core::estimator::Diagnostics;
