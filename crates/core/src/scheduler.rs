@@ -109,24 +109,15 @@ pub trait SliceableQuery: Send + Any {
     /// [`Scheduler::detach`]).
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 
-    /// Snapshot the accumulated state as a cross-query warm-start
-    /// candidate for the shard store: the key identifying what problem
-    /// the shard answers, plus the checkpoint itself. Jobs that do not
-    /// participate in reuse (the default) return `None`. Must not
-    /// disturb the job's committed state (snapshot on clones).
-    fn reuse_snapshot(&mut self) -> Option<(ShardKey, StoredShard)> {
-        None
-    }
-
-    /// Capture the job's committed `(shard, cursor)` state for a durability
-    /// checkpoint, under the shard-store key a recovering session checks
-    /// its rebuilt job against. Unlike [`SliceableQuery::reuse_snapshot`]
-    /// this must be cheap — it runs at the checkpoint cadence on the
-    /// worker's slice path — so implementations return counters-only
-    /// placeholder estimates rather than evaluating one (recovery resumes
-    /// the run; it never serves a checkpoint's estimate). Must not
-    /// disturb committed state (snapshot on clones). Jobs that cannot be
-    /// resumed from serialized state (the default) return `None`.
+    /// Capture the job's committed `(shard, cursor)` state under its
+    /// shard-store key: a durability checkpoint, and — with the closing
+    /// estimate in place of its placeholder — a shard-store deposit (see
+    /// [`Scheduler::attach_shard_store`]). This must be cheap — it runs
+    /// at the checkpoint cadence on the worker's slice path — so
+    /// implementations return a counters-only placeholder estimate rather
+    /// than evaluating one. Must not disturb committed state (snapshot
+    /// on clones). Jobs that neither resume from serialized state nor
+    /// take part in reuse (the default) return `None`.
     fn checkpoint(&mut self) -> Option<(ShardKey, StoredShard)> {
         None
     }
@@ -159,8 +150,9 @@ where
     control: RunControl,
     shard: E::Shard,
     run: RunCursor,
-    /// The pinned seed this job was built from (`None` when the caller
-    /// handed over a raw cursor) — recorded in shard-store deposits.
+    /// The statement's pinned seed (`None` when it was drawn, or the
+    /// caller handed over a raw cursor) — recorded in shard-store
+    /// deposits.
     seed: Option<u64>,
     /// Shard-store identity; `Some` opts the job into reuse deposits
     /// and durability checkpoints.
@@ -243,11 +235,10 @@ where
         self
     }
 
-    /// Record the pinned seed this job was built from (deposit
-    /// provenance; [`EstimatorQuery::from_seed`] sets it
-    /// automatically).
-    pub fn with_seed_provenance(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
+    /// Record the pinned seed this job answers for (deposit
+    /// provenance; [`EstimatorQuery::from_seed`] records its seed).
+    pub fn with_seed_provenance(mut self, seed: Option<u64>) -> Self {
+        self.seed = seed;
         self
     }
 
@@ -290,7 +281,7 @@ where
             control,
             RunCursor::from_seed(seed),
         )
-        .with_seed_provenance(seed)
+        .with_seed_provenance(Some(seed))
     }
 
     /// The accumulated shard (the live checkpoint).
@@ -305,30 +296,32 @@ where
         (self.shard, self.run)
     }
 
-    /// Run the job to completion on the calling thread alone: the run
-    /// [`Scheduler::run`] shares with pool helpers, bit for bit.
-    pub fn run(self) -> EstimatorRun<E::Shard> {
-        let (fan, width) = (&self.fan, self.fan.lock().width);
-        run_sequential_from(
-            &fan.estimator,
-            fan.problem(),
-            self.control,
-            self.run,
-            self.shard,
-            width,
-        )
-    }
-
-    /// The RE target this job stops against (`NaN` in budget mode) —
-    /// recorded with its shard-store deposits.
-    fn target_re(&self) -> f64 {
-        match &self.control {
+    /// `(shard, cursor)` as this job's keyed checkpoint, with a
+    /// counters-only placeholder estimate: evaluating a real one here
+    /// could run a bootstrap on every durability checkpoint (recovery
+    /// resumes the run; it never reads tau/variance out of one).
+    fn entry(&self, shard: &E::Shard, cursor: RunCursor) -> Option<(ShardKey, StoredShard)>
+    where
+        E::Shard: Clone + 'static,
+    {
+        let key = self.reuse_key.clone()?;
+        let estimate = Estimate {
+            tau: f64::NAN,
+            variance: f64::INFINITY,
+            n_roots: shard.n_roots(),
+            steps: shard.steps(),
+            hits: 0,
+        };
+        // The RE target this job stops against (`NaN` in budget mode).
+        let target_re = match &self.control {
             RunControl::Target {
                 target: QualityTarget::RelativeError { target, .. },
                 ..
             } => *target,
             _ => f64::NAN,
-        }
+        };
+        let entry = StoredShard::new(shard, cursor, estimate, self.seed, target_re);
+        Some((key, entry))
     }
 }
 
@@ -417,31 +410,8 @@ where
         self
     }
 
-    fn reuse_snapshot(&mut self) -> Option<(ShardKey, StoredShard)> {
-        let key = self.reuse_key.clone()?;
-        if self.shard.n_roots() == 0 {
-            return None;
-        }
-        let estimate = self.estimate();
-        let entry = StoredShard::new(&self.shard, self.run, estimate, self.seed, self.target_re());
-        Some((key, entry))
-    }
-
     fn checkpoint(&mut self) -> Option<(ShardKey, StoredShard)> {
-        let key = self.reuse_key.clone()?;
-        // Counters-only placeholder estimate: evaluating a real one here
-        // could run a bootstrap on every checkpoint. Recovery resumes the
-        // run from (shard, cursor); it never reads tau/variance out of a
-        // checkpoint.
-        let estimate = Estimate {
-            tau: f64::NAN,
-            variance: f64::INFINITY,
-            n_roots: self.shard.n_roots(),
-            steps: self.shard.steps(),
-            hits: 0,
-        };
-        let entry = StoredShard::new(&self.shard, self.run, estimate, self.seed, self.target_re());
-        Some((key, entry))
+        self.entry(&self.shard, self.run)
     }
 
     fn helpers(&self) -> Option<Helpers> {
@@ -1096,13 +1066,25 @@ impl Shared {
     }
 }
 
-/// Best-effort deposit of a job's checkpoint into `store`. Snapshot
-/// panics (e.g. a bootstrap variance on pathological data) are contained
-/// exactly like slice panics: reuse is an optimization and must never
+/// The one deposit rule, for every finished, paused or detached job and
+/// every finished [`Scheduler::run`]: the job's checkpoint — its shard,
+/// its cursor and the statement's pinned seed — with the closing
+/// estimate in place of the checkpoint's placeholder. `closing` is the
+/// estimate the caller already holds, or evaluates it; it runs only for
+/// a checkpoint with roots (one without answers nothing and is skipped).
+/// Its panics (e.g. a bootstrap variance on pathological data) are
+/// contained like slice panics: reuse is an optimization and must never
 /// take a query down.
-fn deposit_snapshot(store: &ShardStore, job: &mut Box<dyn SliceableQuery>) {
-    let snap = catch_unwind(AssertUnwindSafe(|| job.reuse_snapshot()));
-    if let Ok(Some((key, entry))) = snap {
+fn deposit(
+    store: &ShardStore,
+    checkpoint: Option<(ShardKey, StoredShard)>,
+    closing: impl FnOnce() -> Estimate,
+) {
+    let Some((key, mut entry)) = checkpoint.filter(|(_, entry)| entry.n_roots() > 0) else {
+        return;
+    };
+    if let Ok(estimate) = catch_unwind(AssertUnwindSafe(closing)) {
+        entry.estimate = estimate;
         store.deposit(key, entry);
     }
 }
@@ -1281,11 +1263,14 @@ impl Scheduler {
     /// it (see [`EstimatorQuery::with_threads`] and the module docs). The
     /// run is not a query — no id, no slot, no durability hook — but its
     /// blocks are picked under the slices' rule at `priority`, and their
-    /// steps are charged to `tenant`. The answer is bit-identical to
-    /// [`EstimatorQuery::run`]; a model panic propagates to the caller.
+    /// steps are charged to `tenant`. The answer is bit-identical to the
+    /// sequential driver's ([`run_sequential_from`]), which runs a
+    /// one-thread job; a model panic propagates to the caller.
+    /// With a shard store attached, the finished run is deposited like a
+    /// finished query.
     pub fn run<M, V, E>(
         &self,
-        job: EstimatorQuery<M, V, E>,
+        mut job: EstimatorQuery<M, V, E>,
         priority: u8,
         tenant: Option<TenantId>,
     ) -> EstimatorRun<E::Shard>
@@ -1293,33 +1278,45 @@ impl Scheduler {
         M: SimulationModel + Send + 'static,
         V: ValueFunction<M::State> + Send + 'static,
         E: Estimator<M, V> + Send + 'static,
+        E::Shard: Clone + 'static,
     {
-        if job.fan.lock().threads == 1 {
-            return job.run();
-        }
-        let helpers = Helpers(Arc::clone(&job.fan) as Arc<dyn BlockWork>);
-        helpers.0.attach(Arc::downgrade(&self.shared));
-        let key = self.shared.lock().offer(helpers, priority, tenant);
-        /// Withdraws the run's blocks from the pool when it returns or
-        /// unwinds; blocks still running finish into the dropped table.
-        struct Withdraw<'a>(&'a Shared, u64);
-        impl Drop for Withdraw<'_> {
-            fn drop(&mut self) {
-                self.0.lock().offers.remove(&self.1);
-            }
-        }
-        let _withdraw = Withdraw(&self.shared, key);
+        let shard = std::mem::replace(&mut job.shard, job.fan.estimator.shard());
         let fan = &*job.fan;
-        drive(
-            &fan.estimator,
-            fan.problem(),
-            job.control,
-            job.run,
-            job.shard,
-            |shard, roots, end| {
-                fan.commit(shard, (0, 0), roots, end, end);
-            },
-        )
+        let (width, threads) = {
+            let b = fan.lock();
+            (b.width, b.threads)
+        };
+        let run = if threads == 1 {
+            let problem = fan.problem();
+            run_sequential_from(&fan.estimator, problem, job.control, job.run, shard, width)
+        } else {
+            let helpers = Helpers(Arc::clone(&job.fan) as Arc<dyn BlockWork>);
+            helpers.0.attach(Arc::downgrade(&self.shared));
+            let key = self.shared.lock().offer(helpers, priority, tenant);
+            /// Withdraws the run's blocks from the pool when it returns or
+            /// unwinds; blocks still running finish into the dropped table.
+            struct Withdraw<'a>(&'a Shared, u64);
+            impl Drop for Withdraw<'_> {
+                fn drop(&mut self) {
+                    self.0.lock().offers.remove(&self.1);
+                }
+            }
+            let _withdraw = Withdraw(&self.shared, key);
+            drive(
+                &fan.estimator,
+                fan.problem(),
+                job.control,
+                job.run,
+                shard,
+                |shard, roots, end| {
+                    fan.commit(shard, (0, 0), roots, end, end);
+                },
+            )
+        };
+        if let Some(store) = self.shared.store() {
+            deposit(&store, job.entry(&run.shard, run.cursor), || run.estimate);
+        }
+        run
     }
 
     /// Register (or look up) a fair-share tenant by name, returning its
@@ -1527,7 +1524,7 @@ impl Scheduler {
         // The in-flight checkpoint becomes a warm-start candidate for
         // other queries even while the caller holds the job.
         if let Some(store) = self.shared.store() {
-            deposit_snapshot(&store, &mut job);
+            deposit(&store, job.checkpoint(), || job.estimate());
         }
         // The query left the scheduler without finishing: its durable
         // in-flight state (submit record, checkpoints) is now stale.
@@ -1713,16 +1710,14 @@ fn worker_loop(shared: &Arc<Shared>, slice_budget: u64, max_retries: u32) {
         let outcome = match sliced {
             Ok(_) => {
                 let evaluated = catch_unwind(AssertUnwindSafe(|| {
-                    if job.finished() {
-                        // Deposit the completed shard before the final
-                        // estimate.
-                        if let Some(store) = &store {
-                            deposit_snapshot(store, &mut job);
-                        }
-                        Some(job.estimate())
-                    } else {
-                        None
+                    if !job.finished() {
+                        return None;
                     }
+                    let estimate = job.estimate();
+                    if let Some(store) = &store {
+                        deposit(store, job.checkpoint(), || estimate);
+                    }
+                    Some(estimate)
                 }));
                 match evaluated {
                     Ok(Some(est)) => SliceResult::Finished(est),
@@ -1758,7 +1753,7 @@ fn worker_loop(shared: &Arc<Shared>, slice_budget: u64, max_retries: u32) {
                 };
                 if pause_pending {
                     if let Some(store) = &store {
-                        deposit_snapshot(store, &mut job);
+                        deposit(store, job.checkpoint(), || job.estimate());
                     }
                 }
                 // Durability checkpoint opportunity: the job's committed
@@ -1927,6 +1922,59 @@ mod tests {
             batch_width: 1,
             tenant_weights: Vec::new(),
         })
+    }
+
+    /// SRS counting its closing-estimate evaluations.
+    struct CountedSrs(Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Estimator<Walk, Vf> for CountedSrs {
+        type Shard = crate::srs::SrsShard;
+
+        fn name(&self) -> &'static str {
+            "counted-srs"
+        }
+
+        fn shard(&self) -> Self::Shard {
+            Self::Shard::default()
+        }
+
+        fn run_chunk(
+            &self,
+            problem: Problem<'_, Walk, Vf>,
+            shard: &mut Self::Shard,
+            budget: u64,
+            roots: &mut RootCursor,
+            width: usize,
+        ) -> ChunkOutcome {
+            SrsEstimator.run_chunk(problem, shard, budget, roots, width)
+        }
+
+        fn estimate(&self, shard: &Self::Shard, rng: &mut SimRng) -> Estimate {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Estimator::<Walk, Vf>::estimate(&SrsEstimator, shard, rng)
+        }
+    }
+
+    #[test]
+    fn a_finished_run_evaluates_its_closing_estimate_once() {
+        // With a store attached, one closing estimate is both deposited
+        // and answered — for a finished query and a finished sync run.
+        let sched = small_sched(1);
+        sched.attach_shard_store(Arc::new(ShardStore::new(4)));
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let job = |fp: u64| {
+            let estimator = CountedSrs(Arc::clone(&calls));
+            let control = RunControl::budget(20_000);
+            EstimatorQuery::from_seed(Walk { up: 0.48 }, vf(), 80, estimator, control, 5)
+                .with_reuse_key(crate::shard_store::shard_key(fp, "srs", None))
+        };
+        let id = sched.submit_query(Box::new(job(1)), 0);
+        assert!(sched.wait(id).unwrap().estimate().is_some());
+        let calls_now = || calls.load(std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(calls_now(), 1, "finished query");
+        sched.run(job(2), 0, None);
+        assert_eq!(calls_now(), 2, "finished sync run");
+        assert_eq!(sched.shard_store().unwrap().len(), 2, "both deposited");
     }
 
     #[test]
@@ -2139,6 +2187,7 @@ mod tests {
     ) -> EstimatorRun<E::Shard>
     where
         E: Estimator<Walk, Vf> + Send + 'static,
+        E::Shard: Clone,
     {
         let job =
             EstimatorQuery::from_seed(Walk { up: 0.48 }, vf(), horizon, estimator, control, seed)

@@ -23,19 +23,21 @@
 //!
 //! The module also hosts the spec-level scheduler integration:
 //! [`resolve_method`] turns a [`Method`] plus a plan-cache lookup into
-//! the concrete estimator choice (the `auto` rule), [`estimator_job`]
-//! boxes any resolved method as a [`SliceableQuery`], and
+//! the concrete estimator choice (the `auto` rule), [`plan_lookup`] is
+//! the one pilot behind every plan, [`estimator_job`] builds any resolved
+//! method's job — fresh or resuming a stored checkpoint — and
 //! [`DeferredPlanQuery`] schedules the **plan-derivation pilot as the
 //! query's first slice** so an `ASYNC` submission never runs the pilot
 //! synchronously on a plan-cache miss.
 
+use crate::estimator::{Estimator, RunCursor};
 use crate::gmlss::GMlssConfig;
 use crate::levels::PartitionPlan;
 use crate::model::SimulationModel;
 use crate::partition::balanced_plan;
 use crate::plan_cache::{PlanCache, PlanLookup};
 use crate::quality::{QualityTarget, RunControl};
-use crate::query::{Problem, RatioValue, StateScore};
+use crate::query::{Problem, RatioValue, StateScore, ValueFunction};
 use crate::rng::rng_from_seed;
 use crate::scheduler::{EstimatorQuery, SliceableQuery};
 use crate::shard_store::{shard_key, ShardKey, StoredShard};
@@ -920,126 +922,182 @@ pub fn resolve_method(method: Method, lookup: Option<&PlanLookup>) -> ResolvedMe
     }
 }
 
-/// Box a resolved method as a scheduler job: an [`EstimatorQuery`] over
-/// the concrete estimator, on the run `seed` names, running its slices
-/// at `batch_width` with at most `threads` threads. The job is tagged
-/// with its shard-store key over `fingerprint`, so a store-attached
-/// scheduler deposits its checkpoints for cross-query reuse and its
-/// durability checkpoints name the problem they answer.
-#[allow(clippy::too_many_arguments)]
-pub fn estimator_job<M, Z>(
-    model: M,
-    score: Z,
-    beta: f64,
-    horizon: u64,
-    resolved: &ResolvedMethod,
-    control: RunControl,
-    seed: u64,
-    batch_width: usize,
-    threads: usize,
-    fingerprint: u64,
-) -> Box<dyn SliceableQuery>
-where
-    M: SimulationModel + Send + 'static,
-    M::State: Send,
-    Z: StateScore<M::State> + Copy + Send + Sync + 'static,
-{
-    let key = shard_key(fingerprint, resolved.name(), resolved.plan());
-    let vf = RatioValue::new(score, beta);
-    macro_rules! job {
-        ($estimator:expr) => {
-            Box::new(
-                EstimatorQuery::from_seed(model, vf, horizon, $estimator, control, seed)
-                    .with_batch_width(batch_width)
-                    .with_threads(threads)
-                    .with_reuse_key(key),
-            ) as Box<dyn SliceableQuery>
-        };
-    }
-    match resolved {
-        ResolvedMethod::Srs => job!(SrsEstimator),
-        ResolvedMethod::SMlss(plan) => job!(SMlssConfig::new(plan.clone(), control)),
-        ResolvedMethod::GMlss(plan) => job!(GMlssConfig::new(plan.clone(), control)),
+/// How a scheduler job runs, beside its model, its method and where it
+/// starts: what [`estimator_job`] and [`DeferredPlanQuery`] build from.
+#[derive(Debug, Clone, Copy)]
+pub struct JobRun {
+    /// Threshold β of the value function.
+    pub beta: f64,
+    /// Query horizon.
+    pub horizon: u64,
+    /// The stopping rule.
+    pub control: RunControl,
+    /// The seed naming the run (its root, check and closing streams, and
+    /// the pilot's salted stream).
+    pub seed: u64,
+    /// The statement's pinned seed, `None` when `seed` was drawn: what
+    /// the job's deposits and checkpoints record (see
+    /// [`StoredShard::seed`]).
+    pub pinned: Option<u64>,
+    /// Frontier width of its slices.
+    pub batch_width: usize,
+    /// Thread cap: the committer plus up to `threads − 1` helpers.
+    pub threads: usize,
+    /// Plan-cache fingerprint the job's shard key is built over.
+    pub fingerprint: u64,
+}
+
+impl JobRun {
+    /// A statement's run on the run `seed` names: its own target,
+    /// threads and pinned seed, at `batch_width`.
+    pub fn of(spec: &QuerySpec, seed: u64, fingerprint: u64, batch_width: usize) -> Self {
+        Self {
+            beta: spec.beta,
+            horizon: spec.horizon,
+            control: target_control(spec.target_re),
+            seed,
+            pinned: spec.options.seed,
+            batch_width,
+            threads: spec.options.threads,
+            fingerprint,
+        }
     }
 }
 
-/// Box a resolved method as a **warm-started** scheduler job resuming
-/// from a stored checkpoint: the job starts with `entry`'s shard and
-/// run cursor and runs only the marginal work its control still
-/// requires. Falls back to the cold job of [`estimator_job`] when the
-/// stored shard's concrete type does not match `resolved` — unreachable
-/// with a correct [`ShardKey`], but never worth failing a query over.
-/// Returns the job plus whether the warm start actually applied.
-#[allow(clippy::too_many_arguments)]
-pub fn warm_estimator_job<M, Z>(
-    model: M,
-    score: Z,
-    beta: f64,
-    horizon: u64,
-    resolved: &ResolvedMethod,
-    control: RunControl,
-    entry: &StoredShard,
-    seed: u64,
-    batch_width: usize,
-    threads: usize,
-    fingerprint: u64,
-) -> (Box<dyn SliceableQuery>, bool)
+/// Where [`estimator_job`] hands the typed job it builds. The
+/// estimator's type is known only inside the constructor's match, so the
+/// caller passes in what happens next: [`Boxed`] makes a scheduler job,
+/// and a synchronous statement runs it on its caller through
+/// [`crate::scheduler::Scheduler::run`].
+pub trait JobSink<M, Z>
+where
+    M: SimulationModel,
+    Z: StateScore<M::State>,
+{
+    /// What the sink makes of the job.
+    type Out;
+
+    /// Take the typed job.
+    fn take<E>(self, job: EstimatorQuery<M, RatioValue<Z>, E>) -> Self::Out
+    where
+        E: Estimator<M, RatioValue<Z>> + Send + 'static,
+        E::Shard: Send + Clone + 'static;
+}
+
+/// The [`JobSink`] of scheduler jobs: the job, boxed.
+pub struct Boxed;
+
+impl<M, Z> JobSink<M, Z> for Boxed
 where
     M: SimulationModel + Send + 'static,
     M::State: Send,
     Z: StateScore<M::State> + Copy + Send + Sync + 'static,
 {
-    let key = shard_key(fingerprint, resolved.name(), resolved.plan());
-    let vf = RatioValue::new(score, beta);
-    macro_rules! warm_or_cold {
-        ($estimator:expr, $shard_ty:ty) => {
-            match entry.shard_as::<$shard_ty>() {
-                Some(shard) => (
-                    Box::new(
-                        EstimatorQuery::from_parts(
-                            model,
-                            vf,
-                            horizon,
-                            $estimator,
-                            control,
-                            shard.clone(),
-                            entry.cursor,
-                        )
-                        .with_batch_width(batch_width)
-                        .with_threads(threads)
-                        .with_reuse_key(key),
-                    ) as Box<dyn SliceableQuery>,
-                    true,
-                ),
-                None => (
-                    estimator_job(
-                        model,
-                        score,
-                        beta,
-                        horizon,
-                        resolved,
-                        control,
-                        seed,
-                        batch_width,
-                        threads,
-                        fingerprint,
-                    ),
-                    false,
-                ),
-            }
-        };
+    type Out = Box<dyn SliceableQuery>;
+
+    fn take<E>(self, job: EstimatorQuery<M, RatioValue<Z>, E>) -> Self::Out
+    where
+        E: Estimator<M, RatioValue<Z>> + Send + 'static,
+        E::Shard: Send + Clone + 'static,
+    {
+        Box::new(job)
     }
+}
+
+/// The one job constructor: an [`EstimatorQuery`] over the resolved
+/// method, tagged with its shard-store key over `run.fingerprint` (so
+/// its deposits and durability checkpoints name the problem they
+/// answer), handed to `sink`. With `start` the job resumes that
+/// checkpoint's shard and run cursor and runs only the marginal work its
+/// control still requires — the exact trajectory a longer cold run
+/// takes; without, it starts on the run `run.seed` names.
+pub fn estimator_job<M, Z, S>(
+    model: M,
+    score: Z,
+    resolved: &ResolvedMethod,
+    run: &JobRun,
+    start: Option<&StoredShard>,
+    sink: S,
+) -> S::Out
+where
+    M: SimulationModel + Send + 'static,
+    M::State: Send,
+    Z: StateScore<M::State> + Copy + Send + Sync + 'static,
+    S: JobSink<M, Z>,
+{
+    let vf = RatioValue::new(score, run.beta);
+    let key = shard_key(run.fingerprint, resolved.name(), resolved.plan());
     match resolved {
-        ResolvedMethod::Srs => warm_or_cold!(SrsEstimator, crate::srs::SrsShard),
-        ResolvedMethod::SMlss(plan) => warm_or_cold!(
-            SMlssConfig::new(plan.clone(), control),
-            crate::smlss::SMlssShard
-        ),
-        ResolvedMethod::GMlss(plan) => warm_or_cold!(
-            GMlssConfig::new(plan.clone(), control),
-            crate::gmlss::GmlssShard
-        ),
+        ResolvedMethod::Srs => typed_job(model, vf, SrsEstimator, run, key, start, sink),
+        ResolvedMethod::SMlss(plan) => {
+            let cfg = SMlssConfig::new(plan.clone(), run.control);
+            typed_job(model, vf, cfg, run, key, start, sink)
+        }
+        ResolvedMethod::GMlss(plan) => {
+            let cfg = GMlssConfig::new(plan.clone(), run.control);
+            typed_job(model, vf, cfg, run, key, start, sink)
+        }
     }
+}
+
+/// [`estimator_job`] once the estimator's type is known. A stored shard
+/// of another type — which a correct [`ShardKey`] rules out — starts the
+/// job fresh rather than failing the query.
+fn typed_job<M, Z, E, S>(
+    model: M,
+    vf: RatioValue<Z>,
+    estimator: E,
+    run: &JobRun,
+    key: ShardKey,
+    start: Option<&StoredShard>,
+    sink: S,
+) -> S::Out
+where
+    M: SimulationModel,
+    Z: StateScore<M::State>,
+    E: Estimator<M, RatioValue<Z>> + Send + 'static,
+    E::Shard: Send + Clone + 'static,
+    S: JobSink<M, Z>,
+{
+    let resumed = start.and_then(|e| Some((e.shard_as::<E::Shard>()?.clone(), e.cursor)));
+    let (shard, cursor) =
+        resumed.unwrap_or_else(|| (estimator.shard(), RunCursor::from_seed(run.seed)));
+    let job = EstimatorQuery::from_parts(
+        model,
+        vf,
+        run.horizon,
+        estimator,
+        run.control,
+        shard,
+        cursor,
+    )
+    .with_batch_width(run.batch_width)
+    .with_threads(run.threads)
+    .with_reuse_key(key)
+    .with_seed_provenance(run.pinned);
+    sink.take(job)
+}
+
+/// The one pilot: the balanced plan for `problem` at `levels`, through
+/// the single-flight plan cache. A miss runs [`PILOT_PATHS`] roots on
+/// `seed`'s salted pilot stream, never on the query's run, so a
+/// statement's plan and answer do not depend on its driver or on
+/// whether the plan came from the cache.
+pub fn plan_lookup<M, V>(
+    cache: &PlanCache,
+    fingerprint: u64,
+    problem: Problem<'_, M, V>,
+    levels: usize,
+    seed: u64,
+) -> PlanLookup
+where
+    M: SimulationModel,
+    V: ValueFunction<M::State>,
+{
+    cache.get_or_build_traced(fingerprint, BALANCED_PLAN_KEY, levels, || {
+        let mut pilot_rng = rng_from_seed(seed ^ PILOT_SEED_SALT);
+        balanced_plan(problem, levels, PILOT_PATHS, &mut pilot_rng)
+    })
 }
 
 /// Quality-check cadence (in root paths) of [`target_control`] — the
@@ -1095,16 +1153,10 @@ where
 struct Pending<M, Z> {
     model: M,
     score: Z,
-    beta: f64,
-    horizon: u64,
     method: Method,
     levels: usize,
-    control: RunControl,
-    seed: u64,
-    batch_width: usize,
-    threads: usize,
+    run: JobRun,
     plans: Arc<PlanCache>,
-    fingerprint: u64,
 }
 
 impl<M, Z> DeferredPlanQuery<M, Z>
@@ -1115,36 +1167,23 @@ where
 {
     /// Build a deferred-plan job. `method` must need a plan (SRS has
     /// nothing to defer — submit it directly).
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         model: M,
         score: Z,
-        beta: f64,
-        horizon: u64,
         method: Method,
         levels: usize,
-        control: RunControl,
-        seed: u64,
-        batch_width: usize,
-        threads: usize,
+        run: JobRun,
         plans: Arc<PlanCache>,
-        fingerprint: u64,
     ) -> Self {
         assert!(method.needs_plan(), "srs needs no deferred plan");
         Self {
             pending: Some(Pending {
                 model,
                 score,
-                beta,
-                horizon,
                 method,
                 levels,
-                control,
-                seed,
-                batch_width,
-                threads,
+                run,
                 plans,
-                fingerprint,
             }),
             inner: None,
         }
@@ -1159,27 +1198,14 @@ where
         }
         let lookup = {
             let p = self.pending.as_ref().expect("deferred job not activated");
-            let vf = RatioValue::new(p.score, p.beta);
-            let problem = Problem::new(&p.model, &vf, p.horizon);
-            let mut pilot_rng = rng_from_seed(p.seed ^ PILOT_SEED_SALT);
-            p.plans
-                .get_or_build_traced(p.fingerprint, BALANCED_PLAN_KEY, p.levels, || {
-                    balanced_plan(problem, p.levels, PILOT_PATHS, &mut pilot_rng)
-                })
+            let vf = RatioValue::new(p.score, p.run.beta);
+            let problem = Problem::new(&p.model, &vf, p.run.horizon);
+            plan_lookup(&p.plans, p.run.fingerprint, problem, p.levels, p.run.seed)
         };
         let p = self.pending.take().expect("deferred job not activated");
         let resolved = resolve_method(p.method, Some(&lookup));
         self.inner = Some(estimator_job(
-            p.model,
-            p.score,
-            p.beta,
-            p.horizon,
-            &resolved,
-            p.control,
-            p.seed,
-            p.batch_width,
-            p.threads,
-            p.fingerprint,
+            p.model, p.score, &resolved, &p.run, None, Boxed,
         ));
     }
 
@@ -1235,12 +1261,6 @@ where
 
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
         self
-    }
-
-    fn reuse_snapshot(&mut self) -> Option<(ShardKey, StoredShard)> {
-        // Before activation there is nothing to deposit; afterwards the
-        // inner job owns the shard and the reuse key.
-        self.inner.as_deref_mut().and_then(|i| i.reuse_snapshot())
     }
 
     fn checkpoint(&mut self) -> Option<(ShardKey, StoredShard)> {
@@ -1406,32 +1426,30 @@ mod tests {
         // Inline: derive the plan first, then build the estimator job.
         let plans_a = Arc::new(PlanCache::new());
         let sf = score as fn(&f64) -> f64;
-        let lookup = {
-            let vf = RatioValue::new(sf, 1.0);
-            let problem = Problem::new(&Walk, &vf, 80);
-            let mut pilot_rng = rng_from_seed(seed ^ PILOT_SEED_SALT);
-            plans_a.get_or_build_traced(fp, BALANCED_PLAN_KEY, 4, || {
-                balanced_plan(problem, 4, PILOT_PATHS, &mut pilot_rng)
-            })
-        };
+        let vf = RatioValue::new(sf, 1.0);
+        let lookup = plan_lookup(&plans_a, fp, Problem::new(&Walk, &vf, 80), 4, seed);
         let resolved = resolve_method(Method::GMlss, Some(&lookup));
-        let inline = estimator_job(Walk, sf, 1.0, 80, &resolved, control, seed, 0, 1, fp);
+        let run = JobRun {
+            beta: 1.0,
+            horizon: 80,
+            control,
+            seed,
+            pinned: None,
+            batch_width: 0,
+            threads: 1,
+            fingerprint: fp,
+        };
+        let inline = estimator_job(Walk, sf, &resolved, &run, None, Boxed);
 
         // Deferred: plan derivation is the first slice.
         let plans_b = Arc::new(PlanCache::new());
         let deferred = Box::new(DeferredPlanQuery::new(
             Walk,
             sf,
-            1.0,
-            80,
             Method::GMlss,
             4,
-            control,
-            seed,
-            0,
-            1,
+            run,
             Arc::clone(&plans_b),
-            fp,
         ));
 
         let sched = Scheduler::new(SchedulerConfig {

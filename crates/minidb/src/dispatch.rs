@@ -5,10 +5,12 @@
 //! call [`execute_spec`]: the spec is validated against the model's
 //! schema, the model is built from its effective parameters, and the
 //! query runs where its options say — on the calling thread for `Sync`,
-//! on the shared scheduler for `Async` (with plan derivation deferred to
-//! the query's first slice on a cold cache). Either way `WITH
-//! (threads=N)` lets up to `N − 1` of the scheduler's workers help.
+//! on the session scheduler for `Async` (with plan derivation deferred
+//! to the query's first slice on a cold cache). Either way `WITH
+//! (threads=N)` lets up to `N − 1` of that scheduler's workers help.
 //! Synchronous executions append the standard `results` row here.
+//! `RANK BY` races ([`execute_rank`]) build each arm as the same
+//! scheduler job an `ASYNC` statement of that arm would submit.
 //!
 //! [`explain_spec`] resolves the same spec without running it — the
 //! engine behind `EXPLAIN ESTIMATE` — and [`show_models`] renders the
@@ -16,7 +18,7 @@
 
 use crate::durability::SessionWal;
 use crate::engine::{Database, DbError};
-use crate::proc::{rankings_schema, results_schema, PlanContext, ProcEstimate};
+use crate::proc::{rankings_schema, results_schema, tenant_of, JobKind, PlanContext, ProcEstimate};
 use crate::registry::ModelRegistry;
 use crate::sql::exec::ExecResult;
 use crate::value::Value;
@@ -63,10 +65,10 @@ pub enum SpecOutcome {
     },
 }
 
-/// Execute a validated spec through the single dispatch path. `scheduler`
-/// is required for `ASYNC` specs; synchronous specs run on the calling
-/// thread (with `scheduler` helpers under `WITH (threads=N)`) and record
-/// their `results` row before returning. `store` enables the
+/// Execute a validated spec through the single dispatch path. `ASYNC`
+/// specs are submitted to `scheduler`; synchronous specs run on the
+/// calling thread (with `scheduler` helpers under `WITH (threads=N)`)
+/// and record their `results` row before returning. `store` enables the
 /// cross-query reuse planner (serve-from-store / warm-start / cold with
 /// checkpoint deposit). With `wal`, synchronous rows are journaled
 /// before they become visible and ASYNC submissions are journaled with
@@ -77,7 +79,7 @@ pub fn execute_spec(
     models: &ModelRegistry,
     plans: &Arc<PlanCache>,
     store: Option<&Arc<ShardStore>>,
-    scheduler: Option<&Scheduler>,
+    scheduler: &Scheduler,
     wal: Option<&SessionWal>,
     spec: &QuerySpec,
     rng: &mut SimRng,
@@ -102,21 +104,21 @@ pub fn execute_spec(
             Ok(SpecOutcome::Estimated { est, millis })
         }
         ExecMode::Async => {
-            let scheduler = scheduler.ok_or_else(|| {
-                DbError::Proc("ASYNC estimation requires a session scheduler".into())
-            })?;
             let (runner, fp, _) = models.build_spec(db, spec)?;
             let ctx = PlanContext {
                 cache: Arc::clone(plans),
                 fingerprint: fp,
                 store: store.map(Arc::clone),
             };
-            let out = runner.submit(scheduler, spec, seed, &ctx)?;
+            let width = scheduler.config().batch_width;
+            let out = runner.job(spec, &ctx, seed, width, JobKind::Statement(None));
+            let tenant = tenant_of(scheduler, spec);
+            let id = scheduler.submit_query_as(out.job, spec.options.priority, tenant);
             if let Some(wal) = wal {
-                wal.record_async_submit(out.id, spec, seed, out.plan_source, out.shard_reuse);
+                wal.record_async_submit(id, spec, seed, out.plan_source, out.shard_reuse);
             }
             Ok(SpecOutcome::Submitted {
-                id: out.id,
+                id,
                 seed,
                 plan_source: out.plan_source,
                 shard_reuse: out.shard_reuse,
@@ -189,7 +191,7 @@ pub fn explain_spec(
     models: &ModelRegistry,
     plans: &Arc<PlanCache>,
     store: Option<&Arc<ShardStore>>,
-    scheduler: Option<&Scheduler>,
+    scheduler: &Scheduler,
     spec: &QuerySpec,
     rng: &mut SimRng,
 ) -> Result<Vec<(String, String)>, DbError> {
@@ -272,18 +274,17 @@ pub fn explain_spec(
             (_, false) => "inline before the run".into(),
         },
     );
-    let default_width = match scheduler {
-        Some(s) if asynchronous => s.config().batch_width,
-        _ => 1,
+    let workers = scheduler.config().workers;
+    let default_width = if asynchronous {
+        scheduler.config().batch_width
+    } else {
+        1
     };
     let width = spec.options.batch_width.unwrap_or(default_width);
     // The helper cap: at most `threads` threads, one of them the
     // committer — the caller (sync) or a pool worker (ASYNC).
     let threads = spec.options.threads;
-    let helpers = |committers_from_pool: usize| match scheduler {
-        Some(s) => (threads - 1).min(s.config().workers - committers_from_pool),
-        None => 0,
-    };
+    let helpers = |committers_from_pool: usize| (threads - 1).min(workers - committers_from_pool);
     let helped = |h: usize| {
         format!(
             "{h} helper{} (threads={threads})",
@@ -292,18 +293,13 @@ pub fn explain_spec(
     };
     push(
         "driver",
-        match (asynchronous, scheduler) {
-            (true, None) => "scheduler (no session pool attached)".into(),
-            (true, Some(s)) if helpers(1) > 0 => {
-                format!(
-                    "scheduler(workers={}) + {}",
-                    s.config().workers,
-                    helped(helpers(1))
-                )
+        match asynchronous {
+            true if helpers(1) > 0 => {
+                format!("scheduler(workers={workers}) + {}", helped(helpers(1)))
             }
-            (true, Some(s)) => format!("scheduler(workers={})", s.config().workers),
-            (false, _) if helpers(0) > 0 => format!("caller + {}", helped(helpers(0))),
-            (false, _) => "sequential".into(),
+            true => format!("scheduler(workers={workers})"),
+            false if helpers(0) > 0 => format!("caller + {}", helped(helpers(0))),
+            false => "sequential".into(),
         },
     );
     push(
@@ -392,7 +388,7 @@ pub fn execute_rank(
     db: &Database,
     models: &ModelRegistry,
     plans: &Arc<PlanCache>,
-    scheduler: Option<&Scheduler>,
+    scheduler: &Scheduler,
     wal: Option<&SessionWal>,
     rank: &RankSpec,
     rng: &mut SimRng,
@@ -400,9 +396,10 @@ pub fn execute_rank(
     rank.validate().map_err(DbError::from)?;
     let asynchronous = rank.options.mode == ExecMode::Async;
     let seed = rank.options.seed.unwrap_or_else(|| rng.random::<u64>());
-    let default_width = match scheduler {
-        Some(s) if asynchronous => s.config().batch_width,
-        _ => 1,
+    let default_width = if asynchronous {
+        scheduler.config().batch_width
+    } else {
+        1
     };
     let mut arms = Vec::with_capacity(rank.arms.len());
     let mut plan_sources = Vec::with_capacity(rank.arms.len());
@@ -413,21 +410,25 @@ pub fn execute_rank(
             fingerprint: fp,
             store: None,
         };
-        let (job, plan_source) = runner.rank_arm(spec, arm_seed(seed, i), &ctx, default_width)?;
+        let arm = runner.job(
+            spec,
+            &ctx,
+            arm_seed(seed, i),
+            default_width,
+            JobKind::RaceArm,
+        );
         arms.push(RaceArm {
             label: label.clone(),
-            job,
+            job: arm.job,
             target: QualityTarget::RelativeError {
                 target: spec.target_re,
                 reference: None,
             },
         });
-        plan_sources.push(plan_source);
+        plan_sources.push(arm.plan_source);
     }
     let mut race = RaceQuery::new(arms, rank.race_config());
     if asynchronous {
-        let scheduler = scheduler
-            .ok_or_else(|| DbError::Proc("ASYNC ranking requires a session scheduler".into()))?;
         let tenant = rank
             .options
             .tenant
@@ -546,7 +547,7 @@ pub fn explain_rank(
     db: &Database,
     models: &ModelRegistry,
     plans: &Arc<PlanCache>,
-    scheduler: Option<&Scheduler>,
+    scheduler: &Scheduler,
     rank: &RankSpec,
     rng: &mut SimRng,
 ) -> Result<Vec<(String, String)>, DbError> {
@@ -616,13 +617,10 @@ pub fn explain_rank(
     push(
         "driver",
         if asynchronous {
-            match scheduler {
-                Some(s) => format!(
-                    "scheduler(workers={}), one sliceable race query",
-                    s.config().workers
-                ),
-                None => "scheduler (no session pool attached)".into(),
-            }
+            format!(
+                "scheduler(workers={}), one sliceable race query",
+                scheduler.config().workers
+            )
         } else {
             "sequential race loop (same slice order as the scheduler)".into()
         },

@@ -25,24 +25,19 @@ use crate::registry::ModelRegistry;
 use crate::schema::{ColumnDef, Schema};
 use crate::table::Aggregate;
 use crate::value::{DataType, Value};
-use mlss_core::estimator::{Estimator, RunCursor};
+use mlss_core::estimate::Estimate;
+use mlss_core::estimator::Estimator;
 use mlss_core::model::SimulationModel;
-use mlss_core::partition::balanced_plan;
 use mlss_core::plan_cache::{PlanCache, PlanLookup};
 use mlss_core::planner::{plan_reuse, ReusePlan};
-use mlss_core::prelude::{
-    GMlssConfig, Problem, RatioValue, SMlssConfig, SimRng, SrsEstimator, StateScore,
-};
+use mlss_core::prelude::{Problem, RatioValue, SimRng, SrsEstimator, StateScore};
 use mlss_core::quality::RunControl;
-use mlss_core::rng::{rng_from_seed, split_rng, RootCursor};
-use mlss_core::scheduler::{
-    CompletedQuery, EstimatorQuery, QueryId, Scheduler, SliceableQuery, TenantId,
-};
+use mlss_core::rng::{split_rng, RootCursor};
+use mlss_core::scheduler::{CompletedQuery, EstimatorQuery, Scheduler, SliceableQuery, TenantId};
 use mlss_core::shard_store::{shard_key, ShardKey, ShardStore, StoredShard};
 use mlss_core::spec::{
-    estimator_job, resolve_method, target_control, warm_estimator_job, DeferredPlanQuery,
-    QuerySpec, ResolvedMethod, BALANCED_PLAN_KEY, PILOT_PATHS, PILOT_SEED_SALT, TARGET_CHECK_EVERY,
-    TARGET_MAX_STEPS,
+    estimator_job, plan_lookup, resolve_method, Boxed, DeferredPlanQuery, JobRun, JobSink,
+    QuerySpec, ResolvedMethod, BALANCED_PLAN_KEY, TARGET_CHECK_EVERY, TARGET_MAX_STEPS,
 };
 use std::sync::Arc;
 
@@ -181,15 +176,33 @@ pub struct PlanContext {
     pub store: Option<Arc<ShardStore>>,
 }
 
-/// Outcome of an asynchronous submission: the scheduler handle plus the
-/// provenance tags the eventual `results` row records.
-pub struct SubmitOutcome {
-    /// Scheduler query id (poll/wait/cancel handle).
-    pub id: QueryId,
+/// A spec's scheduler job plus the provenance tags its eventual
+/// `results` row records.
+pub struct SpecJob {
+    /// The job, ready for [`Scheduler::submit_query_as`] or a race.
+    pub job: Box<dyn SliceableQuery>,
     /// Plan-cache provenance (`"hit"`/`"miss"`/`"none"`).
     pub plan_source: &'static str,
     /// Shard-store provenance (`"cold"`/`"warm"`/`"stored"`/`"none"`).
     pub shard_reuse: &'static str,
+}
+
+/// Which scheduler job [`ModelRunner::job`] builds.
+pub enum JobKind<'a> {
+    /// An `ASYNC` statement: it stops at its own target on its own
+    /// threads. A recovered one names its durable checkpoint — the
+    /// problem's shard key and the shard + run cursor at a slice
+    /// boundary — and resumes it when the replayed plan's shard key
+    /// equals the recorded one; otherwise it takes the reuse route like
+    /// any submission (under a pinned seed a cold rerun replays the
+    /// identical run, so it is still bit-exact, just slower).
+    Statement(Option<(&'a ShardKey, &'a StoredShard)>),
+    /// A `RANK BY` arm: one thread, in budget mode to the target valve
+    /// (the race checks the arm's target itself, at its round ends).
+    /// Arms are built with no shard store — the race's pooled per-arm
+    /// shard *is* its state, and standings must not depend on what
+    /// earlier queries left behind.
+    RaceArm,
 }
 
 /// The resolved execution plan of a spec — what `EXPLAIN ESTIMATE`
@@ -210,73 +223,35 @@ pub struct PlanResolution {
 /// spine. Every entry point hands it the same [`QuerySpec`] IR.
 pub trait ModelRunner: Send + Sync {
     /// Answer the spec synchronously on the calling thread, on the run
-    /// `seed` names, memoizing derived partition plans through `plans`.
-    /// With `WITH (threads=N)`, up to `N − 1` of `pool`'s workers help
-    /// (see [`Scheduler::run`]); without a pool the run is sequential.
+    /// `seed` names, deriving its partition plan inline (memoized
+    /// through `plans`) and taking the reuse route through the shard
+    /// store. With `WITH (threads=N)`, up to `N − 1` of `pool`'s workers
+    /// help (see [`Scheduler::run`], which also deposits the finished
+    /// run).
     fn estimate(
         self: Box<Self>,
         spec: &QuerySpec,
         plans: &PlanContext,
         seed: u64,
-        pool: Option<&Scheduler>,
+        pool: &Scheduler,
     ) -> Result<ProcEstimate, DbError>;
 
-    /// Submit the spec to a [`Scheduler`] instead of running it
-    /// synchronously, consuming the runner (the scheduler job takes
-    /// ownership of the model). On a plan-cache miss the pilot is **not**
-    /// run here — plan derivation is scheduled as the query's first
-    /// slice. When the plan context carries a shard store, the reuse
-    /// planner routes the submission: a stored entry meeting the target
-    /// completes immediately, a looser one warm-starts the job. Returns
-    /// the scheduler's query id plus the provenance tags for the
-    /// eventual `results` row.
-    fn submit(
-        self: Box<Self>,
-        scheduler: &Scheduler,
-        spec: &QuerySpec,
-        seed: u64,
-        plans: &PlanContext,
-    ) -> Result<SubmitOutcome, DbError>;
-
-    /// Build one `RANK BY` race arm as a sliceable job — the same
-    /// construction [`ModelRunner::submit`] uses, minus the scheduler
-    /// and the shard store (arms never reuse or deposit: the race's
-    /// pooled per-arm shard *is* its state, and standings must not
-    /// depend on what earlier queries left behind). On a plan-cache miss
-    /// the pilot is deferred to the arm's first slice, single-flight
-    /// through the shared cache — same-shape arms share one pilot. The
-    /// job runs in budget mode to the target valve: the race checks the
-    /// arm's target itself, at its round ends.
-    /// Returns the job plus its plan-cache provenance.
-    fn rank_arm(
+    /// Build the spec's scheduler job, consuming the runner (the job
+    /// takes ownership of the model): an `ASYNC` submission, a recovered
+    /// one, or a race arm (see [`JobKind`]). On a plan-cache miss the
+    /// pilot is **not** run here — plan derivation is the job's first
+    /// slice. With a shard store in `plans`, the reuse planner routes
+    /// the job: a stored entry meeting the target becomes an
+    /// instantly-finished job, a looser one warm-starts it. The job runs
+    /// at the spec's width, falling back to `default_width`.
+    fn job(
         self: Box<Self>,
         spec: &QuerySpec,
-        seed: u64,
         plans: &PlanContext,
+        seed: u64,
         default_width: usize,
-    ) -> Result<(Box<dyn SliceableQuery>, &'static str), DbError>;
-
-    /// Resubmit a recovered ASYNC query from a durable checkpoint: `key`
-    /// names the problem the checkpoint was cut under and `entry` is its
-    /// shard + run cursor at a slice boundary. Warm-starts only when the
-    /// replayed plan's shard key equals `key`; any mismatch (plan not in
-    /// the cache or rebuilt differently, foreign shard, non-SQL
-    /// estimator) falls back to [`ModelRunner::submit`] — a cold rerun
-    /// from `seed`, which under a pinned seed replays the identical run
-    /// and is therefore still bit-exact, just slower. The default
-    /// implementation is that fallback.
-    fn resume(
-        self: Box<Self>,
-        scheduler: &Scheduler,
-        spec: &QuerySpec,
-        seed: u64,
-        plans: &PlanContext,
-        key: &ShardKey,
-        entry: &StoredShard,
-    ) -> Result<SubmitOutcome, DbError> {
-        let _ = (key, entry);
-        self.submit(scheduler, spec, seed, plans)
-    }
+        kind: JobKind<'_>,
+    ) -> SpecJob;
 
     /// Resolve the spec's execution plan without running the estimator:
     /// the `auto` rule, the level plan (derived through the cache — the
@@ -327,7 +302,7 @@ pub trait ModelRunner: Send + Sync {
 /// Resolve the spec's fair-share tenant to a scheduler tenant id
 /// (registering the name on first sight; weights are managed by the
 /// serving layer).
-fn tenant_of(scheduler: &Scheduler, spec: &QuerySpec) -> Option<TenantId> {
+pub(crate) fn tenant_of(scheduler: &Scheduler, spec: &QuerySpec) -> Option<TenantId> {
     spec.options
         .tenant
         .as_deref()
@@ -341,6 +316,55 @@ fn observe_regime(plans: &PlanContext, steps: u64, n_roots: u64) {
         plans
             .cache
             .observe_regime(plans.fingerprint, steps as f64 / n_roots as f64);
+    }
+}
+
+/// Where the reuse route sends a statement.
+enum Route {
+    /// A stored estimate already meets the target: nothing runs.
+    Stored(Estimate),
+    /// Run, resuming this stored checkpoint — or, with `None`, from the
+    /// seed.
+    Run(Option<StoredShard>),
+}
+
+/// The one reuse route every executed statement takes: the reuse
+/// planner's verdict on `key` for the spec's target and pinned seed,
+/// plus the `shard_reuse` tag its `results` row records — `"none"`
+/// without a store, `"cold"` when the store has no usable entry.
+fn reuse_route(plans: &PlanContext, key: &ShardKey, spec: &QuerySpec) -> (Route, &'static str) {
+    let Some(store) = plans.store.as_deref() else {
+        return (Route::Run(None), "none");
+    };
+    match plan_reuse(store, key, spec.target_re, spec.options.seed) {
+        ReusePlan::Stored { entry } => (Route::Stored(entry.estimate), "stored"),
+        ReusePlan::Warm { entry, .. } => (Route::Run(Some(entry)), "warm"),
+        ReusePlan::Cold => (Route::Run(None), "cold"),
+    }
+}
+
+/// The [`JobSink`] of synchronous statements: run the job to completion
+/// on the calling thread through [`Scheduler::run`].
+struct OnCaller<'a> {
+    pool: &'a Scheduler,
+    priority: u8,
+    tenant: Option<TenantId>,
+}
+
+impl<M, Z> JobSink<M, Z> for OnCaller<'_>
+where
+    M: SimulationModel + Send + Sync + 'static,
+    M::State: Send,
+    Z: StateScore<M::State> + Copy + Send + Sync + 'static,
+{
+    type Out = Estimate;
+
+    fn take<E>(self, job: EstimatorQuery<M, RatioValue<Z>, E>) -> Estimate
+    where
+        E: Estimator<M, RatioValue<Z>> + Send + 'static,
+        E::Shard: Send + Clone + 'static,
+    {
+        self.pool.run(job, self.priority, self.tenant).estimate
     }
 }
 
@@ -359,106 +383,8 @@ where
     M::State: Send,
     Z: StateScore<M::State> + Copy + Send + Sync,
 {
-    /// Run `est` over the model on the calling thread (with pool helpers
-    /// under `WITH (threads=N)`), consulting the shard store first: a
-    /// stored entry that already meets the target is served outright, a
-    /// looser one warm-starts the run, and every run deposits its final
-    /// shard (plus its run cursor) back for the next query over the same
-    /// key.
-    fn drive_reused<E>(
-        self,
-        est: E,
-        spec: &QuerySpec,
-        plans: &PlanContext,
-        resolved: &ResolvedMethod,
-        seed: u64,
-        pool: Option<&Scheduler>,
-    ) -> ProcEstimate
-    where
-        M: 'static,
-        Z: 'static,
-        E: Estimator<M, RatioValue<Z>> + Send + 'static,
-        E::Shard: Clone + 'static,
-    {
-        // `batch_width=auto` resolves here — per model, memoized per
-        // fingerprint — before the run launches.
-        let (width, _) = self.width_for(spec, plans, 1);
-        let control = target_control(spec.target_re);
-        let store = plans.store.as_deref();
-        let key = store.map(|_| shard_key(plans.fingerprint, resolved.name(), resolved.plan()));
-        let plan = match (store, &key) {
-            (Some(s), Some(k)) => plan_reuse(s, k, spec.target_re, spec.options.seed),
-            _ => ReusePlan::Cold,
-        };
-
-        // Serve-from-store: the stored shard already meets the target.
-        if let ReusePlan::Stored { entry } = &plan {
-            let e = entry.estimate;
-            return ProcEstimate {
-                tau: e.tau,
-                variance: e.variance,
-                steps: e.steps,
-                n_roots: e.n_roots,
-                plan_source: "none",
-                shard_reuse: "stored",
-            };
-        }
-
-        // Warm-start: continue the stored checkpoint's run, the exact
-        // trajectory a longer cold run takes (bit-identical under a
-        // pinned seed, at every thread count).
-        let warm = match &plan {
-            ReusePlan::Warm { entry, .. } => entry
-                .shard_as::<E::Shard>()
-                .map(|s| (s.clone(), entry.cursor)),
-            _ => None,
-        };
-        let shard_reuse: &'static str = if warm.is_some() {
-            "warm"
-        } else if store.is_some() {
-            "cold"
-        } else {
-            "none"
-        };
-        let (initial, cursor) = warm.unwrap_or_else(|| (est.shard(), RunCursor::from_seed(seed)));
-        let Runner { model, score } = self;
-        let vf = RatioValue::new(score, spec.beta);
-        let job =
-            EstimatorQuery::from_parts(model, vf, spec.horizon, est, control, initial, cursor)
-                .with_batch_width(width)
-                .with_threads(spec.options.threads);
-        let run = match pool {
-            Some(pool) if spec.options.threads > 1 => {
-                pool.run(job, spec.options.priority, tenant_of(pool, spec))
-            }
-            _ => job.run(),
-        };
-        if let (Some(s), Some(k)) = (store, key) {
-            s.deposit(
-                k,
-                StoredShard::new(
-                    &run.shard,
-                    run.cursor,
-                    run.estimate,
-                    spec.options.seed,
-                    spec.target_re,
-                ),
-            );
-        }
-        let e = run.estimate;
-        observe_regime(plans, e.steps, e.n_roots);
-        ProcEstimate {
-            tau: e.tau,
-            variance: e.variance,
-            steps: e.steps,
-            n_roots: e.n_roots,
-            plan_source: "none",
-            shard_reuse,
-        }
-    }
-
-    /// The traced plan lookup every plan-needing path shares: the
-    /// pilot-plus-tail-fit runs only on a cache miss, on `seed`'s pilot
+    /// The plan lookup every plan-needing path shares: the pilot (see
+    /// [`plan_lookup`]) runs only on a cache miss, on `seed`'s pilot
     /// stream (the one a deferred ASYNC pilot uses); repeated queries
     /// over the same (model, params, β, horizon) reuse the stored plan.
     fn plan_for(
@@ -469,15 +395,7 @@ where
     ) -> (PlanLookup, &'static str) {
         let vf = RatioValue::new(self.score, spec.beta);
         let problem = Problem::new(&self.model, &vf, spec.horizon);
-        let lookup = plans.cache.get_or_build_traced(
-            plans.fingerprint,
-            BALANCED_PLAN_KEY,
-            spec.levels,
-            || {
-                let mut pilot_rng = rng_from_seed(seed ^ PILOT_SEED_SALT);
-                balanced_plan(problem, spec.levels, PILOT_PATHS, &mut pilot_rng)
-            },
-        );
+        let lookup = plan_lookup(&plans.cache, plans.fingerprint, problem, spec.levels, seed);
         let src = if lookup.hit { "hit" } else { "miss" };
         (lookup, src)
     }
@@ -562,307 +480,117 @@ where
         spec: &QuerySpec,
         plans: &PlanContext,
         seed: u64,
-        pool: Option<&Scheduler>,
+        pool: &Scheduler,
     ) -> Result<ProcEstimate, DbError> {
-        let resolution = self.resolve_plan(spec, plans, seed)?;
-        let control = target_control(spec.target_re);
-        let resolved = &resolution.resolved;
-        let runner = *self;
-        let mut est = match resolved {
-            ResolvedMethod::Srs => {
-                runner.drive_reused(SrsEstimator, spec, plans, resolved, seed, pool)
-            }
-            ResolvedMethod::SMlss(plan) => {
-                let cfg = SMlssConfig::new(plan.clone(), control);
-                runner.drive_reused(cfg, spec, plans, resolved, seed, pool)
-            }
-            ResolvedMethod::GMlss(plan) => {
-                let cfg = GMlssConfig::new(plan.clone(), control);
-                runner.drive_reused(cfg, spec, plans, resolved, seed, pool)
+        // The plan step, inline: the pilot runs here on a cache miss.
+        let res = self.resolve_plan(spec, plans, seed)?;
+        // `batch_width=auto` resolves here — per model, memoized per
+        // fingerprint — before the run launches.
+        let (width, _) = self.width_for(spec, plans, 1);
+        let key = shard_key(plans.fingerprint, res.resolved.name(), res.resolved.plan());
+        let (route, shard_reuse) = reuse_route(plans, &key, spec);
+        let e = match route {
+            Route::Stored(e) => e,
+            Route::Run(start) => {
+                let run = JobRun::of(spec, seed, plans.fingerprint, width);
+                // Helpers (and so a tenant to charge) only under
+                // `WITH (threads=N)`.
+                let tenant = if run.threads > 1 {
+                    tenant_of(pool, spec)
+                } else {
+                    None
+                };
+                let caller = OnCaller {
+                    pool,
+                    priority: spec.options.priority,
+                    tenant,
+                };
+                let Runner { model, score } = *self;
+                let e = estimator_job(model, score, &res.resolved, &run, start.as_ref(), caller);
+                observe_regime(plans, e.steps, e.n_roots);
+                e
             }
         };
-        est.plan_source = resolution.plan_source;
-        Ok(est)
-    }
-
-    fn submit(
-        self: Box<Self>,
-        scheduler: &Scheduler,
-        spec: &QuerySpec,
-        seed: u64,
-        plans: &PlanContext,
-    ) -> Result<SubmitOutcome, DbError> {
-        /// Route one resolved method through the reuse planner: a
-        /// stored entry meeting the target becomes an
-        /// instantly-finished [`CompletedQuery`], a looser one
-        /// warm-starts the estimator job, and a miss (or storeless
-        /// session) runs cold — tagged for checkpoint deposit whenever
-        /// a store is attached.
-        #[allow(clippy::too_many_arguments)]
-        fn route<M, Z>(
-            model: M,
-            score: Z,
-            spec: &QuerySpec,
-            resolved: &ResolvedMethod,
-            control: RunControl,
-            seed: u64,
-            width: usize,
-            store: Option<&ShardStore>,
-            fp: u64,
-        ) -> (Box<dyn SliceableQuery>, &'static str)
-        where
-            M: SimulationModel + Send + 'static,
-            M::State: Send,
-            Z: StateScore<M::State> + Copy + Send + Sync + 'static,
-        {
-            let Some(store) = store else {
-                let job = estimator_job(
-                    model,
-                    score,
-                    spec.beta,
-                    spec.horizon,
-                    resolved,
-                    control,
-                    seed,
-                    width,
-                    spec.options.threads,
-                    fp,
-                );
-                return (job, "none");
-            };
-            let key = shard_key(fp, resolved.name(), resolved.plan());
-            match plan_reuse(store, &key, spec.target_re, spec.options.seed) {
-                ReusePlan::Stored { entry } => (
-                    Box::new(CompletedQuery::new(entry.estimate)) as Box<dyn SliceableQuery>,
-                    "stored",
-                ),
-                ReusePlan::Warm { entry, .. } => {
-                    let (job, warmed) = warm_estimator_job(
-                        model,
-                        score,
-                        spec.beta,
-                        spec.horizon,
-                        resolved,
-                        control,
-                        &entry,
-                        seed,
-                        width,
-                        spec.options.threads,
-                        fp,
-                    );
-                    (job, if warmed { "warm" } else { "cold" })
-                }
-                ReusePlan::Cold => {
-                    let job = estimator_job(
-                        model,
-                        score,
-                        spec.beta,
-                        spec.horizon,
-                        resolved,
-                        control,
-                        seed,
-                        width,
-                        spec.options.threads,
-                        fp,
-                    );
-                    (job, "cold")
-                }
-            }
-        }
-
-        let control = target_control(spec.target_re);
-        // Per-query batch width: the spec's, falling back to the pool's;
-        // `auto` (from either) resolves to a concrete width here so the
-        // job is built with the width it will run at.
-        let (width, _) = self.width_for(spec, plans, scheduler.config().batch_width);
-        let priority = spec.options.priority;
-        let tenant = tenant_of(scheduler, spec);
-        let store = plans.store.as_deref();
-        let fp = plans.fingerprint;
-        let Runner { model, score } = *self;
-        if !spec.method.needs_plan() {
-            let (job, shard_reuse) = route(
-                model,
-                score,
-                spec,
-                &ResolvedMethod::Srs,
-                control,
-                seed,
-                width,
-                store,
-                fp,
-            );
-            return Ok(SubmitOutcome {
-                id: scheduler.submit_query_as(job, priority, tenant),
-                plan_source: "none",
-                shard_reuse,
-            });
-        }
-        // Warm plan: dispatch the concrete estimator immediately. Cold
-        // plan: admit a deferred job whose *first slice* derives the
-        // plan (single-flight through the shared cache), so a cold
-        // submit never blocks the caller on the pilot.
-        match plans
-            .cache
-            .lookup_traced(fp, BALANCED_PLAN_KEY, spec.levels)
-        {
-            Some(lookup) => {
-                let resolved = resolve_method(spec.method, Some(&lookup));
-                let (job, shard_reuse) = route(
-                    model, score, spec, &resolved, control, seed, width, store, fp,
-                );
-                Ok(SubmitOutcome {
-                    id: scheduler.submit_query_as(job, priority, tenant),
-                    plan_source: "hit",
-                    shard_reuse,
-                })
-            }
-            None => {
-                let job = Box::new(DeferredPlanQuery::new(
-                    model,
-                    score,
-                    spec.beta,
-                    spec.horizon,
-                    spec.method,
-                    spec.levels,
-                    control,
-                    seed,
-                    width,
-                    spec.options.threads,
-                    Arc::clone(&plans.cache),
-                    fp,
-                ));
-                Ok(SubmitOutcome {
-                    id: scheduler.submit_query_as(job, priority, tenant),
-                    plan_source: "miss",
-                    shard_reuse: if store.is_some() { "cold" } else { "none" },
-                })
-            }
-        }
-    }
-
-    fn rank_arm(
-        self: Box<Self>,
-        spec: &QuerySpec,
-        seed: u64,
-        plans: &PlanContext,
-        default_width: usize,
-    ) -> Result<(Box<dyn SliceableQuery>, &'static str), DbError> {
-        // The race checks the arm's target at its round ends; the job
-        // itself only carries the step valve.
-        let control = RunControl::budget(TARGET_MAX_STEPS);
-        let (width, _) = self.width_for(spec, plans, default_width);
-        let fp = plans.fingerprint;
-        let Runner { model, score } = *self;
-        if !spec.method.needs_plan() {
-            let job = estimator_job(
-                model,
-                score,
-                spec.beta,
-                spec.horizon,
-                &ResolvedMethod::Srs,
-                control,
-                seed,
-                width,
-                1,
-                fp,
-            );
-            return Ok((job, "none"));
-        }
-        match plans
-            .cache
-            .lookup_traced(fp, BALANCED_PLAN_KEY, spec.levels)
-        {
-            Some(lookup) => {
-                let resolved = resolve_method(spec.method, Some(&lookup));
-                let job = estimator_job(
-                    model,
-                    score,
-                    spec.beta,
-                    spec.horizon,
-                    &resolved,
-                    control,
-                    seed,
-                    width,
-                    1,
-                    fp,
-                );
-                Ok((job, "hit"))
-            }
-            None => {
-                let job = Box::new(DeferredPlanQuery::new(
-                    model,
-                    score,
-                    spec.beta,
-                    spec.horizon,
-                    spec.method,
-                    spec.levels,
-                    control,
-                    seed,
-                    width,
-                    1,
-                    Arc::clone(&plans.cache),
-                    fp,
-                ));
-                Ok((job, "miss"))
-            }
-        }
-    }
-
-    fn resume(
-        self: Box<Self>,
-        scheduler: &Scheduler,
-        spec: &QuerySpec,
-        seed: u64,
-        plans: &PlanContext,
-        key: &ShardKey,
-        entry: &StoredShard,
-    ) -> Result<SubmitOutcome, DbError> {
-        let control = target_control(spec.target_re);
-        let (width, _) = self.width_for(spec, plans, scheduler.config().batch_width);
-        // Rebuild the resolved method the checkpoint was cut under. The
-        // plan must come from the (replay-seeded) cache and hash to the
-        // recorded key: any other plan would desync the shard.
-        let resolved = match key.method.as_str() {
-            "srs" => Some(ResolvedMethod::Srs),
-            "smlss" | "gmlss" => plans
-                .cache
-                .lookup_traced(plans.fingerprint, BALANCED_PLAN_KEY, spec.levels)
-                .map(|l| {
-                    if key.method == "smlss" {
-                        ResolvedMethod::SMlss(l.plan)
-                    } else {
-                        ResolvedMethod::GMlss(l.plan)
-                    }
-                }),
-            _ => None,
-        };
-        let Some(resolved) =
-            resolved.filter(|r| shard_key(plans.fingerprint, r.name(), r.plan()) == *key)
-        else {
-            // Plan lost with the log tail or rebuilt differently (or a
-            // non-SQL estimator): cold rerun from the recorded seed.
-            return self.submit(scheduler, spec, seed, plans);
-        };
-        let Runner { model, score } = *self;
-        let (job, _warmed) = warm_estimator_job(
-            model,
-            score,
-            spec.beta,
-            spec.horizon,
-            &resolved,
-            control,
-            entry,
-            seed,
-            width,
-            spec.options.threads,
-            plans.fingerprint,
-        );
-        Ok(SubmitOutcome {
-            id: scheduler.submit_query_as(job, spec.options.priority, tenant_of(scheduler, spec)),
-            plan_source: "hit",
-            shard_reuse: "warm",
+        Ok(ProcEstimate {
+            tau: e.tau,
+            variance: e.variance,
+            steps: e.steps,
+            n_roots: e.n_roots,
+            plan_source: res.plan_source,
+            shard_reuse,
         })
+    }
+
+    fn job(
+        self: Box<Self>,
+        spec: &QuerySpec,
+        plans: &PlanContext,
+        seed: u64,
+        default_width: usize,
+        kind: JobKind<'_>,
+    ) -> SpecJob {
+        // `auto` (from the spec or the default) resolves to a concrete
+        // width here, so the job is built with the width it runs at.
+        let (width, _) = self.width_for(spec, plans, default_width);
+        let mut run = JobRun::of(spec, seed, plans.fingerprint, width);
+        let checkpoint = match kind {
+            JobKind::Statement(checkpoint) => checkpoint,
+            JobKind::RaceArm => {
+                run.control = RunControl::budget(TARGET_MAX_STEPS);
+                run.threads = 1;
+                None
+            }
+        };
+        let Runner { model, score } = *self;
+        // The plan step: SRS needs no plan and a cached one resolves
+        // now. A cold one is derived by the job's first slice
+        // (single-flight through the shared cache), so building a job
+        // never blocks its caller on the pilot.
+        let fp = plans.fingerprint;
+        let (resolved, plan_source) = if !spec.method.needs_plan() {
+            (ResolvedMethod::Srs, "none")
+        } else if let Some(lookup) = plans
+            .cache
+            .lookup_traced(fp, BALANCED_PLAN_KEY, spec.levels)
+        {
+            (resolve_method(spec.method, Some(&lookup)), "hit")
+        } else {
+            let cache = Arc::clone(&plans.cache);
+            return SpecJob {
+                job: Box::new(DeferredPlanQuery::new(
+                    model,
+                    score,
+                    spec.method,
+                    spec.levels,
+                    run,
+                    cache,
+                )),
+                plan_source: "miss",
+                shard_reuse: if plans.store.is_some() {
+                    "cold"
+                } else {
+                    "none"
+                },
+            };
+        };
+        let key = shard_key(fp, resolved.name(), resolved.plan());
+        let (route, shard_reuse) = match checkpoint {
+            Some((recorded, entry)) if *recorded == key => {
+                (Route::Run(Some(entry.clone())), "warm")
+            }
+            _ => reuse_route(plans, &key, spec),
+        };
+        let job = match route {
+            Route::Stored(e) => Box::new(CompletedQuery::new(e)),
+            Route::Run(start) => {
+                estimator_job(model, score, &resolved, &run, start.as_ref(), Boxed)
+            }
+        };
+        SpecJob {
+            job,
+            plan_source,
+            shard_reuse,
+        }
     }
 
     fn resolve_plan(
@@ -1248,12 +976,13 @@ mod tests {
         let db = db();
         let models = ModelRegistry::with_builtins();
         let plans = Arc::new(PlanCache::new());
+        let pool = Scheduler::with_workers(1);
         let mut spec = QuerySpec::new("walk", 5.0, 50, 0.3).with_method(Method::Srs);
         spec.params.insert("up".into(), 0.9);
         spec.params.insert("down".into(), 0.05);
         let mut rng = rng_from_seed(50);
         let out =
-            crate::dispatch::execute_spec(&db, &models, &plans, None, None, None, &spec, &mut rng)
+            crate::dispatch::execute_spec(&db, &models, &plans, None, &pool, None, &spec, &mut rng)
                 .unwrap();
         let crate::dispatch::SpecOutcome::Estimated { est, .. } = out else {
             panic!("sync spec");
@@ -1261,7 +990,7 @@ mod tests {
         let hot = est.tau;
         let base = QuerySpec::new("walk", 5.0, 50, 0.3).with_method(Method::Srs);
         let out =
-            crate::dispatch::execute_spec(&db, &models, &plans, None, None, None, &base, &mut rng)
+            crate::dispatch::execute_spec(&db, &models, &plans, None, &pool, None, &base, &mut rng)
                 .unwrap();
         let crate::dispatch::SpecOutcome::Estimated { est, .. } = out else {
             panic!("sync spec");

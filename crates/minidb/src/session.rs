@@ -44,7 +44,9 @@ use crate::dispatch::{
 };
 use crate::durability::{intern_provenance, Durability, SessionWal, WalSessionConfig};
 use crate::engine::{Database, DbError};
-use crate::proc::{materialize_paths, results_schema, seed_default_models, PlanContext};
+use crate::proc::{
+    materialize_paths, results_schema, seed_default_models, tenant_of, JobKind, PlanContext,
+};
 use crate::registry::{ModelBuilder, ModelRegistry};
 use crate::sql::{execute_statement, ExecResult, Statement};
 use crate::value::Value;
@@ -376,15 +378,14 @@ impl Session {
                     fingerprint: fp,
                     store: store.clone(),
                 };
-                let out = match &q.checkpoint {
-                    Some((key, entry)) => {
-                        runner.resume(&scheduler, &spec, q.seed, &ctx, key, entry)?
-                    }
-                    None => runner.submit(&scheduler, &spec, q.seed, &ctx)?,
-                };
-                sw.register_recovered(out.id, q.qid);
+                let checkpoint = q.checkpoint.as_ref().map(|(key, entry)| (key, entry));
+                let width = scheduler.config().batch_width;
+                let out = runner.job(&spec, &ctx, q.seed, width, JobKind::Statement(checkpoint));
+                let tenant = tenant_of(&scheduler, &spec);
+                let id = scheduler.submit_query_as(out.job, spec.options.priority, tenant);
+                sw.register_recovered(id, q.qid);
                 meta.lock().unwrap_or_else(PoisonError::into_inner).insert(
-                    out.id,
+                    id,
                     SubmitMeta {
                         model: spec.model.clone(),
                         method: spec.method.name().to_string(),
@@ -400,7 +401,7 @@ impl Session {
                         recorded: false,
                     },
                 );
-                recovered.push(out.id);
+                recovered.push(id);
             }
         }
         Ok(Self {
@@ -590,7 +591,7 @@ impl Session {
                 &self.models,
                 &self.plans,
                 self.store.as_ref(),
-                Some(&self.scheduler),
+                &self.scheduler,
                 &spec,
                 &mut self.child_rng(),
             )?)),
@@ -598,7 +599,7 @@ impl Session {
                 &self.db,
                 &self.models,
                 &self.plans,
-                Some(&self.scheduler),
+                &self.scheduler,
                 &rank,
                 &mut self.child_rng(),
             )?)),
@@ -615,7 +616,7 @@ impl Session {
                     &self.db,
                     &self.models,
                     &self.plans,
-                    Some(&self.scheduler),
+                    &self.scheduler,
                     self.wal.as_deref(),
                     &rank,
                     &mut rng,
@@ -655,7 +656,7 @@ impl Session {
                     &self.models,
                     &self.plans,
                     self.store.as_ref(),
-                    Some(&self.scheduler),
+                    &self.scheduler,
                     self.wal.as_deref(),
                     &spec,
                     &mut rng,

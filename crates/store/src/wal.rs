@@ -576,7 +576,6 @@ mod tests {
             old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             old.extend_from_slice(&crc32(&payload).to_le_bytes());
             old.extend_from_slice(&payload);
-            std::fs::create_dir_all(&dir).unwrap();
             let mut snapshot = old_magic.to_vec();
             snapshot.extend_from_slice(b" stale snapshot bytes");
             std::fs::write(dir.join(TAIL), &old).unwrap();
@@ -591,7 +590,6 @@ mod tests {
             ));
             assert_eq!(std::fs::read(dir.join(TAIL)).unwrap(), old);
             assert_eq!(std::fs::read(dir.join(SNAPSHOT)).unwrap(), snapshot);
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -730,8 +728,9 @@ mod tests {
             wal.append(&Record::ResultRow(row(i))).unwrap();
         }
         assert_eq!(wal.stats().fsyncs, 2); // after records 3 and 6
+        let never_dir = tempdir("fsync_never");
         let (never, _) = Wal::open(
-            tempdir("fsync_never"),
+            &never_dir,
             WalOptions {
                 fsync: FsyncPolicy::Never,
                 crash: None,
@@ -747,8 +746,9 @@ mod tests {
         // Group commit must not change the lone-appender contract: with
         // no one to share a syscall with, every append is its own
         // leader.
+        let dir = tempdir("group_sequential");
         let (wal, _) = Wal::open(
-            tempdir("group_sequential"),
+            &dir,
             WalOptions {
                 fsync: FsyncPolicy::Always,
                 crash: None,
@@ -771,7 +771,7 @@ mod tests {
         // ≤ bound and the durability of every record are pinned.
         let dir = tempdir("group_concurrent");
         let (wal, _) = Wal::open(
-            dir.clone(),
+            &dir,
             WalOptions {
                 fsync: FsyncPolicy::Always,
                 crash: None,
@@ -809,7 +809,7 @@ mod tests {
         // Reopen and replay: all frames intact, none torn or dropped.
         drop(wal);
         let (_, replay) = Wal::open(
-            dir,
+            &dir,
             WalOptions {
                 fsync: FsyncPolicy::Always,
                 crash: None,
@@ -820,11 +820,36 @@ mod tests {
         assert!(!replay.truncated);
     }
 
-    fn tempdir(name: &str) -> PathBuf {
+    /// A fresh, empty per-process test directory, removed with
+    /// everything in it when the guard drops.
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    /// What lets `Wal::open(&dir, …)` take the guard.
+    impl AsRef<std::ffi::OsStr> for TempDir {
+        fn as_ref(&self) -> &std::ffi::OsStr {
+            self.0.as_os_str()
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tempdir(name: &str) -> TempDir {
         let dir =
             std::env::temp_dir().join(format!("mlss_store_test_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TempDir(dir)
     }
 }

@@ -253,6 +253,7 @@ fn all_four_estimators_run_fanned_out_over_the_pool() {
     fn fanned<E>(pool: &Scheduler, estimator: E, control: RunControl) -> Estimate
     where
         E: Estimator<ClampWalk, ClampVf> + Send + 'static,
+        E::Shard: Clone,
     {
         let model = ClampWalk { up: 0.48 };
         let job = EstimatorQuery::from_seed(model, clamp_vf(), 120, estimator, control, 77);

@@ -412,9 +412,12 @@ impl DurabilityHook for ParkInsideAMetChunk {
         if self.fired.load(Ordering::SeqCst) {
             return;
         }
-        let Some((_, entry)) = job.reuse_snapshot() else {
+        // What a deposit of this job would hold: its checkpoint with the
+        // closing estimate.
+        let Some((_, mut entry)) = job.checkpoint() else {
             return;
         };
+        entry.estimate = job.estimate();
         let meta = entry.meta();
         if !meta.at_check
             && meta.n_roots >= MIN_REUSE_ROOTS
@@ -550,25 +553,30 @@ fn counted_ar(_: &BTreeMap<String, f64>, _: u64) -> Result<Box<dyn ModelRunner>,
 }
 
 /// `g` invocations a fresh session with the given store capacity spends
-/// on `statements`, all over `counted_ar`: the `ar` schema, served by
-/// [`COUNTED_AR`].
-fn simulated_steps(capacity: usize, statements: &[String]) -> u64 {
+/// on `statements` (each answered, ASYNC ones waited for), all over
+/// `counted_ar`: the `ar` schema, served by [`COUNTED_AR`]. Also returns
+/// each statement's `shard_reuse` tag.
+fn simulated_steps(capacity: usize, statements: &[String]) -> (u64, Vec<String>) {
     let mut s = session(capacity);
     let ar = s.models().schema("ar").unwrap();
     let schema = ModelSchema::new("counted_ar", ar.doc, ar.params.clone());
     s.register_model(schema, counted_ar).unwrap();
     COUNTED_AR.reset();
-    for sql in statements {
-        s.execute(sql).unwrap();
-    }
-    COUNTED_AR.steps()
+    let tags = statements
+        .iter()
+        .map(|sql| {
+            answer(&s, sql);
+            last_reuse(&s)
+        })
+        .collect();
+    (COUNTED_AR.steps(), tags)
 }
 
 #[test]
 fn reuse_cuts_simulated_steps_of_repeated_and_tightening_queries() {
     // A dashboard re-issuing one statement: every repeat is served.
     let repeated = vec![estimate_sql("counted_ar", Method::Srs, 0.01, 99); 8];
-    let (on, off) = (
+    let ((on, _), (off, _)) = (
         simulated_steps(64, &repeated),
         simulated_steps(0, &repeated),
     );
@@ -577,16 +585,24 @@ fn reuse_cuts_simulated_steps_of_repeated_and_tightening_queries() {
         "repeated: {on} steps with the store vs {off} without (must be ≤ 1/5)"
     );
 
-    // An analyst tightening 2% → 0.5%: each rung pays only its margin.
+    // An analyst tightening 2% → 0.5%: each rung pays only its margin,
+    // whether the ladder runs inline or is submitted ASYNC and waited
+    // for — and each rung reuses exactly what its sync twin reuses.
     let ladder: Vec<String> = [0.02, 0.014, 0.01, 0.007, 0.005]
         .iter()
         .map(|&re| estimate_sql("counted_ar", Method::Srs, re, 99))
         .collect();
-    let (on, off) = (simulated_steps(64, &ladder), simulated_steps(0, &ladder));
-    assert!(
-        3 * on <= 2 * off,
-        "tightening: {on} steps with the store vs {off} without (must be ≤ 1/1.5)"
-    );
+    let submitted: Vec<String> = ladder.iter().map(|sql| format!("{sql} ASYNC")).collect();
+    let (off, _) = simulated_steps(0, &ladder);
+    let (_, sync_tags) = simulated_steps(64, &ladder);
+    for (what, statements) in [("sync", &ladder), ("ASYNC", &submitted)] {
+        let (on, tags) = simulated_steps(64, statements);
+        assert!(
+            3 * on <= 2 * off,
+            "{what} tightening: {on} steps with the store vs {off} without (must be ≤ 1/1.5)"
+        );
+        assert_eq!(tags, sync_tags, "{what} tightening: shard_reuse per rung");
+    }
 }
 
 #[test]
