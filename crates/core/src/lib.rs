@@ -159,5 +159,5 @@ pub mod prelude {
         ResolvedMethod, Span, SpecError, SpecErrorKind,
     };
     pub use crate::srs::{SrsEstimator, SrsResult, SrsSampler, SrsShard};
-    pub use crate::width::{static_width, KernelClass, AUTO_WIDTH};
+    pub use crate::width::{KernelClass, AUTO_WIDTH};
 }

@@ -81,15 +81,14 @@ pub trait SimulationModel: Sync {
         }
     }
 
-    /// The model's cost shape, used by the `batch_width=auto` policy to
-    /// pick a launch width (and the candidate set its micro-probe
-    /// times). The default matches the default `step_batch`: the scalar
-    /// adapter loop, where mid widths amortize dispatch but nothing
+    /// The model's cost shape, which fixes its default launch width
+    /// (see [`crate::width::KernelClass::width`]). The default matches
+    /// the default `step_batch`: the scalar adapter loop, where nothing
     /// vectorizes. Models on the vectorized draw pipeline declare
-    /// [`crate::width::KernelClass::SimdHot`]; table-lookup models
-    /// declare `Cheap`. Purely advisory — widths never change results.
+    /// [`crate::width::KernelClass::SimdHot`]. Purely advisory — widths
+    /// never change results.
     fn kernel_class(&self) -> crate::width::KernelClass {
-        crate::width::KernelClass::Adapter
+        crate::width::KernelClass::Scalar
     }
 }
 

@@ -148,40 +148,12 @@ pub struct PlanCache {
     ready_cv: Condvar,
     counters: CacheCounters,
     observer: Mutex<Option<PlanObserver>>,
-    /// Micro-probe results of the `batch_width=auto` policy, keyed by
-    /// query fingerprint: the first auto query of a family pays the
-    /// calibration burst, repeats read the winner here. A pure
-    /// performance hint — never WAL-journaled, never part of plan
-    /// identity (a lost entry only re-probes).
-    widths: Mutex<BTreeMap<u64, WidthMemo>>,
-}
-
-/// A memoized `batch_width=auto` probe winner plus the cost regime it
-/// was measured in, so the policy can notice when a family's workload
-/// drifts away from what the probe saw and re-calibrate.
-#[derive(Debug, Clone, Copy)]
-pub struct WidthMemo {
-    /// The calibrated winner.
-    pub width: usize,
-    /// Steps/root the family was running at when the probe was taken
-    /// (`None` for the first probe, before any full run was observed).
-    pub probed_regime: Option<f64>,
-    /// Latest observed steps/root of a completed run of the family.
-    pub observed_regime: Option<f64>,
-}
-
-impl WidthMemo {
-    /// Has the observed regime drifted more than `factor`x from the
-    /// probed one (either direction)? Unknown regimes never drift.
-    pub fn drifted(&self, factor: f64) -> bool {
-        match (self.probed_regime, self.observed_regime) {
-            (Some(probed), Some(observed)) if probed > 0.0 && observed > 0.0 => {
-                let ratio = observed / probed;
-                ratio > factor || ratio < 1.0 / factor
-            }
-            _ => false,
-        }
-    }
+    /// The launch width each query family's last default-width
+    /// (`batch_width=auto`) resolution picked, keyed by query
+    /// fingerprint — a read-back for tools that re-run a family's work
+    /// outside the session. Never WAL-journaled, never part of plan
+    /// identity.
+    widths: Mutex<BTreeMap<u64, usize>>,
 }
 
 impl std::fmt::Debug for PlanCache {
@@ -243,15 +215,9 @@ impl PlanCache {
         self.ready_cv.notify_all();
     }
 
-    /// The memoized `batch_width=auto` probe winner for this query
-    /// fingerprint, if one has been calibrated.
+    /// The width the last default-width resolution of this query
+    /// fingerprint launched at, if one has run.
     pub fn cached_width(&self, fingerprint: u64) -> Option<usize> {
-        self.width_memo(fingerprint).map(|m| m.width)
-    }
-
-    /// The full memoized probe entry (winner + regimes) for this query
-    /// fingerprint.
-    pub fn width_memo(&self, fingerprint: u64) -> Option<WidthMemo> {
         self.widths
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -259,44 +225,13 @@ impl PlanCache {
             .copied()
     }
 
-    /// Memoize a `batch_width=auto` probe winner for `fingerprint`, so
-    /// repeat queries of the family skip the calibration burst.
-    /// `regime` records the steps/root the family was observed at when
-    /// the probe ran (the drift baseline); a previously observed regime
-    /// is carried forward as the new baseline on re-probe.
-    pub fn memo_width(&self, fingerprint: u64, width: usize, regime: Option<f64>) {
-        let mut widths = self.widths.lock().unwrap_or_else(PoisonError::into_inner);
-        let probed_regime = regime.or_else(|| {
-            widths
-                .get(&fingerprint)
-                .and_then(|m| m.observed_regime.or(m.probed_regime))
-        });
-        widths.insert(
-            fingerprint,
-            WidthMemo {
-                width,
-                probed_regime,
-                observed_regime: probed_regime,
-            },
-        );
-    }
-
-    /// Record the steps/root a completed run of this family actually
-    /// exhibited. A no-op for families with no memoized probe (static
-    /// and requested widths have nothing to re-calibrate).
-    pub fn observe_regime(&self, fingerprint: u64, steps_per_root: f64) {
-        if !steps_per_root.is_finite() || steps_per_root <= 0.0 {
-            return;
-        }
-        let mut widths = self.widths.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(memo) = widths.get_mut(&fingerprint) {
-            memo.observed_regime = Some(steps_per_root);
-            if memo.probed_regime.is_none() {
-                // First observation after a cold probe anchors the
-                // baseline the drift check compares against.
-                memo.probed_regime = Some(steps_per_root);
-            }
-        }
+    /// Record the width a default-width resolution of `fingerprint`
+    /// picked (read back by [`PlanCache::cached_width`]).
+    pub fn memo_width(&self, fingerprint: u64, width: usize) {
+        self.widths
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(fingerprint, width);
     }
 
     /// Snapshot every ready entry — the compaction walk.

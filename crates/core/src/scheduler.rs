@@ -739,8 +739,8 @@ pub struct SchedulerConfig {
     /// ([`Scheduler::submit_query`]) keep whatever width they were built
     /// with.
     /// [`crate::width::AUTO_WIDTH`] is accepted and runs slices at the
-    /// static fallback width — resolve it upstream (per-model) for the
-    /// real adaptive pick.
+    /// static fallback width — resolve it upstream (per model, through
+    /// `KernelClass::width`) for the model's own default.
     pub batch_width: usize,
     /// Pre-registered fair-share tenants as `(name, weight)` pairs.
     /// Weights scale the least-attained-service comparison: a tenant

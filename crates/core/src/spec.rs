@@ -312,13 +312,12 @@ pub struct ExecOptions {
     /// committer (the calling thread, or the worker running its slice)
     /// plus helpers from the session's worker pool (1 = no helpers).
     pub threads: usize,
-    /// Frontier batch width. `None` inherits the layer default (1 for
-    /// the sync driver, the scheduler's configured width for async);
-    /// `Some(w)` runs at width `w ≥ 1`,
-    /// and `Some(`[`crate::width::AUTO_WIDTH`]`)` (`batch_width=auto`)
-    /// asks the executor to resolve a width from the model's kernel
-    /// class, probing and memoizing per query fingerprint. Widths never
-    /// change results — `auto` is bit-identical to its resolved width.
+    /// Frontier batch width. `None` inherits the session's width (by
+    /// default the model's kernel-class width, on every route);
+    /// `Some(w)` runs at width `w ≥ 1`, and
+    /// `Some(`[`crate::width::AUTO_WIDTH`]`)` (`batch_width=auto`) names
+    /// the kernel-class width explicitly. Widths never change results —
+    /// `auto` is bit-identical to its resolved width.
     pub batch_width: Option<usize>,
     /// Pinned seed: names the run ([`crate::estimator::RunCursor::from_seed`])
     /// and the pilot's stream. `None` draws a seed from the caller's

@@ -1,28 +1,24 @@
-//! The adaptive batch-width policy: `batch_width=auto`.
+//! The batch-width policy: which launch width a query runs at when it
+//! does not name one.
 //!
 //! The batched frontier is bit-identical at every width, so width is a
-//! pure throughput knob — but the *right* width varies by kernel. A
-//! SIMD-hot closed-form model (gbm, cpp) wants a wide cohort to keep the
-//! vectorized draw pipeline full; a generic adapter-loop model gains
-//! nothing past the cache-friendly sweet spot; a table-lookup model is
-//! fastest narrow, where staging overhead stays off the profile. This
-//! module turns that choice into policy:
+//! pure throughput knob — but the *right* width depends on the kernel.
+//! A model on the vectorized draw pipeline (walk, gbm, small-λ cpp)
+//! needs a full cohort to keep the SIMD lanes busy; every other kernel
+//! steps lane by lane, where a wide cohort only adds staging and
+//! speculation. This module turns that choice into one fixed policy:
 //!
-//! * [`AUTO_WIDTH`] is the sentinel a spec, a scheduler config, or a
-//!   session config carries for "pick for me". Every execution layer
-//!   resolves it **before** dispatch (see `proc::ModelRunner`'s
-//!   `resolve_width`); the drivers themselves map a leaked sentinel to
-//!   a safe static default ([`effective`]) so no code path can launch a
-//!   `usize::MAX`-lane cohort.
 //! * [`KernelClass`] is the model's self-declared cost shape
-//!   (`SimulationModel::kernel_class`), and [`static_width`] maps it to
-//!   a launch width without measuring anything.
-//! * [`calibrate`] is the micro-probe: time a small burst per candidate
-//!   width and keep the fastest. The caller memoizes the winner in the
-//!   plan cache keyed by the query fingerprint, so only the first query
-//!   of a family pays the probe. Probes run on throwaway RNG streams —
-//!   never the query's own stream — so `batch_width=auto` remains
-//!   bit-identical to the resolved explicit width.
+//!   (`SimulationModel::kernel_class`), and [`KernelClass::width`] maps
+//!   it to a launch width without measuring anything: 64 lanes for
+//!   [`KernelClass::SimdHot`], 1 for [`KernelClass::Scalar`]. The table
+//!   and the timings behind it are in `docs/kernel.md`.
+//! * [`AUTO_WIDTH`] is the sentinel a spec, a scheduler config, or a
+//!   session config carries for "the model's default". Every execution
+//!   layer resolves it **before** dispatch (see `proc::ModelRunner`'s
+//!   `resolve_width`); the drivers themselves map a leaked sentinel to
+//!   a safe static width ([`effective`]) so no code path can launch a
+//!   `usize::MAX`-lane cohort.
 //! * [`record_frontier`] / [`take_thread_stats`] / [`snapshot`] count
 //!   speculation waste: the batched frontier launches roots ahead of
 //!   the commit target, and lanes still in flight when the target lands
@@ -32,62 +28,40 @@
 //!   reports the effective width a session actually ran at.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
-/// Sentinel width meaning "resolve adaptively" (`batch_width=auto` in
-/// SQL). Carried by `ExecOptions::batch_width`, `SchedulerConfig`,
-/// `EstimatorQuery`, and `SessionConfig`; resolved to a concrete width
-/// before any frontier launches.
+/// Sentinel width meaning "the model's default" (`batch_width=auto` in
+/// SQL, and the session default). Carried by `ExecOptions::batch_width`,
+/// `SchedulerConfig`, `EstimatorQuery`, and `SessionConfig`; resolved to
+/// a concrete width before any frontier launches.
 pub const AUTO_WIDTH: usize = usize::MAX;
 
 /// The width the drivers substitute when an unresolved [`AUTO_WIDTH`]
-/// reaches them: a safe middle pick that is near-optimal for adapter
-/// kernels and acceptable everywhere.
+/// reaches them: the SIMD launch width, which is acceptable everywhere.
 pub const FALLBACK_WIDTH: usize = 64;
 
-/// A model's self-declared cost shape, used to pick a launch width (and
-/// probe candidates) without measuring.
+/// A model's self-declared cost shape, which fixes its default launch
+/// width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelClass {
-    /// Per-step work is a table lookup or a couple of flops; staging a
-    /// wide cohort costs more than it saves. Run narrow.
-    Cheap,
-    /// Steps run through the generic scalar `step_batch` adapter loop
-    /// (or a native kernel with no vectorized pipeline): batching
-    /// amortizes dispatch but nothing vectorizes. The middle widths win.
-    Adapter,
+    /// Steps run lane by lane — the generic scalar `step_batch` adapter
+    /// loop, a table lookup, or a native kernel with no vectorized
+    /// pipeline. Nothing vectorizes, so one lane at a time is fastest:
+    /// no cohort staging, no speculative roots.
+    Scalar,
     /// A native kernel backed by the vectorized draw pipeline
-    /// (multi-stream ChaCha + chunked `vmath`): throughput keeps rising
-    /// until the cohort fills the SIMD lanes several times over. Run
-    /// wide, wider still on long horizons where cohorts stay full.
+    /// (multi-stream ChaCha + chunked `vmath`): a full cohort keeps the
+    /// SIMD lanes busy.
     SimdHot,
 }
 
 impl KernelClass {
-    /// Candidate widths a micro-probe should time for this class,
-    /// narrowest first. The static pick is always among them.
-    pub fn probe_candidates(self) -> &'static [usize] {
+    /// The launch width a query of this class runs at unless it names
+    /// one. Wider SIMD cohorts measured slower, not faster: they add
+    /// speculation at every chunk end and fall out of cache.
+    pub fn width(self) -> usize {
         match self {
-            KernelClass::Cheap => &[8, 16, 32],
-            KernelClass::Adapter => &[16, 64, 128],
-            KernelClass::SimdHot => &[64, 128, 256],
-        }
-    }
-}
-
-/// The measurement-free width pick for a kernel class at a horizon.
-/// Long-horizon SIMD-hot models go widest: their cohorts stay full for
-/// many steps, so staging amortizes completely.
-pub fn static_width(class: KernelClass, horizon: u64) -> usize {
-    match class {
-        KernelClass::Cheap => 16,
-        KernelClass::Adapter => 64,
-        KernelClass::SimdHot => {
-            if horizon >= 256 {
-                256
-            } else {
-                128
-            }
+            KernelClass::Scalar => 1,
+            KernelClass::SimdHot => 64,
         }
     }
 }
@@ -104,46 +78,6 @@ pub fn effective(width: usize) -> usize {
     } else {
         width
     }
-}
-
-/// A probed width must be this much faster than the pick so far to
-/// replace it. Widths whose kernels run equally fast time a few percent
-/// apart from run to run; without a margin the memoized pick (and with
-/// it `EXPLAIN` and the width a run reports) would follow that noise.
-const PROBE_MARGIN: f64 = 0.10;
-
-/// Interleaved timing rounds per candidate. Interference only ever slows
-/// a timing down, so a candidate's fastest round is its cost.
-const PROBE_ROUNDS: usize = 3;
-
-/// Time `bench(width)` for every candidate and return the fastest width.
-/// `bench` must do a fixed amount of *work* per call (the same roots
-/// at every width) on throwaway state — a probe must never consume
-/// draws from a query's committed stream, or `auto` would stop being
-/// bit-identical to the resolved width.
-///
-/// One warm-up call runs first (the first timing otherwise charges lazy
-/// scratch growth to the narrowest width), then [`PROBE_ROUNDS`] rounds
-/// over the candidates, narrow-to-wide. Near-ties break narrow: a
-/// candidate wins only by beating the pick so far by [`PROBE_MARGIN`].
-pub fn calibrate(candidates: &[usize], mut bench: impl FnMut(usize)) -> usize {
-    debug_assert!(!candidates.is_empty());
-    bench(candidates[0]); // warm scratch/caches off the clock
-    let mut fastest = vec![Duration::MAX; candidates.len()];
-    for _ in 0..PROBE_ROUNDS {
-        for (f, &w) in fastest.iter_mut().zip(candidates) {
-            let t0 = Instant::now();
-            bench(w);
-            *f = (*f).min(t0.elapsed());
-        }
-    }
-    let mut best = 0;
-    for i in 1..candidates.len() {
-        if fastest[i] < fastest[best].mul_f64(1.0 - PROBE_MARGIN) {
-            best = i;
-        }
-    }
-    candidates[best]
 }
 
 /// One frontier chunk's speculation ledger.
@@ -174,20 +108,6 @@ static G_CHUNKS: AtomicU64 = AtomicU64::new(0);
 static G_LAUNCHED: AtomicU64 = AtomicU64::new(0);
 static G_COMMITTED: AtomicU64 = AtomicU64::new(0);
 static G_WIDTH_SUM: AtomicU64 = AtomicU64::new(0);
-// Memoized micro-probes re-run because a plan's observed steps/root
-// drifted >2x from the regime the probe was measured in.
-static G_REPROBED: AtomicU64 = AtomicU64::new(0);
-
-/// Count one regime-drift re-probe (surfaced as `reprobed` in the
-/// `width_policy` diagnostics ledger).
-pub fn record_reprobe() {
-    G_REPROBED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Process-wide re-probe count since process start.
-pub fn reprobe_count() -> u64 {
-    G_REPROBED.load(Ordering::Relaxed)
-}
 
 thread_local! {
     static T_STATS: std::cell::Cell<SpecStats> = const { std::cell::Cell::new(SpecStats {
@@ -247,33 +167,6 @@ mod tests {
         assert_eq!(effective(0), 0);
         assert_eq!(effective(1), 1);
         assert_eq!(effective(256), 256);
-    }
-
-    #[test]
-    fn static_widths_are_probe_candidates() {
-        for class in [
-            KernelClass::Cheap,
-            KernelClass::Adapter,
-            KernelClass::SimdHot,
-        ] {
-            for horizon in [1, 255, 256, 100_000] {
-                let w = static_width(class, horizon);
-                assert!(
-                    class.probe_candidates().contains(&w),
-                    "{class:?} static pick {w} must be probeable"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn calibrate_returns_a_candidate_and_prefers_faster() {
-        // A bench whose cost is deterministic in the width: wider is
-        // slower. The probe must land on the narrowest candidate.
-        let picked = calibrate(&[8, 64, 256], |w| {
-            std::thread::sleep(std::time::Duration::from_micros(w as u64 * 50));
-        });
-        assert_eq!(picked, 8);
     }
 
     #[test]

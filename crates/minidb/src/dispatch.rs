@@ -58,10 +58,6 @@ pub enum SpecOutcome {
         /// (the job resumes a stored checkpoint), `"cold"` (store
         /// consulted, no usable entry), or `"none"` (no store).
         shard_reuse: &'static str,
-        /// Plan-cache fingerprint of the query family, so completion
-        /// paths can feed the observed steps/root regime back into the
-        /// width memo (the drift-triggered re-probe policy).
-        fingerprint: u64,
     },
 }
 
@@ -122,7 +118,6 @@ pub fn execute_spec(
                 seed,
                 plan_source: out.plan_source,
                 shard_reuse: out.shard_reuse,
-                fingerprint: fp,
             })
         }
     }
@@ -275,11 +270,7 @@ pub fn explain_spec(
         },
     );
     let workers = scheduler.config().workers;
-    let default_width = if asynchronous {
-        scheduler.config().batch_width
-    } else {
-        1
-    };
+    let default_width = scheduler.config().batch_width;
     let width = spec.options.batch_width.unwrap_or(default_width);
     // The helper cap: at most `threads` threads, one of them the
     // committer — the caller (sync) or a pool worker (ASYNC).
@@ -311,18 +302,9 @@ pub fn explain_spec(
         },
     );
     // The width policy's resolution: what the statement will actually
-    // launch at, and where that number came from. For `auto` the probe
-    // (or its memoized winner) runs right here, so EXPLAIN warms the
-    // width memo exactly like executing would.
+    // launch at, and where that number came from.
     let (resolved_width, width_src) = runner.resolve_width(spec, &ctx, default_width);
-    push(
-        "width",
-        if width == mlss_core::width::AUTO_WIDTH {
-            format!("auto -> {resolved_width} ({width_src})")
-        } else {
-            format!("{resolved_width} ({width_src})")
-        },
-    );
+    push("width", format!("{resolved_width} ({width_src})"));
     push(
         "seed",
         match spec.options.seed {
@@ -396,11 +378,6 @@ pub fn execute_rank(
     rank.validate().map_err(DbError::from)?;
     let asynchronous = rank.options.mode == ExecMode::Async;
     let seed = rank.options.seed.unwrap_or_else(|| rng.random::<u64>());
-    let default_width = if asynchronous {
-        scheduler.config().batch_width
-    } else {
-        1
-    };
     let mut arms = Vec::with_capacity(rank.arms.len());
     let mut plan_sources = Vec::with_capacity(rank.arms.len());
     for (i, (spec, label)) in rank.arms.iter().zip(&rank.labels).enumerate() {
@@ -414,7 +391,7 @@ pub fn execute_rank(
             spec,
             &ctx,
             arm_seed(seed, i),
-            default_width,
+            scheduler.config().batch_width,
             JobKind::RaceArm,
         );
         arms.push(RaceArm {

@@ -30,14 +30,14 @@ use mlss_core::estimator::Estimator;
 use mlss_core::model::SimulationModel;
 use mlss_core::plan_cache::{PlanCache, PlanLookup};
 use mlss_core::planner::{plan_reuse, ReusePlan};
-use mlss_core::prelude::{Problem, RatioValue, SimRng, SrsEstimator, StateScore};
+use mlss_core::prelude::{Problem, RatioValue, SimRng, StateScore};
 use mlss_core::quality::RunControl;
-use mlss_core::rng::{split_rng, RootCursor};
+use mlss_core::rng::split_rng;
 use mlss_core::scheduler::{CompletedQuery, EstimatorQuery, Scheduler, SliceableQuery, TenantId};
 use mlss_core::shard_store::{shard_key, ShardKey, ShardStore, StoredShard};
 use mlss_core::spec::{
     estimator_job, plan_lookup, resolve_method, Boxed, DeferredPlanQuery, JobRun, JobSink,
-    QuerySpec, ResolvedMethod, BALANCED_PLAN_KEY, TARGET_CHECK_EVERY, TARGET_MAX_STEPS,
+    QuerySpec, ResolvedMethod, BALANCED_PLAN_KEY, TARGET_MAX_STEPS,
 };
 use std::sync::Arc;
 
@@ -265,18 +265,14 @@ pub trait ModelRunner: Send + Sync {
     ) -> Result<PlanResolution, DbError>;
 
     /// Resolve the launch width this spec will execute with, plus the
-    /// resolution's provenance. `default_width` is the layer fallback
-    /// that applies when the spec doesn't say (1 for the sync drivers,
-    /// the scheduler's configured width for async). Provenance values:
-    /// `"requested"` (an explicit number in the spec), `"default"` (the
-    /// inherited layer fallback), `"static"` (auto, picked from the
-    /// model's kernel class without measuring), `"probe"` (auto, a
-    /// micro-calibration burst ran and its winner was memoized in the
-    /// plan cache), `"cached-probe"` (auto, a previous probe answered).
-    ///
-    /// Probes time throwaway bursts on a run keyed by the query
-    /// fingerprint — never the query's run — so `batch_width=auto`
-    /// stays bit-identical to running the resolved width explicitly.
+    /// resolution's provenance. `default_width` is the session's width
+    /// (its scheduler's configured `batch_width`), which applies when
+    /// the spec doesn't say. Provenance values: `"requested"` (an
+    /// explicit number in the spec) and `"default"` (the session's
+    /// fixed width, or — under [`mlss_core::width::AUTO_WIDTH`], the
+    /// session default, also spelled `batch_width=auto` — the width of
+    /// the model's kernel class). Every route (sync, ASYNC, race arms,
+    /// recovery, `EXPLAIN`) resolves through here.
     fn resolve_width(
         &self,
         spec: &QuerySpec,
@@ -307,16 +303,6 @@ pub(crate) fn tenant_of(scheduler: &Scheduler, spec: &QuerySpec) -> Option<Tenan
         .tenant
         .as_deref()
         .map(|name| scheduler.ensure_tenant(name))
-}
-
-/// Feed a completed run's steps/root back to the width policy's drift
-/// check (a no-op for families with no memoized probe).
-fn observe_regime(plans: &PlanContext, steps: u64, n_roots: u64) {
-    if n_roots > 0 {
-        plans
-            .cache
-            .observe_regime(plans.fingerprint, steps as f64 / n_roots as f64);
-    }
 }
 
 /// Where the reuse route sends a statement.
@@ -408,64 +394,17 @@ where
         plans: &PlanContext,
         default_width: usize,
     ) -> (usize, &'static str) {
-        let requested = spec.options.batch_width.unwrap_or(default_width);
-        if requested != mlss_core::width::AUTO_WIDTH {
-            return (
-                requested,
-                if spec.options.batch_width.is_some() {
-                    "requested"
-                } else {
-                    "default"
-                },
-            );
+        let width = spec.options.batch_width.unwrap_or(default_width);
+        if width != mlss_core::width::AUTO_WIDTH {
+            let src = match spec.options.batch_width {
+                Some(_) => "requested",
+                None => "default",
+            };
+            return (width, src);
         }
-        let mut reprobe_baseline = None;
-        if let Some(memo) = plans.cache.width_memo(plans.fingerprint) {
-            if !memo.drifted(WIDTH_REGIME_DRIFT) {
-                return (memo.width, "cached-probe");
-            }
-            // The family's observed steps/root has drifted >2x from the
-            // regime the memoized probe was measured in: the winner may
-            // no longer be the winner. Re-calibrate, anchoring the new
-            // entry's baseline at the drifted (observed) regime.
-            reprobe_baseline = memo.observed_regime;
-        }
-        let class = self.model.kernel_class();
-        if class == mlss_core::width::KernelClass::Cheap {
-            // Nothing to measure: a cheap kernel's width curve is flat
-            // past the narrow pick, and probing would cost more than a
-            // wrong answer ever could.
-            return (
-                mlss_core::width::static_width(class, spec.horizon),
-                "static",
-            );
-        }
-        // Micro-calibration: time one check cadence's roots per candidate
-        // width on a throwaway run keyed by the fingerprint. That fills
-        // the widest cohort, which a small step budget would not: the
-        // launch gate runs only the roots a budget pays for. Every
-        // candidate replays the identical paths (the cursor restarts per
-        // call), so the comparison isolates width. The winner is
-        // memoized in the plan cache — repeats of this query family
-        // resolve as "cached-probe" without ever probing again.
-        let vf = RatioValue::new(self.score, spec.beta);
-        let problem = Problem::new(&self.model, &vf, spec.horizon);
-        let est = SrsEstimator;
-        let picked = mlss_core::width::calibrate(class.probe_candidates(), |w| {
-            let mut roots = RootCursor::new(plans.fingerprint ^ WIDTH_PROBE_SEED_SALT);
-            roots.end = TARGET_CHECK_EVERY;
-            let mut shard = <SrsEstimator as Estimator<M, RatioValue<Z>>>::shard(&est);
-            est.run_chunk(problem, &mut shard, u64::MAX, &mut roots, w);
-        });
-        plans
-            .cache
-            .memo_width(plans.fingerprint, picked, reprobe_baseline);
-        if reprobe_baseline.is_some() {
-            mlss_core::width::record_reprobe();
-            (picked, "re-probe")
-        } else {
-            (picked, "probe")
-        }
+        let width = self.model.kernel_class().width();
+        plans.cache.memo_width(plans.fingerprint, width);
+        (width, "default")
     }
 }
 
@@ -484,9 +423,9 @@ where
     ) -> Result<ProcEstimate, DbError> {
         // The plan step, inline: the pilot runs here on a cache miss.
         let res = self.resolve_plan(spec, plans, seed)?;
-        // `batch_width=auto` resolves here — per model, memoized per
-        // fingerprint — before the run launches.
-        let (width, _) = self.width_for(spec, plans, 1);
+        // The width resolves here, from the session default or the
+        // spec, before the run launches.
+        let (width, _) = self.width_for(spec, plans, pool.config().batch_width);
         let key = shard_key(plans.fingerprint, res.resolved.name(), res.resolved.plan());
         let (route, shard_reuse) = reuse_route(plans, &key, spec);
         let e = match route {
@@ -506,9 +445,7 @@ where
                     tenant,
                 };
                 let Runner { model, score } = *self;
-                let e = estimator_job(model, score, &res.resolved, &run, start.as_ref(), caller);
-                observe_regime(plans, e.steps, e.n_roots);
-                e
+                estimator_job(model, score, &res.resolved, &run, start.as_ref(), caller)
             }
         };
         Ok(ProcEstimate {
@@ -529,8 +466,8 @@ where
         default_width: usize,
         kind: JobKind<'_>,
     ) -> SpecJob {
-        // `auto` (from the spec or the default) resolves to a concrete
-        // width here, so the job is built with the width it runs at.
+        // The width resolves to a concrete number here, so the job is
+        // built with the width it runs at.
         let (width, _) = self.width_for(spec, plans, default_width);
         let mut run = JobRun::of(spec, seed, plans.fingerprint, width);
         let checkpoint = match kind {
@@ -675,18 +612,6 @@ where
 /// Default cohort width for `materialize_paths` (rows are bit-identical
 /// at every width; this is a throughput default).
 const MATERIALIZE_BATCH_WIDTH: usize = 64;
-
-/// Salt XORed into the query fingerprint to seed probe streams, so the
-/// throwaway calibration draws can never collide with any stream a real
-/// run derives from a user seed.
-const WIDTH_PROBE_SEED_SALT: u64 = 0x5749_4454_4841_5554;
-
-/// Re-probe threshold: when a family's observed steps/root moves more
-/// than this factor (either direction) from the regime its memoized
-/// width probe was measured in, the probe is re-run — a short query
-/// tuned narrow may want a wide cohort once its runs grow 2x deeper,
-/// and vice versa.
-const WIDTH_REGIME_DRIFT: f64 = 2.0;
 
 /// `materialize_paths(model, horizon, n_paths, dest [, batch_width])`:
 /// simulate `n_paths` of the registered `model` and store them in `dest`

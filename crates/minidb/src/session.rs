@@ -73,12 +73,14 @@ pub struct SessionConfig {
     pub slice_budget: u64,
     /// Panic retries per query before it is reported failed.
     pub max_retries: u32,
-    /// Frontier width for scheduled queries (default 1; bit-identical
-    /// across widths, so this is purely a throughput knob). Set it to
-    /// [`mlss_core::width::AUTO_WIDTH`] to let every query resolve a
-    /// width from its model's kernel class (the `batch_width=auto`
-    /// policy, probe-memoized per query family). A spec's `batch_width`
-    /// option overrides it per query.
+    /// Frontier width of every statement that names none — sync, ASYNC,
+    /// race arms and recovered jobs alike. The default,
+    /// [`mlss_core::width::AUTO_WIDTH`], launches each model at its
+    /// kernel class's width (64 lanes on the vectorized draw pipeline,
+    /// 1 otherwise; see `KernelClass::width`); a number fixes one width
+    /// for the session. A spec's `batch_width` option overrides it per
+    /// query. Bit-identical across widths, so this is purely a
+    /// throughput knob.
     pub batch_width: usize,
     /// Session master seed (drives per-query seeds when the caller does
     /// not pin one).
@@ -104,7 +106,7 @@ impl Default for SessionConfig {
                 .unwrap_or(1),
             slice_budget: 32_768,
             max_retries: 1,
-            batch_width: 1,
+            batch_width: mlss_core::width::AUTO_WIDTH,
             seed: 0,
             seed_models: true,
             shard_store_capacity: 64,
@@ -131,9 +133,6 @@ struct SubmitMeta {
     /// Tenant the submission ran under (`None` = tenantless), surfaced
     /// as the `results` row's `tenant` column.
     tenant: Option<String>,
-    /// Plan-cache fingerprint, so the completion path can feed the
-    /// observed steps/root regime back into the width memo.
-    fingerprint: u64,
     submitted: Instant,
     recorded: bool,
 }
@@ -175,7 +174,6 @@ fn record_submit_meta(
     spec: &QuerySpec,
     plan_source: &'static str,
     shard_reuse: &'static str,
-    fingerprint: u64,
 ) {
     meta.lock().unwrap_or_else(PoisonError::into_inner).insert(
         id,
@@ -187,7 +185,6 @@ fn record_submit_meta(
             plan_source,
             shard_reuse,
             tenant: spec.options.tenant.clone(),
-            fingerprint,
             submitted: Instant::now(),
             recorded: false,
         },
@@ -396,7 +393,6 @@ impl Session {
                         plan_source: intern_provenance(&q.plan_source),
                         shard_reuse: intern_provenance(&q.shard_reuse),
                         tenant: spec.options.tenant.clone(),
-                        fingerprint: fp,
                         submitted: Instant::now(),
                         recorded: false,
                     },
@@ -689,17 +685,9 @@ impl Session {
                         id,
                         plan_source,
                         shard_reuse,
-                        fingerprint,
                         ..
                     } => {
-                        record_submit_meta(
-                            &self.meta,
-                            id,
-                            &spec,
-                            plan_source,
-                            shard_reuse,
-                            fingerprint,
-                        );
+                        record_submit_meta(&self.meta, id, &spec, plan_source, shard_reuse);
                         Ok(ExecResult::Rows {
                             columns: vec!["query_id".into()],
                             rows: vec![vec![Value::Int(id as i64)]],
@@ -738,7 +726,7 @@ impl Session {
             return Ok(None);
         };
         if let QueryStatus::Done(est) = &status {
-            record_result(&self.db, &self.meta, &self.scheduler, &self.plans, id, est)?;
+            record_result(&self.db, &self.meta, &self.scheduler, id, est)?;
             self.record_rank_result(id)?;
         }
         Ok(Some(status))
@@ -840,7 +828,6 @@ impl Session {
                 ("roots_committed".into(), spec.committed as f64),
                 ("speculation_discarded".into(), spec.discarded() as f64),
                 ("effective_width".into(), effective_width),
-                ("reprobed".into(), mlss_core::width::reprobe_count() as f64),
             ],
         });
         // The ranking subsystem's race ledger (process-wide, like the
@@ -911,7 +898,7 @@ impl Session {
         };
         for id in unrecorded {
             if let Some(QueryStatus::Done(est)) = self.scheduler.poll(id) {
-                record_result(&self.db, &self.meta, &self.scheduler, &self.plans, id, &est)?;
+                record_result(&self.db, &self.meta, &self.scheduler, id, &est)?;
             }
         }
         // Likewise for finalized-but-never-read races: their standings
@@ -970,7 +957,6 @@ fn record_result(
     db: &Database,
     meta: &MetaMap,
     scheduler: &Scheduler,
-    plans: &PlanCache,
     id: QueryId,
     est: &mlss_core::estimate::Estimate,
 ) -> Result<(), DbError> {
@@ -1004,12 +990,6 @@ fn record_result(
         ],
     )?;
     m.recorded = true;
-    // Feed the observed steps/root regime back into the width memo so a
-    // family whose cost shape drifted >2x from its probed regime gets
-    // re-probed on the next width resolution.
-    if est.n_roots > 0 {
-        plans.observe_regime(m.fingerprint, est.steps as f64 / est.n_roots as f64);
-    }
     Ok(())
 }
 
@@ -1389,7 +1369,8 @@ mod tests {
             .find(|r| r[0].as_str() == Some("plan_cache"))
             .unwrap();
         assert_eq!(cache_row[1].as_str(), Some("hit"));
-        // No width requested: one root at a time, the default.
+        // No width requested: the session default (`auto`), which runs
+        // ar — a scalar kernel — one root at a time.
         let props = props_of(
             s.execute(
                 "EXPLAIN ESTIMATE DURABILITY OF ar(beta=3) WITHIN 40 \
@@ -1397,7 +1378,7 @@ mod tests {
             )
             .unwrap(),
         );
-        assert_eq!(props["batch_width"], "1");
+        assert_eq!(props["batch_width"], "auto");
         assert_eq!(props["width"], "1 (default)");
         // The driver row shows the helper cap on this 2-worker session:
         // a sync committer is the caller, an ASYNC one a worker, and race

@@ -496,12 +496,12 @@ impl SimulationModel for CompoundPoisson {
     }
 
     /// SIMD-hot below the normal-approximation regime: the persistent
-    /// per-lane views and multi-stream block computes want wide, full
+    /// per-lane views and multi-stream block computes want full
     /// cohorts. At λ ≥ 30 every step takes the scalar sampler anyway, so
-    /// there is nothing for width to feed — class as an adapter kernel.
+    /// there is nothing for width to feed — class as a scalar kernel.
     fn kernel_class(&self) -> mlss_core::width::KernelClass {
         if self.intensity >= 30.0 {
-            mlss_core::width::KernelClass::Adapter
+            mlss_core::width::KernelClass::Scalar
         } else {
             mlss_core::width::KernelClass::SimdHot
         }

@@ -123,7 +123,7 @@ impl SimulationModel for GeometricBrownian {
     }
 
     /// SIMD-hot: wide cohorts keep the multi-stream ChaCha and chunked
-    /// `vmath` passes full, so the `auto` width policy goes wide.
+    /// `vmath` passes full, so it launches a 64-lane cohort by default.
     fn kernel_class(&self) -> mlss_core::width::KernelClass {
         mlss_core::width::KernelClass::SimdHot
     }

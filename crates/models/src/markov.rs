@@ -114,12 +114,6 @@ impl SimulationModel for MarkovChain {
             .rposition(|&p| p > 0.0)
             .expect("stochastic row has positive mass")
     }
-
-    /// A step is one draw and a short row scan — staging a wide cohort
-    /// costs more than it saves, so the `auto` width policy runs narrow.
-    fn kernel_class(&self) -> mlss_core::width::KernelClass {
-        mlss_core::width::KernelClass::Cheap
-    }
 }
 
 #[cfg(test)]

@@ -1,29 +1,29 @@
-//! Adaptive batch width: the policy must never show up in result bits.
+//! The batch-width policy: one fixed default per kernel class, and it
+//! must never show up in result bits.
 //!
-//! `batch_width=auto` picks a launch width per query — a static table
-//! for cheap kernels, a one-off micro-probe (memoized in the plan
-//! cache) for everything else — and the frontier's launch gate narrows
-//! the final cohort so speculation never runs past the budget. None of
-//! that may perturb results: the committed shard is a pure function of
-//! the run key, the root cursor and the budget, independent of width.
+//! A statement that names no `batch_width` (or says `auto`) launches at
+//! its model's kernel-class width — 64 lanes on the vectorized draw
+//! pipeline, 1 lane otherwise — on every route, and the frontier's
+//! launch gate narrows the final cohort so speculation never runs past
+//! the budget. None of that may perturb results: the committed shard is
+//! a pure function of the run key, the root cursor and the budget,
+//! independent of width.
 //!
 //! Pinned here:
+//! * every builtin model's default statement — sync, ASYNC and
+//!   `batch_width=auto` — resolves to its class width in `EXPLAIN`, and
+//!   a sync run at that width is bit-identical to one at width 1;
 //! * `batch_width=auto` is bit-identical to pinning the width it
-//!   resolves to, end to end through the SQL layer;
-//! * `EXPLAIN` reports the resolution (`auto -> W (probe)`) and the
-//!   second look is served from the plan cache's width memo
-//!   (`cached-probe`) — with the same winner;
+//!   resolves to, end to end through the SQL layer, and the plan cache
+//!   reads the resolved width back;
 //! * a pause / detach / `with_batch_width` / resubmit cycle — a width
 //!   change mid-query — stays bit-identical to one uninterrupted run;
 //! * the frontier's launch gate runs **zero** doomed speculation when
 //!   the budget is an exact multiple of the per-root cost, at every
-//!   width, and no probe candidate discards more than static width 64
-//!   on the mixed workload the policy is tuned on;
+//!   width;
 //! * `SHOW DIAGNOSTICS` surfaces the speculation ledger.
 
-use durability_mlss::models::{
-    price_score, surplus_score, CompoundPoisson, GeometricBrownian, MarkovChain, RandomWalk,
-};
+use durability_mlss::models::{surplus_score, CompoundPoisson, RandomWalk};
 use mlss_core::estimator::run_sequential_batched;
 use mlss_core::prelude::*;
 use mlss_core::spec::{ExecMode, Method, QuerySpec};
@@ -75,7 +75,7 @@ fn cpp_sql(seed: u64, batch_width: Option<usize>) -> String {
     spec.render()
 }
 
-/// The `width` row of `EXPLAIN <sql>`, e.g. `"auto -> 128 (probe)"`.
+/// The `width` row of `EXPLAIN <sql>`, e.g. `"64 (default)"`.
 fn explain_width_row(s: &Session, sql: &str) -> String {
     let result = s.execute(&format!("EXPLAIN {sql}")).unwrap();
     let mlss_db::ExecResult::Rows { rows, .. } = result else {
@@ -90,40 +90,90 @@ fn explain_width_row(s: &Session, sql: &str) -> String {
         .expect("width row")
 }
 
+/// The leading number of a `width` row: `"64 (default)"` → 64.
+fn width_of(row: &str) -> usize {
+    row.split(' ')
+        .next()
+        .and_then(|w| w.parse().ok())
+        .unwrap_or_else(|| panic!("width row {row:?} must read 'W (src)'"))
+}
+
+/// Every builtin model's default statement (no `batch_width`), with the
+/// launch width of its kernel class: 64 on the vectorized draw pipeline
+/// (walk, gbm, cpp below λ 30), 1 everywhere else.
+const DEFAULT_STATEMENTS: [(&str, usize); 9] = [
+    ("walk(beta=6) WITHIN 50", 64),
+    ("gbm(beta=560) WITHIN 50", 64),
+    ("cpp(beta=20) WITHIN 40", 64),
+    ("cpp(beta=20, intensity=40, premium=302) WITHIN 40", 1),
+    ("markov(beta=8) WITHIN 50", 1),
+    ("network(beta=6) WITHIN 50", 1),
+    ("queue(beta=6) WITHIN 50", 1),
+    ("volatile(beta=20) WITHIN 40", 1),
+    ("ar(beta=3) WITHIN 40", 1),
+];
+
+#[test]
+fn every_route_defaults_to_the_kernel_class_width() {
+    for (shape, class_width) in DEFAULT_STATEMENTS {
+        let sql = |opts: &str, mode: &str| {
+            format!(
+                "ESTIMATE DURABILITY OF {shape} USING srs TARGET RE 30% \
+                 WITH (seed=11{opts}){mode}"
+            )
+        };
+        let s = session();
+        for (form, stmt) in [
+            ("sync", sql("", "")),
+            ("ASYNC", sql("", " ASYNC")),
+            ("auto", sql(", batch_width=auto", "")),
+        ] {
+            assert_eq!(
+                explain_width_row(&s, &stmt),
+                format!("{class_width} (default)"),
+                "{shape}, {form} form"
+            );
+        }
+        s.execute(&sql("", "")).unwrap();
+        let narrow = session();
+        assert_eq!(
+            explain_width_row(&narrow, &sql(", batch_width=1", "")),
+            "1 (requested)"
+        );
+        narrow.execute(&sql(", batch_width=1", "")).unwrap();
+        let (a, b) = (results_rows(&s), results_rows(&narrow));
+        assert_eq!((a.len(), b.len()), (1, 1), "{shape}");
+        assert_rows_bit_identical(&a[0], &b[0], &format!("{shape}: default vs width 1"));
+    }
+}
+
 #[test]
 fn auto_width_is_bit_identical_to_its_resolved_width() {
     // Resolve `auto` via EXPLAIN, then run the same pinned-seed
     // statement once at `auto` and once at the width it resolved to, in
-    // separate cold sessions. The probe draws only from a throwaway RNG
-    // keyed off the plan fingerprint — never from the query stream — so
-    // the rows must agree in every estimate-bearing column.
+    // separate cold sessions: the rows must agree in every
+    // estimate-bearing column.
     let auto = session();
     let sql_auto = cpp_sql(23, Some(AUTO_WIDTH));
 
     let first = explain_width_row(&auto, &sql_auto);
-    let resolved: usize = first
-        .strip_prefix("auto -> ")
-        .and_then(|rest| rest.split(' ').next())
-        .and_then(|w| w.parse().ok())
-        .unwrap_or_else(|| panic!("width row {first:?} must read 'auto -> W (src)'"));
-    assert!(
-        first.ends_with("(probe)"),
-        "first resolution must come from the micro-probe: {first:?}"
-    );
-    // Second look: the winner is memoized per plan fingerprint.
-    let second = explain_width_row(&auto, &sql_auto);
-    assert_eq!(
-        second,
-        format!("auto -> {resolved} (cached-probe)"),
-        "repeat resolution must hit the width memo"
-    );
+    assert_eq!(first, "64 (default)", "cpp below λ 30 is SIMD-hot");
+    let resolved = width_of(&first);
+    // Resolution is a pure function of the model: a second look agrees.
+    assert_eq!(explain_width_row(&auto, &sql_auto), first);
 
     auto.execute(&sql_auto).unwrap();
+    // The plan cache reads back the width the family resolved to.
+    let mut spec = QuerySpec::new("cpp", 40.0, 80, 0.3);
+    spec.method = Method::Srs;
+    let (_, fp, _) = auto.models().build_spec(auto.db(), &spec).unwrap();
+    assert_eq!(auto.plan_cache().cached_width(fp), Some(resolved));
 
     let pinned = session();
     let sql_pinned = cpp_sql(23, Some(resolved));
-    assert!(
-        explain_width_row(&pinned, &sql_pinned).ends_with("(requested)"),
+    assert_eq!(
+        explain_width_row(&pinned, &sql_pinned),
+        format!("{resolved} (requested)"),
         "an explicit width is its own provenance"
     );
     pinned.execute(&sql_pinned).unwrap();
@@ -250,133 +300,6 @@ fn boundary_shrink_launches_zero_doomed_speculation() {
         assert_eq!(driven.shard.steps(), raw.steps());
         assert_eq!((raw.n_roots(), raw.steps()), (25, budget));
     }
-}
-
-/// Every width the `auto` probe may pick for this problem's kernel
-/// class must discard no more speculation than the static width 64 in a
-/// budget-mode SRS run. The probe is timed, so the check covers all of
-/// its candidates.
-fn assert_probe_candidates_discard_at_most_static_64<M, V>(
-    name: &str,
-    problem: Problem<'_, M, V>,
-    budget: u64,
-) where
-    M: SimulationModel,
-    V: ValueFunction<M::State>,
-{
-    let discarded = |w| {
-        width::take_thread_stats();
-        let control = RunControl::budget(budget);
-        run_sequential_batched(&SrsEstimator, problem, control, &mut rng_from_seed(9), w);
-        width::take_thread_stats().discarded()
-    };
-    let d64 = discarded(64);
-    for &w in problem.model.kernel_class().probe_candidates() {
-        let dw = discarded(w);
-        assert!(
-            dw <= d64,
-            "{name}: width {w} discards {dw} roots vs {d64} at 64"
-        );
-    }
-}
-
-#[test]
-fn probe_candidates_discard_no_more_speculation_than_static_64() {
-    // The mixed workload the width policy is tuned on: a cheap lookup
-    // kernel on a tight budget, and two SIMD-hot long runs whose probe
-    // candidates go up to 256 lanes.
-    let markov = MarkovChain::birth_death(32, 0.3, 0.3, 0);
-    fn markov_score(s: &usize) -> f64 {
-        *s as f64
-    }
-    let mv: RatioValue<fn(&usize) -> f64> =
-        RatioValue::new(markov_score as fn(&usize) -> f64, 31.0);
-    assert_probe_candidates_discard_at_most_static_64(
-        "markov, tight budget",
-        Problem::new(&markov, &mv, 50),
-        30_000,
-    );
-
-    let cpp = CompoundPoisson::paper_default();
-    let cv = cpp_vf(40.0);
-    assert_probe_candidates_discard_at_most_static_64(
-        "cpp, long run",
-        Problem::new(&cpp, &cv, 80),
-        400_000,
-    );
-
-    let gbm = GeometricBrownian::goog_like();
-    let gv: RatioValue<fn(&f64) -> f64> = RatioValue::new(price_score as fn(&f64) -> f64, 560.0);
-    assert_probe_candidates_discard_at_most_static_64(
-        "gbm, long run",
-        Problem::new(&gbm, &gv, 200),
-        400_000,
-    );
-}
-
-#[test]
-fn regime_drift_triggers_a_reprobe_with_surfaced_provenance() {
-    // A memoized probe winner is only as good as the cost regime it was
-    // measured in. When a family's observed steps/root drifts >2x from
-    // the probe's baseline, the next `auto` resolution must re-probe —
-    // and say so, both in EXPLAIN provenance and the `reprobed` counter
-    // of the width_policy diagnostics block.
-    let s = session();
-    let sql = cpp_sql(29, Some(AUTO_WIDTH));
-
-    assert!(
-        explain_width_row(&s, &sql).ends_with("(probe)"),
-        "cold family: micro-probe"
-    );
-    // A completed run anchors the memo's steps/root baseline.
-    s.execute(&sql).unwrap();
-    assert!(
-        explain_width_row(&s, &sql).ends_with("(cached-probe)"),
-        "undrifted memo keeps serving"
-    );
-
-    // The family's fingerprint, exactly as dispatch computes it.
-    let mut spec = QuerySpec::new("cpp", 40.0, 80, 0.3);
-    spec.method = Method::Srs;
-    spec.options.seed = Some(29);
-    spec.options.mode = ExecMode::Sync;
-    spec.options.batch_width = Some(AUTO_WIDTH);
-    let (_, fp, _) = s.models().build_spec(s.db(), &spec).unwrap();
-    let memo = s.plan_cache().width_memo(fp).expect("probe is memoized");
-    let baseline = memo
-        .probed_regime
-        .expect("a completed run anchors the baseline");
-
-    // Inject a >2x drift, as a completed run with a changed workload
-    // shape would report it.
-    let before = width::reprobe_count();
-    s.plan_cache().observe_regime(fp, baseline * 8.0);
-
-    let re = explain_width_row(&s, &sql);
-    assert!(
-        re.ends_with("(re-probe)"),
-        "a drifted memo must re-calibrate: {re:?}"
-    );
-    assert!(width::reprobe_count() > before);
-    // The re-probe re-anchors the baseline at the drifted regime: the
-    // family is served from the memo again.
-    assert!(
-        explain_width_row(&s, &sql).ends_with("(cached-probe)"),
-        "re-probe must re-anchor the memo"
-    );
-
-    let result = s.execute("SHOW DIAGNOSTICS").unwrap();
-    let mlss_db::ExecResult::Rows { rows, .. } = result else {
-        panic!("SHOW DIAGNOSTICS must return rows");
-    };
-    let reprobed = rows
-        .iter()
-        .find(|r| {
-            r[0] == Value::Text("width_policy".into()) && r[1] == Value::Text("reprobed".into())
-        })
-        .and_then(|r| r[2].as_f64())
-        .expect("width_policy surfaces the reprobed counter");
-    assert!(reprobed >= 1.0, "the ledger counts the re-probe");
 }
 
 #[test]
